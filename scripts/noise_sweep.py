@@ -13,23 +13,18 @@ sigma ~ 2; the printed table shows where it actually does.
 import argparse
 import csv
 
-import numpy as np
-
 from embedtrack import (
-    LabeledDistance,
     LossConfig,
     SimConfig,
     TrainConfig,
     concat_neighbor_frames,
-    distance_matrix,
-    embed_batch,
     labeled_batch_from_sample,
-    mot_counts,
     mota,
+    neighbor_pair_distances,
     pair_accuracy,
-    pair_counts,
     simulate,
     sweep_threshold,
+    track_counts,
     track_sequence,
     train,
 )
@@ -56,15 +51,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
             batches.append(batch)
     params, trace = train(batches, LossConfig(), TrainConfig(epochs=args.epochs))
 
-    pairs = []
-    for a, b in zip(frames, frames[1:]):
-        emb_a = embed_batch(params, np.stack([d.feature for d in a.detections]))
-        emb_b = embed_batch(params, np.stack([d.feature for d in b.detections]))
-        d = distance_matrix(emb_a, emb_b)
-        for i, da in enumerate(a.detections):
-            for j, db in enumerate(b.detections):
-                pairs.append(LabeledDistance(float(d[i, j]), da.gt_identity == db.gt_identity))
-    sweep = sweep_threshold(pairs)
+    sweep = sweep_threshold(*neighbor_pair_distances(frames, params))
 
     holdout_cfg = SimConfig(
         identity_count=sim_cfg.identity_count,
@@ -78,22 +65,19 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
     holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
     assignments = track_sequence(holdout, params, threshold=sweep.threshold)
 
-    gt_frames = [list(f.gt_boxes) for f in holdout]
-    mot_pred = [
-        [(f.detections[di].box, tid) for di, tid in per_frame]
-        for f, per_frame in zip(holdout, assignments)
-    ]
-    pair_pred = [
-        [(f.detections[di].box, f.detections[di].confidence, tid) for di, tid in per_frame]
-        for f, per_frame in zip(holdout, assignments)
-    ]
-    counts = mot_counts(mot_pred, gt_frames)
+    counts, pairs = track_counts(
+        [
+            [(f.detections[di].box, f.detections[di].confidence, tid) for di, tid in per_frame]
+            for f, per_frame in zip(holdout, assignments)
+        ],
+        [f.gt_boxes for f in holdout],
+    )
     return {
         "sigma": sigma,
         "final_loss": trace[-1],
         "threshold": sweep.threshold,
         "objective": sweep.objective,
-        "pair_accuracy": pair_accuracy(pair_counts(pair_pred, gt_frames)),
+        "pair_accuracy": pair_accuracy(pairs),
         "mota": mota(counts),
         "mismatches": counts.mismatch,
     }

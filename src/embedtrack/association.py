@@ -14,31 +14,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FrameRecord
-from .embedding import EmbeddingHeadParams, embed_batch
+from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 
 __all__ = [
-    "distance_matrix",
     "match_frames",
     "TrackState",
     "update_tracks",
     "track_sequence",
 ]
-
-
-def distance_matrix(current: np.ndarray, former: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, rows = current embeddings, cols = former."""
-    cur = np.atleast_2d(np.asarray(current, dtype=np.float64))
-    fmr = np.atleast_2d(np.asarray(former, dtype=np.float64))
-    if cur.size == 0:
-        cur = cur.reshape(0, fmr.shape[1] if fmr.size else 0)
-    if fmr.size == 0:
-        fmr = fmr.reshape(0, cur.shape[1])
-    if cur.shape[1] != fmr.shape[1]:
-        raise ValueError(
-            f"embedding dims differ: current {cur.shape[1]}, former {fmr.shape[1]}"
-        )
-    diff = cur[:, None, :] - fmr[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def match_frames(distances: np.ndarray, threshold: float) -> list[Optional[int]]:
@@ -151,9 +134,11 @@ def track_sequence(
 ) -> list[list[tuple[int, int]]]:
     """Run the tracker over one single-camera sequence.
 
-    Detections below `score_threshold` are ignored. Returns, per frame, a
-    list of (detection index within the frame, assigned track id) pairs for
-    the detections that were tracked.
+    Detections below `score_threshold` are ignored. A frame that does not
+    directly follow the previous one (`FrameRecord.follows`) has nothing to
+    match against, so after an index gap every detection gets a fresh id.
+    Returns, per frame, a list of (detection index within the frame,
+    assigned track id) pairs for the detections that were tracked.
     """
     cameras = {f.camera_id for f in frames}
     if len(cameras) > 1:
@@ -166,7 +151,7 @@ def track_sequence(
 
     state = TrackState.empty(params.embed_dim)
     out: list[list[tuple[int, int]]] = []
-    for frame in frames:
+    for k, frame in enumerate(frames):
         kept = [
             i for i, det in enumerate(frame.detections) if det.confidence >= score_threshold
         ]
@@ -175,7 +160,10 @@ def track_sequence(
             emb = embed_batch(params, feats)
         else:
             emb = np.zeros((0, params.embed_dim))
-        matches = match_frames(distance_matrix(emb, state.former_embeddings), threshold)
+        former = state.former_embeddings
+        if k > 0 and not frame.follows(frames[k - 1]):
+            former = former[:0]
+        matches = match_frames(distance_matrix(emb, former), threshold)
         state, ids = update_tracks(state, emb, matches)
         out.append(list(zip(kept, ids)))
     return out

@@ -15,14 +15,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
-    "LabeledDistance",
     "PairCounts",
-    "SweepRow",
     "ThresholdSweep",
     "DistanceHistogram",
     "DegenerateDevSetError",
@@ -39,17 +37,22 @@ class DegenerateDevSetError(ValueError):
     """Raised when calibration data lacks same pairs, different pairs, or both."""
 
 
-@dataclass(frozen=True)
-class LabeledDistance:
-    """One cross-frame detection pair: embedding distance plus whether the two
-    detections carry the same ground-truth identity."""
-
-    distance: float
-    is_same: bool
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.distance) or self.distance < 0:
-            raise ValueError(f"distance must be finite and non-negative, got {self.distance}")
+def _check_pairs(distances, is_same) -> tuple[np.ndarray, np.ndarray]:
+    """Validate parallel pair arrays: one distance and one same-identity flag
+    per cross-frame detection pair; distances finite and non-negative."""
+    dist = np.asarray(distances, dtype=np.float64)
+    same = np.asarray(is_same)
+    if dist.ndim != 1 or same.shape != dist.shape:
+        raise ValueError(
+            f"distances and is_same must be 1-D of equal length, got {dist.shape} and {same.shape}"
+        )
+    if dist.size == 0:
+        raise DegenerateDevSetError("no pairs")
+    if same.dtype != bool:
+        raise ValueError(f"is_same must be boolean, got dtype {same.dtype}")
+    if not np.all(np.isfinite(dist)) or dist.min() < 0:
+        raise ValueError("distances must be finite and non-negative")
+    return dist, same
 
 
 @dataclass(frozen=True)
@@ -81,12 +84,9 @@ class PairCounts:
             raise ValueError("gp and gn must be non-negative")
 
 
-def counts_at(pairs: Sequence[LabeledDistance], threshold: float) -> PairCounts:
+def counts_at(distances, is_same, threshold: float) -> PairCounts:
     """Confusion counts when pairs with distance < threshold are called same."""
-    if not pairs:
-        raise DegenerateDevSetError("no pairs to count")
-    dist = np.array([p.distance for p in pairs])
-    same = np.array([p.is_same for p in pairs], dtype=bool)
+    dist, same = _check_pairs(distances, is_same)
     pred = dist < threshold
     return PairCounts(
         tp=int((pred & same).sum()),
@@ -105,21 +105,15 @@ def threshold_objective(counts: PairCounts) -> float:
     return counts.fp / counts.gn + counts.fn / counts.gp
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    threshold: float
-    counts: PairCounts
-    objective: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdSweep:
     """Result of an exact threshold sweep: the winning threshold, its
-    objective, and every candidate evaluated (in increasing order)."""
+    objective, and every candidate evaluated, in increasing order of h, as
+    one read-only record array with fields h, fp, fn, tp, tn, objective."""
 
     threshold: float
     objective: float
-    rows: tuple[SweepRow, ...]
+    rows: np.recarray
 
 
 def _candidate_thresholds(distances: np.ndarray) -> np.ndarray:
@@ -133,60 +127,43 @@ def _candidate_thresholds(distances: np.ndarray) -> np.ndarray:
     unreachable (a 0 distance is predicted same under any h > 0).
     """
     uniq = np.unique(distances)
-    cands = []
-    if uniq[0] > 0:
-        cands.append(uniq[0] / 2.0)
-    if uniq.size > 1:
-        cands.extend(((uniq[:-1] + uniq[1:]) / 2.0).tolist())
-    cands.append(uniq[-1] + 1.0)
-    return np.array(cands)
+    lowest = uniq[:1] / 2.0 if uniq[0] > 0 else uniq[:0]
+    return np.concatenate([lowest, (uniq[:-1] + uniq[1:]) / 2.0, uniq[-1:] + 1.0])
 
 
-def sweep_threshold(
-    pairs: Sequence[LabeledDistance], tie_break: str = "smallest"
-) -> ThresholdSweep:
+def sweep_threshold(distances, is_same, tie_break: str = "smallest") -> ThresholdSweep:
     """Exact minimisation of `threshold_objective` over all thresholds.
 
+    `distances` and `is_same` are parallel 1-D arrays, one entry per pair.
     Requires at least one same pair and one different pair. Equal objectives
     resolve to the smallest candidate threshold by default (favouring fewer
     false merges); pass tie_break="largest" for the opposite bias.
     """
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"tie_break must be 'smallest' or 'largest', got {tie_break!r}")
-    if not pairs:
-        raise DegenerateDevSetError("no pairs to sweep")
-    dist = np.array([p.distance for p in pairs])
-    same = np.array([p.is_same for p in pairs], dtype=bool)
+    dist, same = _check_pairs(distances, is_same)
     gp = int(same.sum())
-    gn = int((~same).sum())
+    gn = same.size - gp
     if gp == 0 or gn == 0:
         raise DegenerateDevSetError(
             f"sweep needs both pair kinds, got {gp} same and {gn} different"
         )
 
-    same_sorted = np.sort(dist[same])
-    diff_sorted = np.sort(dist[~same])
     cands = _candidate_thresholds(dist)
     # Pairs with distance < h are predicted same; side="left" counts exactly
     # the strictly smaller entries.
-    tp = np.searchsorted(same_sorted, cands, side="left")
-    fp = np.searchsorted(diff_sorted, cands, side="left")
+    tp = np.searchsorted(np.sort(dist[same]), cands, side="left")
+    fp = np.searchsorted(np.sort(dist[~same]), cands, side="left")
     fn = gp - tp
     tn = gn - fp
     objective = fp / gn + fn / gp
+    rows = np.rec.fromarrays([cands, fp, fn, tp, tn, objective], names="h,fp,fn,tp,tn,objective")
+    rows.flags.writeable = False
 
-    rows = tuple(
-        SweepRow(
-            threshold=float(h),
-            counts=PairCounts(tp=int(tp[k]), tn=int(tn[k]), fp=int(fp[k]), fn=int(fn[k])),
-            objective=float(objective[k]),
-        )
-        for k, h in enumerate(cands)
-    )
     if tie_break == "smallest":
-        best = min(range(len(cands)), key=lambda k: (objective[k], k))
+        best = int(np.argmin(objective))
     else:
-        best = min(range(len(cands)), key=lambda k: (objective[k], -k))
+        best = objective.size - 1 - int(np.argmin(objective[::-1]))
     return ThresholdSweep(
         threshold=float(cands[best]), objective=float(objective[best]), rows=rows
     )
@@ -201,15 +178,12 @@ class DistanceHistogram:
     diff_counts: tuple[int, ...]
 
 
-def distance_histogram(pairs: Sequence[LabeledDistance], bin_count: int = 50) -> DistanceHistogram:
+def distance_histogram(distances, is_same, bin_count: int = 50) -> DistanceHistogram:
     """Histogram both pair populations over identical bins, for eyeballing the
     separation that the swept threshold exploits."""
-    if not pairs:
-        raise DegenerateDevSetError("no pairs to histogram")
+    dist, same = _check_pairs(distances, is_same)
     if bin_count < 1:
         raise ValueError(f"bin_count must be positive, got {bin_count}")
-    dist = np.array([p.distance for p in pairs])
-    same = np.array([p.is_same for p in pairs], dtype=bool)
     hi = float(dist.max())
     if hi == 0.0:
         hi = 1.0
@@ -227,12 +201,8 @@ def write_sweep_csv(path: Union[str, Path], sweep: ThresholdSweep) -> None:
     """One row per candidate threshold: h, fp, fn, tp, tn, objective."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["h", "fp", "fn", "tp", "tn", "objective"])
-        for row in sweep.rows:
-            c = row.counts
-            writer.writerow(
-                [repr(float(row.threshold)), c.fp, c.fn, c.tp, c.tn, repr(float(row.objective))]
-            )
+        writer.writerow(sweep.rows.dtype.names)
+        writer.writerows(sweep.rows.tolist())
 
 
 def write_histogram_csv(path: Union[str, Path], hist: DistanceHistogram) -> None:

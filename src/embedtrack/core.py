@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,8 +82,14 @@ class DetectionRecord:
         object.__setattr__(self, "feature", feat)
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-        if self.gt_identity is not None and self.gt_identity < 0:
-            raise ValueError(f"gt_identity must be non-negative, got {self.gt_identity}")
+        if self.gt_identity is not None and not (
+            isinstance(self.gt_identity, numbers.Integral)
+            and not isinstance(self.gt_identity, bool)
+            and self.gt_identity >= 0
+        ):
+            raise ValueError(
+                f"gt_identity must be a non-negative integer, got {self.gt_identity!r}"
+            )
         if self.image_slot not in (0, 1):
             raise ValueError(f"image_slot must be 0 or 1, got {self.image_slot}")
 
@@ -118,6 +125,12 @@ class FrameRecord:
         dims = {d.feature.shape[0] for d in self.detections}
         if len(dims) > 1:
             raise ValueError(f"inconsistent feature dimensions within frame: {sorted(dims)}")
+
+    def follows(self, other: "FrameRecord") -> bool:
+        """True when this frame is the next one after `other`: same camera,
+        frame_index one higher. Training pairs, calibration pairs and the
+        tracker's one-frame memory all use this rule."""
+        return self.camera_id == other.camera_id and self.frame_index == other.frame_index + 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameRecord):

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import BoundingBox, DetectionRecord, FrameRecord
+from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 from .evaluation import assign_predictions
 from .training import LabeledBatch
 
@@ -32,9 +33,12 @@ __all__ = [
     "TrackRecord",
     "FrameParseError",
     "concat_neighbor_frames",
+    "neighbor_frames",
     "identity_index",
     "build_mtmc_pairs",
+    "labeled_rows",
     "labeled_batch_from_sample",
+    "neighbor_pair_distances",
     "default_archetypes",
     "simulate",
     "save_frames",
@@ -104,18 +108,30 @@ def _fuse_frames(a: FrameRecord, b: FrameRecord, width_a: float) -> ConcatSample
 def concat_neighbor_frames(a: FrameRecord, b: FrameRecord, width_a: float) -> ConcatSample:
     """Fuse two neighbouring frames of one camera into one sample.
 
-    Frame b must directly follow frame a. Slot 0 is a unchanged; slot 1 is b
-    with every x-coordinate shifted by width_a.
+    Frame b must directly follow frame a (`FrameRecord.follows`). Slot 0 is
+    a unchanged; slot 1 is b with every x-coordinate shifted by width_a.
     """
-    if a.camera_id != b.camera_id:
+    if not b.follows(a):
         raise ValueError(
-            f"frames come from cameras {a.camera_id} and {b.camera_id}, expected one camera"
-        )
-    if b.frame_index != a.frame_index + 1:
-        raise ValueError(
-            f"frames {a.frame_index} and {b.frame_index} are not consecutive"
+            f"frame {b.frame_index} of camera {b.camera_id} does not directly follow "
+            f"frame {a.frame_index} of camera {a.camera_id}"
         )
     return _fuse_frames(a, b, width_a)
+
+
+def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
+    """Index pairs (i, j) where frames[j] directly follows frames[i]
+    (`FrameRecord.follows`): cameras in increasing id, input order within
+    a camera."""
+    by_camera: dict[int, list[int]] = {}
+    for k, frame in enumerate(frames):
+        by_camera.setdefault(frame.camera_id, []).append(k)
+    return [
+        (i, j)
+        for camera in sorted(by_camera)
+        for i, j in zip(by_camera[camera], by_camera[camera][1:])
+        if frames[j].follows(frames[i])
+    ]
 
 
 def identity_index(
@@ -155,26 +171,27 @@ def build_mtmc_pairs(
     return samples
 
 
-def labeled_batch_from_sample(
-    sample: ConcatSample,
+def labeled_rows(
+    detections: Sequence[DetectionRecord],
+    gt_boxes: Sequence[tuple],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
-) -> Optional[LabeledBatch]:
-    """Turn one sample into (features, identities) rows for the losses.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(features, identities) of the detections that survive labeling.
 
-    Detections below `score_threshold` are dropped. When every detection
-    already carries a ground-truth identity the labels pass through;
-    otherwise identities come from IoU assignment against the sample's
-    ground truth, and unassigned detections are dropped. Returns None when
-    fewer than two labeled rows remain (no pair to learn from).
+    Detections below `score_threshold` are dropped. When every kept
+    detection already carries a ground-truth identity the labels pass
+    through; otherwise identities come from IoU assignment against
+    `gt_boxes` (box, identity, ...) and unassigned detections are dropped.
+    Features are (n, F), identities (n,) int64; n may be 0.
     """
-    kept = [d for d in sample.detections if d.confidence >= score_threshold]
+    kept = [d for d in detections if d.confidence >= score_threshold]
     if all(d.gt_identity is not None for d in kept):
         labeled = [(d.feature, d.gt_identity) for d in kept]
     else:
         result = assign_predictions(
             [(d.box, d.confidence) for d in kept],
-            sample.gt_boxes,
+            [(box, ident, 0) for box, ident, *_ in gt_boxes],
             score_threshold=score_threshold,
             iou_min=iou_min,
         )
@@ -183,12 +200,49 @@ def labeled_batch_from_sample(
             for d, assigned in zip(kept, result.assignments)
             if assigned is not None
         ]
-    if len(labeled) < 2:
-        return None
-    return LabeledBatch(
-        features=np.stack([f for f, _ in labeled]),
-        identities=np.array([ident for _, ident in labeled], dtype=np.int64),
+    dim = detections[0].feature.shape[0] if detections else 0
+    features = np.array([f for f, _ in labeled], dtype=np.float64).reshape(len(labeled), dim)
+    return features, np.array([ident for _, ident in labeled], dtype=np.int64)
+
+
+def labeled_batch_from_sample(
+    sample: ConcatSample,
+    score_threshold: float = 0.5,
+    iou_min: float = 0.5,
+) -> Optional[LabeledBatch]:
+    """Turn one sample's `labeled_rows` into a batch for the losses; None
+    when fewer than two rows remain (no pair to learn from)."""
+    features, identities = labeled_rows(
+        sample.detections, sample.gt_boxes, score_threshold, iou_min
     )
+    if identities.size < 2:
+        return None
+    return LabeledBatch(features=features, identities=identities)
+
+
+def neighbor_pair_distances(
+    frames: Sequence[FrameRecord],
+    params: EmbeddingHeadParams,
+    score_threshold: float = 0.5,
+    iou_min: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, is_same) over all labeled detection pairs of neighbouring
+    frames: for every (a, b) of `neighbor_frames`, every `labeled_rows` row
+    of a against every row of b, row-major. Distances are squared Euclidean
+    between head embeddings; is_same says the two identities are equal.
+    """
+    rows = []
+    for frame in frames:
+        features, ids = labeled_rows(frame.detections, frame.gt_boxes, score_threshold, iou_min)
+        emb = embed_batch(params, features) if ids.size else np.zeros((0, params.embed_dim))
+        rows.append((emb, ids))
+    distances = [np.zeros(0)]
+    is_same = [np.zeros(0, dtype=bool)]
+    for i, j in neighbor_frames(frames):
+        (emb_a, ids_a), (emb_b, ids_b) = rows[i], rows[j]
+        distances.append(distance_matrix(emb_a, emb_b).ravel())
+        is_same.append((ids_a[:, None] == ids_b[None, :]).ravel())
+    return np.concatenate(distances), np.concatenate(is_same)
 
 
 @dataclass(frozen=True)
@@ -356,11 +410,19 @@ def _parse_box(raw, line_number: int, field: str) -> BoundingBox:
         raise FrameParseError(line_number, field, str(exc)) from exc
 
 
+def _parse_int(value, line_number: int, field: str) -> int:
+    """Integer fields take JSON integers only: no floats, bools or strings."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FrameParseError(line_number, field, f"expected an integer, got {value!r}")
+    return value
+
+
 def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
     """Read frames written by `save_frames`.
 
-    Enforces one feature dimension across the whole file and strictly
-    increasing frame_index per camera. An empty file is an empty sequence.
+    Enforces integer frame_index, camera_id and identities, one feature
+    dimension across the whole file and strictly increasing frame_index per
+    camera. An empty file is an empty sequence.
     """
     frames: list[FrameRecord] = []
     feature_dim: Optional[int] = None
@@ -394,13 +456,16 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
                         "detections.feature",
                         f"dimension {len(feature)} differs from {feature_dim} seen earlier",
                     )
+                gt_id = d.get("gt_id")
+                if gt_id is not None:
+                    _parse_int(gt_id, line_number, "detections.gt_id")
                 try:
                     detections.append(
                         DetectionRecord(
                             box=box,
                             confidence=float(d["confidence"]),
                             feature=np.asarray(feature, dtype=np.float64),
-                            gt_identity=d.get("gt_id"),
+                            gt_identity=gt_id,
                         )
                     )
                 except (KeyError, TypeError, ValueError) as exc:
@@ -408,14 +473,13 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
             gt_boxes = []
             for g in doc["gt_boxes"]:
                 box = _parse_box(g.get("box"), line_number, "gt_boxes.box")
-                try:
-                    gt_boxes.append((box, int(g["id"])))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise FrameParseError(line_number, "gt_boxes.id", str(exc)) from exc
+                gt_boxes.append((box, _parse_int(g.get("id"), line_number, "gt_boxes.id")))
+            frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
+            camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
             try:
                 frame = FrameRecord(
-                    frame_index=int(doc["frame_index"]),
-                    camera_id=int(doc["camera_id"]),
+                    frame_index=frame_index,
+                    camera_id=camera_id,
                     detections=tuple(detections),
                     gt_boxes=tuple(gt_boxes),
                 )
@@ -465,8 +529,13 @@ def save_track_records(path: Union[str, Path], records: Sequence[TrackRecord]) -
 
 
 def load_track_records(path: Union[str, Path]) -> list[TrackRecord]:
-    """Read tracker output written by `save_track_records`."""
+    """Read tracker output written by `save_track_records`.
+
+    frame_index and track_id must be JSON integers, and a track id may
+    occur only once per frame.
+    """
     records: list[TrackRecord] = []
+    seen: set[tuple[int, int]] = set()
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -476,11 +545,20 @@ def load_track_records(path: Union[str, Path]) -> list[TrackRecord]:
             except json.JSONDecodeError as exc:
                 raise FrameParseError(line_number, "<line>", f"invalid JSON: {exc}") from exc
             box = _parse_box(doc.get("box"), line_number, "box")
+            key = (
+                _parse_int(doc.get("frame_index"), line_number, "frame_index"),
+                _parse_int(doc.get("track_id"), line_number, "track_id"),
+            )
+            if key in seen:
+                raise FrameParseError(
+                    line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
+                )
+            seen.add(key)
             try:
                 records.append(
                     TrackRecord(
-                        frame_index=int(doc["frame_index"]),
-                        track_id=int(doc["track_id"]),
+                        frame_index=key[0],
+                        track_id=key[1],
                         box=box,
                         confidence=float(doc["confidence"]),
                     )

@@ -24,7 +24,7 @@ __all__ = [
     "init_params",
     "embed",
     "embed_batch",
-    "pairwise_distances",
+    "distance_matrix",
     "triplet_loss",
     "pull_loss",
     "joint_loss",
@@ -207,16 +207,24 @@ def embed_batch(params: EmbeddingHeadParams, features: np.ndarray) -> np.ndarray
     return hidden @ params.w2.T + params.b2
 
 
-def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance matrix between all rows.
+def distance_matrix(current: np.ndarray, former: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, rows = current embeddings, cols = former.
 
-    Exactly symmetric with a zero diagonal (computed from coordinate
-    differences, not the dot-product identity, to avoid cancellation).
+    Computed from coordinate differences, not the dot-product identity, to
+    avoid cancellation: `distance_matrix(e, e)` is exactly symmetric with a
+    zero diagonal.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2:
-        raise ValueError(f"embeddings must be 2-D, got shape {emb.shape}")
-    diff = emb[:, None, :] - emb[None, :, :]
+    cur = np.atleast_2d(np.asarray(current, dtype=np.float64))
+    fmr = np.atleast_2d(np.asarray(former, dtype=np.float64))
+    if cur.size == 0:
+        cur = cur.reshape(0, fmr.shape[1] if fmr.size else 0)
+    if fmr.size == 0:
+        fmr = fmr.reshape(0, cur.shape[1])
+    if cur.shape[1] != fmr.shape[1]:
+        raise ValueError(
+            f"embedding dims differ: current {cur.shape[1]}, former {fmr.shape[1]}"
+        )
+    diff = cur[:, None, :] - fmr[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "mot_counts",
     "pair_counts",
     "pair_accuracy",
+    "track_counts",
 ]
 
 AP_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
@@ -216,7 +217,8 @@ def mot_counts(
     holds (box, identity) ground truths; the two sequences must be frame
     aligned. Boxes are matched per frame by the unique highest-IoU rule. A
     mismatch is a matched ground truth whose track id differs from the
-    track id it was last matched with, however long ago that was.
+    track id it was last matched with, however long ago that was. A track
+    id may occur at most once per frame.
     """
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
@@ -224,7 +226,10 @@ def mot_counts(
         )
     fp = miss = mismatch = gt_total = 0
     last_track: dict[int, int] = {}
-    for preds, gts in zip(pred_frames, gt_frames):
+    for t, (preds, gts) in enumerate(zip(pred_frames, gt_frames)):
+        track_ids = [track_id for _, track_id in preds]
+        if len(set(track_ids)) != len(track_ids):
+            raise ValueError(f"prediction frame {t} repeats a track id: {sorted(track_ids)}")
         gt_total += len(gts)
         claims = _claim_best_gt([b for b, _ in preds], [b for b, _ in gts], iou_min)
         matched_gts = set()
@@ -291,6 +296,21 @@ def pair_counts(
                 else:
                     tn += 1
     return PairCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+
+
+def track_counts(
+    pred_frames: Sequence[Sequence[tuple[BoundingBox, float, int]]],
+    gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    score_threshold: float = 0.5,
+    iou_min: float = 0.5,
+) -> tuple[MotCounts, PairCounts]:
+    """`mot_counts` and `pair_counts` of one tracker output, from per-frame
+    (box, confidence, track_id) rows; MOT counting ignores the confidence."""
+    mot_pred = [[(box, track_id) for box, _, track_id in preds] for preds in pred_frames]
+    return (
+        mot_counts(mot_pred, gt_frames, iou_min=iou_min),
+        pair_counts(pred_frames, gt_frames, score_threshold=score_threshold, iou_min=iou_min),
+    )
 
 
 def pair_accuracy(counts: PairCounts) -> float:

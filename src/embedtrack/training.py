@@ -1,9 +1,9 @@
 """Gradient descent for the embedding head.
 
-The head is small enough that plain full-batch descent with a cosine
-learning-rate schedule converges in seconds, so there is no optimizer
-machinery here: just an analytic gradient of the triplet + pull objective
-and a training loop over labeled batches.
+The head is small enough that plain gradient descent, one step per labeled
+batch under a cosine learning-rate schedule, converges in seconds, so there
+is no optimizer machinery here: just an analytic gradient of the triplet +
+pull objective and a training loop over labeled batches.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 from .embedding import (
     EmbeddingHeadParams,
     LossConfig,
+    distance_matrix,
     embed_batch,
     init_params,
-    pairwise_distances,
     pull_loss,
     triplet_loss,
 )
@@ -30,7 +30,6 @@ __all__ = [
     "cosine_lr",
     "batch_loss",
     "gradient",
-    "finite_diff_gradient",
     "train",
 ]
 
@@ -114,7 +113,8 @@ def cosine_lr(step: int, total_steps: int, initial_lr: float) -> float:
 
 def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig) -> float:
     """Weighted triplet + pull loss of one batch under the current head."""
-    d = pairwise_distances(embed_batch(params, batch.features))
+    e = embed_batch(params, batch.features)
+    d = distance_matrix(e, e)
     return cfg.w_triplet * triplet_loss(d, batch.identities, cfg.margin) + cfg.w_pull * pull_loss(
         d, batch.identities, cfg.pull_margin
     )
@@ -183,7 +183,7 @@ def gradient(
     z = feats @ params.w1.T + params.b1
     a = np.maximum(z, 0.0)
     e = a @ params.w2.T + params.b2
-    d = pairwise_distances(e)
+    d = distance_matrix(e, e)
 
     dd = _distance_grad(d, ids, cfg)
     s = dd + dd.T
@@ -198,36 +198,29 @@ def gradient(
     return EmbeddingHeadParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
-def finite_diff_gradient(
-    params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig, eps: float = 1e-5
-) -> EmbeddingHeadParams:
-    """Central-difference gradient, one coordinate at a time. Test oracle."""
-    flat = params.to_flat()
-    grad = np.zeros_like(flat)
-    f, h, e = params.feature_dim, params.hidden_dim, params.embed_dim
-    for k in range(flat.size):
-        bumped = flat.copy()
-        bumped[k] += eps
-        hi = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), batch, cfg)
-        bumped[k] = flat[k] - eps
-        lo = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), batch, cfg)
-        grad[k] = (hi - lo) / (2.0 * eps)
-    return EmbeddingHeadParams.from_flat(grad, f, h, e)
-
-
 def train(
     batches: Sequence[LabeledBatch],
     loss_config: LossConfig,
     train_config: TrainConfig,
 ) -> tuple[EmbeddingHeadParams, list[float]]:
-    """Full-batch gradient descent over all batches for the configured epochs.
+    """Gradient descent with one step per batch, over all batches in order,
+    for the configured epochs.
 
     Returns the final parameters and the per-epoch mean loss, where each
     batch's loss is recorded before its update is applied. Fully
-    deterministic for a fixed seed and batch order.
+    deterministic for a fixed seed and batch order. The detector weights
+    w_cls and w_reg must keep their defaults: this head-only trainer
+    computes no detector loss for them to weight.
     """
     if not batches:
         raise ValueError("at least one batch is required")
+    for name in ("w_cls", "w_reg"):
+        value, default = getattr(loss_config, name), getattr(LossConfig, name)
+        if value != default:
+            raise ValueError(
+                f"{name}={value} would be ignored: the head-only trainer computes no "
+                f"detector loss (keep the default {default})"
+            )
     feature_dim = batches[0].feature_dim
     for b in batches:
         if b.feature_dim != feature_dim:

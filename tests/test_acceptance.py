@@ -14,7 +14,6 @@ import pytest
 from embedtrack import (
     BoundingBox,
     LabeledBatch,
-    LabeledDistance,
     LossConfig,
     MotCounts,
     PairCounts,
@@ -25,26 +24,25 @@ from embedtrack import (
     counts_at,
     distance_matrix,
     embed_batch,
-    finite_diff_gradient,
     gradient,
     init_params,
     labeled_batch_from_sample,
     match_frames,
     mean_ap,
-    mot_counts,
     mota,
+    neighbor_pair_distances,
     pair_accuracy,
-    pair_counts,
-    pairwise_distances,
     pull_loss,
     simulate,
     sweep_threshold,
     threshold_objective,
+    track_counts,
     track_sequence,
     train,
     triplet_loss,
 )
 from embedtrack.cli import main
+from oracles import finite_diff_gradient
 
 
 @contextmanager
@@ -93,7 +91,8 @@ def _away_from_kinks(params, batch, cfg, gap=1e-3):
     z = batch.features @ params.w1.T + params.b1
     if np.min(np.abs(z)) < gap:
         return False
-    d = pairwise_distances(embed_batch(params, batch.features))
+    emb = embed_batch(params, batch.features)
+    d = distance_matrix(emb, emb)
     n = batch.size
     iu = np.triu_indices(n, k=1)
     values = np.sort(d[iu])
@@ -193,21 +192,20 @@ def test_criterion_4_sweep_is_optimal():
             n_diff = int(rng.integers(5, 40))
             same_d = np.abs(rng.normal(1.0, 0.6, size=n_same))
             diff_d = np.abs(rng.normal(3.0, 1.2, size=n_diff))
-            pairs = [LabeledDistance(float(v), True) for v in same_d]
-            pairs += [LabeledDistance(float(v), False) for v in diff_d]
-            sweep = sweep_threshold(pairs)
+            pairs = (np.concatenate([same_d, diff_d]), np.arange(n_same + n_diff) < n_same)
+            sweep = sweep_threshold(*pairs)
 
             values = np.unique(np.concatenate([same_d, diff_d]))
             candidates = [] if values[0] == 0.0 else [values[0] / 2.0]
             candidates += [0.5 * (a + b) for a, b in zip(values, values[1:])]
             candidates.append(values[-1] + 1.0)
             exhaustive = min(
-                threshold_objective(counts_at(pairs, h)) for h in candidates
+                threshold_objective(counts_at(*pairs, h)) for h in candidates
             )
             assert sweep.objective == exhaustive
 
             for h in rng.uniform(1e-6, values[-1] + 2.0, size=1000):
-                assert threshold_objective(counts_at(pairs, float(h))) >= sweep.objective
+                assert threshold_objective(counts_at(*pairs, float(h))) >= sweep.objective
         assert time.monotonic() - start < 10.0
 
 
@@ -232,20 +230,7 @@ def test_criterion_5_end_to_end_synthetic():
             if batch is not None:
                 batches.append(batch)
         params, _ = train(batches, LossConfig(), TrainConfig(epochs=50))
-
-        def frame_embeddings(frame):
-            feats = np.stack([d.feature for d in frame.detections])
-            return embed_batch(params, feats), [d.gt_identity for d in frame.detections]
-
-        pairs = []
-        for a, b in zip(frames, frames[1:]):
-            emb_a, ids_a = frame_embeddings(a)
-            emb_b, ids_b = frame_embeddings(b)
-            d = distance_matrix(emb_a, emb_b)
-            for i, ident_a in enumerate(ids_a):
-                for j, ident_b in enumerate(ids_b):
-                    pairs.append(LabeledDistance(float(d[i, j]), ident_a == ident_b))
-        threshold = sweep_threshold(pairs).threshold
+        threshold = sweep_threshold(*neighbor_pair_distances(frames, params)).threshold
 
         holdout_cfg = SimConfig(
             identity_count=5,
@@ -259,17 +244,14 @@ def test_criterion_5_end_to_end_synthetic():
         holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
         assignments = track_sequence(holdout, params, threshold=threshold)
 
-        gt_frames = [list(f.gt_boxes) for f in holdout]
-        mot_pred = [
-            [(f.detections[di].box, tid) for di, tid in per_frame]
-            for f, per_frame in zip(holdout, assignments)
-        ]
-        pair_pred = [
-            [(f.detections[di].box, f.detections[di].confidence, tid) for di, tid in per_frame]
-            for f, per_frame in zip(holdout, assignments)
-        ]
-        counts = mot_counts(mot_pred, gt_frames)
-        accuracy = pair_accuracy(pair_counts(pair_pred, gt_frames))
+        counts, pairs = track_counts(
+            [
+                [(f.detections[di].box, f.detections[di].confidence, tid) for di, tid in per_frame]
+                for f, per_frame in zip(holdout, assignments)
+            ],
+            [f.gt_boxes for f in holdout],
+        )
+        accuracy = pair_accuracy(pairs)
         assert counts.mismatch == 0
         assert accuracy >= 0.99
         assert time.monotonic() - start < 60.0
@@ -281,7 +263,8 @@ def test_criterion_6_loss_invariants():
         rng = np.random.default_rng(99)
         for _ in range(1000):
             n = int(rng.integers(2, 9))
-            d = pairwise_distances(rng.normal(size=(n, 4)))
+            emb = rng.normal(size=(n, 4))
+            d = distance_matrix(emb, emb)
             ids = rng.integers(0, 4, size=n)
             margin = float(rng.uniform(0.5, 5.0))
             pull_margin = float(rng.uniform(0.0, 3.0))

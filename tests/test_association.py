@@ -199,6 +199,13 @@ class TestTrackSequence:
         out = track_sequence(frames, _identity_params(2), threshold=1.0)
         assert out == [[(0, 0)], [], [(0, 1)]]
 
+    def test_index_gap_issues_fresh_ids(self):
+        # frames 0, 1, 3: frame 3 does not follow frame 1, so nothing matches
+        feats = [[0.0, 0.0], [5.0, 5.0]]
+        frames = [_frame(0, feats), _frame(1, feats), _frame(3, feats)]
+        out = track_sequence(frames, _identity_params(2), threshold=1.0)
+        assert out == [[(0, 0), (1, 1)], [(0, 0), (1, 1)], [(0, 2), (1, 3)]]
+
     def test_rejects_multiple_cameras(self):
         frames = [_frame(0, [[0.0, 0.0]], camera=0), _frame(1, [[0.0, 0.0]], camera=1)]
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from embedtrack import (
     DegenerateDevSetError,
     DistanceHistogram,
-    LabeledDistance,
     PairCounts,
     counts_at,
     distance_histogram,
@@ -19,9 +18,9 @@ from embedtrack.calibration import write_histogram_csv, write_sweep_csv
 
 
 def _pairs(same, diff):
-    return [LabeledDistance(d, True) for d in same] + [
-        LabeledDistance(d, False) for d in diff
-    ]
+    """Parallel (distances, is_same) arrays: the same pairs first."""
+    distances = np.array(list(same) + list(diff), dtype=np.float64)
+    return distances, np.arange(distances.size) < len(same)
 
 
 pair_sets = st.tuples(
@@ -64,27 +63,27 @@ class TestObjective:
 
 class TestCountsAt:
     def test_perfectly_separated(self):
-        c = counts_at(_pairs(same=[0.5, 1.0], diff=[5.0, 9.0]), threshold=2.0)
+        c = counts_at(*_pairs(same=[0.5, 1.0], diff=[5.0, 9.0]), threshold=2.0)
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 2, 0, 0)
 
     def test_zero_threshold_predicts_nothing_same(self):
-        c = counts_at(_pairs(same=[0.0, 1.0], diff=[2.0]), threshold=0.0)
+        c = counts_at(*_pairs(same=[0.0, 1.0], diff=[2.0]), threshold=0.0)
         assert c.tp == 0 and c.fp == 0
         assert c.fn == c.gp and c.tn == c.gn
 
     def test_interleaved_enumeration(self):
-        c = counts_at(_pairs(same=[1.0, 2.0], diff=[1.5, 10.0]), threshold=1.8)
+        c = counts_at(*_pairs(same=[1.0, 2.0], diff=[1.5, 10.0]), threshold=1.8)
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateDevSetError):
-            counts_at([], threshold=1.0)
+            counts_at([], [], threshold=1.0)
 
     @given(pair_sets, st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
     @settings(max_examples=100)
     def test_totals_conserved(self, sets, h):
         same, diff = sets
-        c = counts_at(_pairs(same, diff), h)
+        c = counts_at(*_pairs(same, diff), h)
         assert c.tp + c.fn == c.gp == len(same)
         assert c.tn + c.fp == c.gn == len(diff)
 
@@ -94,20 +93,20 @@ class TestCountsAt:
         same, diff = sets
         pairs = _pairs(same, diff)
         hs = sorted({0.0, 1.0, 5.0, 50.0, 200.0})
-        counts = [counts_at(pairs, h) for h in hs]
+        counts = [counts_at(*pairs, h) for h in hs]
         assert all(a.tp <= b.tp for a, b in zip(counts, counts[1:]))
         assert all(a.tn >= b.tn for a, b in zip(counts, counts[1:]))
 
 
 def _brute_force_best(pairs):
     """Evaluate the objective at every candidate plateau by direct counting."""
-    distances = sorted({p.distance for p in pairs})
+    distances = sorted(set(pairs[0].tolist()))
     cands = []
     if distances[0] > 0:
         cands.append(distances[0] / 2.0)
     cands += [(a + b) / 2.0 for a, b in zip(distances, distances[1:])]
     cands.append(distances[-1] + 1.0)
-    scored = [(threshold_objective(counts_at(pairs, h)), h) for h in cands]
+    scored = [(threshold_objective(counts_at(*pairs, h)), h) for h in cands]
     best_obj = min(obj for obj, _ in scored)
     best_h = min(h for obj, h in scored if obj == best_obj)
     return best_h, best_obj
@@ -115,49 +114,60 @@ def _brute_force_best(pairs):
 
 class TestSweepThreshold:
     def test_separable_case(self):
-        sweep = sweep_threshold(_pairs(same=[1.0, 2.0], diff=[10.0, 12.0]))
+        sweep = sweep_threshold(*_pairs(same=[1.0, 2.0], diff=[10.0, 12.0]))
         assert sweep.threshold == 6.0
         assert sweep.objective == 0.0
 
     def test_tie_resolves_to_smallest(self):
         # objectives: 1.0, 0.5, 1.0, 0.5, 1.0 over the five candidates
-        sweep = sweep_threshold(_pairs(same=[1.0, 3.0], diff=[2.0, 4.0]))
+        sweep = sweep_threshold(*_pairs(same=[1.0, 3.0], diff=[2.0, 4.0]))
         assert sweep.objective == 0.5
         assert sweep.threshold == 1.5
 
     def test_tie_break_largest(self):
         sweep = sweep_threshold(
-            _pairs(same=[1.0, 3.0], diff=[2.0, 4.0]), tie_break="largest"
+            *_pairs(same=[1.0, 3.0], diff=[2.0, 4.0]), tie_break="largest"
         )
         assert sweep.objective == 0.5
         assert sweep.threshold == 3.5
 
     def test_single_label_kind_raises(self):
         with pytest.raises(DegenerateDevSetError):
-            sweep_threshold([LabeledDistance(1.0, True), LabeledDistance(2.0, True)])
+            sweep_threshold([1.0, 2.0], [True, True])
         with pytest.raises(DegenerateDevSetError):
-            sweep_threshold([])
+            sweep_threshold([], [])
 
     def test_rejects_unknown_tie_break(self):
         with pytest.raises(ValueError):
-            sweep_threshold(_pairs([1.0], [2.0]), tie_break="median")
+            sweep_threshold(*_pairs([1.0], [2.0]), tie_break="median")
 
     def test_rows_cover_all_candidates_in_order(self):
-        sweep = sweep_threshold(_pairs(same=[1.0, 2.0], diff=[3.0]))
-        hs = [row.threshold for row in sweep.rows]
+        sweep = sweep_threshold(*_pairs(same=[1.0, 2.0], diff=[3.0]))
+        hs = sweep.rows.h.tolist()
         assert hs == sorted(hs)
         assert hs[0] == 0.5 and hs[-1] == 4.0
 
     def test_zero_distance_skips_left_endpoint(self):
-        sweep = sweep_threshold(_pairs(same=[0.0], diff=[2.0]))
-        assert all(row.threshold > 0 for row in sweep.rows)
+        sweep = sweep_threshold(*_pairs(same=[0.0], diff=[2.0]))
+        assert (sweep.rows.h > 0).all()
+
+    def test_rows_hold_counts_and_objective(self):
+        sweep = sweep_threshold(*_pairs(same=[1.0, 3.0], diff=[2.0, 4.0]))
+        assert sweep.rows.dtype.names == ("h", "fp", "fn", "tp", "tn", "objective")
+        assert sweep.rows.tp.tolist() == [0, 1, 1, 2, 2]
+        assert sweep.rows.fp.tolist() == [0, 0, 1, 1, 2]
+        assert (sweep.rows.tp + sweep.rows.fn == 2).all()
+        assert (sweep.rows.tn + sweep.rows.fp == 2).all()
+        assert sweep.rows.objective.tolist() == [1.0, 0.5, 1.0, 0.5, 1.0]
+        with pytest.raises(ValueError):
+            sweep.rows.h[0] = 9.0
 
     @given(pair_sets)
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, sets):
         same, diff = sets
         pairs = _pairs(same, diff)
-        sweep = sweep_threshold(pairs)
+        sweep = sweep_threshold(*pairs)
         best_h, best_obj = _brute_force_best(pairs)
         assert sweep.objective == best_obj
         assert sweep.threshold == best_h
@@ -167,43 +177,70 @@ class TestSweepThreshold:
     def test_beats_random_thresholds(self, sets, seed):
         same, diff = sets
         pairs = _pairs(same, diff)
-        sweep = sweep_threshold(pairs)
+        sweep = sweep_threshold(*pairs)
         rng = np.random.default_rng(seed)
         for h in rng.uniform(0.0, 120.0, size=50):
-            assert sweep.objective <= threshold_objective(counts_at(pairs, float(h)))
+            assert sweep.objective <= threshold_objective(counts_at(*pairs, float(h)))
 
 
 class TestDistanceHistogram:
     def test_single_pair(self):
-        hist = distance_histogram([LabeledDistance(0.3, True)], bin_count=4)
+        hist = distance_histogram([0.3], [True], bin_count=4)
         assert sum(hist.same_counts) == 1
         assert sum(hist.diff_counts) == 0
 
     def test_totals_match_inputs(self):
         pairs = _pairs(same=[0.1, 0.5, 2.0], diff=[1.0, 3.0])
-        hist = distance_histogram(pairs, bin_count=7)
+        hist = distance_histogram(*pairs, bin_count=7)
         assert sum(hist.same_counts) == 3
         assert sum(hist.diff_counts) == 2
 
     def test_two_bin_arithmetic(self):
-        hist = distance_histogram(_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)
+        hist = distance_histogram(*_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)
         assert hist.same_counts == (2, 0)
         assert hist.diff_counts == (0, 1)
         assert hist.bin_edges == (0.0, 0.45, 0.9)
 
     def test_all_zero_distances_use_unit_range(self):
-        hist = distance_histogram([LabeledDistance(0.0, True)], bin_count=2)
+        hist = distance_histogram([0.0], [True], bin_count=2)
         assert hist.bin_edges[-1] == 1.0
         assert sum(hist.same_counts) == 1
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
-            distance_histogram(_pairs([1.0], [2.0]), bin_count=0)
+            distance_histogram(*_pairs([1.0], [2.0]), bin_count=0)
+
+
+class TestPairCheck:
+    """One validation rule shared by counts_at, sweep_threshold and
+    distance_histogram."""
+
+    def test_rejects_invalid_distances(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            pairs = ([bad, 1.0], [True, False])
+            with pytest.raises(ValueError):
+                counts_at(*pairs, 1.0)
+            with pytest.raises(ValueError):
+                sweep_threshold(*pairs)
+            with pytest.raises(ValueError):
+                distance_histogram(*pairs)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            sweep_threshold([1.0, 2.0], [True])
+
+    def test_rejects_non_boolean_labels(self):
+        with pytest.raises(ValueError):
+            sweep_threshold([1.0, 2.0], [1, 0])
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(ValueError):
+            sweep_threshold([[1.0, 2.0]], [[True, False]])
 
 
 class TestCsvExport:
     def test_sweep_csv_round_trip(self, tmp_path):
-        sweep = sweep_threshold(_pairs(same=[1.0, 2.0], diff=[10.0, 12.0]))
+        sweep = sweep_threshold(*_pairs(same=[1.0, 2.0], diff=[10.0, 12.0]))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, sweep)
         with path.open() as fh:
@@ -213,8 +250,19 @@ class TestCsvExport:
         assert float(best["h"]) == sweep.threshold
         assert float(best["objective"]) == sweep.objective
 
+    def test_sweep_csv_matches_rows(self, tmp_path):
+        sweep = sweep_threshold(*_pairs(same=[0.1, 1.0 / 3.0], diff=[0.7, 2.0]))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, sweep)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "h,fp,fn,tp,tn,objective"
+        assert lines[1:] == [
+            f"{float(r.h)!r},{r.fp},{r.fn},{r.tp},{r.tn},{float(r.objective)!r}"
+            for r in sweep.rows
+        ]
+
     def test_histogram_csv_round_trip(self, tmp_path):
-        hist = distance_histogram(_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)
+        hist = distance_histogram(*_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)
         path = tmp_path / "hist.csv"
         write_histogram_csv(path, hist)
         with path.open() as fh:
@@ -223,12 +271,6 @@ class TestCsvExport:
         assert [int(r["diff_count"]) for r in rows] == [0, 1]
         assert float(rows[0]["bin_lo"]) == 0.0
         assert float(rows[-1]["bin_hi"]) == 0.9
-
-    def test_labeled_distance_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            LabeledDistance(-1.0, True)
-        with pytest.raises(ValueError):
-            LabeledDistance(float("nan"), False)
 
     def test_histogram_dataclass_is_frozen(self):
         hist = DistanceHistogram(bin_edges=(0.0, 1.0), same_counts=(1,), diff_counts=(0,))

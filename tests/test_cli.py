@@ -134,6 +134,15 @@ class TestTrain:
         assert code == 1
         assert "two distinct identities" in capsys.readouterr().err
 
+    def test_rejects_detector_weights_from_flags_and_file(self, tmp_path, sim_dir, capsys):
+        # the head-only trainer computes no detector loss, so these would do nothing
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"w_reg": 3.0}))
+        base = ["train", "--frames", str(sim_dir / "frames.jsonl"), "--out", str(tmp_path / "out")]
+        for extra in (["--w-cls", "7"], ["--config", str(cfg_path)]):
+            assert main(base + extra + TRAIN_ARGS) == 1
+            assert "no detector loss" in capsys.readouterr().err
+
     def test_missing_frames_file_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["train", "--frames", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "out")]
@@ -172,6 +181,19 @@ class TestCalibrate:
         same = sum(int(r["same_count"]) for r in hist_rows)
         diff = sum(int(r["diff_count"]) for r in hist_rows)
         assert (same, diff) == (doc["same_count"], doc["diff_count"])
+
+    def test_pairs_only_consecutive_frames(self, tmp_path, sim_dir, trained_dir):
+        lines = (sim_dir / "frames.jsonl").read_text().splitlines()
+        gapped = tmp_path / "frames.jsonl"
+        gapped.write_text("\n".join([lines[0], lines[1], lines[3]]) + "\n")  # frames 0, 1, 3
+        out = tmp_path / "calib"
+        code = main(
+            ["calibrate", "--frames", str(gapped), "--params", str(trained_dir / "params.json"),
+             "--out", str(out)]
+        )
+        assert code == 0
+        # only the 0 -> 1 neighbours pair up: 3 x 3 detections
+        assert json.loads((out / "threshold.json").read_text())["pair_count"] == 9
 
     def test_single_identity_dev_set_fails(self, tmp_path, trained_dir, capsys):
         sim = tmp_path / "sim1"
@@ -271,6 +293,24 @@ class TestTrackAndEval:
         )
         assert code == 1
         assert "unknown frames" in capsys.readouterr().err
+
+    def test_eval_rejects_repeated_track_in_frame(self, tmp_path, sim_dir, trained_dir, capsys):
+        tracks_dir = self._run_track(tmp_path, sim_dir, trained_dir, threshold=1e9)
+        tracks = tracks_dir / "tracks.jsonl"
+        lines = tracks.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["track_id"] = json.loads(lines[0])["track_id"]
+        tracks.write_text("\n".join([lines[0], json.dumps(doc)] + lines[2:]) + "\n")
+        code = main(
+            [
+                "eval",
+                "--tracks", str(tracks),
+                "--frames", str(sim_dir / "frames.jsonl"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert "line 2" in capsys.readouterr().err
 
     def test_eval_rejects_multiple_cameras(self, tmp_path, sim_dir, trained_dir, capsys):
         frames = sim_dir / "frames.jsonl"

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from embedtrack import (
     BoundingBox,
@@ -13,11 +17,16 @@ from embedtrack import (
     concat_neighbor_frames,
     default_archetypes,
     distance_matrix,
+    embed_batch,
     identity_index,
+    init_params,
     iou,
     labeled_batch_from_sample,
+    labeled_rows,
     load_frames,
     load_track_records,
+    neighbor_frames,
+    neighbor_pair_distances,
     save_frames,
     save_track_records,
     simulate,
@@ -165,6 +174,49 @@ class TestLabeledBatchFromSample:
         sample = concat_neighbor_frames(_frame(0, [1]), _frame(1, []), 500.0)
         batch = labeled_batch_from_sample(sample, score_threshold=0.95)
         assert batch is None
+
+
+class TestLabeledRows:
+    def test_confidence_filter_and_passthrough(self):
+        dets = [_det(0.0, ident=3, conf=0.9, feature=(1.0, 0.0)), _det(50.0, ident=4, conf=0.2)]
+        features, ids = labeled_rows(dets, [])
+        assert ids.dtype == np.int64 and ids.tolist() == [3]
+        assert features.tolist() == [[1.0, 0.0]]
+
+    def test_assignment_drops_unmatched(self):
+        dets = [_det(0.0), _det(500.0)]
+        features, ids = labeled_rows(dets, [(dets[0].box, 8)])
+        assert ids.tolist() == [8]
+        assert features.shape == (1, 2)
+
+    def test_nothing_kept_gives_empty_rows(self):
+        features, ids = labeled_rows([_det(0.0, ident=1, conf=0.1)], [])
+        assert features.shape == (0, 2) and ids.shape == (0,)
+
+
+class TestNeighborFrames:
+    def test_pairs_only_direct_successors_per_camera(self):
+        frames = [
+            _frame(0, [1]),
+            _frame(0, [1], camera=1),
+            _frame(1, [1]),
+            _frame(3, [1]),
+            _frame(1, [1], camera=1),
+        ]
+        assert neighbor_frames(frames) == [(0, 2), (1, 4)]
+
+    def test_distances_skip_index_gap(self):
+        frames = [_frame(0, [1, 2]), _frame(1, [1, 2]), _frame(3, [1, 2])]
+        params = init_params(2, 4, 3, np.random.default_rng(0))
+        distances, is_same = neighbor_pair_distances(frames, params)
+        emb = [embed_batch(params, np.stack([d.feature for d in f.detections])) for f in frames]
+        assert np.array_equal(distances, distance_matrix(emb[0], emb[1]).ravel())
+        assert is_same.tolist() == [True, False, False, True]
+
+    def test_no_pairs_gives_empty_arrays(self):
+        params = init_params(2, 4, 3, np.random.default_rng(0))
+        distances, is_same = neighbor_pair_distances([_frame(0, [1]), _frame(2, [1])], params)
+        assert distances.shape == (0,) and is_same.dtype == bool
 
 
 class TestSimulate:
@@ -378,3 +430,85 @@ class TestTrackRecordIo:
         with pytest.raises(FrameParseError) as exc:
             load_track_records(path)
         assert exc.value.line_number == 1
+
+
+# Values that are not JSON integers; None is left out because a null gt_id
+# means "unlabeled".
+non_integers = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _frame_doc(index):
+    return {
+        "frame_index": index,
+        "camera_id": 0,
+        "detections": [{"box": [0, 0, 5, 5], "confidence": 0.9, "feature": [1.0], "gt_id": 1}],
+        "gt_boxes": [{"box": [0, 0, 5, 5], "id": 1}],
+    }
+
+
+def _write_with_bad_line(path, make_doc, field, value, line):
+    docs = [make_doc(k) for k in range(line)]
+    target = docs[-1]
+    *parents, key = field.split(".")
+    for name in parents:
+        target = target[name][0]
+    target[key] = value
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+
+
+class TestIntegerFields:
+    @given(
+        field=st.sampled_from(["frame_index", "camera_id", "detections.gt_id", "gt_boxes.id"]),
+        value=non_integers,
+        line=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_frames_reject_non_integers(self, tmp_path, field, value, line):
+        path = tmp_path / "frames.jsonl"
+        _write_with_bad_line(path, _frame_doc, field, value, line)
+        with pytest.raises(FrameParseError) as exc:
+            load_frames(path)
+        assert (exc.value.line_number, exc.value.field) == (line, field)
+
+    @given(
+        field=st.sampled_from(["frame_index", "track_id"]),
+        value=non_integers,
+        line=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tracks_reject_non_integers(self, tmp_path, field, value, line):
+        def track_doc(index):
+            return {"frame_index": index, "track_id": 0, "box": [0, 0, 5, 5], "confidence": 0.9}
+
+        path = tmp_path / "tracks.jsonl"
+        _write_with_bad_line(path, track_doc, field, value, line)
+        with pytest.raises(FrameParseError) as exc:
+            load_track_records(path)
+        assert (exc.value.line_number, exc.value.field) == (line, field)
+
+    @pytest.mark.parametrize("value", [1.5, True, 2.0])
+    def test_detection_record_rejects_non_integer_identity(self, value):
+        with pytest.raises(ValueError):
+            _det(0.0, ident=value)
+
+    def test_integer_identity_types_accepted(self):
+        assert _det(0.0, ident=np.int64(3)).gt_identity == 3
+
+
+class TestDuplicateTrackIds:
+    def test_repeated_track_in_one_frame_rejected(self, tmp_path):
+        rows = [
+            {"frame_index": 0, "track_id": 7, "box": [0, 0, 5, 5], "confidence": 0.9},
+            {"frame_index": 1, "track_id": 7, "box": [0, 0, 5, 5], "confidence": 0.9},
+            {"frame_index": 1, "track_id": 7, "box": [50, 0, 55, 5], "confidence": 0.9},
+        ]
+        path = tmp_path / "tracks.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(FrameParseError) as exc:
+            load_track_records(path)
+        assert (exc.value.line_number, exc.value.field) == (3, "track_id")

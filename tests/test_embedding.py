@@ -9,8 +9,8 @@ from embedtrack import (
     embed,
     embed_batch,
     init_params,
+    distance_matrix,
     load_params,
-    pairwise_distances,
     save_params,
 )
 
@@ -89,24 +89,29 @@ class TestForward:
 
 
 class TestPairwiseDistances:
+    """`distance_matrix` of a set of embeddings against itself."""
+
     def test_single_embedding(self):
-        assert np.array_equal(pairwise_distances(np.array([[1.0, 2.0]])), [[0.0]])
+        emb = np.array([[1.0, 2.0]])
+        assert np.array_equal(distance_matrix(emb, emb), [[0.0]])
 
     def test_one_dimensional_pair(self):
-        d = pairwise_distances(np.array([[0.0], [3.0]]))
+        emb = np.array([[0.0], [3.0]])
+        d = distance_matrix(emb, emb)
         assert d[0, 1] == 9.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         emb = rng.normal(size=(5, 3))
-        d = pairwise_distances(emb)
+        d = distance_matrix(emb, emb)
         for i in range(5):
             for j in range(5):
                 assert d[i, j] == pytest.approx(np.sum((emb[i] - emb[j]) ** 2), abs=1e-12)
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(4)
-        d = pairwise_distances(rng.normal(size=(6, 4)))
+        emb = rng.normal(size=(6, 4))
+        d = distance_matrix(emb, emb)
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(6))
 

@@ -14,6 +14,7 @@ from embedtrack import (
     mota,
     pair_accuracy,
     pair_counts,
+    track_counts,
 )
 
 
@@ -201,6 +202,12 @@ class TestMotCounts:
         with pytest.raises(ValueError):
             mot_counts([[]], [[], []])
 
+    def test_rejects_repeated_track_id_in_one_frame(self):
+        # two boxes claiming track 7 in one frame would otherwise score MOTA 1.0
+        gt = [[(_box(0), 1), (_box(50), 2)]]
+        with pytest.raises(ValueError):
+            mot_counts([[(_box(0), 7), (_box(50), 7)]], gt)
+
 
 class TestPairCountsMetric:
     def test_two_vehicles_tracked_perfectly(self):
@@ -240,6 +247,16 @@ class TestPairCountsMetric:
         assert sum(
             getattr(pair_counts(preds, gt), f) for f in ("tp", "tn", "fp", "fn")
         ) == 0
+
+
+class TestTrackCounts:
+    def test_equals_separate_counts(self):
+        gt = [[(_box(0), 1), (_box(50), 2)]] * 3
+        preds = [[(_box(0), 0.9, 0), (_box(50), 0.4, 1)], [(_box(0), 0.9, 0)], []]
+        mot, pairs = track_counts(preds, gt, score_threshold=0.5)
+        assert mot == mot_counts([[(b, t) for b, _, t in f] for f in preds], gt)
+        assert pairs == pair_counts(preds, gt, score_threshold=0.5)
+        assert (mot.fp, mot.miss) == (0, 3)  # MOT counting keeps the 0.4 box
 
 
 class TestPairAccuracy:

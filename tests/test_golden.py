@@ -1,0 +1,49 @@
+"""Golden outputs: the README walkthrough, run through `cli.main`, must keep
+producing byte-identical files.
+
+The digests were recorded on x86-64 with Python 3.11.7 and NumPy 2.4.6
+(OpenBLAS); other BLAS builds may round differently. A refactor that changes
+any of these bytes changes a result; when a change is meant to, record the
+new digests together with the reason.
+"""
+
+import hashlib
+import json
+
+from embedtrack.cli import main
+
+GOLDEN = {
+    "head/params.json": "5fe3ad852e76ad88471f00fbc827402b65418325bff4a4276287cd22eebb6869",
+    "head/loss_trace.csv": "c7ce20e086cc693476804286a8bf9f4cfbc2d1376a763abd65c3d36026d427e4",
+    "calib/threshold.json": "88351275fccf9170ac94b40abfd9eee89f5815d2073bec0eb6eda0edca402a42",
+    "calib/sweep.csv": "4bbb47f59ff74e14ac1995e7ed2f3da779687ede4dd8feee80bd228f8dfd4200",
+    "calib/histogram.csv": "e307d0e18bc8f45d6ce2a0842ce2ef23a883a2d3fe896716e7176f6b6acf18ad",
+    "tracks/tracks.jsonl": "9f9569234a50838c6c471854f4e21ed156352bb0121d1b7b4eef1b7dff1db717",
+    "report/report.json": "7c175c33d2ade3746bf7c1aa3035c0ebbdc3b05849a76b97e7a708a8e1963dd8",
+}
+
+SIM = ["--identity-count", "5", "--archetype-separation", "8.0", "--noise-sigma", "0.25"]
+
+
+def test_walkthrough_outputs_are_unchanged(tmp_path):
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    run("simulate", "--out", tmp_path / "train_data", "--frame-count", 50,
+        "--dropout", 0.05, "--seed", 11, *SIM)
+    run("simulate", "--out", tmp_path / "holdout", "--frame-count", 20, "--seed", 77, *SIM)
+    run("train", "--frames", tmp_path / "train_data/frames.jsonl", "--out", tmp_path / "head",
+        "--epochs", 4, "--hidden-dim", 16, "--embed-dim", 8)
+    params = tmp_path / "head/params.json"
+    run("calibrate", "--frames", tmp_path / "train_data/frames.jsonl", "--params", params,
+        "--out", tmp_path / "calib")
+    threshold = json.loads((tmp_path / "calib/threshold.json").read_text())["threshold"]
+    run("track", "--frames", tmp_path / "holdout/frames.jsonl", "--params", params,
+        "--threshold", repr(threshold), "--out", tmp_path / "tracks")
+    run("eval", "--tracks", tmp_path / "tracks/tracks.jsonl",
+        "--frames", tmp_path / "holdout/frames.jsonl", "--out", tmp_path / "report")
+
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 
 from embedtrack import (
     LossConfig,
+    distance_matrix,
     joint_loss,
-    pairwise_distances,
     pull_loss,
     triplet_loss,
 )
@@ -13,7 +13,8 @@ from strategies import labeled_batches
 
 
 def _dist(embeddings):
-    return pairwise_distances(np.asarray(embeddings, dtype=np.float64))
+    emb = np.asarray(embeddings, dtype=np.float64)
+    return distance_matrix(emb, emb)
 
 
 class TestTripletLoss:
@@ -86,7 +87,7 @@ class TestLossInvariants:
     @settings(max_examples=150)
     def test_non_negative(self, batch):
         feats, ids = batch
-        d = pairwise_distances(feats)
+        d = _dist(feats)
         assert triplet_loss(d, ids, margin=5.0) >= 0.0
         assert pull_loss(d, ids, pull_margin=1.0) >= 0.0
 
@@ -95,8 +96,8 @@ class TestLossInvariants:
     def test_permutation_invariant(self, batch):
         feats, ids = batch
         perm = np.random.default_rng(0).permutation(len(ids))
-        d = pairwise_distances(feats)
-        dp = pairwise_distances(feats[perm])
+        d = _dist(feats)
+        dp = _dist(feats[perm])
         assert triplet_loss(d, ids, 5.0) == pytest.approx(
             triplet_loss(dp, ids[perm], 5.0), abs=1e-9
         )
@@ -109,6 +110,6 @@ class TestLossInvariants:
     def test_label_renaming_invariant(self, batch):
         feats, ids = batch
         renamed = ids + 100  # injective relabeling
-        d = pairwise_distances(feats)
+        d = _dist(feats)
         assert triplet_loss(d, ids, 5.0) == triplet_loss(d, renamed, 5.0)
         assert pull_loss(d, ids, 1.0) == pull_loss(d, renamed, 1.0)

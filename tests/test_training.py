@@ -8,11 +8,11 @@ from embedtrack import (
     TrainingDivergedError,
     batch_loss,
     cosine_lr,
-    finite_diff_gradient,
     gradient,
     init_params,
     train,
 )
+from oracles import finite_diff_gradient
 
 
 def _two_cluster_batch(rng, n_per=3, sep=4.0, noise=0.05, dim=3):
@@ -125,6 +125,12 @@ class TestGradient:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("field", ["w_cls", "w_reg"])
+    def test_rejects_unused_detector_weights(self, field):
+        batch = _two_cluster_batch(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no detector loss"):
+            train([batch], LossConfig(**{field: 7.0}), TrainConfig(epochs=1))
+
     def test_zero_loss_dataset_leaves_params_at_init(self):
         rng = np.random.default_rng(1)
         batch = LabeledBatch(
