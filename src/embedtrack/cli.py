@@ -33,7 +33,7 @@ from .calibration import (
     write_histogram_csv,
     write_sweep_csv,
 )
-from .core import FrameRecord
+from .core import BoundingBox, FrameRecord
 from .datasets import (
     SimConfig,
     TrackRecord,
@@ -144,12 +144,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _boxes(frames: Sequence[FrameRecord]) -> list[BoundingBox]:
+    boxes = [d.box for f in frames for d in f.detections]
+    return boxes + [box for f in frames for box, _ in f.gt_boxes]
+
+
 def _auto_width(frames: Sequence[FrameRecord]) -> float:
-    edges = [d.box.x2 for f in frames for d in f.detections]
-    edges += [box.x2 for f in frames for box, _ in f.gt_boxes]
+    edges = [box.x2 for box in _boxes(frames)]
     if not edges:
         raise ValueError("cannot infer an image width from frames with no boxes")
     return float(max(edges))
+
+
+def _from_left_edge(frames: Sequence[FrameRecord]) -> Sequence[FrameRecord]:
+    """Frames shifted right so that the leftmost box starts at x = 0.
+
+    Concatenation puts slot 1 at x >= the slot width, which holds only for
+    boxes at x1 >= 0; frames already there are returned unchanged.
+    """
+    left = min((box.x1 for box in _boxes(frames)), default=0.0)
+    if left >= 0:
+        return frames
+    return [
+        dataclasses.replace(
+            f,
+            detections=[dataclasses.replace(d, box=d.box.translate(-left)) for d in f.detections],
+            gt_boxes=[(box.translate(-left), ident) for box, ident in f.gt_boxes],
+        )
+        for f in frames
+    ]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -163,6 +186,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     frames = load_frames(args.frames)
     if not frames:
         raise ValueError(f"{args.frames} contains no frames")
+    frames = _from_left_edge(frames)
     width = args.image_width if args.image_width is not None else _auto_width(frames)
     samples = [
         concat_neighbor_frames(frames[i], frames[j], width) for i, j in neighbor_frames(frames)
@@ -329,6 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             [f.gt_boxes for f in frames],
             score_threshold=args.score_threshold,
             iou_min=args.iou_min,
+            neighbors=neighbor_frames(frames),
         )
         ap_preds = [(r.frame_index, r.box, r.confidence) for r in records]
         ap_gts = [(f.frame_index, box) for f in frames for box, _ in f.gt_boxes]
@@ -371,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--image-width",
         type=float,
         default=None,
-        help="slot offset for concatenation (default: max box x2 in the data)",
+        help="slot offset for concatenation (default: max box x2 in the data, "
+        "after shifting boxes right so that none starts left of x = 0)",
     )
     p.add_argument(
         "--mtmc",

@@ -128,8 +128,8 @@ class FrameRecord:
 
     def follows(self, other: "FrameRecord") -> bool:
         """True when this frame is the next one after `other`: same camera,
-        frame_index one higher. Training pairs, calibration pairs and the
-        tracker's one-frame memory all use this rule."""
+        frame_index one higher. Training pairs, calibration pairs, the
+        tracker's one-frame memory and eval's pair counts all use this rule."""
         return self.camera_id == other.camera_id and self.frame_index == other.frame_index + 1
 
     def __eq__(self, other: object) -> bool:

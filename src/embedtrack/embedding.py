@@ -76,12 +76,22 @@ def _as_param_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
+def _flat_views(vec: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Views (w1, b1, w2, b2) into a flat vector laid out as `to_flat`, for
+    dims (feature, hidden, embed)."""
+    f, h, e = dims
+    o1 = h * f
+    o2 = o1 + h
+    o3 = o2 + e * h
+    return vec[:o1].reshape(h, f), vec[o1:o2], vec[o2:o3].reshape(e, h), vec[o3:]
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingHeadParams:
     """Weights of the two fully connected layers.
 
     Shapes: w1 (hidden, feature), b1 (hidden,), w2 (embed, hidden), b2 (embed,).
-    Instances are immutable; arithmetic returns new instances.
+    Instances are immutable.
     """
 
     w1: np.ndarray
@@ -122,25 +132,10 @@ class EmbeddingHeadParams:
     @classmethod
     def from_flat(cls, vec: np.ndarray, feature_dim: int, hidden_dim: int, embed_dim: int) -> "EmbeddingHeadParams":
         vec = np.asarray(vec, dtype=np.float64)
-        sizes = [hidden_dim * feature_dim, hidden_dim, embed_dim * hidden_dim, embed_dim]
-        if vec.shape != (sum(sizes),):
-            raise ValueError(f"expected flat vector of length {sum(sizes)}, got shape {vec.shape}")
-        o1, o2, o3 = np.cumsum(sizes[:3])
-        return cls(
-            w1=vec[:o1].reshape(hidden_dim, feature_dim),
-            b1=vec[o1:o2],
-            w2=vec[o2:o3].reshape(embed_dim, hidden_dim),
-            b2=vec[o3:],
-        )
-
-    def add_scaled(self, other: "EmbeddingHeadParams", scale: float) -> "EmbeddingHeadParams":
-        """Return self + scale * other (used for gradient steps)."""
-        return EmbeddingHeadParams(
-            w1=self.w1 + scale * other.w1,
-            b1=self.b1 + scale * other.b1,
-            w2=self.w2 + scale * other.w2,
-            b2=self.b2 + scale * other.b2,
-        )
+        size = hidden_dim * feature_dim + hidden_dim + embed_dim * hidden_dim + embed_dim
+        if vec.shape != (size,):
+            raise ValueError(f"expected flat vector of length {size}, got shape {vec.shape}")
+        return cls(*_flat_views(vec, (feature_dim, hidden_dim, embed_dim)))
 
     @classmethod
     def zeros(cls, feature_dim: int, hidden_dim: int, embed_dim: int) -> "EmbeddingHeadParams":

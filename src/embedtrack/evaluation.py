@@ -252,15 +252,21 @@ def pair_counts(
     gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
+    neighbors: Optional[Sequence[tuple[int, int]]] = None,
 ) -> PairCounts:
     """Confusion counts over all cross-frame detection pairs.
 
     `pred_frames[t]` holds (box, confidence, track_id). Each frame's
     predictions are first labeled with ground-truth identities via
-    `assign_predictions`; then for every consecutive frame pair, every
-    (labeled detection in t) x (labeled detection in t+1) combination is
+    `assign_predictions`; then for every neighbouring frame pair (t, u),
+    every (labeled detection in t) x (labeled detection in u) combination is
     scored: actually-same means equal identities, predicted-same means equal
     track ids. Pairs involving an unlabeled detection are skipped.
+
+    `neighbors` lists the (t, u) positions where frame u directly follows
+    frame t, as `datasets.neighbor_frames` gives them; a tracker ends every
+    track at a missing frame, so frames across a gap are not paired. None
+    pairs every list neighbour (t, t + 1), for frames known to be contiguous.
     """
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
@@ -281,10 +287,12 @@ def pair_counts(
                 if assigned is not None
             ]
         )
+    if neighbors is None:
+        neighbors = [(t, t + 1) for t in range(len(labeled) - 1)]
     tp = tn = fp = fn = 0
-    for cur, nxt in zip(labeled, labeled[1:]):
-        for ident_a, track_a in cur:
-            for ident_b, track_b in nxt:
+    for t, u in neighbors:
+        for ident_a, track_a in labeled[t]:
+            for ident_b, track_b in labeled[u]:
                 actual = ident_a == ident_b
                 predicted = track_a == track_b
                 if actual and predicted:
@@ -303,13 +311,21 @@ def track_counts(
     gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
+    neighbors: Optional[Sequence[tuple[int, int]]] = None,
 ) -> tuple[MotCounts, PairCounts]:
     """`mot_counts` and `pair_counts` of one tracker output, from per-frame
-    (box, confidence, track_id) rows; MOT counting ignores the confidence."""
+    (box, confidence, track_id) rows; MOT counting ignores the confidence.
+    `neighbors` is passed to `pair_counts`."""
     mot_pred = [[(box, track_id) for box, _, track_id in preds] for preds in pred_frames]
     return (
         mot_counts(mot_pred, gt_frames, iou_min=iou_min),
-        pair_counts(pred_frames, gt_frames, score_threshold=score_threshold, iou_min=iou_min),
+        pair_counts(
+            pred_frames,
+            gt_frames,
+            score_threshold=score_threshold,
+            iou_min=iou_min,
+            neighbors=neighbors,
+        ),
     )
 
 

@@ -3,18 +3,24 @@
 The head is small enough that plain gradient descent, one step per labeled
 batch under a cosine learning-rate schedule, converges in seconds, so there
 is no optimizer machinery here: just an analytic gradient of the triplet +
-pull objective and a training loop over labeled batches.
+pull objective and a training loop over labeled batches. Each step runs one
+forward pass for both the loss and the gradient, reads label-only masks
+computed once per batch, and updates one flat parameter vector.
+
+`batch_loss` is the reference objective, built from the public losses;
+`gradient` exposes the training step's gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .embedding import (
     EmbeddingHeadParams,
+    _flat_views,
     LossConfig,
     distance_matrix,
     embed_batch,
@@ -35,7 +41,7 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or the parameters stop being finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,82 +126,105 @@ def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
     )
 
 
-def _distance_grad(
-    d: np.ndarray, ids: np.ndarray, cfg: LossConfig
-) -> np.ndarray:
-    """d(loss)/d(distance matrix) for the weighted triplet + pull objective.
+class _BatchIndex(NamedTuple):
+    """What the losses read from a batch's labels alone, computed once per
+    batch: the positive (same identity, off the diagonal) and negative masks,
+    the valid anchors (rows with both), and one row-membership mask per
+    identity with at least two rows, in ascending identity order."""
 
-    Both losses touch only a handful of matrix entries (the per-anchor
-    hardest pairs), so the result is a sparse fill. At hinge and absolute
-    value kinks the subgradient 0 is used; argmax/argmin ties resolve to the
-    first occurrence, matching the loss evaluation.
-    """
-    n = ids.shape[0]
-    dd = np.zeros((n, n))
+    pos: np.ndarray
+    neg: np.ndarray
+    anchors: np.ndarray
+    groups: np.ndarray
 
-    same = ids[:, None] == ids[None, :]
-    pos = same & ~np.eye(n, dtype=bool)
+
+def _batch_index(identities: np.ndarray) -> _BatchIndex:
+    _, inverse, counts = np.unique(identities, return_inverse=True, return_counts=True)
+    same = inverse[:, None] == inverse[None, :]
+    pos = same & ~np.eye(inverse.size, dtype=bool)
     neg = ~same
-    valid = pos.any(axis=1) & neg.any(axis=1)
-    if valid.any() and cfg.w_triplet > 0:
-        masked_pos = np.where(pos, d, -np.inf)
-        masked_neg = np.where(neg, d, np.inf)
-        jp = masked_pos.argmax(axis=1)
-        jn = masked_neg.argmin(axis=1)
-        slack = masked_pos.max(axis=1) - masked_neg.min(axis=1) + cfg.margin
-        active = valid & (slack > 0)
-        w = cfg.w_triplet / valid.sum()
-        for i in np.nonzero(active)[0]:
-            dd[i, jp[i]] += w
-            dd[i, jn[i]] -= w
-
-    if cfg.w_pull > 0:
-        multi = [ident for ident in np.unique(ids) if (ids == ident).sum() >= 2]
-        if multi:
-            w = cfg.w_pull / len(multi)
-            for ident in multi:
-                members = np.nonzero(ids == ident)[0]
-                sub = d[np.ix_(members, members)].copy()
-                np.fill_diagonal(sub, -np.inf)
-                flat = sub.argmax()
-                i, j = np.unravel_index(flat, sub.shape)
-                largest = sub[i, j]
-                sign = np.sign(largest - cfg.pull_margin)
-                dd[members[i], members[j]] += w * sign
-
-    return dd
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    groups = np.flatnonzero(counts >= 2)[:, None] == inverse[None, :]
+    return _BatchIndex(pos=pos, neg=neg, anchors=anchors, groups=groups)
 
 
-def gradient(
-    params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
-) -> EmbeddingHeadParams:
-    """Analytic gradient of `batch_loss` with respect to every parameter.
+def _loss_and_gradient(
+    flat: np.ndarray,
+    dims: tuple[int, int, int],
+    features: np.ndarray,
+    index: _BatchIndex,
+    cfg: LossConfig,
+) -> tuple[float, np.ndarray]:
+    """`batch_loss` and its analytic gradient from one forward pass.
 
-    Chains d(loss)/d(distances) through the squared Euclidean distance map
-    and the two layers. With S the symmetrised distance gradient,
+    The gradient is flat, laid out as `to_flat`. Both losses touch only the
+    per-anchor hardest pairs, so d(loss)/d(distances) is a sparse fill. An
+    identity's largest intra-identity distance is the largest hardest-positive
+    distance among its rows; the first such row and its first hardest column
+    reproduce the row-major first-occurrence tie rule of the loop reference.
+    At hinge and absolute-value kinks the subgradient 0 is used. With S the
+    symmetrised distance gradient,
 
         d(loss)/d(e_i) = 2 * (sum_j S_ij * (e_i - e_j))
 
-    which vectorises to 2 * (rowsum(S) * E - S @ E).
+    which vectorises to 2 * (rowsum(S) * E - S @ E); the two layers follow
+    by the chain rule.
     """
-    feats = batch.features
-    ids = batch.identities
-    z = feats @ params.w1.T + params.b1
+    w1, b1, w2, b2 = _flat_views(flat, dims)
+    z = features @ w1.T + b1
     a = np.maximum(z, 0.0)
-    e = a @ params.w2.T + params.b2
+    e = a @ w2.T + b2
     d = distance_matrix(e, e)
 
-    dd = _distance_grad(d, ids, cfg)
+    masked_pos = np.where(index.pos, d, -np.inf)
+    masked_neg = np.where(index.neg, d, np.inf)
+    jp = masked_pos.argmax(axis=1)
+    jn = masked_neg.argmin(axis=1)
+    rows = np.arange(d.shape[0])
+    hardest_pos = masked_pos[rows, jp]
+
+    anchors = index.anchors
+    slack = hardest_pos[anchors] - masked_neg[anchors, jn[anchors]] + cfg.margin
+    triplet = float(np.maximum(slack, 0.0).mean()) if anchors.size else 0.0
+
+    n_groups = index.groups.shape[0]
+    if n_groups:
+        top = np.where(index.groups, hardest_pos, -np.inf).argmax(axis=1)
+        excess = hardest_pos[top] - cfg.pull_margin
+        pull = float(np.abs(excess).mean())
+    else:
+        pull = 0.0
+    loss = cfg.w_triplet * triplet + cfg.w_pull * pull
+
+    dd = np.zeros_like(d)
+    if anchors.size and cfg.w_triplet > 0:
+        active = anchors[slack > 0]
+        w = cfg.w_triplet / anchors.size
+        dd[active, jp[active]] = w
+        dd[active, jn[active]] = -w
+    if n_groups and cfg.w_pull > 0:
+        dd[top, jp[top]] += (cfg.w_pull / n_groups) * np.sign(excess)
     s = dd + dd.T
     g_e = 2.0 * (s.sum(axis=1, keepdims=True) * e - s @ e)
 
     dw2 = g_e.T @ a
     db2 = g_e.sum(axis=0)
-    g_a = g_e @ params.w2
-    g_z = g_a * (z > 0)
-    dw1 = g_z.T @ feats
+    g_z = (g_e @ w2) * (z > 0)
+    dw1 = g_z.T @ features
     db1 = g_z.sum(axis=0)
-    return EmbeddingHeadParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def gradient(
+    params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
+) -> EmbeddingHeadParams:
+    """Analytic gradient of `batch_loss` with respect to every parameter,
+    computed by the same step `train` takes."""
+    dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
+    _, flat_grad = _loss_and_gradient(
+        params.to_flat(), dims, batch.features, _batch_index(batch.identities), cfg
+    )
+    return EmbeddingHeadParams.from_flat(flat_grad, *dims)
 
 
 def train(
@@ -228,10 +257,9 @@ def train(
                 f"batches disagree on feature dim: {b.feature_dim} vs {feature_dim}"
             )
 
-    rng = np.random.default_rng(train_config.seed)
-    params = init_params(
-        feature_dim, train_config.hidden_dim, train_config.embed_dim, rng
-    )
+    dims = (feature_dim, train_config.hidden_dim, train_config.embed_dim)
+    flat = init_params(*dims, np.random.default_rng(train_config.seed)).to_flat()
+    prepared = [(b.features, _batch_index(b.identities)) for b in batches]
     total_steps = train_config.epochs * len(batches)
     trace: list[float] = []
     step = 0
@@ -241,18 +269,17 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(train_config.epochs):
             epoch_losses = []
-            for batch in batches:
-                loss = batch_loss(params, batch, loss_config)
+            for features, index in prepared:
+                loss, grad = _loss_and_gradient(flat, dims, features, index, loss_config)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {step}")
                 epoch_losses.append(loss)
                 lr = cosine_lr(step, total_steps, train_config.initial_lr)
-                try:
-                    params = params.add_scaled(gradient(params, batch, loss_config), -lr)
-                except ValueError as exc:
+                flat = flat + (-lr) * grad
+                if not np.isfinite(flat).all():
                     raise TrainingDivergedError(
                         f"parameters became non-finite at step {step}"
-                    ) from exc
+                    )
                 step += 1
             trace.append(float(np.mean(epoch_losses)))
-    return params, trace
+    return EmbeddingHeadParams.from_flat(flat, *dims), trace

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from embedtrack import EmbeddingHeadParams, batch_loss
+from embedtrack import EmbeddingHeadParams, batch_loss, distance_matrix
 
 
 def finite_diff_gradient(params, batch, cfg, eps=1e-5):
@@ -18,3 +18,61 @@ def finite_diff_gradient(params, batch, cfg, eps=1e-5):
         lo = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), batch, cfg)
         grad[k] = (hi - lo) / (2.0 * eps)
     return EmbeddingHeadParams.from_flat(grad, f, h, e)
+
+
+def _loop_distance_grad(d, ids, cfg):
+    """d(loss)/d(distance matrix), one anchor and one identity at a time.
+
+    Subgradient 0 at hinge and absolute-value kinks; argmax/argmin ties
+    resolve to the first occurrence, and an identity's largest pair is the
+    first in row-major order over its members.
+    """
+    n = ids.shape[0]
+    dd = np.zeros((n, n))
+
+    same = ids[:, None] == ids[None, :]
+    pos = same & ~np.eye(n, dtype=bool)
+    neg = ~same
+    valid = pos.any(axis=1) & neg.any(axis=1)
+    if valid.any() and cfg.w_triplet > 0:
+        masked_pos = np.where(pos, d, -np.inf)
+        masked_neg = np.where(neg, d, np.inf)
+        jp = masked_pos.argmax(axis=1)
+        jn = masked_neg.argmin(axis=1)
+        slack = masked_pos.max(axis=1) - masked_neg.min(axis=1) + cfg.margin
+        active = valid & (slack > 0)
+        w = cfg.w_triplet / valid.sum()
+        for i in np.nonzero(active)[0]:
+            dd[i, jp[i]] += w
+            dd[i, jn[i]] -= w
+
+    if cfg.w_pull > 0:
+        multi = [ident for ident in np.unique(ids) if (ids == ident).sum() >= 2]
+        if multi:
+            w = cfg.w_pull / len(multi)
+            for ident in multi:
+                members = np.nonzero(ids == ident)[0]
+                sub = d[np.ix_(members, members)].copy()
+                np.fill_diagonal(sub, -np.inf)
+                i, j = np.unravel_index(sub.argmax(), sub.shape)
+                dd[members[i], members[j]] += w * np.sign(sub[i, j] - cfg.pull_margin)
+
+    return dd
+
+
+def loop_gradient(params, batch, cfg):
+    """Gradient of `batch_loss` by a per-anchor, per-identity loop over the
+    distance gradient, chained through the squared distances and the two
+    layers: d(loss)/d(e_i) = 2 * sum_j S_ij * (e_i - e_j) with S the
+    symmetrised distance gradient."""
+    feats = batch.features
+    z = feats @ params.w1.T + params.b1
+    a = np.maximum(z, 0.0)
+    e = a @ params.w2.T + params.b2
+    dd = _loop_distance_grad(distance_matrix(e, e), batch.identities, cfg)
+    s = dd + dd.T
+    g_e = 2.0 * (s.sum(axis=1, keepdims=True) * e - s @ e)
+    g_z = (g_e @ params.w2) * (z > 0)
+    return EmbeddingHeadParams(
+        w1=g_z.T @ feats, b1=g_z.sum(axis=0), w2=g_e.T @ a, b2=g_e.sum(axis=0)
+    )

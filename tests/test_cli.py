@@ -143,6 +143,25 @@ class TestTrain:
             assert main(base + extra + TRAIN_ARGS) == 1
             assert "no detector loss" in capsys.readouterr().err
 
+    def test_boxes_left_of_zero(self, tmp_path, sim_dir, trained_dir):
+        # every box moved left of x = 0; the labels and features, and so the
+        # trained head, stay the same
+        lines = []
+        for line in (sim_dir / "frames.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            for rec in doc["detections"] + doc["gt_boxes"]:
+                rec["box"] = [rec["box"][0] - 2000.0, rec["box"][1], rec["box"][2] - 2000.0,
+                              rec["box"][3]]
+            lines.append(json.dumps(doc))
+        shifted = tmp_path / "shifted.jsonl"
+        shifted.write_text("\n".join(lines) + "\n")
+        for name, extra in (("auto", []), ("fixed", ["--image-width", "1920"])):
+            out = tmp_path / name
+            assert main(["train", "--frames", str(shifted), "--out", str(out)]
+                        + extra + TRAIN_ARGS) == 0
+            for fname in ("params.json", "loss_trace.csv"):
+                assert (out / fname).read_bytes() == (trained_dir / fname).read_bytes()
+
     def test_missing_frames_file_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["train", "--frames", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "out")]
@@ -255,6 +274,19 @@ class TestTrackAndEval:
         counts = report["mot_counts"]
         assert counts["gt_total"] == 30
         assert counts["miss"] == 0  # every gt box has an exact detection
+
+    def test_eval_pairs_only_consecutive_frames(self, tmp_path, sim_dir, trained_dir):
+        lines = (sim_dir / "frames.jsonl").read_text().splitlines()
+        gapped = tmp_path / "gapped"
+        gapped.mkdir()
+        (gapped / "frames.jsonl").write_text("\n".join([lines[0], lines[1], lines[3]]) + "\n")
+        tracks = self._run_track(tmp_path, gapped, trained_dir, threshold=1e9)
+        out = tmp_path / "report"
+        assert main(["eval", "--tracks", str(tracks / "tracks.jsonl"),
+                     "--frames", str(gapped / "frames.jsonl"), "--out", str(out)]) == 0
+        # only the 0 -> 1 neighbours pair up: 3 x 3 detections
+        counts = json.loads((out / "report.json").read_text())["pair_counts"]
+        assert counts["tp"] + counts["tn"] + counts["fp"] + counts["fn"] == 9
 
     def test_eval_counts_fixture(self, tmp_path):
         fixture = tmp_path / "counts.json"

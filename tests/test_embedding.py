@@ -142,15 +142,6 @@ class TestParams:
         assert flat.shape == (4 * 6 + 6 + 6 * 3 + 3,)
         assert EmbeddingHeadParams.from_flat(flat, 4, 6, 3) == params
 
-    def test_add_scaled(self):
-        a = EmbeddingHeadParams.zeros(2, 2, 2)
-        b = EmbeddingHeadParams(
-            w1=np.ones((2, 2)), b1=np.ones(2), w2=np.ones((2, 2)), b2=np.ones(2)
-        )
-        c = a.add_scaled(b, -0.5)
-        assert np.all(c.w1 == -0.5)
-        assert np.all(c.b2 == -0.5)
-
     def test_rejects_inconsistent_shapes(self):
         with pytest.raises(ValueError):
             EmbeddingHeadParams(

@@ -241,6 +241,13 @@ class TestPairCountsMetric:
         c = pair_counts(preds, gt)
         assert c.tp + c.tn + c.fp + c.fn == 1
 
+    def test_neighbors_skip_index_gap(self):
+        # one object in frames 0, 1, 3: the tracker ends its track at the gap
+        gt = [[(_box(0), 1)]] * 3
+        preds = [[(_box(0), 0.9, 0)], [(_box(0), 0.9, 0)], [(_box(0), 0.9, 1)]]
+        assert pair_counts(preds, gt, neighbors=[(0, 1)]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
+        assert pair_counts(preds, gt) == PairCounts(tp=1, tn=0, fp=0, fn=1)
+
     def test_confidence_filter_applies(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.3, 3)], [(_box(0), 0.9, 3)]]
@@ -257,6 +264,8 @@ class TestTrackCounts:
         assert mot == mot_counts([[(b, t) for b, _, t in f] for f in preds], gt)
         assert pairs == pair_counts(preds, gt, score_threshold=0.5)
         assert (mot.fp, mot.miss) == (0, 3)  # MOT counting keeps the 0.4 box
+        _, gapped = track_counts(preds, gt, score_threshold=0.5, neighbors=[(0, 1)])
+        assert gapped == pair_counts(preds[:2], gt[:2], score_threshold=0.5)
 
 
 class TestPairAccuracy:

@@ -1,5 +1,5 @@
-"""Golden outputs: the README walkthrough, run through `cli.main`, must keep
-producing byte-identical files.
+"""Golden outputs: fixed runs through `cli.main` must keep producing
+byte-identical files.
 
 The digests were recorded on x86-64 with Python 3.11.7 and NumPy 2.4.6
 (OpenBLAS); other BLAS builds may round differently. A refactor that changes
@@ -22,28 +22,44 @@ GOLDEN = {
     "report/report.json": "7c175c33d2ade3746bf7c1aa3035c0ebbdc3b05849a76b97e7a708a8e1963dd8",
 }
 
+# Many identities per batch (about 30 rows, 15 identities): every step has
+# many valid anchors and many pull terms at once.
+GOLDEN_CROWDED_HEAD = {
+    "head/params.json": "55d126f42bdec53adee23cff1703d6f8b8bfa611c19efe1e166b51618e2d51b5",
+    "head/loss_trace.csv": "0b6ee0834c249ee8450244b349cf3e095cecbb6e97c8219af9f0d4b99d569c79",
+}
+
 SIM = ["--identity-count", "5", "--archetype-separation", "8.0", "--noise-sigma", "0.25"]
 
 
+def _run(*argv):
+    assert main([str(a) for a in argv]) == 0
+
+
+def _digests(root, names):
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_walkthrough_outputs_are_unchanged(tmp_path):
-    def run(*argv):
-        assert main([str(a) for a in argv]) == 0
-
-    run("simulate", "--out", tmp_path / "train_data", "--frame-count", 50,
-        "--dropout", 0.05, "--seed", 11, *SIM)
-    run("simulate", "--out", tmp_path / "holdout", "--frame-count", 20, "--seed", 77, *SIM)
-    run("train", "--frames", tmp_path / "train_data/frames.jsonl", "--out", tmp_path / "head",
-        "--epochs", 4, "--hidden-dim", 16, "--embed-dim", 8)
+    _run("simulate", "--out", tmp_path / "train_data", "--frame-count", 50,
+         "--dropout", 0.05, "--seed", 11, *SIM)
+    _run("simulate", "--out", tmp_path / "holdout", "--frame-count", 20, "--seed", 77, *SIM)
+    _run("train", "--frames", tmp_path / "train_data/frames.jsonl", "--out", tmp_path / "head",
+         "--epochs", 4, "--hidden-dim", 16, "--embed-dim", 8)
     params = tmp_path / "head/params.json"
-    run("calibrate", "--frames", tmp_path / "train_data/frames.jsonl", "--params", params,
-        "--out", tmp_path / "calib")
+    _run("calibrate", "--frames", tmp_path / "train_data/frames.jsonl", "--params", params,
+         "--out", tmp_path / "calib")
     threshold = json.loads((tmp_path / "calib/threshold.json").read_text())["threshold"]
-    run("track", "--frames", tmp_path / "holdout/frames.jsonl", "--params", params,
-        "--threshold", repr(threshold), "--out", tmp_path / "tracks")
-    run("eval", "--tracks", tmp_path / "tracks/tracks.jsonl",
-        "--frames", tmp_path / "holdout/frames.jsonl", "--out", tmp_path / "report")
+    _run("track", "--frames", tmp_path / "holdout/frames.jsonl", "--params", params,
+         "--threshold", repr(threshold), "--out", tmp_path / "tracks")
+    _run("eval", "--tracks", tmp_path / "tracks/tracks.jsonl",
+         "--frames", tmp_path / "holdout/frames.jsonl", "--out", tmp_path / "report")
+    assert _digests(tmp_path, GOLDEN) == GOLDEN
 
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
-    }
-    assert digests == GOLDEN
+
+def test_crowded_head_is_unchanged(tmp_path):
+    _run("simulate", "--out", tmp_path / "data", "--identity-count", 15, "--feature-dim", 16,
+         "--frame-count", 12, "--dropout", 0.1, "--noise-sigma", 1.0, "--seed", 5)
+    _run("train", "--frames", tmp_path / "data/frames.jsonl", "--out", tmp_path / "head",
+         "--epochs", 3, "--hidden-dim", 24, "--embed-dim", 12, "--initial-lr", 0.01)
+    assert _digests(tmp_path, GOLDEN_CROWDED_HEAD) == GOLDEN_CROWDED_HEAD

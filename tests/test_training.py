@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedtrack import (
+    EmbeddingHeadParams,
     LabeledBatch,
     LossConfig,
     TrainConfig,
@@ -12,7 +15,8 @@ from embedtrack import (
     init_params,
     train,
 )
-from oracles import finite_diff_gradient
+from embedtrack.training import _batch_index, _loss_and_gradient
+from oracles import finite_diff_gradient, loop_gradient
 
 
 def _two_cluster_batch(rng, n_per=3, sep=4.0, noise=0.05, dim=3):
@@ -124,6 +128,95 @@ class TestGradient:
         assert np.abs(fd_coarse - fd_fine).max() < 1e-6
 
 
+def _integer_params(rng, dims=(3, 5, 2)):
+    """Small whole-number weights: with whole-number features every
+    embedding and distance is a whole number, so hardest pairs tie."""
+    f, h, e = dims
+    return EmbeddingHeadParams(
+        w1=rng.integers(-2, 3, size=(h, f)).astype(float),
+        b1=rng.integers(-2, 3, size=h).astype(float),
+        w2=rng.integers(-2, 3, size=(e, h)).astype(float),
+        b2=rng.integers(-2, 3, size=e).astype(float),
+    )
+
+
+def _assert_fused_step_matches_references(params, batch, cfg):
+    """The training step's loss equals `batch_loss` and its gradient equals
+    the loop oracle, bit for bit."""
+    dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
+    loss, grad = _loss_and_gradient(
+        params.to_flat(), dims, batch.features, _batch_index(batch.identities), cfg
+    )
+    reference = loop_gradient(params, batch, cfg)
+    assert loss == batch_loss(params, batch, cfg)
+    assert np.array_equal(grad, reference.to_flat())
+    assert gradient(params, batch, cfg) == reference
+
+
+@st.composite
+def step_cases(draw):
+    """(params, batch, cfg) covering exact distance ties, duplicated rows,
+    single-identity and all-singleton batches, and zero loss weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    whole = draw(st.booleans())
+    if whole:
+        feats = rng.integers(-3, 4, size=(n, 3)).astype(float)
+        params = _integer_params(rng)
+    else:
+        feats = rng.uniform(-10.0, 10.0, size=(n, 3))
+        params = init_params(3, 5, 2, rng)
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    feats = np.vstack([feats, feats[copies]])
+    rows = feats.shape[0]
+    labels = draw(st.sampled_from(["mixed", "single", "singletons"]))
+    if labels == "single":
+        ids = np.zeros(rows, dtype=np.int64)
+    elif labels == "singletons":
+        ids = np.arange(rows)
+    else:
+        ids = rng.integers(0, 4, size=rows)
+    cfg = LossConfig(
+        margin=draw(st.sampled_from([0.5, 2.0, 5.0])),
+        pull_margin=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        w_triplet=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        w_pull=draw(st.sampled_from([0.0, 0.2, 1.0])),
+    )
+    return params, LabeledBatch(features=feats, identities=ids), cfg
+
+
+class TestFusedStep:
+    @given(step_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_batch_loss_and_loop_gradient(self, case):
+        _assert_fused_step_matches_references(*case)
+
+    @pytest.mark.parametrize(
+        "ids, whole, cfg",
+        [
+            # exact ties: whole-number distances and a duplicated row
+            ([0, 0, 1, 1, 2, 2, 0], True, LossConfig(pull_margin=0.0)),
+            ([3, 3, 3, 3, 3], False, LossConfig()),  # one identity: no valid anchor
+            ([0, 1, 2, 3, 4], False, LossConfig()),  # all singletons: no pull term
+            ([0, 0, 1, 1, 1, 2], False, LossConfig(w_triplet=0.0)),
+            ([0, 0, 1, 1, 1, 2], False, LossConfig(w_pull=0.0)),
+        ],
+    )
+    def test_corner_cases(self, ids, whole, cfg):
+        rng = np.random.default_rng(len(ids))
+        n = len(ids)
+        if whole:
+            params = _integer_params(rng)
+            feats = rng.integers(-3, 4, size=(n, 3)).astype(float)
+            feats[-1] = feats[0]
+        else:
+            params = init_params(3, 5, 2, rng)
+            feats = rng.normal(size=(n, 3))
+        _assert_fused_step_matches_references(
+            params, LabeledBatch(features=feats, identities=np.array(ids)), cfg
+        )
+
+
 class TestTrain:
     @pytest.mark.parametrize("field", ["w_cls", "w_reg"])
     def test_rejects_unused_detector_weights(self, field):
@@ -170,7 +263,22 @@ class TestTrain:
         rng = np.random.default_rng(9)
         batch = _two_cluster_batch(rng)
         tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, initial_lr=1e80, seed=1)
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError, match="loss became non-finite at step 1$"):
+            train([batch], LossConfig(), tc)
+
+    @pytest.mark.parametrize(
+        "lr, scale, message",
+        [
+            (1e20, 1.0, "loss became non-finite at step 2"),
+            (1e200, 1e3, "loss became non-finite at step 1"),
+            (1e308, 1e3, "parameters became non-finite at step 0"),
+        ],
+    )
+    def test_divergence_names_its_step(self, lr, scale, message):
+        batch = _two_cluster_batch(np.random.default_rng(9))
+        batch = LabeledBatch(features=scale * batch.features, identities=batch.identities)
+        tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, initial_lr=lr, seed=1)
+        with pytest.raises(TrainingDivergedError, match=f"{message}$"):
             train([batch], LossConfig(), tc)
 
     def test_rejects_empty_dataset(self):
