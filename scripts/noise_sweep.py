@@ -20,6 +20,7 @@ from embedtrack import (
     concat_neighbor_frames,
     labeled_batch_from_sample,
     mota,
+    neighbor_frames,
     neighbor_pair_distances,
     pair_accuracy,
     simulate,
@@ -71,6 +72,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
             for f, per_frame in zip(holdout, assignments)
         ],
         [f.gt_boxes for f in holdout],
+        neighbor_frames(holdout),
     )
     return {
         "sigma": sigma,

@@ -351,9 +351,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 for f in frames
             ],
             [f.gt_boxes for f in frames],
+            neighbor_frames(frames),
             score_threshold=args.score_threshold,
             iou_min=args.iou_min,
-            neighbors=neighbor_frames(frames),
         )
         ap_preds = [(r.frame_index, r.box, r.confidence) for r in records]
         ap_gts = [(f.frame_index, box) for f in frames for box, _ in f.gt_boxes]

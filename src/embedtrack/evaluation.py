@@ -250,23 +250,22 @@ def mot_counts(
 def pair_counts(
     pred_frames: Sequence[Sequence[tuple[BoundingBox, float, int]]],
     gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    neighbors: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
-    neighbors: Optional[Sequence[tuple[int, int]]] = None,
 ) -> PairCounts:
     """Confusion counts over all cross-frame detection pairs.
 
     `pred_frames[t]` holds (box, confidence, track_id). Each frame's
     predictions are first labeled with ground-truth identities via
-    `assign_predictions`; then for every neighbouring frame pair (t, u),
-    every (labeled detection in t) x (labeled detection in u) combination is
+    `assign_predictions`; then for every (t, u) in `neighbors`, every
+    (labeled detection in t) x (labeled detection in u) combination is
     scored: actually-same means equal identities, predicted-same means equal
     track ids. Pairs involving an unlabeled detection are skipped.
 
     `neighbors` lists the (t, u) positions where frame u directly follows
     frame t, as `datasets.neighbor_frames` gives them; a tracker ends every
-    track at a missing frame, so frames across a gap are not paired. None
-    pairs every list neighbour (t, t + 1), for frames known to be contiguous.
+    track at a missing frame, so frames across a gap are not paired.
     """
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
@@ -287,8 +286,6 @@ def pair_counts(
                 if assigned is not None
             ]
         )
-    if neighbors is None:
-        neighbors = [(t, t + 1) for t in range(len(labeled) - 1)]
     tp = tn = fp = fn = 0
     for t, u in neighbors:
         for ident_a, track_a in labeled[t]:
@@ -309,9 +306,9 @@ def pair_counts(
 def track_counts(
     pred_frames: Sequence[Sequence[tuple[BoundingBox, float, int]]],
     gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    neighbors: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
-    neighbors: Optional[Sequence[tuple[int, int]]] = None,
 ) -> tuple[MotCounts, PairCounts]:
     """`mot_counts` and `pair_counts` of one tracker output, from per-frame
     (box, confidence, track_id) rows; MOT counting ignores the confidence.
@@ -320,11 +317,7 @@ def track_counts(
     return (
         mot_counts(mot_pred, gt_frames, iou_min=iou_min),
         pair_counts(
-            pred_frames,
-            gt_frames,
-            score_threshold=score_threshold,
-            iou_min=iou_min,
-            neighbors=neighbors,
+            pred_frames, gt_frames, neighbors, score_threshold=score_threshold, iou_min=iou_min
         ),
     )
 

@@ -30,6 +30,7 @@ from embedtrack import (
     match_frames,
     mean_ap,
     mota,
+    neighbor_frames,
     neighbor_pair_distances,
     pair_accuracy,
     pull_loss,
@@ -250,6 +251,7 @@ def test_criterion_5_end_to_end_synthetic():
                 for f, per_frame in zip(holdout, assignments)
             ],
             [f.gt_boxes for f in holdout],
+            neighbor_frames(holdout),
         )
         accuracy = pair_accuracy(pairs)
         assert counts.mismatch == 0

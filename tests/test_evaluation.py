@@ -213,7 +213,7 @@ class TestPairCountsMetric:
     def test_two_vehicles_tracked_perfectly(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 2
         preds = [[(_box(0), 0.9, 10), (_box(50), 0.9, 20)]] * 2
-        c = pair_counts(preds, gt)
+        c = pair_counts(preds, gt, [(0, 1)])
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 2, 0, 0)
         assert c.gp == 2 and c.gn == 2
 
@@ -222,14 +222,14 @@ class TestPairCountsMetric:
         preds = [
             [(_box(0), 0.9, 2 * t), (_box(50), 0.9, 2 * t + 1)] for t in range(3)
         ]
-        c = pair_counts(preds, gt)
+        c = pair_counts(preds, gt, [(0, 1), (1, 2)])
         assert c.tp == 0
         assert c.fn == c.gp
 
     def test_single_vehicle_correct_link(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.9, 3)]] * 2
-        c = pair_counts(preds, gt)
+        c = pair_counts(preds, gt, [(0, 1)])
         assert (c.tp, c.gp, c.gn) == (1, 1, 0)
 
     def test_unlabeled_detections_are_skipped(self):
@@ -238,21 +238,20 @@ class TestPairCountsMetric:
             [(_box(0), 0.9, 3), (_box(500), 0.9, 4)],  # second box matches no gt
             [(_box(0), 0.9, 3)],
         ]
-        c = pair_counts(preds, gt)
+        c = pair_counts(preds, gt, [(0, 1)])
         assert c.tp + c.tn + c.fp + c.fn == 1
 
     def test_neighbors_skip_index_gap(self):
         # one object in frames 0, 1, 3: the tracker ends its track at the gap
         gt = [[(_box(0), 1)]] * 3
         preds = [[(_box(0), 0.9, 0)], [(_box(0), 0.9, 0)], [(_box(0), 0.9, 1)]]
-        assert pair_counts(preds, gt, neighbors=[(0, 1)]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
-        assert pair_counts(preds, gt) == PairCounts(tp=1, tn=0, fp=0, fn=1)
+        assert pair_counts(preds, gt, [(0, 1)]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
 
     def test_confidence_filter_applies(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.3, 3)], [(_box(0), 0.9, 3)]]
         assert sum(
-            getattr(pair_counts(preds, gt), f) for f in ("tp", "tn", "fp", "fn")
+            getattr(pair_counts(preds, gt, [(0, 1)]), f) for f in ("tp", "tn", "fp", "fn")
         ) == 0
 
 
@@ -260,12 +259,12 @@ class TestTrackCounts:
     def test_equals_separate_counts(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 3
         preds = [[(_box(0), 0.9, 0), (_box(50), 0.4, 1)], [(_box(0), 0.9, 0)], []]
-        mot, pairs = track_counts(preds, gt, score_threshold=0.5)
+        mot, pairs = track_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
         assert mot == mot_counts([[(b, t) for b, _, t in f] for f in preds], gt)
-        assert pairs == pair_counts(preds, gt, score_threshold=0.5)
+        assert pairs == pair_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
         assert (mot.fp, mot.miss) == (0, 3)  # MOT counting keeps the 0.4 box
-        _, gapped = track_counts(preds, gt, score_threshold=0.5, neighbors=[(0, 1)])
-        assert gapped == pair_counts(preds[:2], gt[:2], score_threshold=0.5)
+        _, gapped = track_counts(preds, gt, [(0, 1)], score_threshold=0.5)
+        assert gapped == pair_counts(preds[:2], gt[:2], [(0, 1)], score_threshold=0.5)
 
 
 class TestPairAccuracy:
