@@ -17,8 +17,6 @@ from embedtrack import (
     LossConfig,
     SimConfig,
     TrainConfig,
-    concat_neighbor_frames,
-    labeled_batch_from_sample,
     mota,
     neighbor_frames,
     neighbor_pair_distances,
@@ -28,6 +26,7 @@ from embedtrack import (
     track_counts,
     track_sequence,
     train,
+    training_batches,
 )
 
 
@@ -43,13 +42,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
     )
     frames, archetypes = simulate(sim_cfg)
 
-    batches = []
-    for a, b in zip(frames, frames[1:]):
-        batch = labeled_batch_from_sample(
-            concat_neighbor_frames(a, b, sim_cfg.image_width)
-        )
-        if batch is not None:
-            batches.append(batch)
+    batches = training_batches(frames, neighbor_frames(frames))
     params, trace = train(batches, LossConfig(), TrainConfig(epochs=args.epochs))
 
     sweep = sweep_threshold(*neighbor_pair_distances(frames, params))

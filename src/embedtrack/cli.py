@@ -33,13 +33,10 @@ from .calibration import (
     write_histogram_csv,
     write_sweep_csv,
 )
-from .core import BoundingBox, FrameRecord
 from .datasets import (
     SimConfig,
     TrackRecord,
-    build_mtmc_pairs,
-    concat_neighbor_frames,
-    labeled_batch_from_sample,
+    cross_camera_frames,
     load_frames,
     load_track_records,
     neighbor_frames,
@@ -47,6 +44,7 @@ from .datasets import (
     save_frames,
     save_track_records,
     simulate,
+    training_batches,
 )
 from .embedding import LossConfig, load_params, save_params
 from .evaluation import MotCounts, mean_ap, mota, pair_accuracy, track_counts
@@ -144,37 +142,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _boxes(frames: Sequence[FrameRecord]) -> list[BoundingBox]:
-    boxes = [d.box for f in frames for d in f.detections]
-    return boxes + [box for f in frames for box, _ in f.gt_boxes]
-
-
-def _auto_width(frames: Sequence[FrameRecord]) -> float:
-    edges = [box.x2 for box in _boxes(frames)]
-    if not edges:
-        raise ValueError("cannot infer an image width from frames with no boxes")
-    return float(max(edges))
-
-
-def _from_left_edge(frames: Sequence[FrameRecord]) -> Sequence[FrameRecord]:
-    """Frames shifted right so that the leftmost box starts at x = 0.
-
-    Concatenation puts slot 1 at x >= the slot width, which holds only for
-    boxes at x1 >= 0; frames already there are returned unchanged.
-    """
-    left = min((box.x1 for box in _boxes(frames)), default=0.0)
-    if left >= 0:
-        return frames
-    return [
-        dataclasses.replace(
-            f,
-            detections=[dataclasses.replace(d, box=d.box.translate(-left)) for d in f.detections],
-            gt_boxes=[(box.translate(-left), ident) for box, ident in f.gt_boxes],
-        )
-        for f in frames
-    ]
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     file_values = _load_config_file(
         args.config, _config_field_names(LossConfig, TrainConfig)
@@ -186,18 +153,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     frames = load_frames(args.frames)
     if not frames:
         raise ValueError(f"{args.frames} contains no frames")
-    frames = _from_left_edge(frames)
-    width = args.image_width if args.image_width is not None else _auto_width(frames)
-    samples = [
-        concat_neighbor_frames(frames[i], frames[j], width) for i, j in neighbor_frames(frames)
-    ]
+    pairs = neighbor_frames(frames)
     if args.mtmc:
-        samples += build_mtmc_pairs(frames, width)
-    batches = []
-    for sample in samples:
-        batch = labeled_batch_from_sample(sample, score_threshold=loss_cfg.score_threshold)
-        if batch is not None:
-            batches.append(batch)
+        pairs += cross_camera_frames(frames)
+    batches = training_batches(frames, pairs, score_threshold=loss_cfg.score_threshold)
     if not batches:
         raise ValueError("no usable training batches (need frames with labeled detections)")
     identities = set()
@@ -224,7 +183,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         config={
             "loss": dataclasses.asdict(loss_cfg),
             "train": dataclasses.asdict(train_cfg),
-            "image_width": width,
             "mtmc": bool(args.mtmc),
             "batch_count": len(batches),
         },
@@ -393,16 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with config values")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--image-width",
-        type=float,
-        default=None,
-        help="slot offset for concatenation (default: max box x2 in the data, "
-        "after shifting boxes right so that none starts left of x = 0)",
-    )
-    p.add_argument(
         "--mtmc",
         action="store_true",
-        help="also build cross-camera samples for identities seen by several cameras",
+        help="also pair the earliest frames of every two cameras that saw one identity",
     )
     _add_config_flags(p, LossConfig)
     _add_config_flags(p, TrainConfig)

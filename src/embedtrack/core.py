@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["BoundingBox", "DetectionRecord", "FrameRecord", "iou"]
+__all__ = ["BoundingBox", "DetectionRecord", "FrameRecord", "iou", "iou_matrix"]
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,33 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) IoU of every box of `a` (n, 4) against every box of `b` (m, 4),
+    rows [x1, y1, x2, y2]; the same operations in the same order as `iou`,
+    so every entry equals `iou` of the two boxes exactly."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = iw * ih
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    overlap = (iw > 0.0) & (ih > 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionRecord:
     """One detected object: box, detector confidence, and its ROI feature vector.
 
-    `gt_identity` is the annotated object identity when known, `image_slot`
-    distinguishes the two halves of a concatenated training sample (0 for the
-    first image, 1 for the second).
+    `gt_identity` is the annotated object identity when known.
     """
 
     box: BoundingBox
     confidence: float
     feature: np.ndarray
     gt_identity: Optional[int] = None
-    image_slot: int = 0
 
     def __post_init__(self) -> None:
         feat = np.array(self.feature, dtype=np.float64, copy=True)
@@ -90,8 +103,6 @@ class DetectionRecord:
             raise ValueError(
                 f"gt_identity must be a non-negative integer, got {self.gt_identity!r}"
             )
-        if self.image_slot not in (0, 1):
-            raise ValueError(f"image_slot must be 0 or 1, got {self.image_slot}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DetectionRecord):
@@ -101,7 +112,6 @@ class DetectionRecord:
             and self.confidence == other.confidence
             and np.array_equal(self.feature, other.feature)
             and self.gt_identity == other.gt_identity
-            and self.image_slot == other.image_slot
         )
 
 

@@ -1,10 +1,9 @@
-"""Training sample construction, a synthetic scenario generator, and file I/O.
+"""Training batches, a synthetic scenario generator, and file I/O.
 
-Training pairs are built by concatenating two frames side by side into one
-coordinate space: slot 0 keeps its coordinates, slot 1 is shifted right by
-the first image's width. A pair of neighbouring frames from one camera
-yields same-camera samples; pairing frames from two cameras that saw the
-same identity yields cross-camera samples with the identical layout.
+A training batch stacks the labeled rows of two frames, so the batch-hard
+losses see the same identity twice: neighbouring frames of one camera give
+same-camera batches, and the earliest frames of two cameras that saw one
+identity give cross-camera batches.
 
 The simulator stands in for a real detection dataset: identities carry
 fixed feature archetypes, observed features add Gaussian noise, boxes move
@@ -13,10 +12,10 @@ linearly with clamping at the image border.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -28,16 +27,13 @@ from .evaluation import assign_predictions
 from .training import LabeledBatch
 
 __all__ = [
-    "ConcatSample",
     "SimConfig",
     "TrackRecord",
     "FrameParseError",
-    "concat_neighbor_frames",
     "neighbor_frames",
-    "identity_index",
-    "build_mtmc_pairs",
+    "cross_camera_frames",
     "labeled_rows",
-    "labeled_batch_from_sample",
+    "training_batches",
     "neighbor_pair_distances",
     "default_archetypes",
     "simulate",
@@ -46,77 +42,6 @@ __all__ = [
     "save_track_records",
     "load_track_records",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ConcatSample:
-    """Two frames fused into one coordinate space.
-
-    Detections and ground-truth boxes carry image_slot 0 or 1; slot-1
-    coordinates are already offset, so x1 >= first_width there. A sample
-    contains a positive pair exactly when some identity has ground truth in
-    both slots; samples without one still train the detector but contribute
-    nothing to the embedding losses.
-    """
-
-    detections: tuple[DetectionRecord, ...]
-    gt_boxes: tuple[tuple[BoundingBox, int, int], ...]
-    first_width: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detections", tuple(self.detections))
-        object.__setattr__(self, "gt_boxes", tuple(self.gt_boxes))
-        if not self.first_width > 0:
-            raise ValueError(f"first_width must be positive, got {self.first_width}")
-        for det in self.detections:
-            if det.image_slot == 1 and det.box.x1 < self.first_width:
-                raise ValueError(
-                    f"slot-1 detection box starts at x1={det.box.x1}, "
-                    f"left of the slot boundary {self.first_width}"
-                )
-        seen: set[tuple[int, int]] = set()
-        for box, ident, slot in self.gt_boxes:
-            if slot not in (0, 1):
-                raise ValueError(f"image_slot must be 0 or 1, got {slot}")
-            if slot == 1 and box.x1 < self.first_width:
-                raise ValueError(
-                    f"slot-1 ground-truth box starts at x1={box.x1}, "
-                    f"left of the slot boundary {self.first_width}"
-                )
-            if (ident, slot) in seen:
-                raise ValueError(f"identity {ident} appears twice in slot {slot}")
-            seen.add((ident, slot))
-
-    @property
-    def has_positive_pair(self) -> bool:
-        slot0 = {ident for _, ident, slot in self.gt_boxes if slot == 0}
-        slot1 = {ident for _, ident, slot in self.gt_boxes if slot == 1}
-        return bool(slot0 & slot1)
-
-
-def _fuse_frames(a: FrameRecord, b: FrameRecord, width_a: float) -> ConcatSample:
-    detections = [dataclasses.replace(d, image_slot=0) for d in a.detections]
-    detections += [
-        dataclasses.replace(d, box=d.box.translate(width_a, 0.0), image_slot=1)
-        for d in b.detections
-    ]
-    gt = [(box, ident, 0) for box, ident in a.gt_boxes]
-    gt += [(box.translate(width_a, 0.0), ident, 1) for box, ident in b.gt_boxes]
-    return ConcatSample(detections=tuple(detections), gt_boxes=tuple(gt), first_width=width_a)
-
-
-def concat_neighbor_frames(a: FrameRecord, b: FrameRecord, width_a: float) -> ConcatSample:
-    """Fuse two neighbouring frames of one camera into one sample.
-
-    Frame b must directly follow frame a (`FrameRecord.follows`). Slot 0 is
-    a unchanged; slot 1 is b with every x-coordinate shifted by width_a.
-    """
-    if not b.follows(a):
-        raise ValueError(
-            f"frame {b.frame_index} of camera {b.camera_id} does not directly follow "
-            f"frame {a.frame_index} of camera {a.camera_id}"
-        )
-    return _fuse_frames(a, b, width_a)
 
 
 def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
@@ -134,55 +59,41 @@ def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
     ]
 
 
-def identity_index(
-    frames: Sequence[FrameRecord],
-) -> dict[int, dict[int, FrameRecord]]:
-    """Map identity -> camera -> earliest frame whose ground truth contains it."""
-    index: dict[int, dict[int, FrameRecord]] = {}
-    for frame in frames:
-        for _, ident in frame.gt_boxes:
-            cams = index.setdefault(ident, {})
-            prev = cams.get(frame.camera_id)
-            if prev is None or frame.frame_index < prev.frame_index:
-                cams[frame.camera_id] = frame
-    return index
+def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
+    """Index pairs (i, j) of frames from two cameras that saw one identity.
 
-
-def build_mtmc_pairs(
-    frames: Sequence[FrameRecord],
-    width_a: float,
-    index: Optional[dict[int, dict[int, FrameRecord]]] = None,
-) -> list[ConcatSample]:
-    """Cross-camera samples: same identity seen by two different cameras.
-
-    For every identity and every unordered pair of cameras that both saw it,
-    one sample fuses that identity's earliest frame from each camera (lower
-    camera id in slot 0). Identities confined to one camera contribute
-    nothing. The slot/offset layout matches `concat_neighbor_frames`.
+    For every identity in increasing order and every pair of cameras whose
+    ground truth contains it (lower camera id first), one pair of that
+    identity's earliest frame in each camera. Identities confined to one
+    camera contribute nothing; a frame pair shared by several identities
+    appears once per identity.
     """
-    if index is None:
-        index = identity_index(frames)
-    samples = []
-    for ident in sorted(index):
-        cameras = sorted(index[ident])
-        for i, cam_a in enumerate(cameras):
-            for cam_b in cameras[i + 1 :]:
-                samples.append(_fuse_frames(index[ident][cam_a], index[ident][cam_b], width_a))
-    return samples
+    earliest: dict[int, dict[int, int]] = {}
+    for k, frame in enumerate(frames):
+        for _, ident in frame.gt_boxes:
+            cams = earliest.setdefault(ident, {})
+            prev = cams.get(frame.camera_id)
+            if prev is None or frame.frame_index < frames[prev].frame_index:
+                cams[frame.camera_id] = k
+    return [
+        (earliest[ident][a], earliest[ident][b])
+        for ident in sorted(earliest)
+        for a, b in combinations(sorted(earliest[ident]), 2)
+    ]
 
 
 def labeled_rows(
     detections: Sequence[DetectionRecord],
-    gt_boxes: Sequence[tuple],
+    gt_boxes: Sequence[tuple[BoundingBox, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(features, identities) of the detections that survive labeling.
+    """(features, identities) of one frame's detections that survive labeling.
 
     Detections below `score_threshold` are dropped. When every kept
     detection already carries a ground-truth identity the labels pass
-    through; otherwise identities come from IoU assignment against
-    `gt_boxes` (box, identity, ...) and unassigned detections are dropped.
+    through; otherwise identities come from IoU assignment against the
+    (box, identity) `gt_boxes` and unassigned detections are dropped.
     Features are (n, F), identities (n,) int64; n may be 0.
     """
     kept = [d for d in detections if d.confidence >= score_threshold]
@@ -191,33 +102,41 @@ def labeled_rows(
     else:
         result = assign_predictions(
             [(d.box, d.confidence) for d in kept],
-            [(box, ident, 0) for box, ident, *_ in gt_boxes],
+            gt_boxes,
             score_threshold=score_threshold,
             iou_min=iou_min,
         )
         labeled = [
-            (d.feature, assigned[0])
-            for d, assigned in zip(kept, result.assignments)
-            if assigned is not None
+            (d.feature, ident)
+            for d, ident in zip(kept, result.assignments)
+            if ident is not None
         ]
     dim = detections[0].feature.shape[0] if detections else 0
     features = np.array([f for f, _ in labeled], dtype=np.float64).reshape(len(labeled), dim)
     return features, np.array([ident for _, ident in labeled], dtype=np.int64)
 
 
-def labeled_batch_from_sample(
-    sample: ConcatSample,
+def training_batches(
+    frames: Sequence[FrameRecord],
+    pairs: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
-) -> Optional[LabeledBatch]:
-    """Turn one sample's `labeled_rows` into a batch for the losses; None
-    when fewer than two rows remain (no pair to learn from)."""
-    features, identities = labeled_rows(
-        sample.detections, sample.gt_boxes, score_threshold, iou_min
-    )
-    if identities.size < 2:
-        return None
-    return LabeledBatch(features=features, identities=identities)
+) -> list[LabeledBatch]:
+    """One batch per frame pair: frames[i]'s `labeled_rows` stacked above
+    frames[j]'s, for every (i, j) of `pairs` in order (`neighbor_frames`,
+    optionally followed by `cross_camera_frames`). Each frame is labeled
+    once, by itself; pairs with fewer than two rows (no pair to learn
+    from) give no batch.
+    """
+    rows = [labeled_rows(f.detections, f.gt_boxes, score_threshold, iou_min) for f in frames]
+    batches = []
+    for i, j in pairs:
+        identities = np.concatenate([rows[i][1], rows[j][1]])
+        if identities.size < 2:
+            continue
+        features = np.vstack([feats for feats, ids in (rows[i], rows[j]) if ids.size])
+        batches.append(LabeledBatch(features=features, identities=identities))
+    return batches
 
 
 def neighbor_pair_distances(
@@ -420,9 +339,10 @@ def _parse_int(value, line_number: int, field: str) -> int:
 def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
     """Read frames written by `save_frames`.
 
-    Enforces integer frame_index, camera_id and identities, one feature
-    dimension across the whole file and strictly increasing frame_index per
-    camera. An empty file is an empty sequence.
+    Enforces integer frame_index, camera_id and identities, at most one
+    ground-truth box per identity in a frame, one feature dimension across
+    the whole file and strictly increasing frame_index per camera. An empty
+    file is an empty sequence.
     """
     frames: list[FrameRecord] = []
     feature_dim: Optional[int] = None
@@ -471,9 +391,16 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise FrameParseError(line_number, "detections", str(exc)) from exc
             gt_boxes = []
+            gt_ids: set[int] = set()
             for g in doc["gt_boxes"]:
                 box = _parse_box(g.get("box"), line_number, "gt_boxes.box")
-                gt_boxes.append((box, _parse_int(g.get("id"), line_number, "gt_boxes.id")))
+                ident = _parse_int(g.get("id"), line_number, "gt_boxes.id")
+                if ident in gt_ids:
+                    raise FrameParseError(
+                        line_number, "gt_boxes.id", f"identity {ident} occurs twice in one frame"
+                    )
+                gt_ids.add(ident)
+                gt_boxes.append((box, ident))
             frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
             camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
             try:

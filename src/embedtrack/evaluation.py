@@ -14,7 +14,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .calibration import PairCounts
-from .core import BoundingBox, iou
+from .core import BoundingBox, iou_matrix
 
 __all__ = [
     "AP_IOU_THRESHOLDS",
@@ -50,10 +50,14 @@ class MotCounts:
 
 @dataclass(frozen=True)
 class AssignmentResult:
-    """One entry per input prediction: the (identity, image_slot) it was
-    assigned, or None when filtered out, under the IoU floor, or outbid."""
+    """One entry per input prediction: the identity it was assigned, or None
+    when filtered out, under the IoU floor, or outbid."""
 
-    assignments: tuple[Optional[tuple[int, int]], ...]
+    assignments: tuple[Optional[int], ...]
+
+
+def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def _claim_best_gt(
@@ -70,40 +74,38 @@ def _claim_best_gt(
     prediction never claims (placeholder for confidence-filtered entries).
     """
     claims: list[Optional[int]] = [None] * len(pred_boxes)
-    if not gt_boxes:
+    live = [i for i, pb in enumerate(pred_boxes) if pb is not None]
+    if not gt_boxes or not live:
         return claims
-    best_iou = [0.0] * len(pred_boxes)
-    for i, pb in enumerate(pred_boxes):
-        if pb is None:
-            continue
-        overlaps = [iou(pb, gb) for gb in gt_boxes]
-        j = int(np.argmax(overlaps))
-        if overlaps[j] > iou_min:
-            claims[i] = j
-            best_iou[i] = overlaps[j]
+    overlaps = iou_matrix(_box_array([pred_boxes[i] for i in live]), _box_array(gt_boxes))
+    best = overlaps.argmax(axis=1)
+    best_iou = overlaps[np.arange(len(live)), best]
     winners: dict[int, int] = {}
-    for i, j in enumerate(claims):
-        if j is None:
-            continue
-        if j not in winners or best_iou[i] > best_iou[winners[j]]:
-            winners[j] = i
-    return [j if j is not None and winners[j] == i else None for i, j in enumerate(claims)]
+    for row, i in enumerate(live):
+        if best_iou[row] > iou_min:
+            j = int(best[row])
+            claims[i] = j
+            if j not in winners or best_iou[row] > best_iou[winners[j]]:
+                winners[j] = row
+    return [
+        j if j is not None and live[winners[j]] == i else None for i, j in enumerate(claims)
+    ]
 
 
 def assign_predictions(
     predictions: Sequence[tuple[BoundingBox, float]],
-    ground_truths: Sequence[tuple[BoundingBox, int, int]],
+    ground_truths: Sequence[tuple[BoundingBox, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> AssignmentResult:
     """Label predicted boxes with ground-truth identities.
 
     Predictions are (box, confidence); those below `score_threshold` are
-    dropped. Ground truths are (box, identity, image_slot). Each surviving
-    prediction is paired with its highest-IoU ground truth when that IoU
-    exceeds `iou_min`; contested ground truths go to the highest-IoU
-    prediction and the losers are left unassigned, so every ground truth
-    labels at most one prediction.
+    dropped. Ground truths are (box, identity). Each surviving prediction is
+    paired with its highest-IoU ground truth when that IoU exceeds
+    `iou_min`; contested ground truths go to the highest-IoU prediction and
+    the losers are left unassigned, so every ground truth labels at most one
+    prediction.
     """
     if not 0.0 < iou_min < 1.0:
         raise ValueError(f"iou_min must lie in (0, 1), got {iou_min}")
@@ -112,57 +114,59 @@ def assign_predictions(
     ]
     claims = _claim_best_gt(pred_boxes, [g[0] for g in ground_truths], iou_min)
     return AssignmentResult(
-        assignments=tuple(
-            (ground_truths[j][1], ground_truths[j][2]) if j is not None else None
-            for j in claims
-        )
+        assignments=tuple(ground_truths[j][1] if j is not None else None for j in claims)
     )
 
 
-def average_precision(
+def _image_overlaps(
     predictions: Sequence[tuple[int, BoundingBox, float]],
     ground_truths: Sequence[tuple[int, BoundingBox]],
-    iou_threshold: float,
-    interpolation: Literal["all_point", "eleven_point"] = "all_point",
-) -> float:
-    """Detection average precision at one IoU threshold.
-
-    Predictions are (image_id, box, confidence) across any number of images;
-    ground truths are (image_id, box). Predictions are ranked by confidence
-    (ties keep input order) and greedily matched to the best still-unmatched
-    ground truth of their image at IoU >= iou_threshold. The default
-    integration is exact all-point interpolation; "eleven_point" averages
-    interpolated precision at recalls 0.0, 0.1, ..., 1.0 instead.
-    """
-    if not ground_truths:
-        raise ValueError("average precision is undefined without ground truths")
-    if not predictions:
-        return 0.0
-
-    by_image: dict[int, list[int]] = {}
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per prediction: the indices of its image's ground truths (input
+    order) and its IoU with each, from one `iou_matrix` per image."""
+    gts_by_image: dict[int, list[int]] = {}
     for gi, (img, _) in enumerate(ground_truths):
-        by_image.setdefault(img, []).append(gi)
-    matched = [False] * len(ground_truths)
+        gts_by_image.setdefault(img, []).append(gi)
+    preds_by_image: dict[int, list[int]] = {}
+    for k, (img, _, _) in enumerate(predictions):
+        preds_by_image.setdefault(img, []).append(k)
+    per_prediction: list = [None] * len(predictions)
+    for img, ks in preds_by_image.items():
+        gis = np.array(gts_by_image.get(img, []), dtype=np.int64)
+        overlaps = iou_matrix(
+            _box_array([predictions[k][1] for k in ks]),
+            _box_array([ground_truths[gi][1] for gi in gis]),
+        )
+        for row, k in enumerate(ks):
+            per_prediction[k] = (gis, overlaps[row])
+    return per_prediction
 
-    conf = np.array([c for _, _, c in predictions])
-    order = np.argsort(-conf, kind="stable")
+
+def _average_precision(
+    order: np.ndarray,
+    overlaps: list[tuple[np.ndarray, np.ndarray]],
+    gt_count: int,
+    iou_threshold: float,
+    interpolation: str,
+) -> float:
+    """AP at one threshold from predictions ranked by `order` and their
+    `_image_overlaps`: each takes the first highest-IoU ground truth of its
+    image that is still unmatched, overlaps it and reaches `iou_threshold`."""
+    matched = np.zeros(gt_count, dtype=bool)
     is_tp = np.zeros(order.size, dtype=bool)
     for rank, k in enumerate(order):
-        img, box, _ = predictions[k]
-        best_j, best_ov = None, 0.0
-        for gi in by_image.get(img, ()):
-            if matched[gi]:
-                continue
-            ov = iou(box, ground_truths[gi][1])
-            if ov >= iou_threshold and ov > best_ov:
-                best_j, best_ov = gi, ov
-        if best_j is not None:
-            matched[best_j] = True
+        gis, ov = overlaps[k]
+        if gis.size == 0:
+            continue
+        eligible = np.where(~matched[gis] & (ov >= iou_threshold), ov, 0.0)
+        best = int(eligible.argmax())
+        if eligible[best] > 0.0:
+            matched[gis[best]] = True
             is_tp[rank] = True
 
     tp_cum = np.cumsum(is_tp)
     fp_cum = np.cumsum(~is_tp)
-    recall = tp_cum / len(ground_truths)
+    recall = tp_cum / gt_count
     precision = tp_cum / (tp_cum + fp_cum)
 
     if interpolation == "eleven_point":
@@ -180,19 +184,44 @@ def average_precision(
     return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))
 
 
+def average_precision(
+    predictions: Sequence[tuple[int, BoundingBox, float]],
+    ground_truths: Sequence[tuple[int, BoundingBox]],
+    iou_threshold: float,
+    interpolation: Literal["all_point", "eleven_point"] = "all_point",
+) -> float:
+    """Detection average precision at one IoU threshold.
+
+    Predictions are (image_id, box, confidence) across any number of images;
+    ground truths are (image_id, box). Predictions are ranked by confidence
+    (ties keep input order) and greedily matched to the best still-unmatched
+    ground truth of their image at IoU >= iou_threshold. The default
+    integration is exact all-point interpolation; "eleven_point" averages
+    interpolated precision at recalls 0.0, 0.1, ..., 1.0 instead.
+    """
+    return mean_ap(predictions, ground_truths, (iou_threshold,), interpolation)
+
+
 def mean_ap(
     predictions: Sequence[tuple[int, BoundingBox, float]],
     ground_truths: Sequence[tuple[int, BoundingBox]],
     iou_thresholds: Sequence[float] = AP_IOU_THRESHOLDS,
     interpolation: Literal["all_point", "eleven_point"] = "all_point",
 ) -> float:
-    """Mean of `average_precision` over the given IoU thresholds."""
+    """Mean of `average_precision` over the given IoU thresholds; each
+    image's overlaps are computed once and shared by all thresholds."""
     if not iou_thresholds:
         raise ValueError("at least one IoU threshold is required")
+    if not ground_truths:
+        raise ValueError("average precision is undefined without ground truths")
+    if not predictions:
+        return 0.0
+    order = np.argsort(-np.array([c for _, _, c in predictions]), kind="stable")
+    overlaps = _image_overlaps(predictions, ground_truths)
     return float(
         np.mean(
             [
-                average_precision(predictions, ground_truths, t, interpolation)
+                _average_precision(order, overlaps, len(ground_truths), t, interpolation)
                 for t in iou_thresholds
             ]
         )
@@ -274,16 +303,13 @@ def pair_counts(
     labeled: list[list[tuple[int, int]]] = []
     for preds, gts in zip(pred_frames, gt_frames):
         result = assign_predictions(
-            [(b, c) for b, c, _ in preds],
-            [(b, ident, 0) for b, ident in gts],
-            score_threshold=score_threshold,
-            iou_min=iou_min,
+            [(b, c) for b, c, _ in preds], gts, score_threshold=score_threshold, iou_min=iou_min
         )
         labeled.append(
             [
-                (assigned[0], preds[i][2])
-                for i, assigned in enumerate(result.assignments)
-                if assigned is not None
+                (ident, preds[i][2])
+                for i, ident in enumerate(result.assignments)
+                if ident is not None
             ]
         )
     tp = tn = fp = fn = 0

@@ -48,8 +48,9 @@ class TrainingDivergedError(RuntimeError):
 class LabeledBatch:
     """Feature rows with parallel integer identity labels.
 
-    One batch is typically the labeled detections of one concatenated frame
-    pair; losses need at least two rows to form any pair.
+    One batch is typically two frames' labeled rows stacked
+    (`datasets.training_batches`); losses need at least two rows to form any
+    pair.
     """
 
     features: np.ndarray

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from embedtrack import EmbeddingHeadParams, batch_loss, distance_matrix
+from embedtrack import EmbeddingHeadParams, batch_loss, distance_matrix, iou
 
 
 def finite_diff_gradient(params, batch, cfg, eps=1e-5):
@@ -76,3 +76,79 @@ def loop_gradient(params, batch, cfg):
     return EmbeddingHeadParams(
         w1=g_z.T @ feats, b1=g_z.sum(axis=0), w2=g_e.T @ a, b2=g_e.sum(axis=0)
     )
+
+
+def scalar_claims(pred_boxes, gt_boxes, iou_min):
+    """Unique highest-IoU matching, one scalar `iou` call per pair: each
+    prediction claims its first highest-IoU ground truth above iou_min; the
+    first highest-IoU claimant keeps it. None predictions never claim."""
+    claims = [None] * len(pred_boxes)
+    if not gt_boxes:
+        return claims
+    best_iou = [0.0] * len(pred_boxes)
+    for i, pb in enumerate(pred_boxes):
+        if pb is None:
+            continue
+        overlaps = [iou(pb, gb) for gb in gt_boxes]
+        j = int(np.argmax(overlaps))
+        if overlaps[j] > iou_min:
+            claims[i] = j
+            best_iou[i] = overlaps[j]
+    winners = {}
+    for i, j in enumerate(claims):
+        if j is None:
+            continue
+        if j not in winners or best_iou[i] > best_iou[winners[j]]:
+            winners[j] = i
+    return [j if j is not None and winners[j] == i else None for i, j in enumerate(claims)]
+
+
+def scalar_average_precision(predictions, ground_truths, iou_threshold, interpolation="all_point"):
+    """Detection AP with one scalar `iou` call per (prediction, ground truth)
+    of an image, recomputed at every threshold: predictions ranked by
+    confidence (stable), each greedily takes the best still-unmatched ground
+    truth of its image at IoU >= iou_threshold."""
+    if not ground_truths:
+        raise ValueError("average precision is undefined without ground truths")
+    if not predictions:
+        return 0.0
+
+    by_image = {}
+    for gi, (img, _) in enumerate(ground_truths):
+        by_image.setdefault(img, []).append(gi)
+    matched = [False] * len(ground_truths)
+
+    conf = np.array([c for _, _, c in predictions])
+    order = np.argsort(-conf, kind="stable")
+    is_tp = np.zeros(order.size, dtype=bool)
+    for rank, k in enumerate(order):
+        img, box, _ = predictions[k]
+        best_j, best_ov = None, 0.0
+        for gi in by_image.get(img, ()):
+            if matched[gi]:
+                continue
+            ov = iou(box, ground_truths[gi][1])
+            if ov >= iou_threshold and ov > best_ov:
+                best_j, best_ov = gi, ov
+        if best_j is not None:
+            matched[best_j] = True
+            is_tp[rank] = True
+
+    tp_cum = np.cumsum(is_tp)
+    fp_cum = np.cumsum(~is_tp)
+    recall = tp_cum / len(ground_truths)
+    precision = tp_cum / (tp_cum + fp_cum)
+
+    if interpolation == "eleven_point":
+        levels = np.linspace(0.0, 1.0, 11)
+        vals = [precision[recall >= r].max() if (recall >= r).any() else 0.0 for r in levels]
+        return float(np.mean(vals))
+    if interpolation != "all_point":
+        raise ValueError(f"unknown interpolation {interpolation!r}")
+
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    mpre = np.concatenate([[0.0], precision, [0.0]])
+    for i in range(mpre.size - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    change = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))

@@ -17,6 +17,17 @@ def boxes(draw):
 
 
 @st.composite
+def grid_boxes(draw):
+    """Boxes on a small integer grid: often identical, touching or nested."""
+    x1 = draw(st.integers(0, 6))
+    y1 = draw(st.integers(0, 6))
+    return BoundingBox(x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
+
+
+any_boxes = st.one_of(boxes(), grid_boxes())
+
+
+@st.composite
 def labeled_batches(draw, max_rows=8, feature_dim=3):
     """Random feature rows with identity labels, sized for exhaustive checks."""
     n = draw(st.integers(min_value=2, max_value=max_rows))

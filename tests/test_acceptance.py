@@ -20,13 +20,11 @@ from embedtrack import (
     SimConfig,
     TrainConfig,
     average_precision,
-    concat_neighbor_frames,
     counts_at,
     distance_matrix,
     embed_batch,
     gradient,
     init_params,
-    labeled_batch_from_sample,
     match_frames,
     mean_ap,
     mota,
@@ -40,6 +38,7 @@ from embedtrack import (
     track_counts,
     track_sequence,
     train,
+    training_batches,
     triplet_loss,
 )
 from embedtrack.cli import main
@@ -224,12 +223,7 @@ def test_criterion_5_end_to_end_synthetic():
         )
         frames, archetypes = simulate(train_cfg_sim)
 
-        width = train_cfg_sim.image_width
-        batches = []
-        for a, b in zip(frames, frames[1:]):
-            batch = labeled_batch_from_sample(concat_neighbor_frames(a, b, width))
-            if batch is not None:
-                batches.append(batch)
+        batches = training_batches(frames, neighbor_frames(frames))
         params, _ = train(batches, LossConfig(), TrainConfig(epochs=50))
         threshold = sweep_threshold(*neighbor_pair_distances(frames, params)).threshold
 

@@ -155,12 +155,10 @@ class TestTrain:
             lines.append(json.dumps(doc))
         shifted = tmp_path / "shifted.jsonl"
         shifted.write_text("\n".join(lines) + "\n")
-        for name, extra in (("auto", []), ("fixed", ["--image-width", "1920"])):
-            out = tmp_path / name
-            assert main(["train", "--frames", str(shifted), "--out", str(out)]
-                        + extra + TRAIN_ARGS) == 0
-            for fname in ("params.json", "loss_trace.csv"):
-                assert (out / fname).read_bytes() == (trained_dir / fname).read_bytes()
+        out = tmp_path / "shifted"
+        assert main(["train", "--frames", str(shifted), "--out", str(out)] + TRAIN_ARGS) == 0
+        for fname in ("params.json", "loss_trace.csv"):
+            assert (out / fname).read_bytes() == (trained_dir / fname).read_bytes()
 
     def test_missing_frames_file_fails_cleanly(self, tmp_path, capsys):
         code = main(
@@ -213,6 +211,20 @@ class TestCalibrate:
         assert code == 0
         # only the 0 -> 1 neighbours pair up: 3 x 3 detections
         assert json.loads((out / "threshold.json").read_text())["pair_count"] == 9
+
+    def test_rejects_repeated_gt_identity(self, tmp_path, sim_dir, trained_dir, capsys):
+        lines = (sim_dir / "frames.jsonl").read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["gt_boxes"][1]["id"] = doc["gt_boxes"][0]["id"]
+        lines[2] = json.dumps(doc)
+        repeated = tmp_path / "frames.jsonl"
+        repeated.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["calibrate", "--frames", str(repeated), "--params", str(trained_dir / "params.json"),
+             "--out", str(tmp_path / "calib")]
+        )
+        assert code == 1
+        assert "line 3, field 'gt_boxes.id'" in capsys.readouterr().err
 
     def test_single_identity_dev_set_fails(self, tmp_path, trained_dir, capsys):
         sim = tmp_path / "sim1"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from embedtrack import BoundingBox, DetectionRecord, FrameRecord, iou
-from strategies import boxes
+from embedtrack import BoundingBox, DetectionRecord, FrameRecord, iou, iou_matrix
+from strategies import any_boxes, boxes
 
 
 class TestBoundingBox:
@@ -68,6 +68,27 @@ class TestIou:
         )
 
 
+def _array(boxes):
+    return np.array([b.as_list() for b in boxes]).reshape(-1, 4)
+
+
+class TestIouMatrix:
+    @given(st.lists(any_boxes, max_size=6), st.lists(any_boxes, max_size=6))
+    def test_equals_scalar_iou(self, a, b):
+        expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+        assert np.array_equal(iou_matrix(_array(a), _array(b)), expected)
+
+    def test_identical_touching_and_disjoint(self):
+        a = [BoundingBox(0, 0, 1, 1)]
+        b = [BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 2, 1), BoundingBox(5, 5, 6, 6)]
+        assert iou_matrix(_array(a), _array(b)).tolist() == [[1.0, 0.0, 0.0]]
+
+    def test_empty_sides_give_empty_shapes(self):
+        one = _array([BoundingBox(0, 0, 1, 1)])
+        assert iou_matrix(one, np.zeros((0, 4))).shape == (1, 0)
+        assert iou_matrix(np.zeros((0, 4)), one).shape == (0, 1)
+
+
 class TestDetectionRecord:
     def _record(self, **kw):
         defaults = dict(
@@ -99,10 +120,6 @@ class TestDetectionRecord:
     def test_rejects_negative_identity(self):
         with pytest.raises(ValueError):
             self._record(gt_identity=-1)
-
-    def test_rejects_bad_slot(self):
-        with pytest.raises(ValueError):
-            self._record(image_slot=2)
 
     def test_equality_compares_feature_values(self):
         assert self._record() == self._record()

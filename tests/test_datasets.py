@@ -7,21 +7,16 @@ from hypothesis import strategies as st
 
 from embedtrack import (
     BoundingBox,
-    ConcatSample,
     DetectionRecord,
     FrameParseError,
     FrameRecord,
     SimConfig,
     TrackRecord,
-    build_mtmc_pairs,
-    concat_neighbor_frames,
+    cross_camera_frames,
     default_archetypes,
     distance_matrix,
     embed_batch,
-    identity_index,
     init_params,
-    iou,
-    labeled_batch_from_sample,
     labeled_rows,
     load_frames,
     load_track_records,
@@ -30,16 +25,16 @@ from embedtrack import (
     save_frames,
     save_track_records,
     simulate,
+    training_batches,
 )
 
 
-def _det(x1, ident=None, conf=0.9, feature=(1.0, 2.0), slot=0):
+def _det(x1, ident=None, conf=0.9, feature=(1.0, 2.0)):
     return DetectionRecord(
         box=BoundingBox(x1, 0.0, x1 + 10.0, 10.0),
         confidence=conf,
         feature=np.asarray(feature),
         gt_identity=ident,
-        image_slot=slot,
     )
 
 
@@ -49,87 +44,91 @@ def _frame(index, idents, camera=0, x_step=50.0):
     return FrameRecord(frame_index=index, camera_id=camera, detections=dets, gt_boxes=gts)
 
 
-class TestConcatNeighborFrames:
-    def test_slot1_boxes_offset_by_width(self):
-        a = _frame(0, [1])
-        b = FrameRecord(
-            frame_index=1,
+def _unlabeled(frame):
+    dets = tuple(
+        DetectionRecord(box=d.box, confidence=d.confidence, feature=d.feature)
+        for d in frame.detections
+    )
+    return FrameRecord(
+        frame_index=frame.frame_index,
+        camera_id=frame.camera_id,
+        detections=dets,
+        gt_boxes=frame.gt_boxes,
+    )
+
+
+class TestTrainingBatches:
+    def test_stacks_first_frame_above_second(self):
+        a = FrameRecord(
+            frame_index=0,
             camera_id=0,
-            detections=(
-                DetectionRecord(
-                    box=BoundingBox(100, 200, 300, 400), confidence=0.9, feature=[1.0, 2.0]
-                ),
-            ),
-            gt_boxes=((BoundingBox(100, 200, 300, 400), 1),),
+            detections=(_det(0.0, ident=1, feature=(1.0, 0.0)), _det(50.0, ident=2)),
+            gt_boxes=(),
         )
-        sample = concat_neighbor_frames(a, b, 1920.0)
-        shifted = [d for d in sample.detections if d.image_slot == 1]
-        assert len(shifted) == 1
-        assert shifted[0].box == BoundingBox(2020, 200, 2220, 400)
-        assert [g for g in sample.gt_boxes if g[2] == 1] == [
-            (BoundingBox(2020, 200, 2220, 400), 1, 1)
-        ]
+        b = _frame(1, [3, 4])
+        (ab, ba) = training_batches([a, b], [(0, 1), (1, 0)])
+        assert ab.identities.tolist() == [1, 2, 3, 4]
+        assert ab.features.tolist() == [[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
+        assert ba.identities.tolist() == [3, 4, 1, 2]
 
-    def test_slot0_unchanged(self):
-        a, b = _frame(0, [1, 2]), _frame(1, [1, 2])
-        sample = concat_neighbor_frames(a, b, 1920.0)
-        slot0 = [d for d in sample.detections if d.image_slot == 0]
-        assert [d.box for d in slot0] == [d.box for d in a.detections]
+    def test_positive_pair_only_when_identity_shared(self):
+        (shared,) = training_batches([_frame(0, [1]), _frame(1, [1])], [(0, 1)])
+        (apart,) = training_batches([_frame(0, [1]), _frame(1, [2])], [(0, 1)])
+        assert shared.identities.tolist() == [1, 1]
+        assert apart.identities.tolist() == [1, 2]
 
-    def test_positive_pair_flag(self):
-        assert concat_neighbor_frames(_frame(0, [1]), _frame(1, [1]), 500.0).has_positive_pair
-        assert not concat_neighbor_frames(_frame(0, [1]), _frame(1, [2]), 500.0).has_positive_pair
+    def test_overlapping_boxes_label_as_in_their_own_frame(self):
+        frames = [_unlabeled(_frame(t, [1, 2], x_step=6.0)) for t in range(2)]  # iou 0.25
+        (batch,) = training_batches(frames, [(0, 1)])
+        rows = [labeled_rows(f.detections, f.gt_boxes) for f in frames]
+        assert np.array_equal(batch.features, np.vstack([r[0] for r in rows]))
+        assert batch.identities.tolist() == [1, 2, 1, 2]
 
-    def test_rejects_non_consecutive(self):
-        with pytest.raises(ValueError):
-            concat_neighbor_frames(_frame(0, [1]), _frame(2, [1]), 500.0)
+    def test_passthrough_when_all_labeled(self):
+        (batch,) = training_batches([_frame(0, [1, 2]), _frame(1, [1, 2])], [(0, 1)])
+        assert batch.identities.tolist() == [1, 2, 1, 2]
 
-    def test_rejects_camera_mismatch(self):
-        with pytest.raises(ValueError):
-            concat_neighbor_frames(_frame(0, [1]), _frame(1, [1], camera=1), 500.0)
+    def test_assignment_path_for_unlabeled_detections(self):
+        frames = [_unlabeled(_frame(0, [1, 2])), _frame(1, [1, 2])]
+        (batch,) = training_batches(frames, [(0, 1)])
+        assert batch.identities.tolist() == [1, 2, 1, 2]
 
-    def test_preserves_box_shapes_and_overlaps(self):
-        a = _frame(0, [1, 2], x_step=6.0)  # overlapping boxes
-        b = _frame(1, [1, 2], x_step=6.0)
-        sample = concat_neighbor_frames(a, b, 500.0)
-        slot1 = [d.box for d in sample.detections if d.image_slot == 1]
-        originals = [d.box for d in b.detections]
-        for box, orig in zip(slot1, originals):
-            assert box.width == orig.width and box.height == orig.height
-        assert iou(slot1[0], slot1[1]) == pytest.approx(iou(originals[0], originals[1]))
+    def test_skips_pairs_below_two_rows(self):
+        frames = [_frame(0, [1]), _frame(1, []), _frame(2, [1]), _frame(3, [1, 2])]
+        assert training_batches(frames, [(0, 1)], score_threshold=0.95) == []
+        assert len(training_batches(frames, [(0, 1), (1, 2), (0, 2)])) == 1
+        # a frame without detections adds no rows, whatever its partner
+        (batch,) = training_batches(frames, [(1, 3)])
+        assert batch.features.shape == (2, 2) and batch.identities.tolist() == [1, 2]
 
-
-class TestConcatSample:
-    def test_rejects_identity_twice_in_slot(self):
-        with pytest.raises(ValueError):
-            ConcatSample(
-                detections=(),
-                gt_boxes=(
-                    (BoundingBox(0, 0, 1, 1), 3, 0),
-                    (BoundingBox(5, 5, 6, 6), 3, 0),
-                ),
-                first_width=100.0,
-            )
-
-    def test_rejects_slot1_box_left_of_boundary(self):
-        with pytest.raises(ValueError):
-            ConcatSample(
-                detections=(),
-                gt_boxes=((BoundingBox(0, 0, 1, 1), 3, 1),),
-                first_width=100.0,
-            )
+    def test_each_frame_labeled_by_itself(self):
+        # frame 0 is fully labeled but its first label disagrees with the
+        # ground-truth box it sits on; frame 1 carries no labels. Labels of
+        # frame 0 pass through, as in calibration, while frame 1 is labeled
+        # by IoU assignment.
+        a = _frame(0, [0, 1, 2])
+        a = FrameRecord(
+            frame_index=0,
+            camera_id=0,
+            detections=(_det(0.0, ident=9),) + a.detections[1:],
+            gt_boxes=a.gt_boxes,
+        )
+        b = _unlabeled(_frame(1, [0, 1, 2]))
+        (batch,) = training_batches([a, b], neighbor_frames([a, b]))
+        assert batch.identities.tolist() == [9, 1, 2, 0, 1, 2]
+        assert labeled_rows(a.detections, a.gt_boxes)[1].tolist() == [9, 1, 2]
 
 
 class TestMtmcPairs:
     def test_identity_in_two_cameras_yields_one_sample(self):
         frames = [_frame(0, [7], camera=1), _frame(0, [7], camera=2)]
-        samples = build_mtmc_pairs(frames, 500.0)
-        assert len(samples) == 1
-        assert samples[0].has_positive_pair
+        assert cross_camera_frames(frames) == [(0, 1)]
+        (batch,) = training_batches(frames, cross_camera_frames(frames))
+        assert batch.identities.tolist() == [7, 7]
 
     def test_single_camera_identity_contributes_nothing(self):
         frames = [_frame(0, [7], camera=1), _frame(1, [7], camera=1)]
-        assert build_mtmc_pairs(frames, 500.0) == []
+        assert cross_camera_frames(frames) == []
 
     def test_sample_count_matches_pair_enumeration(self):
         # identity 1 in 3 cameras (3 pairs), identity 2 in 2 cameras (1 pair)
@@ -138,42 +137,11 @@ class TestMtmcPairs:
             _frame(0, [1, 2], camera=1),
             _frame(0, [1], camera=2),
         ]
-        samples = build_mtmc_pairs(frames, 500.0)
-        assert len(samples) == 3 + 1
+        assert cross_camera_frames(frames) == [(0, 1), (0, 2), (1, 2), (0, 1)]
 
     def test_uses_earliest_frame_per_camera(self):
-        late = _frame(9, [7], camera=1, x_step=999.0)
-        frames = [_frame(3, [7], camera=1), late, _frame(0, [7], camera=2)]
-        index = identity_index(frames)
-        assert index[7][1].frame_index == 3
-        samples = build_mtmc_pairs(frames, 5000.0)
-        slot0 = [d for d in samples[0].detections if d.image_slot == 0]
-        assert slot0[0].box.x1 == 0.0
-
-
-class TestLabeledBatchFromSample:
-    def test_passthrough_when_all_labeled(self):
-        sample = concat_neighbor_frames(_frame(0, [1, 2]), _frame(1, [1, 2]), 500.0)
-        batch = labeled_batch_from_sample(sample)
-        assert batch is not None
-        assert sorted(batch.identities.tolist()) == [1, 1, 2, 2]
-
-    def test_assignment_path_for_unlabeled_detections(self):
-        a = _frame(0, [1, 2])
-        unlabeled = tuple(
-            DetectionRecord(box=d.box, confidence=d.confidence, feature=d.feature)
-            for d in a.detections
-        )
-        a = FrameRecord(frame_index=0, camera_id=0, detections=unlabeled, gt_boxes=a.gt_boxes)
-        sample = concat_neighbor_frames(a, _frame(1, [1, 2]), 500.0)
-        batch = labeled_batch_from_sample(sample)
-        assert batch is not None
-        assert sorted(batch.identities.tolist()) == [1, 1, 2, 2]
-
-    def test_returns_none_below_two_rows(self):
-        sample = concat_neighbor_frames(_frame(0, [1]), _frame(1, []), 500.0)
-        batch = labeled_batch_from_sample(sample, score_threshold=0.95)
-        assert batch is None
+        frames = [_frame(9, [7], camera=1), _frame(3, [7], camera=1), _frame(0, [7], camera=2)]
+        assert cross_camera_frames(frames) == [(1, 2)]
 
 
 class TestLabeledRows:
@@ -204,6 +172,16 @@ class TestNeighborFrames:
             _frame(1, [1], camera=1),
         ]
         assert neighbor_frames(frames) == [(0, 2), (1, 4)]
+
+    def test_no_pair_across_index_gap(self):
+        frames = [_frame(0, [1]), _frame(2, [1])]
+        assert neighbor_frames(frames) == []
+        assert training_batches(frames, neighbor_frames(frames)) == []
+
+    def test_no_pair_across_cameras(self):
+        frames = [_frame(0, [1]), _frame(1, [1], camera=1)]
+        assert neighbor_frames(frames) == []
+        assert training_batches(frames, neighbor_frames(frames)) == []
 
     def test_distances_skip_index_gap(self):
         frames = [_frame(0, [1, 2]), _frame(1, [1, 2]), _frame(3, [1, 2])]
@@ -404,6 +382,16 @@ class TestFrameIo:
         with pytest.raises(FrameParseError) as exc:
             load_frames(path)
         assert exc.value.field == "detections.box"
+
+    def test_rejects_identity_twice_in_frame(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        save_frames(path, [_frame(0, [3, 4]), _frame(1, [3, 4])])
+        doc = json.loads(path.read_text().splitlines()[1])
+        doc["gt_boxes"][1]["id"] = 3
+        path.write_text(path.read_text().splitlines()[0] + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(FrameParseError) as exc:
+            load_frames(path)
+        assert (exc.value.line_number, exc.value.field) == (2, "gt_boxes.id")
 
 
 class TestTrackRecordIo:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from embedtrack import (
     AP_IOU_THRESHOLDS,
@@ -16,6 +18,8 @@ from embedtrack import (
     pair_counts,
     track_counts,
 )
+from oracles import scalar_average_precision, scalar_claims
+from strategies import any_boxes
 
 
 def _box(x1, y1=0.0, w=10.0, h=10.0):
@@ -24,42 +28,42 @@ def _box(x1, y1=0.0, w=10.0, h=10.0):
 
 class TestAssignPredictions:
     def test_exact_match_assigned(self):
-        gt = [(_box(0), 7, 0)]
+        gt = [(_box(0), 7)]
         result = assign_predictions([(_box(0), 0.9)], gt)
-        assert result.assignments == ((7, 0),)
+        assert result.assignments == (7,)
 
     def test_confidence_filter(self):
-        gt = [(_box(0), 7, 0)]
+        gt = [(_box(0), 7)]
         result = assign_predictions([(_box(0), 0.4)], gt)
         assert result.assignments == (None,)
 
     def test_low_iou_abandoned(self):
-        gt = [(_box(0), 7, 0)]
+        gt = [(_box(0), 7)]
         # overlap 4x10 over union 160: iou = 0.25 < 0.5
         result = assign_predictions([(_box(6), 0.9)], gt)
         assert result.assignments == (None,)
 
     def test_highest_iou_wins_contested_gt(self):
-        gt = [(_box(0), 7, 0)]
+        gt = [(_box(0), 7)]
         close = (_box(1), 0.9)  # iou 9/11
         closer = (_box(0), 0.8)  # iou 1.0
         result = assign_predictions([close, closer], gt)
-        assert result.assignments == (None, (7, 0))
+        assert result.assignments == (None, 7)
 
     def test_loser_gets_no_second_choice(self):
         """A prediction outbid on its best ground truth stays unassigned even
         when another compatible ground truth is free."""
-        gt_a = (_box(0), 1, 0)
-        gt_b = (_box(3), 2, 0)
+        gt_a = (_box(0), 1)
+        gt_b = (_box(3), 2)
         winner = (_box(0), 0.9)  # iou 1.0 with gt_a
         loser = (_box(1), 0.9)  # iou(gt_a) = 9/11 > iou(gt_b) = 8/12, loses gt_a
         assert iou(loser[0], gt_a[0]) > iou(loser[0], gt_b[0]) > 0.5
         result = assign_predictions([winner, loser], [gt_a, gt_b])
-        assert result.assignments == ((1, 0), None)
+        assert result.assignments == (1, None)
 
     def test_each_gt_assigned_at_most_once(self):
         rng = np.random.default_rng(0)
-        gt = [(_box(20.0 * k), k, 0) for k in range(3)]
+        gt = [(_box(20.0 * k), k) for k in range(3)]
         preds = [(_box(20.0 * (k % 3) + rng.uniform(-2, 2)), 0.9) for k in range(6)]
         result = assign_predictions(preds, gt)
         taken = [a for a in result.assignments if a is not None]
@@ -68,6 +72,45 @@ class TestAssignPredictions:
     def test_rejects_bad_iou_min(self):
         with pytest.raises(ValueError):
             assign_predictions([], [], iou_min=0.0)
+
+
+detections = st.lists(
+    st.tuples(st.integers(0, 2), any_boxes, st.sampled_from([0.3, 0.6, 0.6, 0.9])), max_size=10
+)
+annotations = st.lists(st.tuples(st.integers(0, 2), any_boxes), min_size=1, max_size=8)
+
+
+class TestScalarOracles:
+    """The vectorised IoU paths against scalar `iou` loops, exactly."""
+
+    @given(
+        st.lists(st.tuples(any_boxes, st.sampled_from([0.3, 0.9]))),
+        st.lists(st.tuples(any_boxes, st.integers(0, 5)), max_size=6),
+        st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    def test_assignment_equals_scalar_claims(self, preds, gts, iou_min):
+        result = assign_predictions(preds, gts, iou_min=iou_min)
+        claims = scalar_claims(
+            [box if conf >= 0.5 else None for box, conf in preds], [b for b, _ in gts], iou_min
+        )
+        assert result.assignments == tuple(None if j is None else gts[j][1] for j in claims)
+
+    @given(
+        detections,
+        annotations,
+        st.sampled_from([0.0, 0.3, 0.5, 0.75, 1.0]),
+        st.sampled_from(["all_point", "eleven_point"]),
+    )
+    def test_average_precision_equals_scalar_loop(self, preds, gts, threshold, interpolation):
+        expected = scalar_average_precision(preds, gts, threshold, interpolation)
+        assert average_precision(preds, gts, threshold, interpolation) == expected
+
+    @given(detections, annotations)
+    def test_mean_ap_equals_scalar_loop(self, preds, gts):
+        expected = float(
+            np.mean([scalar_average_precision(preds, gts, t) for t in AP_IOU_THRESHOLDS])
+        )
+        assert mean_ap(preds, gts) == expected
 
 
 class TestAveragePrecision:

@@ -63,3 +63,43 @@ def test_crowded_head_is_unchanged(tmp_path):
     _run("train", "--frames", tmp_path / "data/frames.jsonl", "--out", tmp_path / "head",
          "--epochs", 3, "--hidden-dim", 24, "--embed-dim", 12, "--initial-lr", 0.01)
     assert _digests(tmp_path, GOLDEN_CROWDED_HEAD) == GOLDEN_CROWDED_HEAD
+
+
+# No gt_id anywhere: train labels every detection by IoU assignment.
+GOLDEN_UNLABELED_HEAD = {
+    "head/params.json": "a2454ffc83a45c41645e208fa1898672909023a25715919bd8eadff6136f8ea7",
+    "head/loss_trace.csv": "bb4e70a423582a237bab907a5871d3d2254aa6b10fe03d7c1c17cecadc6f498e",
+}
+
+# Two single-camera simulations in one file: train --mtmc adds cross-camera
+# pairs of each identity's earliest frame in cameras 0 and 1.
+GOLDEN_MTMC_HEAD = {
+    "head/params.json": "35f6f425bed950a3a7c0063f6bfdd6d88711970702683428d9340c59062bf8de",
+    "head/loss_trace.csv": "747acb6a182e6ae8cf543c90c162fcaf80c3bc834c3898b766841c9113eebf13",
+}
+
+
+def test_unlabeled_head_is_unchanged(tmp_path):
+    _run("simulate", "--out", tmp_path / "data", "--identity-count", 6, "--frame-count", 15,
+         "--dropout", 0.1, "--seed", 3, "--archetype-separation", 8.0, "--noise-sigma", 0.25)
+    path = tmp_path / "data/frames.jsonl"
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    for doc in docs:
+        for det in doc["detections"]:
+            del det["gt_id"]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    _run("train", "--frames", path, "--out", tmp_path / "head",
+         "--epochs", 3, "--hidden-dim", 16, "--embed-dim", 8)
+    assert _digests(tmp_path, GOLDEN_UNLABELED_HEAD) == GOLDEN_UNLABELED_HEAD
+
+
+def test_mtmc_head_is_unchanged(tmp_path):
+    for camera, seed in ((0, 21), (1, 22)):
+        _run("simulate", "--out", tmp_path / f"cam{camera}", "--frame-count", 10,
+             "--camera-id", camera, "--dropout", 0.1, "--seed", seed, *SIM)
+    both = tmp_path / "both.jsonl"
+    both.write_text((tmp_path / "cam0/frames.jsonl").read_text()
+                    + (tmp_path / "cam1/frames.jsonl").read_text())
+    _run("train", "--frames", both, "--out", tmp_path / "head", "--mtmc",
+         "--epochs", 3, "--hidden-dim", 16, "--embed-dim", 8)
+    assert _digests(tmp_path, GOLDEN_MTMC_HEAD) == GOLDEN_MTMC_HEAD
