@@ -59,16 +59,21 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) IoU of every box of `a` (n, 4) against every box of `b` (m, 4),
-    rows [x1, y1, x2, y2]; the same operations in the same order as `iou`,
-    so every entry equals `iou` of the two boxes exactly."""
+    rows [x1, y1, x2, y2]; every entry equals `iou` of the two boxes exactly."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    return _broadcast_iou(a[:, None], b[None, :])
+
+
+def _broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of float64 box arrays `a` and `b`, shaped (..., 4) and broadcast
+    against each other; the same operations in the same order as `iou`."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     overlap = (iw > 0.0) & (ih > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 

@@ -63,10 +63,10 @@ def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
     """Index pairs (i, j) of frames from two cameras that saw one identity.
 
     For every identity in increasing order and every pair of cameras whose
-    ground truth contains it (lower camera id first), one pair of that
+    ground truth contains it (lower camera id first), the pair of that
     identity's earliest frame in each camera. Identities confined to one
     camera contribute nothing; a frame pair shared by several identities
-    appears once per identity.
+    appears once, where its first identity puts it.
     """
     earliest: dict[int, dict[int, int]] = {}
     for k, frame in enumerate(frames):
@@ -75,11 +75,12 @@ def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
             prev = cams.get(frame.camera_id)
             if prev is None or frame.frame_index < frames[prev].frame_index:
                 cams[frame.camera_id] = k
-    return [
+    pairs = (
         (earliest[ident][a], earliest[ident][b])
         for ident in sorted(earliest)
         for a, b in combinations(sorted(earliest[ident]), 2)
-    ]
+    )
+    return list(dict.fromkeys(pairs))
 
 
 def labeled_rows(

@@ -14,7 +14,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .calibration import PairCounts
-from .core import BoundingBox, iou_matrix
+from .core import BoundingBox, _broadcast_iou, iou_matrix
 
 __all__ = [
     "AP_IOU_THRESHOLDS",
@@ -118,68 +118,70 @@ def assign_predictions(
     )
 
 
-def _image_overlaps(
+def _greedy_hits(
     predictions: Sequence[tuple[int, BoundingBox, float]],
     ground_truths: Sequence[tuple[int, BoundingBox]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per prediction: the indices of its image's ground truths (input
-    order) and its IoU with each, from one `iou_matrix` per image."""
-    gts_by_image: dict[int, list[int]] = {}
-    for gi, (img, _) in enumerate(ground_truths):
-        gts_by_image.setdefault(img, []).append(gi)
-    preds_by_image: dict[int, list[int]] = {}
-    for k, (img, _, _) in enumerate(predictions):
-        preds_by_image.setdefault(img, []).append(k)
-    per_prediction: list = [None] * len(predictions)
-    for img, ks in preds_by_image.items():
-        gis = np.array(gts_by_image.get(img, []), dtype=np.int64)
-        overlaps = iou_matrix(
-            _box_array([predictions[k][1] for k in ks]),
-            _box_array([ground_truths[gi][1] for gi in gis]),
-        )
-        for row, k in enumerate(ks):
-            per_prediction[k] = (gis, overlaps[row])
-    return per_prediction
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """(T, P) bool: whether the prediction of each confidence rank (stable)
+    is a true positive at each of the T IoU thresholds.
+
+    Each ranked prediction takes the first highest-IoU ground truth of its
+    image that is still unmatched, overlaps it and reaches the threshold.
+    Predictions of different images never compete for a ground truth, so
+    step s matches the s-th ranked prediction of every image at once, for
+    all thresholds. Each image's ground truths are padded to the largest
+    per-image count with all-zero boxes, whose IoU is 0 and so never a hit.
+    """
+    order = np.argsort(-np.array([c for _, _, c in predictions]), kind="stable")
+    slot: dict[int, int] = {}
+    image = np.array([slot.setdefault(predictions[k][0], len(slot)) for k in order])
+    hits = np.zeros((thresholds.size, order.size), dtype=bool)
+
+    gt_image = np.array([slot.get(img, -1) for img, _ in ground_truths])
+    kept = np.nonzero(gt_image >= 0)[0]
+    if kept.size == 0:
+        return hits
+    kept = kept[np.argsort(gt_image[kept], kind="stable")]
+    gt_counts = np.bincount(gt_image[kept], minlength=len(slot))
+    gt_boxes = np.zeros((len(slot), int(gt_counts.max()), 4))
+    gt_boxes[gt_image[kept], _within_group(gt_counts)] = _box_array(
+        [ground_truths[g][1] for g in kept]
+    )
+    overlaps = _broadcast_iou(
+        _box_array([predictions[k][1] for k in order])[:, None], gt_boxes[image]
+    )
+    matched = np.zeros((thresholds.size,) + gt_boxes.shape[:2], dtype=bool)
+
+    step = np.empty_like(image)
+    step[np.argsort(image, kind="stable")] = _within_group(np.bincount(image))
+    by_step = np.argsort(step, kind="stable")
+    for ranks in np.split(by_step, np.cumsum(np.bincount(step))[:-1]):
+        images = image[ranks]
+        ov = overlaps[ranks]
+        eligible = np.where(~matched[:, images] & (ov >= thresholds[:, None, None]), ov, 0.0)
+        best = eligible.argmax(axis=2)
+        hit = np.take_along_axis(eligible, best[..., None], axis=2)[..., 0] > 0.0
+        t, i = np.nonzero(hit)
+        matched[t, images[i], best[t, i]] = True
+        hits[:, ranks] = hit
+    return hits
 
 
-def _average_precision(
-    order: np.ndarray,
-    overlaps: list[tuple[np.ndarray, np.ndarray]],
-    gt_count: int,
-    iou_threshold: float,
-    interpolation: str,
-) -> float:
-    """AP at one threshold from predictions ranked by `order` and their
-    `_image_overlaps`: each takes the first highest-IoU ground truth of its
-    image that is still unmatched, overlaps it and reaches `iou_threshold`."""
-    matched = np.zeros(gt_count, dtype=bool)
-    is_tp = np.zeros(order.size, dtype=bool)
-    for rank, k in enumerate(order):
-        gis, ov = overlaps[k]
-        if gis.size == 0:
-            continue
-        eligible = np.where(~matched[gis] & (ov >= iou_threshold), ov, 0.0)
-        best = int(eligible.argmax())
-        if eligible[best] > 0.0:
-            matched[gis[best]] = True
-            is_tp[rank] = True
+def _within_group(counts: np.ndarray) -> np.ndarray:
+    """Position of each element within its group, for elements sorted by
+    group with `counts[g]` elements in group g."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    tp_cum = np.cumsum(is_tp)
-    fp_cum = np.cumsum(~is_tp)
-    recall = tp_cum / gt_count
-    precision = tp_cum / (tp_cum + fp_cum)
 
+def _integrate(recall: np.ndarray, precision: np.ndarray, interpolation: str) -> float:
+    """Area under one threshold's precision/recall curve."""
     if interpolation == "eleven_point":
         levels = np.linspace(0.0, 1.0, 11)
         vals = [precision[recall >= r].max() if (recall >= r).any() else 0.0 for r in levels]
         return float(np.mean(vals))
-    if interpolation != "all_point":
-        raise ValueError(f"unknown interpolation {interpolation!r}")
-
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     change = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))
 
@@ -208,23 +210,26 @@ def mean_ap(
     iou_thresholds: Sequence[float] = AP_IOU_THRESHOLDS,
     interpolation: Literal["all_point", "eleven_point"] = "all_point",
 ) -> float:
-    """Mean of `average_precision` over the given IoU thresholds; each
-    image's overlaps are computed once and shared by all thresholds."""
-    if not iou_thresholds:
+    """Mean of `average_precision` over the given IoU thresholds; every
+    threshold is matched in one greedy pass over within-image ranks."""
+    thresholds = np.array(iou_thresholds, dtype=np.float64).reshape(-1)
+    if thresholds.size == 0:
         raise ValueError("at least one IoU threshold is required")
+    if not np.isfinite(thresholds).all():
+        raise ValueError(f"IoU thresholds must be finite, got {thresholds.tolist()}")
+    if interpolation not in ("all_point", "eleven_point"):
+        raise ValueError(f"unknown interpolation {interpolation!r}")
     if not ground_truths:
         raise ValueError("average precision is undefined without ground truths")
     if not predictions:
         return 0.0
-    order = np.argsort(-np.array([c for _, _, c in predictions]), kind="stable")
-    overlaps = _image_overlaps(predictions, ground_truths)
+
+    is_tp = _greedy_hits(predictions, ground_truths, thresholds)
+    tp_cum = np.cumsum(is_tp, axis=1)
+    recall = tp_cum / len(ground_truths)
+    precision = tp_cum / np.arange(1, is_tp.shape[1] + 1)
     return float(
-        np.mean(
-            [
-                _average_precision(order, overlaps, len(ground_truths), t, interpolation)
-                for t in iou_thresholds
-            ]
-        )
+        np.mean([_integrate(rec, pre, interpolation) for rec, pre in zip(recall, precision)])
     )
 
 

@@ -26,6 +26,12 @@ def grid_boxes(draw):
 
 any_boxes = st.one_of(boxes(), grid_boxes())
 
+# Unit-height boxes on one short row: different boxes often tie in IoU with a
+# third, so which of two equal overlaps is taken first decides later matches.
+row_boxes = st.builds(
+    lambda x, w: BoundingBox(x, 0, x + w, 1), st.integers(0, 2), st.integers(1, 2)
+)
+
 
 @st.composite
 def labeled_batches(draw, max_rows=8, feature_dim=3):

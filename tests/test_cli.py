@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from embedtrack import load_frames, load_params, load_track_records
 from embedtrack.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SIM_ARGS = [
     "--identity-count", "3",
@@ -389,10 +393,13 @@ class TestEntryPoints:
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "embedtrack", "simulate", "--out", str(out)] + SIM_ARGS,
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         assert (out / "frames.jsonl").exists()

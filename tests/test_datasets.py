@@ -131,13 +131,24 @@ class TestMtmcPairs:
         assert cross_camera_frames(frames) == []
 
     def test_sample_count_matches_pair_enumeration(self):
-        # identity 1 in 3 cameras (3 pairs), identity 2 in 2 cameras (1 pair)
+        # identity 1 in 3 cameras (3 pairs), identity 2 in 2 cameras (1 pair,
+        # already given by identity 1): each distinct frame pair once
         frames = [
             _frame(0, [1, 2], camera=0),
             _frame(0, [1, 2], camera=1),
             _frame(0, [1], camera=2),
         ]
-        assert cross_camera_frames(frames) == [(0, 1), (0, 2), (1, 2), (0, 1)]
+        assert cross_camera_frames(frames) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_repeated_pair_keeps_first_occurrence_order(self):
+        # identity 1 gives (1, 2); identity 2 gives (0, 1), (0, 2) and (1, 2) again
+        frames = [
+            _frame(0, [2], camera=0),
+            _frame(0, [1, 2], camera=1),
+            _frame(0, [1, 2], camera=2),
+        ]
+        assert cross_camera_frames(frames) == [(1, 2), (0, 1), (0, 2)]
+        assert len(training_batches(frames, cross_camera_frames(frames))) == 3
 
     def test_uses_earliest_frame_per_camera(self):
         frames = [_frame(9, [7], camera=1), _frame(3, [7], camera=1), _frame(0, [7], camera=2)]

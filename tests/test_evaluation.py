@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
@@ -19,11 +19,15 @@ from embedtrack import (
     track_counts,
 )
 from oracles import scalar_average_precision, scalar_claims
-from strategies import any_boxes
+from strategies import any_boxes, row_boxes
 
 
 def _box(x1, y1=0.0, w=10.0, h=10.0):
     return BoundingBox(x1, y1, x1 + w, y1 + h)
+
+
+def _row(x1, x2):
+    return BoundingBox(x1, 0, x2, 1)
 
 
 class TestAssignPredictions:
@@ -112,6 +116,41 @@ class TestScalarOracles:
         )
         assert mean_ap(preds, gts) == expected
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.one_of(row_boxes, any_boxes), st.sampled_from([0.3, 0.6, 0.9])
+            ),
+            max_size=30,
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 4), st.one_of(row_boxes, any_boxes)), min_size=1, max_size=10
+        ),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(["all_point", "eleven_point"]),
+    )
+    @example(
+        # the first ranked prediction overlaps both ground truths by 0.5; only
+        # taking the first of the two leaves the second prediction unmatched
+        [(0, _row(1, 2), 0.9), (0, _row(0, 1), 0.6)],
+        [(0, _row(0, 2)), (0, _row(1, 3))],
+        [0.5],
+        "all_point",
+    )
+    def test_mean_ap_matches_every_threshold_list(self, preds, gts, thresholds, interpolation):
+        """Many ranks per image, images with predictions but no ground truth,
+        equal confidences across images, and thresholds in any order with
+        repeats: the one-pass match equals the scalar loop per threshold."""
+        expected = float(
+            np.mean([scalar_average_precision(preds, gts, t, interpolation) for t in thresholds])
+        )
+        assert mean_ap(preds, gts, thresholds, interpolation) == expected
+
 
 class TestAveragePrecision:
     def test_single_exact_prediction(self):
@@ -176,6 +215,26 @@ class TestMeanAp:
 
     def test_no_predictions(self):
         assert mean_ap([], [(0, _box(0))]) == 0.0
+
+    @pytest.mark.parametrize("preds", [[], [(0, _box(0), 0.9)]])
+    def test_rejects_unknown_interpolation(self, preds):
+        with pytest.raises(ValueError, match="interpolation"):
+            mean_ap(preds, [(0, _box(0))], interpolation="bogus")
+
+    @pytest.mark.parametrize("preds", [[], [(0, _box(0), 0.9)]])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_threshold(self, preds, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mean_ap(preds, [(0, _box(0))], (0.5, bad))
+
+    def test_thresholds_zero_and_one_are_legal(self):
+        # both predictions are exact; in the last call the second one is
+        # shifted by 1 px, so it overlaps its ground truth below 1.0
+        preds = [(0, _box(0), 0.9), (0, _box(5), 0.8)]
+        gts = [(0, _box(0)), (0, _box(5))]
+        assert mean_ap(preds, gts, (0.0,)) == 1.0
+        assert mean_ap(preds, gts, (1.0,)) == 1.0
+        assert mean_ap(preds[:1] + [(0, _box(6), 0.8)], gts, (1.0,)) == 0.5
 
     def test_uses_ten_thresholds(self):
         assert len(AP_IOU_THRESHOLDS) == 10

@@ -72,10 +72,13 @@ GOLDEN_UNLABELED_HEAD = {
 }
 
 # Two single-camera simulations in one file: train --mtmc adds cross-camera
-# pairs of each identity's earliest frame in cameras 0 and 1.
+# pairs of each identity's earliest frame in cameras 0 and 1. All five
+# identities first appear in frame 0 of each camera, which gives one
+# distinct pair, (0, 10), and so one cross-camera batch (batch_count 19).
+# Recorded when repeated pairs stopped giving repeated batches.
 GOLDEN_MTMC_HEAD = {
-    "head/params.json": "35f6f425bed950a3a7c0063f6bfdd6d88711970702683428d9340c59062bf8de",
-    "head/loss_trace.csv": "747acb6a182e6ae8cf543c90c162fcaf80c3bc834c3898b766841c9113eebf13",
+    "head/params.json": "93ac84ac0022371d7ad5e6f621d89679c13f21fc2f38304ec19f48ccc73a9f17",
+    "head/loss_trace.csv": "769db789f053649de4352bc6907c0ab82f5ccb1a3b182cd208f487e70237073c",
 }
 
 
