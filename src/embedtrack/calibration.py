@@ -198,11 +198,14 @@ def distance_histogram(distances, is_same, bin_count: int = 50) -> DistanceHisto
 
 
 def write_sweep_csv(path: Union[str, Path], sweep: ThresholdSweep) -> None:
-    """One row per candidate threshold: h, fp, fn, tp, tn, objective."""
+    """One row per candidate threshold: h, fp, fn, tp, tn, objective.
+
+    Writes the bytes `csv.writer` would (floats as `repr`, CRLF line ends),
+    one formatted string per row, streamed so that the file is never held
+    in memory whole."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sweep.rows.dtype.names)
-        writer.writerows(sweep.rows.tolist())
+        fh.write(",".join(sweep.rows.dtype.names) + "\r\n")
+        fh.writelines("%r,%d,%d,%d,%d,%r\r\n" % row for row in sweep.rows.tolist())
 
 
 def write_histogram_csv(path: Union[str, Path], hist: DistanceHistogram) -> None:

@@ -387,10 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_thresholds(args: argparse.Namespace) -> None:
+    """--score-threshold must lie in [0, 1] and --iou-min in (0, 1); NaN
+    fails both."""
+    score = getattr(args, "score_threshold", None)
+    if score is not None and not 0.0 <= score <= 1.0:
+        raise ValueError(f"--score-threshold must lie in [0, 1], got {score}")
+    iou_min = getattr(args, "iou_min", None)
+    if iou_min is not None and not 0.0 < iou_min < 1.0:
+        raise ValueError(f"--iou-min must lie in (0, 1), got {iou_min}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_thresholds(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

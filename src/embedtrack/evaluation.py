@@ -9,7 +9,7 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,36 +60,43 @@ def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _claim_best_gt(
-    pred_boxes: Sequence[Optional[BoundingBox]],
-    gt_boxes: Sequence[BoundingBox],
-    iou_min: float,
-) -> list[Optional[int]]:
-    """Unique highest-IoU matching used by assignment and MOT counting.
+def _check_iou_min(iou_min: float) -> None:
+    if not 0.0 < iou_min < 1.0:
+        raise ValueError(f"iou_min must lie in (0, 1), got {iou_min}")
 
-    Each prediction claims its highest-IoU ground truth provided that IoU is
-    strictly above iou_min; when several predictions claim the same ground
-    truth, the highest-IoU claimant keeps it (ties to the lowest prediction
-    index) and the rest end up unmatched, with no second choice. A None
-    prediction never claims (placeholder for confidence-filtered entries).
+
+def _claims(
+    frame: np.ndarray,
+    overlaps: np.ndarray,
+    iou_min: float,
+    live: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Unique highest-IoU matching used by assignment, MOT and pair counting:
+    the ground-truth column each row keeps, or -1.
+
+    Row r belongs to frame `frame[r]`, and `overlaps[r]` holds its IoU with
+    each ground truth of that frame (padding columns read 0). Each row in
+    `live` (default every row) claims its first highest-IoU column when that
+    IoU is strictly above iou_min. Of the claimants of one (frame, column),
+    the highest IoU keeps it, ties to the lowest row; the rest keep nothing,
+    with no second choice.
     """
-    claims: list[Optional[int]] = [None] * len(pred_boxes)
-    live = [i for i, pb in enumerate(pred_boxes) if pb is not None]
-    if not gt_boxes or not live:
-        return claims
-    overlaps = iou_matrix(_box_array([pred_boxes[i] for i in live]), _box_array(gt_boxes))
     best = overlaps.argmax(axis=1)
-    best_iou = overlaps[np.arange(len(live)), best]
-    winners: dict[int, int] = {}
-    for row, i in enumerate(live):
-        if best_iou[row] > iou_min:
-            j = int(best[row])
-            claims[i] = j
-            if j not in winners or best_iou[row] > best_iou[winners[j]]:
-                winners[j] = row
-    return [
-        j if j is not None and live[winners[j]] == i else None for i, j in enumerate(claims)
-    ]
+    best_iou = np.take_along_axis(overlaps, best[:, None], axis=1)[:, 0]
+    claiming = best_iou > iou_min
+    if live is not None:
+        claiming &= live
+    rows = np.nonzero(claiming)[0]
+    key = frame[rows] * overlaps.shape[1] + best[rows]
+    # lexsort is stable, so equal IoUs keep the lower row first.
+    order = np.lexsort((-best_iou[rows], key))
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    winners = rows[order[first]]
+    kept = np.full(best.size, -1)
+    kept[winners] = best[winners]
+    return kept
 
 
 def assign_predictions(
@@ -107,14 +114,16 @@ def assign_predictions(
     the losers are left unassigned, so every ground truth labels at most one
     prediction.
     """
-    if not 0.0 < iou_min < 1.0:
-        raise ValueError(f"iou_min must lie in (0, 1), got {iou_min}")
-    pred_boxes = [
-        box if conf >= score_threshold else None for box, conf in predictions
-    ]
-    claims = _claim_best_gt(pred_boxes, [g[0] for g in ground_truths], iou_min)
+    _check_iou_min(iou_min)
+    if not ground_truths:
+        return AssignmentResult(assignments=(None,) * len(predictions))
+    overlaps = iou_matrix(
+        _box_array([box for box, _ in predictions]), _box_array([g[0] for g in ground_truths])
+    )
+    live = np.array([conf >= score_threshold for _, conf in predictions], dtype=bool)
+    claims = _claims(np.zeros(live.size, dtype=np.int64), overlaps, iou_min, live)
     return AssignmentResult(
-        assignments=tuple(ground_truths[j][1] if j is not None else None for j in claims)
+        assignments=tuple(ground_truths[j][1] if j >= 0 else None for j in claims.tolist())
     )
 
 
@@ -240,6 +249,136 @@ def mota(counts: MotCounts) -> float:
     return 1.0 - (counts.miss + counts.fp + counts.mismatch) / counts.gt_total
 
 
+class _FrameOverlaps(NamedTuple):
+    """Flattened predictions of aligned frames and their overlaps."""
+
+    frame: np.ndarray  # (P,) frame position of each prediction
+    overlaps: np.ndarray  # (P, G) IoU with each (padded) ground truth of its frame
+    gt_offset: np.ndarray  # (P,) flat index of the first ground truth of its frame
+    gt_identity: np.ndarray  # (M,) dense code of every ground-truth identity, flat
+
+
+def _frame_overlaps(
+    pred_frames: Sequence[Sequence[tuple]],
+    gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+) -> _FrameOverlaps:
+    """One IoU per (prediction, ground truth of its frame), for every frame at
+    once. `pred_frames[t]` rows start with their box. Each frame's ground
+    truths are padded to the largest per-frame count (at least one) with
+    all-zero boxes, whose IoU is 0 and so never claimed."""
+    if len(pred_frames) != len(gt_frames):
+        raise ValueError(
+            f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames"
+        )
+    n_pred = np.array([len(preds) for preds in pred_frames], dtype=np.int64)
+    n_gt = np.array([len(gts) for gts in gt_frames], dtype=np.int64)
+    frame = np.repeat(np.arange(n_pred.size), n_pred)
+    gt_boxes = np.zeros((n_gt.size, max(int(n_gt.max(initial=0)), 1), 4))
+    gt_boxes[np.repeat(np.arange(n_gt.size), n_gt), _within_group(n_gt)] = _box_array(
+        [box for gts in gt_frames for box, _ in gts]
+    )
+    pred_boxes = _box_array([row[0] for preds in pred_frames for row in preds])
+    return _FrameOverlaps(
+        frame=frame,
+        overlaps=_broadcast_iou(pred_boxes[:, None], gt_boxes[frame]),
+        gt_offset=(np.cumsum(n_gt) - n_gt)[frame],
+        gt_identity=_codes([identity for gts in gt_frames for _, identity in gts]),
+    )
+
+
+def _codes(values: list) -> np.ndarray:
+    """Dense int64 code of each value, equal values sharing one, so that any
+    integer identities or track ids compare as small integers."""
+    return np.unique(np.array(values), return_inverse=True)[1].reshape(-1)
+
+
+def _frame_pairs(neighbors: Sequence[tuple[int, int]], frame_count: int) -> np.ndarray:
+    pairs = np.array(neighbors).reshape(-1, 2)
+    if pairs.size and pairs.dtype.kind not in "iu":
+        raise ValueError(f"neighbors must hold integer frame positions, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64)
+    outside = ((pairs < 0) | (pairs >= frame_count)).any(axis=1)
+    if outside.any():
+        raise ValueError(
+            f"neighbors must index the {frame_count} frames, got {pairs[outside][0].tolist()}"
+        )
+    return pairs
+
+
+def _mot_tally(
+    pred_frames: Sequence[Sequence[tuple]], fo: _FrameOverlaps, iou_min: float
+) -> MotCounts:
+    track = _codes([row[-1] for preds in pred_frames for row in preds])
+    order = np.lexsort((track, fo.frame))
+    repeat = (np.diff(fo.frame[order]) == 0) & (np.diff(track[order]) == 0)
+    if repeat.any():
+        t = int(fo.frame[order][1:][repeat][0])
+        track_ids = [row[-1] for row in pred_frames[t]]
+        raise ValueError(f"prediction frame {t} repeats a track id: {sorted(track_ids)}")
+
+    claims = _claims(fo.frame, fo.overlaps, iou_min)
+    matched = np.nonzero(claims >= 0)[0]
+    identity = fo.gt_identity[fo.gt_offset[matched] + claims[matched]]
+    # Matched rows stay in (frame, prediction) order within each identity.
+    by_identity = np.argsort(identity, kind="stable")
+    identity, track = identity[by_identity], track[matched][by_identity]
+    mismatch = np.count_nonzero((np.diff(identity) == 0) & (np.diff(track) != 0))
+    gt_total = fo.gt_identity.size
+    return MotCounts(
+        fp=claims.size - matched.size,
+        miss=gt_total - matched.size,
+        mismatch=int(mismatch),
+        gt_total=gt_total,
+    )
+
+
+def _pair_tally(
+    pred_frames: Sequence[Sequence[tuple]],
+    fo: _FrameOverlaps,
+    pairs: np.ndarray,
+    score_threshold: float,
+    iou_min: float,
+) -> PairCounts:
+    rows = [row for preds in pred_frames for row in preds]
+    live = np.array([conf >= score_threshold for _, conf, _ in rows], dtype=bool)
+    claims = _claims(fo.frame, fo.overlaps, iou_min, live)
+    kept = np.nonzero(claims >= 0)[0]
+    frame = fo.frame[kept]
+    identity = fo.gt_identity[fo.gt_offset[kept] + claims[kept]]
+    track = _codes([rows[r][2] for r in kept.tolist()])
+    both = identity * (int(track.max(initial=0)) + 1) + track
+
+    total = _same_key_pairs(frame, np.zeros_like(frame), pairs)
+    same_identity = _same_key_pairs(frame, identity, pairs)
+    same_track = _same_key_pairs(frame, track, pairs)
+    tp = _same_key_pairs(frame, both, pairs)
+    return PairCounts(
+        tp=tp,
+        tn=total - same_identity - same_track + tp,
+        fp=same_track - tp,
+        fn=same_identity - tp,
+    )
+
+
+def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> int:
+    """Number of (row of frame t, row of frame u) with equal keys, summed
+    over the (t, u) in `pairs`: the sum over keys k of c_t(k) * c_u(k), with
+    c_t(k) the number of rows of frame t whose key is k."""
+    if key.size == 0:
+        return 0
+    width = int(key.max()) + 1
+    cells, counts = np.unique(frame * width + key, return_counts=True)
+    cell_frame = cells // width
+    # Expand each pair over the cells of its first frame, then look up the
+    # cell with the same key in its second frame.
+    start = np.searchsorted(cell_frame, pairs[:, 0])
+    reps = np.searchsorted(cell_frame, pairs[:, 0], side="right") - start
+    src = np.repeat(start, reps) + _within_group(reps)
+    target = np.repeat(pairs[:, 1], reps) * width + cells[src] % width
+    found = np.minimum(np.searchsorted(cells, target), cells.size - 1)
+    return int(counts[src] @ np.where(cells[found] == target, counts[found], 0))
+
+
 def mot_counts(
     pred_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
     gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
@@ -254,31 +393,8 @@ def mot_counts(
     track id it was last matched with, however long ago that was. A track
     id may occur at most once per frame.
     """
-    if len(pred_frames) != len(gt_frames):
-        raise ValueError(
-            f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames"
-        )
-    fp = miss = mismatch = gt_total = 0
-    last_track: dict[int, int] = {}
-    for t, (preds, gts) in enumerate(zip(pred_frames, gt_frames)):
-        track_ids = [track_id for _, track_id in preds]
-        if len(set(track_ids)) != len(track_ids):
-            raise ValueError(f"prediction frame {t} repeats a track id: {sorted(track_ids)}")
-        gt_total += len(gts)
-        claims = _claim_best_gt([b for b, _ in preds], [b for b, _ in gts], iou_min)
-        matched_gts = set()
-        for i, j in enumerate(claims):
-            if j is None:
-                fp += 1
-                continue
-            matched_gts.add(j)
-            identity = gts[j][1]
-            track_id = preds[i][1]
-            if identity in last_track and last_track[identity] != track_id:
-                mismatch += 1
-            last_track[identity] = track_id
-        miss += len(gts) - len(matched_gts)
-    return MotCounts(fp=fp, miss=miss, mismatch=mismatch, gt_total=gt_total)
+    _check_iou_min(iou_min)
+    return _mot_tally(pred_frames, _frame_overlaps(pred_frames, gt_frames), iou_min)
 
 
 def pair_counts(
@@ -291,47 +407,20 @@ def pair_counts(
     """Confusion counts over all cross-frame detection pairs.
 
     `pred_frames[t]` holds (box, confidence, track_id). Each frame's
-    predictions are first labeled with ground-truth identities via
-    `assign_predictions`; then for every (t, u) in `neighbors`, every
-    (labeled detection in t) x (labeled detection in u) combination is
-    scored: actually-same means equal identities, predicted-same means equal
-    track ids. Pairs involving an unlabeled detection are skipped.
+    predictions are first labeled with ground-truth identities as
+    `assign_predictions` labels them; then for every (t, u) in `neighbors`,
+    every (labeled detection in t) x (labeled detection in u) combination
+    is scored: actually-same means equal identities, predicted-same means
+    equal track ids. Pairs involving an unlabeled detection are skipped.
 
     `neighbors` lists the (t, u) positions where frame u directly follows
     frame t, as `datasets.neighbor_frames` gives them; a tracker ends every
     track at a missing frame, so frames across a gap are not paired.
     """
-    if len(pred_frames) != len(gt_frames):
-        raise ValueError(
-            f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames"
-        )
-    labeled: list[list[tuple[int, int]]] = []
-    for preds, gts in zip(pred_frames, gt_frames):
-        result = assign_predictions(
-            [(b, c) for b, c, _ in preds], gts, score_threshold=score_threshold, iou_min=iou_min
-        )
-        labeled.append(
-            [
-                (ident, preds[i][2])
-                for i, ident in enumerate(result.assignments)
-                if ident is not None
-            ]
-        )
-    tp = tn = fp = fn = 0
-    for t, u in neighbors:
-        for ident_a, track_a in labeled[t]:
-            for ident_b, track_b in labeled[u]:
-                actual = ident_a == ident_b
-                predicted = track_a == track_b
-                if actual and predicted:
-                    tp += 1
-                elif actual:
-                    fn += 1
-                elif predicted:
-                    fp += 1
-                else:
-                    tn += 1
-    return PairCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    _check_iou_min(iou_min)
+    pairs = _frame_pairs(neighbors, len(pred_frames))
+    fo = _frame_overlaps(pred_frames, gt_frames)
+    return _pair_tally(pred_frames, fo, pairs, score_threshold, iou_min)
 
 
 def track_counts(
@@ -343,13 +432,14 @@ def track_counts(
 ) -> tuple[MotCounts, PairCounts]:
     """`mot_counts` and `pair_counts` of one tracker output, from per-frame
     (box, confidence, track_id) rows; MOT counting ignores the confidence.
-    `neighbors` is passed to `pair_counts`."""
-    mot_pred = [[(box, track_id) for box, _, track_id in preds] for preds in pred_frames]
+    Both count from one IoU per (prediction, ground truth of its frame),
+    computed for all frames at once."""
+    _check_iou_min(iou_min)
+    pairs = _frame_pairs(neighbors, len(pred_frames))
+    fo = _frame_overlaps(pred_frames, gt_frames)
     return (
-        mot_counts(mot_pred, gt_frames, iou_min=iou_min),
-        pair_counts(
-            pred_frames, gt_frames, neighbors, score_threshold=score_threshold, iou_min=iou_min
-        ),
+        _mot_tally(pred_frames, fo, iou_min),
+        _pair_tally(pred_frames, fo, pairs, score_threshold, iou_min),
     )
 
 

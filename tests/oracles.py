@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from embedtrack import EmbeddingHeadParams, batch_loss, distance_matrix, iou
+from embedtrack import (
+    EmbeddingHeadParams,
+    MotCounts,
+    PairCounts,
+    batch_loss,
+    distance_matrix,
+    iou,
+)
 
 
 def finite_diff_gradient(params, batch, cfg, eps=1e-5):
@@ -152,3 +159,53 @@ def scalar_average_precision(predictions, ground_truths, iou_threshold, interpol
         mpre[i] = max(mpre[i], mpre[i + 1])
     change = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))
+
+
+def loop_mot_counts(pred_frames, gt_frames, iou_min=0.5):
+    """CLEAR-MOT tallies frame by frame through `scalar_claims`: a matched
+    ground truth is a mismatch when its identity was last matched with
+    another track id, however long ago."""
+    fp = miss = mismatch = gt_total = 0
+    last_track = {}
+    for preds, gts in zip(pred_frames, gt_frames):
+        gt_total += len(gts)
+        claims = scalar_claims([b for b, _ in preds], [b for b, _ in gts], iou_min)
+        matched = 0
+        for (_, track_id), j in zip(preds, claims):
+            if j is None:
+                fp += 1
+                continue
+            matched += 1
+            identity = gts[j][1]
+            if identity in last_track and last_track[identity] != track_id:
+                mismatch += 1
+            last_track[identity] = track_id
+        miss += len(gts) - matched
+    return MotCounts(fp=fp, miss=miss, mismatch=mismatch, gt_total=gt_total)
+
+
+def loop_pair_counts(pred_frames, gt_frames, neighbors, score_threshold=0.5, iou_min=0.5):
+    """Pair confusion counts by enumerating every (labeled row of t) x
+    (labeled row of u) for each (t, u) in `neighbors`; rows are labeled
+    frame by frame through `scalar_claims` on the confident predictions."""
+    labeled = []
+    for preds, gts in zip(pred_frames, gt_frames):
+        claims = scalar_claims(
+            [b if c >= score_threshold else None for b, c, _ in preds], [b for b, _ in gts], iou_min
+        )
+        labeled.append([(gts[j][1], t) for (_, _, t), j in zip(preds, claims) if j is not None])
+    tp = tn = fp = fn = 0
+    for t, u in neighbors:
+        for ident_a, track_a in labeled[t]:
+            for ident_b, track_b in labeled[u]:
+                actual = ident_a == ident_b
+                predicted = track_a == track_b
+                if actual and predicted:
+                    tp += 1
+                elif actual:
+                    fn += 1
+                elif predicted:
+                    fp += 1
+                else:
+                    tn += 1
+    return PairCounts(tp=tp, tn=tn, fp=fp, fn=fn)

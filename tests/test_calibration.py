@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from embedtrack import (
     DegenerateDevSetError,
     DistanceHistogram,
     PairCounts,
+    ThresholdSweep,
     counts_at,
     distance_histogram,
     sweep_threshold,
@@ -260,6 +262,22 @@ class TestCsvExport:
             f"{float(r.h)!r},{r.fp},{r.fn},{r.tp},{r.tn},{float(r.objective)!r}"
             for r in sweep.rows
         ]
+
+    def test_sweep_csv_bytes_equal_csv_writer(self, tmp_path):
+        h = [5e-324, 1e-05, 0.1, 2.0, 1e16]
+        big = [0, 1, 2**40, 10**15, 2**62]
+        objective = [0.5, 1e-05, 2.0, 1e16, 1 / 3]
+        rows = np.rec.fromarrays(
+            [h, big, big[::-1], [7, 0, 3, 2**53 + 1, 5], [1, 2, 3, 4, 5], objective],
+            names="h,fp,fn,tp,tn,objective",
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, ThresholdSweep(threshold=2.0, objective=2.0, rows=rows))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(rows.dtype.names)
+        writer.writerows(rows.tolist())
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_histogram_csv_round_trip(self, tmp_path):
         hist = distance_histogram(*_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)

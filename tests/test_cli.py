@@ -380,6 +380,50 @@ class TestTrackAndEval:
         assert "single camera" in capsys.readouterr().err
 
 
+class TestThresholdFlags:
+    @pytest.mark.parametrize(
+        "stage,flag,value",
+        [
+            ("calibrate", "--iou-min", "5"),
+            ("calibrate", "--score-threshold", "1.5"),
+            ("track", "--score-threshold", "nan"),
+            ("eval", "--score-threshold", "-3"),
+            ("eval", "--iou-min", "1.0"),
+            ("eval", "--iou-min", "nan"),
+        ],
+    )
+    def test_out_of_range_value_fails(
+        self, tmp_path, sim_dir, trained_dir, capsys, stage, flag, value
+    ):
+        frames, params = str(sim_dir / "frames.jsonl"), str(trained_dir / "params.json")
+        tracks = tmp_path / "tracks"
+        assert main(
+            ["track", "--frames", frames, "--params", params, "--threshold", "1e9",
+             "--out", str(tracks)]
+        ) == 0
+        inputs = {
+            "calibrate": ["--frames", frames, "--params", params],
+            "track": ["--frames", frames, "--params", params, "--threshold", "1e9"],
+            "eval": ["--tracks", str(tracks / "tracks.jsonl"), "--frames", frames],
+        }[stage]
+        out = tmp_path / "out"
+        assert main([stage, *inputs, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_score_threshold_ends_are_legal(self, tmp_path, sim_dir, trained_dir, value):
+        out = tmp_path / "out"
+        code = main(
+            ["track", "--frames", str(sim_dir / "frames.jsonl"),
+             "--params", str(trained_dir / "params.json"), "--threshold", "1e9",
+             "--score-threshold", value, "--out", str(out)]
+        )
+        assert code == 0
+        assert _manifest(out)["config"]["score_threshold"] == float(value)
+
+
 class TestEntryPoints:
     def test_missing_subcommand_exits_with_usage(self):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,7 @@ from embedtrack import (
     pair_counts,
     track_counts,
 )
-from oracles import scalar_average_precision, scalar_claims
+from oracles import loop_mot_counts, loop_pair_counts, scalar_average_precision, scalar_claims
 from strategies import any_boxes, row_boxes
 
 
@@ -310,6 +310,15 @@ class TestMotCounts:
         with pytest.raises(ValueError):
             mot_counts([[(_box(0), 7), (_box(50), 7)]], gt)
 
+    @pytest.mark.parametrize("iou_min", [-0.1, 0.0, 1.0, float("nan")])
+    def test_rejects_iou_min_outside_open_interval(self, iou_min):
+        # -0.1 once matched a disjoint box (MOTA 1.0); 1.0 never matched a
+        # box to itself
+        preds = [[(_box(0), 0)]]
+        gt = [[(_box(500), 5)]]
+        with pytest.raises(ValueError, match="iou_min"):
+            mot_counts(preds, gt, iou_min=iou_min)
+
 
 class TestPairCountsMetric:
     def test_two_vehicles_tracked_perfectly(self):
@@ -357,7 +366,81 @@ class TestPairCountsMetric:
         ) == 0
 
 
+@st.composite
+def tracked_frames(draw):
+    """Aligned (box, confidence, track_id) and (box, identity) frames, some
+    empty or without ground truth, identities repeated within a frame, and
+    frame pairs that repeat, skip frames or pair a frame with itself."""
+    n = draw(st.integers(1, 4))
+    pred_row = st.tuples(row_boxes, st.sampled_from([0.3, 0.5, 0.9, 0.9]), st.integers(0, 3))
+    gt_row = st.tuples(row_boxes, st.integers(0, 2))
+    preds, gts = [], []
+    for _ in range(n):
+        # Sizes drawn first, so that frames are not mostly empty.
+        k = draw(st.integers(0, 4))
+        preds.append(draw(st.lists(pred_row, min_size=k, max_size=k, unique_by=lambda r: r[2])))
+        k = draw(st.integers(0, 4))
+        gts.append(draw(st.lists(gt_row, min_size=k, max_size=k)))
+    frame = st.integers(0, n - 1)
+    neighbors = draw(st.lists(st.tuples(frame, frame), min_size=1, max_size=6))
+    return preds, gts, neighbors
+
+
 class TestTrackCounts:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tracked_frames(), st.sampled_from([0.3, 0.5]))
+    @example(
+        # two predictions tie at IoU 1.0 for one ground truth: MOT gives it to
+        # the first (track 1), pair labeling to the second (the first is
+        # below the score threshold), so track 2 in frame 1 is a MOT switch
+        # but a same-track pair
+        (
+            [[(_row(0, 1), 0.3, 1), (_row(0, 1), 0.9, 2)], [(_row(0, 1), 0.9, 2)]],
+            [[(_row(0, 1), 7)], [(_row(0, 1), 7)]],
+            [(0, 1)],
+        ),
+        0.5,
+    )
+    @example(
+        # identity 5 is tracked as 3, unseen in frame 1, then tracked as 4
+        (
+            [[(_row(0, 1), 0.9, 3)], [], [(_row(0, 1), 0.9, 4)]],
+            [[(_row(0, 1), 5)], [], [(_row(0, 1), 5)]],
+            [(0, 1), (1, 2), (0, 2), (0, 2)],
+        ),
+        0.5,
+    )
+    def test_equals_loop_oracles(self, frames, iou_min):
+        preds, gts, neighbors = frames
+        mot_preds = [[(b, t) for b, _, t in f] for f in preds]
+        expected_mot = loop_mot_counts(mot_preds, gts, iou_min)
+        expected_pairs = loop_pair_counts(preds, gts, neighbors, iou_min=iou_min)
+        mot, pairs = track_counts(preds, gts, neighbors, iou_min=iou_min)
+        assert (mot, pairs) == (expected_mot, expected_pairs)
+        assert {type(v) for v in (*vars(mot).values(), *vars(pairs).values())} == {int}
+        assert mot_counts(mot_preds, gts, iou_min) == expected_mot
+        assert pair_counts(preds, gts, neighbors, iou_min=iou_min) == expected_pairs
+
+    @pytest.mark.parametrize("iou_min", [-0.1, 1.0, float("nan")])
+    def test_rejects_iou_min_before_any_work(self, iou_min):
+        # misaligned frames would raise too; the iou_min check comes first
+        for call in (
+            lambda: track_counts([[]], [[], []], [], iou_min=iou_min),
+            lambda: pair_counts([[]], [[], []], [], iou_min=iou_min),
+            lambda: mot_counts([[]], [[], []], iou_min=iou_min),
+        ):
+            with pytest.raises(ValueError, match="iou_min"):
+                call()
+
+    @pytest.mark.parametrize("neighbors", [[(0, 2)], [(-1, 0)], [(0, 1), (2, 0)], [(0.5, 1)]])
+    def test_rejects_neighbors_outside_the_frames(self, neighbors):
+        gt = [[(_box(0), 1)]] * 2
+        preds = [[(_box(0), 0.9, 3)]] * 2
+        with pytest.raises(ValueError, match="neighbors"):
+            pair_counts(preds, gt, neighbors)
+        with pytest.raises(ValueError, match="neighbors"):
+            track_counts(preds, gt, neighbors)
+
     def test_equals_separate_counts(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 3
         preds = [[(_box(0), 0.9, 0), (_box(50), 0.4, 1)], [(_box(0), 0.9, 0)], []]
