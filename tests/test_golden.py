@@ -106,3 +106,53 @@ def test_mtmc_head_is_unchanged(tmp_path):
     _run("train", "--frames", both, "--out", tmp_path / "head", "--mtmc",
          "--epochs", 3, "--hidden-dim", 16, "--embed-dim", 8)
     assert _digests(tmp_path, GOLDEN_MTMC_HEAD) == GOLDEN_MTMC_HEAD
+
+
+# One simulated file edited so that every stage meets the edges where the
+# stages must agree: an index gap (frame 4 dropped), an empty frame (6), a
+# frame whose detections all fall below the score threshold (7), a frame
+# that mixes labeled and unlabeled detections (8), boxes at negative x
+# (9 and 10), and identical detection and gt boxes (11).
+GOLDEN_EDGE_CASES = {
+    "head/params.json": "4d287606a1f61414e407ddaafa577c6b4167eff28715b9f9a80814aa51a3edfa",
+    "head/loss_trace.csv": "344c3a2e91c5717c3e7fc84d6c664487baa8ab3605ac93b73452cf758d5adedc",
+    "calib/threshold.json": "cf9920952aec7f9951c06a13448ad68933569f56bc3e8b71f6c3a468f3ae9a6c",
+    "calib/sweep.csv": "4c34f6919d125dfeb8bf659993caa3234d6ce4ecf58fa22c7de251406f6cc667",
+    "calib/histogram.csv": "49f43f53256b843177063807129ca5641d351395b5912b8710c884258ab7e27f",
+    "tracks/tracks.jsonl": "17eb7471870e0de1be2d95059bf2342df59f52433047e44268f7891b07e99509",
+    "report/report.json": "28388984a720e7c70a4582659d033d30e4f51fd465be81a9abb92aded5c77fc4",
+}
+
+
+def _edge_case_frames(path):
+    docs = {doc["frame_index"]: doc for doc in map(json.loads, path.read_text().splitlines())}
+    del docs[4]
+    docs[6]["detections"] = []
+    for det in docs[7]["detections"]:
+        det["confidence"] = 0.3
+    for det in docs[8]["detections"][::2]:
+        del det["gt_id"]
+    for t in (9, 10):
+        for rec in docs[t]["detections"] + docs[t]["gt_boxes"]:
+            rec["box"][0] -= 2000.0
+            rec["box"][2] -= 2000.0
+    for key in ("detections", "gt_boxes"):
+        docs[11][key][1]["box"] = list(docs[11][key][0]["box"])
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs.values()))
+
+
+def test_edge_cases_are_unchanged(tmp_path):
+    _run("simulate", "--out", tmp_path / "data", "--frame-count", 12, "--dropout", 0.1,
+         "--seed", 11, *SIM)
+    frames = tmp_path / "data/frames.jsonl"
+    _edge_case_frames(frames)
+    _run("train", "--frames", frames, "--out", tmp_path / "head",
+         "--epochs", 4, "--hidden-dim", 16, "--embed-dim", 8)
+    params = tmp_path / "head/params.json"
+    _run("calibrate", "--frames", frames, "--params", params, "--out", tmp_path / "calib")
+    threshold = json.loads((tmp_path / "calib/threshold.json").read_text())["threshold"]
+    _run("track", "--frames", frames, "--params", params, "--threshold", repr(threshold),
+         "--out", tmp_path / "tracks")
+    _run("eval", "--tracks", tmp_path / "tracks/tracks.jsonl", "--frames", frames,
+         "--out", tmp_path / "report")
+    assert _digests(tmp_path, GOLDEN_EDGE_CASES) == GOLDEN_EDGE_CASES
