@@ -24,7 +24,9 @@ from embedtrack import (
     simulate,
     sweep_threshold,
     track_counts,
+    track_records,
     track_sequence,
+    tracks_by_frame,
     train,
     training_batches,
 )
@@ -57,15 +59,10 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
         seed=args.holdout_seed,
     )
     holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
-    assignments = track_sequence(holdout, params, threshold=sweep.threshold)
+    tracks = track_records(holdout, track_sequence(holdout, params, threshold=sweep.threshold))
 
     counts, pairs = track_counts(
-        [
-            [(f.detections[di].box, f.detections[di].confidence, tid) for di, tid in per_frame]
-            for f, per_frame in zip(holdout, assignments)
-        ],
-        [f.gt_boxes for f in holdout],
-        neighbor_frames(holdout),
+        tracks_by_frame(tracks, holdout), [f.gt_boxes for f in holdout], neighbor_frames(holdout)
     )
     return {
         "sigma": sigma,

@@ -131,14 +131,15 @@ def track_sequence(
     params: EmbeddingHeadParams,
     threshold: float,
     score_threshold: float = 0.5,
-) -> list[list[tuple[int, int]]]:
+) -> list[np.ndarray]:
     """Run the tracker over one single-camera sequence.
 
     Detections below `score_threshold` are ignored. A frame that does not
     directly follow the previous one (`FrameRecord.follows`) has nothing to
     match against, so after an index gap every detection gets a fresh id.
-    Returns, per frame, a list of (detection index within the frame,
-    assigned track id) pairs for the detections that were tracked.
+    Returns, per frame, the int64 track id of each detection, -1 for the
+    detections that were not tracked (`datasets.track_records` turns this
+    into a tracks array).
     """
     cameras = {f.camera_id for f in frames}
     if len(cameras) > 1:
@@ -150,14 +151,11 @@ def track_sequence(
             )
 
     state = TrackState.empty(params.embed_dim)
-    out: list[list[tuple[int, int]]] = []
+    out: list[np.ndarray] = []
     for k, frame in enumerate(frames):
-        kept = [
-            i for i, det in enumerate(frame.detections) if det.confidence >= score_threshold
-        ]
-        if kept:
-            feats = np.stack([frame.detections[i].feature for i in kept])
-            emb = embed_batch(params, feats)
+        kept = frame.detections["confidence"] >= score_threshold
+        if kept.any():
+            emb = embed_batch(params, frame.detections["feature"][kept])
         else:
             emb = np.zeros((0, params.embed_dim))
         former = state.former_embeddings
@@ -165,5 +163,7 @@ def track_sequence(
             former = former[:0]
         matches = match_frames(distance_matrix(emb, former), threshold)
         state, ids = update_tracks(state, emb, matches)
-        out.append(list(zip(kept, ids)))
+        track_ids = np.full(kept.size, -1, dtype=np.int64)
+        track_ids[kept] = ids
+        out.append(track_ids)
     return out

@@ -33,9 +33,9 @@ from .calibration import (
     write_histogram_csv,
     write_sweep_csv,
 )
+from .core import BoundingBox
 from .datasets import (
     SimConfig,
-    TrackRecord,
     cross_camera_frames,
     load_frames,
     load_track_records,
@@ -44,9 +44,11 @@ from .datasets import (
     save_frames,
     save_track_records,
     simulate,
+    track_records,
+    tracks_by_frame,
     training_batches,
 )
-from .embedding import LossConfig, load_params, save_params
+from .embedding import LossConfig, _check_config_values, load_params, save_params
 from .evaluation import MotCounts, mean_ap, mota, pair_accuracy, track_counts
 from .training import TrainConfig, train
 
@@ -81,23 +83,14 @@ def _resolve_config(cls, file_values: dict, args: argparse.Namespace):
     return cls(**values)
 
 
-def _load_config_file(path: Optional[str], known: set[str]) -> dict:
+def _load_config_file(path: Optional[str], *classes) -> dict:
     if path is None:
         return {}
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
+    _check_config_values(doc, classes, f"config file {path}")
     return doc
-
-
-def _config_field_names(*classes) -> set[str]:
-    names: set[str] = set()
-    for cls in classes:
-        names |= {f.name for f in dataclasses.fields(cls)}
-    return names
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -126,7 +119,7 @@ def _write_manifest(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config, _config_field_names(SimConfig))
+    file_values = _load_config_file(args.config, SimConfig)
     cfg = _resolve_config(SimConfig, file_values, args)
     out = _out_dir(args)
     frames, _ = simulate(cfg)
@@ -143,9 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(
-        args.config, _config_field_names(LossConfig, TrainConfig)
-    )
+    file_values = _load_config_file(args.config, LossConfig, TrainConfig)
     loss_cfg = _resolve_config(LossConfig, file_values, args)
     train_cfg = _resolve_config(TrainConfig, file_values, args)
     out = _out_dir(args)
@@ -238,22 +229,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     params, _, _ = load_params(args.params)
     frames = load_frames(args.frames)
-    assignments = track_sequence(
+    track_ids = track_sequence(
         frames, params, threshold=args.threshold, score_threshold=args.score_threshold
     )
-    records = []
-    for frame, frame_assignments in zip(frames, assignments):
-        for det_index, track_id in frame_assignments:
-            det = frame.detections[det_index]
-            records.append(
-                TrackRecord(
-                    frame_index=frame.frame_index,
-                    track_id=track_id,
-                    box=det.box,
-                    confidence=det.confidence,
-                )
-            )
-    save_track_records(out / "tracks.jsonl", records)
+    save_track_records(out / "tracks.jsonl", track_records(frames, track_ids))
     _write_manifest(
         out,
         "track",
@@ -265,17 +244,27 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fixture_counts(cls, doc, where: str):
+    """`cls(**doc)` for a fixture's counts, which must be JSON integers."""
+    if not isinstance(doc, dict) or not all(type(v) is int for v in doc.values()):
+        raise ValueError(f"{where} must map count names to JSON integers, got {doc!r}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:  # a missing or unknown count name
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _counts_from_fixture(path: str) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not ({"mot", "pair"} & set(doc)):
         raise ValueError(f"counts fixture {path} must hold a 'mot' and/or 'pair' object")
     report: dict = {}
     if "mot" in doc:
-        counts = MotCounts(**doc["mot"])
+        counts = _fixture_counts(MotCounts, doc["mot"], f"{path} 'mot'")
         report["mot_counts"] = dataclasses.asdict(counts)
         report["mota"] = mota(counts)
     if "pair" in doc:
-        counts = PairCounts(**doc["pair"])
+        counts = _fixture_counts(PairCounts, doc["pair"], f"{path} 'pair'")
         report["pair_counts"] = dataclasses.asdict(counts)
         report["pair_accuracy"] = pair_accuracy(counts)
     return report
@@ -294,27 +283,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cameras = {f.camera_id for f in frames}
         if len(cameras) > 1:
             raise ValueError(f"eval expects a single camera, got {sorted(cameras)}")
-        records = load_track_records(args.tracks)
-        known = {f.frame_index for f in frames}
-        stray = sorted({r.frame_index for r in records} - known)
-        if stray:
-            raise ValueError(f"track records reference unknown frames {stray[:5]}")
-        by_frame: dict[int, list[TrackRecord]] = {}
-        for r in records:
-            by_frame.setdefault(r.frame_index, []).append(r)
-
+        tracks = load_track_records(args.tracks)
         mc, pc = track_counts(
-            [
-                [(r.box, r.confidence, r.track_id) for r in by_frame.get(f.frame_index, [])]
-                for f in frames
-            ],
+            tracks_by_frame(tracks, frames),
             [f.gt_boxes for f in frames],
             neighbor_frames(frames),
             score_threshold=args.score_threshold,
             iou_min=args.iou_min,
         )
-        ap_preds = [(r.frame_index, r.box, r.confidence) for r in records]
-        ap_gts = [(f.frame_index, box) for f in frames for box, _ in f.gt_boxes]
+        columns = (tracks[name].tolist() for name in ("frame_index", "box", "confidence"))
+        ap_preds = [(i, BoundingBox(*box), conf) for i, box, conf in zip(*columns)]
+        ap_gts = [
+            (f.frame_index, BoundingBox(*box)) for f in frames for box in f.gt_boxes["box"].tolist()
+        ]
         report = {
             "mota": mota(mc) if mc.gt_total > 0 else None,
             "mot_counts": dataclasses.asdict(mc),
@@ -388,14 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_thresholds(args: argparse.Namespace) -> None:
-    """--score-threshold must lie in [0, 1] and --iou-min in (0, 1); NaN
-    fails both."""
+    """--score-threshold must lie in [0, 1], --iou-min in (0, 1), --bins be
+    at least 1 and --threshold positive; NaN fails every check."""
     score = getattr(args, "score_threshold", None)
     if score is not None and not 0.0 <= score <= 1.0:
         raise ValueError(f"--score-threshold must lie in [0, 1], got {score}")
     iou_min = getattr(args, "iou_min", None)
     if iou_min is not None and not 0.0 < iou_min < 1.0:
         raise ValueError(f"--iou-min must lie in (0, 1), got {iou_min}")
+    bins = getattr(args, "bins", None)
+    if bins is not None and not bins >= 1:
+        raise ValueError(f"--bins must be at least 1, got {bins}")
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and not threshold > 0:
+        raise ValueError(f"--threshold must be positive, got {threshold}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

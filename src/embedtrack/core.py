@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["BoundingBox", "DetectionRecord", "FrameRecord", "iou", "iou_matrix"]
+__all__ = ["GT_DTYPE", "BoundingBox", "FrameRecord", "detection_dtype", "iou", "iou_matrix"]
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def translate(self, dx: float = 0.0, dy: float = 0.0) -> "BoundingBox":
-        return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
     def as_list(self) -> list[float]:
         return [float(self.x1), float(self.y1), float(self.x2), float(self.y2)]
@@ -78,68 +73,27 @@ def _broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionRecord:
-    """One detected object: box, detector confidence, and its ROI feature vector.
+def detection_dtype(feature_dim: int) -> np.dtype:
+    """Record of one detection: box [x1, y1, x2, y2], detector confidence,
+    ROI feature vector, and annotated identity (-1 when unlabeled)."""
+    fields = [("box", "f8", (4,)), ("confidence", "f8"), ("feature", "f8", (feature_dim,))]
+    return np.dtype(fields + [("gt_id", "i8")])
 
-    `gt_identity` is the annotated object identity when known.
-    """
 
-    box: BoundingBox
-    confidence: float
-    feature: np.ndarray
-    gt_identity: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        feat = np.array(self.feature, dtype=np.float64, copy=True)
-        if feat.ndim != 1:
-            raise ValueError(f"feature must be a 1-D vector, got shape {feat.shape}")
-        if not np.all(np.isfinite(feat)):
-            raise ValueError("feature contains non-finite entries")
-        feat.flags.writeable = False
-        object.__setattr__(self, "feature", feat)
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-        if self.gt_identity is not None and not (
-            isinstance(self.gt_identity, numbers.Integral)
-            and not isinstance(self.gt_identity, bool)
-            and self.gt_identity >= 0
-        ):
-            raise ValueError(
-                f"gt_identity must be a non-negative integer, got {self.gt_identity!r}"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DetectionRecord):
-            return NotImplemented
-        return (
-            self.box == other.box
-            and self.confidence == other.confidence
-            and np.array_equal(self.feature, other.feature)
-            and self.gt_identity == other.gt_identity
-        )
+# Record of one ground-truth box: [x1, y1, x2, y2] and its identity.
+GT_DTYPE = np.dtype([("box", "f8", (4,)), ("id", "i8")])
 
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:
-    """All detections and ground-truth boxes of one video frame."""
+    """All detections (a `detection_dtype` record array) and ground-truth
+    boxes (a `GT_DTYPE` one) of one video frame. `datasets.load_frames` and
+    `datasets.simulate` give read-only slices of one array per file."""
 
     frame_index: int
     camera_id: int
-    detections: tuple[DetectionRecord, ...]
-    gt_boxes: tuple[tuple[BoundingBox, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detections", tuple(self.detections))
-        object.__setattr__(self, "gt_boxes", tuple(tuple(g) for g in self.gt_boxes))
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
-        for _, identity in self.gt_boxes:
-            if identity < 0:
-                raise ValueError(f"ground-truth identity must be non-negative, got {identity}")
-        dims = {d.feature.shape[0] for d in self.detections}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent feature dimensions within frame: {sorted(dims)}")
+    detections: np.ndarray
+    gt_boxes: np.ndarray
 
     def follows(self, other: "FrameRecord") -> bool:
         """True when this frame is the next one after `other`: same camera,
@@ -153,6 +107,7 @@ class FrameRecord:
         return (
             self.frame_index == other.frame_index
             and self.camera_id == other.camera_id
-            and self.detections == other.detections
-            and self.gt_boxes == other.gt_boxes
+            and self.detections.dtype == other.detections.dtype
+            and np.array_equal(self.detections, other.detections)
+            and np.array_equal(self.gt_boxes, other.gt_boxes)
         )

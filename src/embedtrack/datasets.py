@@ -21,14 +21,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BoundingBox, DetectionRecord, FrameRecord
+from .core import GT_DTYPE, FrameRecord, detection_dtype
 from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 from .evaluation import assign_predictions
 from .training import LabeledBatch
 
 __all__ = [
+    "TRACK_DTYPE",
     "SimConfig",
-    "TrackRecord",
     "FrameParseError",
     "neighbor_frames",
     "cross_camera_frames",
@@ -39,9 +39,16 @@ __all__ = [
     "simulate",
     "save_frames",
     "load_frames",
+    "track_records",
+    "tracks_by_frame",
     "save_track_records",
     "load_track_records",
 ]
+
+# Record of one tracked detection: where, when, which track, how confident.
+TRACK_DTYPE = np.dtype(
+    [("frame_index", "i8"), ("track_id", "i8"), ("box", "f8", (4,)), ("confidence", "f8")]
+)
 
 
 def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
@@ -70,7 +77,7 @@ def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
     """
     earliest: dict[int, dict[int, int]] = {}
     for k, frame in enumerate(frames):
-        for _, ident in frame.gt_boxes:
+        for ident in frame.gt_boxes["id"].tolist():
             cams = earliest.setdefault(ident, {})
             prev = cams.get(frame.camera_id)
             if prev is None or frame.frame_index < frames[prev].frame_index:
@@ -84,37 +91,26 @@ def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
 
 
 def labeled_rows(
-    detections: Sequence[DetectionRecord],
-    gt_boxes: Sequence[tuple[BoundingBox, int]],
+    detections: np.ndarray,
+    gt_boxes: np.ndarray,
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features, identities) of one frame's detections that survive labeling.
 
     Detections below `score_threshold` are dropped. When every kept
-    detection already carries a ground-truth identity the labels pass
-    through; otherwise identities come from IoU assignment against the
-    (box, identity) `gt_boxes` and unassigned detections are dropped.
-    Features are (n, F), identities (n,) int64; n may be 0.
+    detection already carries a ground-truth identity (`gt_id` >= 0) the
+    labels pass through; otherwise identities come from IoU assignment
+    against `gt_boxes` and unassigned detections are dropped. Features are
+    (n, F), identities (n,) int64; n may be 0.
     """
-    kept = [d for d in detections if d.confidence >= score_threshold]
-    if all(d.gt_identity is not None for d in kept):
-        labeled = [(d.feature, d.gt_identity) for d in kept]
-    else:
-        result = assign_predictions(
-            [(d.box, d.confidence) for d in kept],
-            gt_boxes,
-            score_threshold=score_threshold,
-            iou_min=iou_min,
-        )
-        labeled = [
-            (d.feature, ident)
-            for d, ident in zip(kept, result.assignments)
-            if ident is not None
-        ]
-    dim = detections[0].feature.shape[0] if detections else 0
-    features = np.array([f for f, _ in labeled], dtype=np.float64).reshape(len(labeled), dim)
-    return features, np.array([ident for _, ident in labeled], dtype=np.int64)
+    kept = detections[detections["confidence"] >= score_threshold]
+    identities = kept["gt_id"]
+    if (identities < 0).any():
+        identities = assign_predictions(kept, gt_boxes, score_threshold, iou_min)
+        kept = kept[identities >= 0]
+        identities = identities[identities >= 0]
+    return np.ascontiguousarray(kept["feature"]), np.ascontiguousarray(identities)
 
 
 def training_batches(
@@ -257,35 +253,36 @@ def simulate(
     ys = rng.uniform(0.0, cfg.image_height - heights)
     vel = rng.uniform(-cfg.max_speed, cfg.max_speed, size=(cfg.identity_count, 2))
 
-    frames = []
+    heads, gt_boxes, detections = [], [], []
     for t in range(cfg.frame_count):
-        gt_boxes = []
-        detections = []
+        boxes = np.stack([xs, ys, xs + widths, ys + heights], axis=1)
+        gt_boxes.append(boxes)
+        count = len(detections)
         for k in range(cfg.identity_count):
-            box = BoundingBox(xs[k], ys[k], xs[k] + widths[k], ys[k] + heights[k])
-            gt_boxes.append((box, k))
             dropped = cfg.dropout > 0 and rng.random() < cfg.dropout
             if not dropped:
                 feature = archetypes[k] + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim)
-                detections.append(
-                    DetectionRecord(
-                        box=box,
-                        confidence=float(rng.uniform(0.6, 1.0)),
-                        feature=feature,
-                        gt_identity=k,
-                    )
-                )
-        frames.append(
-            FrameRecord(
-                frame_index=t,
-                camera_id=cfg.camera_id,
-                detections=tuple(detections),
-                gt_boxes=tuple(gt_boxes),
-            )
-        )
+                detections.append((boxes[k], rng.uniform(0.6, 1.0), feature, k))
+        heads.append((t, cfg.camera_id, len(detections) - count, cfg.identity_count))
         xs = np.clip(xs + vel[:, 0], 0.0, cfg.image_width - widths)
         ys = np.clip(ys + vel[:, 1], 0.0, cfg.image_height - heights)
-    return frames, archetypes
+
+    gt = np.empty(cfg.frame_count * cfg.identity_count, dtype=GT_DTYPE)
+    gt["box"] = np.concatenate(gt_boxes)
+    gt["id"] = np.tile(np.arange(cfg.identity_count), cfg.frame_count)
+    detections = np.array(detections, dtype=detection_dtype(cfg.feature_dim))
+    return _frames(heads, detections, gt), archetypes
+
+
+def _frames(heads: list[tuple], detections: np.ndarray, gt_boxes: np.ndarray) -> list[FrameRecord]:
+    """One frame per (frame_index, camera_id, detection count, gt count) of
+    `heads`, holding consecutive read-only slices of the file's arrays."""
+    detections.flags.writeable = False
+    gt_boxes.flags.writeable = False
+    ends = np.cumsum(np.array([h[2:] for h in heads], dtype=np.int64).reshape(-1, 2), axis=0)
+    dets = np.split(detections, ends[:-1, 0])
+    gts = np.split(gt_boxes, ends[:-1, 1])
+    return [FrameRecord(h[0], h[1], d, g) for h, d, g in zip(heads, dets, gts)]
 
 
 class FrameParseError(ValueError):
@@ -299,55 +296,29 @@ class FrameParseError(ValueError):
 
 
 def save_frames(path: Union[str, Path], frames: Sequence[FrameRecord]) -> None:
-    """Write frames as JSON lines. Field set is fixed; floats round-trip."""
+    """Write frames as JSON lines. Field set is fixed; floats round-trip; a
+    detection's gt_id is omitted when it is -1 (unlabeled)."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for frame in frames:
-            detections = []
-            for d in frame.detections:
-                rec = {
-                    "box": d.box.as_list(),
-                    "confidence": d.confidence,
-                    "feature": d.feature.tolist(),
-                }
-                if d.gt_identity is not None:
-                    rec["gt_id"] = d.gt_identity
-                detections.append(rec)
+            det, gt = frame.detections, frame.gt_boxes
+            columns = (det[name].tolist() for name in ("box", "confidence", "feature", "gt_id"))
             doc = {
                 "frame_index": frame.frame_index,
                 "camera_id": frame.camera_id,
-                "detections": detections,
-                "gt_boxes": [{"box": box.as_list(), "id": ident} for box, ident in frame.gt_boxes],
+                "detections": [
+                    {"box": b, "confidence": c, "feature": f, **({"gt_id": g} if g >= 0 else {})}
+                    for b, c, f, g in zip(*columns)
+                ],
+                "gt_boxes": [
+                    {"box": box, "id": ident}
+                    for box, ident in zip(gt["box"].tolist(), gt["id"].tolist())
+                ],
             }
             fh.write(json.dumps(doc) + "\n")
 
 
-def _parse_box(raw, line_number: int, field: str) -> BoundingBox:
-    if not isinstance(raw, list) or len(raw) != 4:
-        raise FrameParseError(line_number, field, f"expected [x1, y1, x2, y2], got {raw!r}")
-    try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
-        raise FrameParseError(line_number, field, str(exc)) from exc
-
-
-def _parse_int(value, line_number: int, field: str) -> int:
-    """Integer fields take JSON integers only: no floats, bools or strings."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FrameParseError(line_number, field, f"expected an integer, got {value!r}")
-    return value
-
-
-def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
-    """Read frames written by `save_frames`.
-
-    Enforces integer frame_index, camera_id and identities, at most one
-    ground-truth box per identity in a frame, one feature dimension across
-    the whole file and strictly increasing frame_index per camera. An empty
-    file is an empty sequence.
-    """
-    frames: list[FrameRecord] = []
-    feature_dim: Optional[int] = None
-    last_index: dict[int, int] = {}
+def _json_lines(path: Union[str, Path]):
+    """(line number, JSON object) of every non-blank line of a file."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -358,121 +329,204 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
                 raise FrameParseError(line_number, "<line>", f"invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise FrameParseError(line_number, "<line>", "expected a JSON object")
+            yield line_number, doc
+
+
+def _parse_int(value, line_number: int, field: str) -> int:
+    """Integer fields take JSON integers in the int64 range only: no floats,
+    bools or strings."""
+    if type(value) is not int or not -(2**63) <= value < 2**63:
+        raise FrameParseError(line_number, field, f"expected an int64 integer, got {value!r}")
+    return value
+
+
+def _parse_floats(values, shape: tuple, line_number: int, field: str) -> np.ndarray:
+    """float64 array of one line's values, which must have `shape`."""
+    try:
+        column = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FrameParseError(line_number, field, f"expected numbers: {exc}") from exc
+    if column.shape != shape:
+        raise FrameParseError(line_number, field, f"expected shape {shape}, got {values!r}")
+    return column
+
+
+def _objects(items, line_number: int, field: str) -> list[dict]:
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise FrameParseError(line_number, field, "expected a list of objects")
+    return items
+
+
+def _parse_detections(dets: list[dict], feature_dim: int, line_number: int) -> np.ndarray:
+    """The `detection_dtype` records of one line's detections."""
+    n = len(dets)
+    box = _parse_floats([d.get("box") for d in dets], (n, 4), line_number, "detections.box")
+    features = [d.get("feature") for d in dets]
+    bad = [f for f in features if not (isinstance(f, list) and len(f) == feature_dim)]
+    if bad:
+        raise FrameParseError(
+            line_number,
+            "detections.feature",
+            f"expected a list as long as the file's first, got {bad[0]!r}",
+        )
+    det = np.empty(n, dtype=detection_dtype(feature_dim))
+    det["box"] = box
+    gt_id = [d.get("gt_id") for d in dets]
+    for g in gt_id:
+        if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
+            raise FrameParseError(line_number, "detections", f"gt_id must be non-negative, got {g}")
+    det["confidence"] = _parse_floats(
+        [d.get("confidence") for d in dets], (n,), line_number, "detections"
+    )
+    det["feature"] = _parse_floats(features, (n, feature_dim), line_number, "detections")
+    det["gt_id"] = [-1 if g is None else g for g in gt_id]
+    return det
+
+
+def _bad_boxes(boxes: np.ndarray) -> np.ndarray:
+    ordered = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+    return ~(ordered & np.isfinite(boxes).all(axis=1))
+
+
+def _check_values(*checks: tuple) -> None:
+    """Raise at the earliest line that a check (bad rows, line of each row,
+    field, rule, row values) flags; on one line the earlier check wins."""
+    found = [(lines[bad][0], k) for k, (bad, lines, *_) in enumerate(checks) if bad.any()]
+    if found:
+        line, k = min(found)
+        bad, _, field, rule, values = checks[k]
+        raise FrameParseError(int(line), field, f"{rule}, got {values[bad][0].tolist()}")
+
+
+BOX_RULE = "box must be finite with x1 < x2 and y1 < y2"
+
+
+def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
+    """Read frames written by `save_frames` into read-only slices of one
+    detection and one gt record array per file.
+
+    Types and structure are checked line by line as the file streams in,
+    values (boxes, confidences, features) once, vectorised, on the joined
+    arrays; README.md lists the checks. A rejected file raises
+    FrameParseError at its earliest bad line. An empty file gives [].
+    """
+    heads: list[tuple[int, int, int, int]] = []
+    lines: list[int] = []
+    det_chunks: list[np.ndarray] = []
+    gt_chunks: list[np.ndarray] = []
+    feature_dim: Optional[int] = None
+    last_index: dict[int, int] = {}
+    error: Optional[FrameParseError] = None
+    try:
+        for line_number, doc in _json_lines(path):
             for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
                 if key not in doc:
                     raise FrameParseError(line_number, key, "missing")
-            detections = []
-            for d in doc["detections"]:
-                box = _parse_box(d.get("box"), line_number, "detections.box")
-                feature = d.get("feature")
-                if not isinstance(feature, list):
-                    raise FrameParseError(
-                        line_number, "detections.feature", f"expected a list, got {feature!r}"
-                    )
-                if feature_dim is None:
-                    feature_dim = len(feature)
-                elif len(feature) != feature_dim:
-                    raise FrameParseError(
-                        line_number,
-                        "detections.feature",
-                        f"dimension {len(feature)} differs from {feature_dim} seen earlier",
-                    )
-                gt_id = d.get("gt_id")
-                if gt_id is not None:
-                    _parse_int(gt_id, line_number, "detections.gt_id")
-                try:
-                    detections.append(
-                        DetectionRecord(
-                            box=box,
-                            confidence=float(d["confidence"]),
-                            feature=np.asarray(feature, dtype=np.float64),
-                            gt_identity=gt_id,
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise FrameParseError(line_number, "detections", str(exc)) from exc
-            gt_boxes = []
-            gt_ids: set[int] = set()
-            for g in doc["gt_boxes"]:
-                box = _parse_box(g.get("box"), line_number, "gt_boxes.box")
-                ident = _parse_int(g.get("id"), line_number, "gt_boxes.id")
-                if ident in gt_ids:
-                    raise FrameParseError(
-                        line_number, "gt_boxes.id", f"identity {ident} occurs twice in one frame"
-                    )
-                gt_ids.add(ident)
-                gt_boxes.append((box, ident))
+            dets = _objects(doc["detections"], line_number, "detections")
+            gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
+            if dets:
+                if feature_dim is None and isinstance(dets[0].get("feature"), list):
+                    feature_dim = len(dets[0]["feature"])
+                det = _parse_detections(dets, feature_dim, line_number)
+            gt = np.empty(len(gts), dtype=GT_DTYPE)
+            if gts:
+                boxes = [g.get("box") for g in gts]
+                gt["box"] = _parse_floats(boxes, (len(gts), 4), line_number, "gt_boxes.box")
+            ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
+            if len(set(ids)) < len(ids):
+                raise FrameParseError(line_number, "gt_boxes.id", f"an identity repeats: {ids}")
+            gt["id"] = ids
             frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
             camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
-            try:
-                frame = FrameRecord(
-                    frame_index=frame_index,
-                    camera_id=camera_id,
-                    detections=tuple(detections),
-                    gt_boxes=tuple(gt_boxes),
+            if frame_index < 0 or min(ids, default=0) < 0:
+                raise FrameParseError(
+                    line_number, "frame", f"negative frame_index {frame_index} or identity in {ids}"
                 )
-            except (TypeError, ValueError) as exc:
-                raise FrameParseError(line_number, "frame", str(exc)) from exc
-            prev = last_index.get(frame.camera_id)
-            if prev is not None and frame.frame_index <= prev:
+            prev = last_index.get(camera_id)
+            if prev is not None and frame_index <= prev:
                 raise FrameParseError(
                     line_number,
                     "frame_index",
-                    f"{frame.frame_index} does not increase over {prev} for camera {frame.camera_id}",
+                    f"{frame_index} does not increase over {prev} for camera {camera_id}",
                 )
-            last_index[frame.camera_id] = frame.frame_index
-            frames.append(frame)
-    return frames
+            last_index[camera_id] = frame_index
+            if dets:
+                det_chunks.append(det)
+            gt_chunks.append(gt)
+            heads.append((frame_index, camera_id, len(dets), len(gts)))
+            lines.append(line_number)
+    except FrameParseError as exc:
+        error = exc  # raised after any bad value on an earlier line
+
+    det = np.concatenate([np.empty(0, detection_dtype(feature_dim or 0))] + det_chunks)
+    gt = np.concatenate([np.empty(0, GT_DTYPE)] + gt_chunks)
+    det_lines = np.repeat(lines, [h[2] for h in heads])
+    gt_lines = np.repeat(lines, [h[3] for h in heads])
+    conf, feature = det["confidence"], det["feature"]
+    _check_values(
+        (_bad_boxes(det["box"]), det_lines, "detections.box", BOX_RULE, det["box"]),
+        (~((conf >= 0) & (conf <= 1)), det_lines, "detections", "confidence not in [0, 1]", conf),
+        (~np.isfinite(feature).all(axis=1), det_lines, "detections", "feature not finite", feature),
+        (_bad_boxes(gt["box"]), gt_lines, "gt_boxes.box", BOX_RULE, gt["box"]),
+    )
+    if error is not None:
+        raise error
+    return _frames(heads, det, gt)
 
 
-@dataclass(frozen=True)
-class TrackRecord:
-    """One tracked detection: where, when, which track, how confident."""
+def track_records(frames: Sequence[FrameRecord], track_ids: Sequence[np.ndarray]) -> np.ndarray:
+    """The tracks array (`TRACK_DTYPE`) of `association.track_sequence`
+    output: one row per detection with a track id (>= 0), in frame order,
+    then detection order."""
+    if not frames:
+        return np.empty(0, dtype=TRACK_DTYPE)
+    detections = np.concatenate([frame.detections for frame in frames])
+    counts = [len(frame.detections) for frame in frames]
+    ids = np.concatenate(track_ids)
+    rows = np.flatnonzero(ids >= 0)
+    tracks = np.empty(rows.size, dtype=TRACK_DTYPE)
+    tracks["frame_index"] = np.repeat([frame.frame_index for frame in frames], counts)[rows]
+    tracks["track_id"] = ids[rows]
+    tracks["box"] = detections["box"][rows]
+    tracks["confidence"] = detections["confidence"][rows]
+    return tracks
 
-    frame_index: int
-    track_id: int
-    box: BoundingBox
-    confidence: float
 
-    def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
-        if self.track_id < 0:
-            raise ValueError(f"track_id must be non-negative, got {self.track_id}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
+def tracks_by_frame(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> list[np.ndarray]:
+    """The rows of `tracks` in each of `frames`, which must hold increasing
+    frame indices (one camera); rows keep their order within a frame.
+    Raises ValueError when a row names no frame."""
+    index = np.array([frame.frame_index for frame in frames], dtype=np.int64)
+    if (np.diff(index) <= 0).any():
+        raise ValueError(f"frame indices must increase, got {index.tolist()}")
+    known = np.isin(tracks["frame_index"], index)
+    if not known.all():
+        unknown = np.unique(tracks["frame_index"][~known])[:5].tolist()
+        raise ValueError(f"track records reference unknown frames {unknown}")
+    position = np.searchsorted(index, tracks["frame_index"])
+    ends = np.cumsum(np.bincount(position, minlength=index.size))[:-1]
+    return np.split(tracks[np.argsort(position, kind="stable")], ends) if frames else []
 
 
-def save_track_records(path: Union[str, Path], records: Sequence[TrackRecord]) -> None:
-    """Write tracker output as JSON lines."""
+def save_track_records(path: Union[str, Path], tracks: np.ndarray) -> None:
+    """Write a tracks array (`TRACK_DTYPE`) as JSON lines."""
+    names = ("frame_index", "track_id", "box", "confidence")
     with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            doc = {
-                "frame_index": r.frame_index,
-                "track_id": r.track_id,
-                "box": r.box.as_list(),
-                "confidence": r.confidence,
-            }
-            fh.write(json.dumps(doc) + "\n")
+        for row in zip(*(tracks[name].tolist() for name in names)):
+            fh.write(json.dumps(dict(zip(names, row))) + "\n")
 
 
-def load_track_records(path: Union[str, Path]) -> list[TrackRecord]:
-    """Read tracker output written by `save_track_records`.
-
-    frame_index and track_id must be JSON integers, and a track id may
-    occur only once per frame.
-    """
-    records: list[TrackRecord] = []
+def load_track_records(path: Union[str, Path]) -> np.ndarray:
+    """Read tracker output written by `save_track_records` into one tracks
+    array (`TRACK_DTYPE`), checked as `load_frames` checks frames; a track
+    id may occur only once per frame."""
+    rows: list[tuple] = []
+    lines: list[int] = []
     seen: set[tuple[int, int]] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FrameParseError(line_number, "<line>", f"invalid JSON: {exc}") from exc
-            box = _parse_box(doc.get("box"), line_number, "box")
+    error: Optional[FrameParseError] = None
+    try:
+        for line_number, doc in _json_lines(path):
+            box = _parse_floats(doc.get("box"), (4,), line_number, "box")
             key = (
                 _parse_int(doc.get("frame_index"), line_number, "frame_index"),
                 _parse_int(doc.get("track_id"), line_number, "track_id"),
@@ -482,15 +536,25 @@ def load_track_records(path: Union[str, Path]) -> list[TrackRecord]:
                     line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
                 )
             seen.add(key)
-            try:
-                records.append(
-                    TrackRecord(
-                        frame_index=key[0],
-                        track_id=key[1],
-                        box=box,
-                        confidence=float(doc["confidence"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FrameParseError(line_number, "record", str(exc)) from exc
-    return records
+            confidence = _parse_floats(doc.get("confidence"), (), line_number, "record")
+            rows.append((*key, box, confidence))
+            lines.append(line_number)
+    except FrameParseError as exc:
+        error = exc  # raised after any bad value on an earlier line
+
+    tracks = np.array(rows, dtype=TRACK_DTYPE)
+    lines = np.array(lines, dtype=np.int64)
+    conf = tracks["confidence"]
+    _check_values(
+        (_bad_boxes(tracks["box"]), lines, "box", BOX_RULE, tracks["box"]),
+        (
+            (tracks["frame_index"] < 0) | (tracks["track_id"] < 0) | ~((conf >= 0) & (conf <= 1)),
+            lines,
+            "record",
+            "frame_index and track_id must be non-negative, confidence in [0, 1]",
+            tracks,
+        ),
+    )
+    if error is not None:
+        raise error
+    return tracks

@@ -12,7 +12,7 @@ margins and thresholds are expressed in those units.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -22,7 +22,6 @@ __all__ = [
     "EmbeddingHeadParams",
     "LossConfig",
     "init_params",
-    "embed",
     "embed_batch",
     "distance_matrix",
     "triplet_loss",
@@ -64,6 +63,19 @@ class LossConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
+
+
+def _check_config_values(values: dict, classes: Sequence[type], source: str) -> None:
+    """Every key of `values` must name a field of one of the config
+    dataclasses `classes`, and every value must be a JSON integer for int
+    fields, an integer or float for float fields, never a bool."""
+    kinds = {f.name: type(f.default) for cls in classes for f in fields(cls)}
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown config keys in {source}: {unknown}")
+    for name, value in values.items():
+        if type(value) not in ((int,) if kinds[name] is int else (int, float)):
+            raise ValueError(f"{source}: {name} must be {kinds[name].__name__}, got {value!r}")
 
 
 def _as_param_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -175,20 +187,6 @@ def init_params(
         w2=rng.uniform(-bound2, bound2, size=(embed_dim, hidden_dim)),
         b2=rng.uniform(-bound2, bound2, size=embed_dim),
     )
-
-
-def embed(params: EmbeddingHeadParams, feature: np.ndarray) -> np.ndarray:
-    """Map a single F-vector to its E-dimensional embedding.
-
-    Delegates to `embed_batch` so single and batched evaluation share one
-    floating-point path (gemm and gemv associate sums differently).
-    """
-    feat = np.asarray(feature, dtype=np.float64)
-    if feat.shape != (params.feature_dim,):
-        raise ValueError(
-            f"feature has shape {feat.shape}, head expects ({params.feature_dim},)"
-        )
-    return embed_batch(params, feat[None, :])[0]
 
 
 def embed_batch(params: EmbeddingHeadParams, features: np.ndarray) -> np.ndarray:
@@ -327,6 +325,8 @@ def load_params(
     Returns (params, seed, loss_config); the latter two may be None.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"parameter file {path} must hold a JSON object")
     version = doc.get("format_version")
     if version != PARAMS_FORMAT_VERSION:
         raise ValueError(f"unsupported parameter file version: {version!r}")
@@ -339,6 +339,10 @@ def load_params(
     )
     seed = doc.get("seed")
     loss_cfg = doc.get("loss_config")
+    if loss_cfg is not None:
+        if not isinstance(loss_cfg, dict):
+            raise ValueError(f"loss_config in {path} must be a JSON object")
+        _check_config_values(loss_cfg, (LossConfig,), f"loss_config in {path}")
     return (
         params,
         int(seed) if seed is not None else None,

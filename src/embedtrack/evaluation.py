@@ -18,7 +18,6 @@ from .core import BoundingBox, _broadcast_iou, iou_matrix
 
 __all__ = [
     "AP_IOU_THRESHOLDS",
-    "AssignmentResult",
     "MotCounts",
     "assign_predictions",
     "average_precision",
@@ -46,14 +45,6 @@ class MotCounts:
         for name in ("fp", "miss", "mismatch", "gt_total"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class AssignmentResult:
-    """One entry per input prediction: the identity it was assigned, or None
-    when filtered out, under the IoU floor, or outbid."""
-
-    assignments: tuple[Optional[int], ...]
 
 
 def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -100,31 +91,31 @@ def _claims(
 
 
 def assign_predictions(
-    predictions: Sequence[tuple[BoundingBox, float]],
-    ground_truths: Sequence[tuple[BoundingBox, int]],
+    detections: np.ndarray,
+    gt_boxes: np.ndarray,
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
-) -> AssignmentResult:
-    """Label predicted boxes with ground-truth identities.
+) -> np.ndarray:
+    """Label one frame's detections with ground-truth identities.
 
-    Predictions are (box, confidence); those below `score_threshold` are
-    dropped. Ground truths are (box, identity). Each surviving prediction is
-    paired with its highest-IoU ground truth when that IoU exceeds
-    `iou_min`; contested ground truths go to the highest-IoU prediction and
-    the losers are left unassigned, so every ground truth labels at most one
-    prediction.
+    `detections` is a record array with `box` and `confidence` fields;
+    rows below `score_threshold` are dropped. `gt_boxes` has `box` and `id`
+    fields, as `FrameRecord.gt_boxes`. Each surviving row is paired with
+    its highest-IoU ground truth when that IoU exceeds `iou_min`; contested
+    ground truths go to the highest-IoU row and the losers are left
+    unassigned, so every ground truth labels at most one row. Returns the
+    int64 identity of every row, -1 when it has none.
     """
     _check_iou_min(iou_min)
-    if not ground_truths:
-        return AssignmentResult(assignments=(None,) * len(predictions))
-    overlaps = iou_matrix(
-        _box_array([box for box, _ in predictions]), _box_array([g[0] for g in ground_truths])
-    )
-    live = np.array([conf >= score_threshold for _, conf in predictions], dtype=bool)
+    identities = np.full(len(detections), -1, dtype=np.int64)
+    if len(gt_boxes) == 0:
+        return identities
+    overlaps = iou_matrix(detections["box"], gt_boxes["box"])
+    live = detections["confidence"] >= score_threshold
     claims = _claims(np.zeros(live.size, dtype=np.int64), overlaps, iou_min, live)
-    return AssignmentResult(
-        assignments=tuple(ground_truths[j][1] if j >= 0 else None for j in claims.tolist())
-    )
+    kept = claims >= 0
+    identities[kept] = gt_boxes["id"][claims[kept]]
+    return identities
 
 
 def _greedy_hits(
@@ -253,19 +244,25 @@ class _FrameOverlaps(NamedTuple):
     """Flattened predictions of aligned frames and their overlaps."""
 
     frame: np.ndarray  # (P,) frame position of each prediction
+    confidence: np.ndarray  # (P,) confidence of each prediction
+    track: np.ndarray  # (P,) track id of each prediction
     overlaps: np.ndarray  # (P, G) IoU with each (padded) ground truth of its frame
     gt_offset: np.ndarray  # (P,) flat index of the first ground truth of its frame
     gt_identity: np.ndarray  # (M,) dense code of every ground-truth identity, flat
 
 
+def _column(frames: Sequence[np.ndarray], field: str, empty: tuple = (0,), dtype=np.float64):
+    """One field of every frame's records, concatenated."""
+    return np.concatenate([np.zeros(empty, dtype)] + [f[field] for f in frames])
+
+
 def _frame_overlaps(
-    pred_frames: Sequence[Sequence[tuple]],
-    gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    pred_frames: Sequence[np.ndarray], gt_frames: Sequence[np.ndarray]
 ) -> _FrameOverlaps:
     """One IoU per (prediction, ground truth of its frame), for every frame at
-    once. `pred_frames[t]` rows start with their box. Each frame's ground
-    truths are padded to the largest per-frame count (at least one) with
-    all-zero boxes, whose IoU is 0 and so never claimed."""
+    once. Each frame's ground truths are padded to the largest per-frame
+    count (at least one) with all-zero boxes, whose IoU is 0 and so never
+    claimed."""
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
             f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames"
@@ -274,22 +271,24 @@ def _frame_overlaps(
     n_gt = np.array([len(gts) for gts in gt_frames], dtype=np.int64)
     frame = np.repeat(np.arange(n_pred.size), n_pred)
     gt_boxes = np.zeros((n_gt.size, max(int(n_gt.max(initial=0)), 1), 4))
-    gt_boxes[np.repeat(np.arange(n_gt.size), n_gt), _within_group(n_gt)] = _box_array(
-        [box for gts in gt_frames for box, _ in gts]
+    gt_boxes[np.repeat(np.arange(n_gt.size), n_gt), _within_group(n_gt)] = _column(
+        gt_frames, "box", (0, 4)
     )
-    pred_boxes = _box_array([row[0] for preds in pred_frames for row in preds])
+    pred_boxes = _column(pred_frames, "box", (0, 4))
     return _FrameOverlaps(
         frame=frame,
+        confidence=_column(pred_frames, "confidence"),
+        track=_column(pred_frames, "track_id", dtype=np.int64),
         overlaps=_broadcast_iou(pred_boxes[:, None], gt_boxes[frame]),
         gt_offset=(np.cumsum(n_gt) - n_gt)[frame],
-        gt_identity=_codes([identity for gts in gt_frames for _, identity in gts]),
+        gt_identity=_codes(_column(gt_frames, "id", dtype=np.int64)),
     )
 
 
-def _codes(values: list) -> np.ndarray:
+def _codes(values: np.ndarray) -> np.ndarray:
     """Dense int64 code of each value, equal values sharing one, so that any
     integer identities or track ids compare as small integers."""
-    return np.unique(np.array(values), return_inverse=True)[1].reshape(-1)
+    return np.unique(values, return_inverse=True)[1].reshape(-1)
 
 
 def _frame_pairs(neighbors: Sequence[tuple[int, int]], frame_count: int) -> np.ndarray:
@@ -305,15 +304,13 @@ def _frame_pairs(neighbors: Sequence[tuple[int, int]], frame_count: int) -> np.n
     return pairs
 
 
-def _mot_tally(
-    pred_frames: Sequence[Sequence[tuple]], fo: _FrameOverlaps, iou_min: float
-) -> MotCounts:
-    track = _codes([row[-1] for preds in pred_frames for row in preds])
+def _mot_tally(fo: _FrameOverlaps, iou_min: float) -> MotCounts:
+    track = _codes(fo.track)
     order = np.lexsort((track, fo.frame))
     repeat = (np.diff(fo.frame[order]) == 0) & (np.diff(track[order]) == 0)
     if repeat.any():
         t = int(fo.frame[order][1:][repeat][0])
-        track_ids = [row[-1] for row in pred_frames[t]]
+        track_ids = fo.track[fo.frame == t].tolist()
         raise ValueError(f"prediction frame {t} repeats a track id: {sorted(track_ids)}")
 
     claims = _claims(fo.frame, fo.overlaps, iou_min)
@@ -333,19 +330,13 @@ def _mot_tally(
 
 
 def _pair_tally(
-    pred_frames: Sequence[Sequence[tuple]],
-    fo: _FrameOverlaps,
-    pairs: np.ndarray,
-    score_threshold: float,
-    iou_min: float,
+    fo: _FrameOverlaps, pairs: np.ndarray, score_threshold: float, iou_min: float
 ) -> PairCounts:
-    rows = [row for preds in pred_frames for row in preds]
-    live = np.array([conf >= score_threshold for _, conf, _ in rows], dtype=bool)
-    claims = _claims(fo.frame, fo.overlaps, iou_min, live)
+    claims = _claims(fo.frame, fo.overlaps, iou_min, fo.confidence >= score_threshold)
     kept = np.nonzero(claims >= 0)[0]
     frame = fo.frame[kept]
     identity = fo.gt_identity[fo.gt_offset[kept] + claims[kept]]
-    track = _codes([rows[r][2] for r in kept.tolist()])
+    track = _codes(fo.track[kept])
     both = identity * (int(track.max(initial=0)) + 1) + track
 
     total = _same_key_pairs(frame, np.zeros_like(frame), pairs)
@@ -358,8 +349,6 @@ def _pair_tally(
         fp=same_track - tp,
         fn=same_identity - tp,
     )
-
-
 def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> int:
     """Number of (row of frame t, row of frame u) with equal keys, summed
     over the (t, u) in `pairs`: the sum over keys k of c_t(k) * c_u(k), with
@@ -380,34 +369,36 @@ def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> in
 
 
 def mot_counts(
-    pred_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
-    gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    pred_frames: Sequence[np.ndarray],
+    gt_frames: Sequence[np.ndarray],
     iou_min: float = 0.5,
 ) -> MotCounts:
     """Tally false positives, misses, and identity mismatches over a sequence.
 
-    `pred_frames[t]` holds (box, track_id) tracker outputs, `gt_frames[t]`
-    holds (box, identity) ground truths; the two sequences must be frame
-    aligned. Boxes are matched per frame by the unique highest-IoU rule. A
-    mismatch is a matched ground truth whose track id differs from the
-    track id it was last matched with, however long ago that was. A track
-    id may occur at most once per frame.
+    `pred_frames[t]` is a record array of tracker outputs with `box`,
+    `confidence` (ignored here) and `track_id` fields; `gt_frames[t]` has
+    `box` and `id` fields, as `FrameRecord.gt_boxes`. The two sequences
+    must be frame aligned. Boxes are matched per frame by
+    the unique highest-IoU rule. A mismatch is a matched ground truth whose
+    track id differs from the track id it was last matched with, however
+    long ago that was. A track id may occur at most once per frame.
     """
     _check_iou_min(iou_min)
-    return _mot_tally(pred_frames, _frame_overlaps(pred_frames, gt_frames), iou_min)
+    return _mot_tally(_frame_overlaps(pred_frames, gt_frames), iou_min)
 
 
 def pair_counts(
-    pred_frames: Sequence[Sequence[tuple[BoundingBox, float, int]]],
-    gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    pred_frames: Sequence[np.ndarray],
+    gt_frames: Sequence[np.ndarray],
     neighbors: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> PairCounts:
     """Confusion counts over all cross-frame detection pairs.
 
-    `pred_frames[t]` holds (box, confidence, track_id). Each frame's
-    predictions are first labeled with ground-truth identities as
+    `pred_frames[t]` is a record array with `box`, `confidence` and
+    `track_id` fields; `gt_frames[t]` has `box` and `id` fields. Each
+    frame's predictions are first labeled with ground-truth identities as
     `assign_predictions` labels them; then for every (t, u) in `neighbors`,
     every (labeled detection in t) x (labeled detection in u) combination
     is scored: actually-same means equal identities, predicted-same means
@@ -419,28 +410,26 @@ def pair_counts(
     """
     _check_iou_min(iou_min)
     pairs = _frame_pairs(neighbors, len(pred_frames))
-    fo = _frame_overlaps(pred_frames, gt_frames)
-    return _pair_tally(pred_frames, fo, pairs, score_threshold, iou_min)
+    return _pair_tally(_frame_overlaps(pred_frames, gt_frames), pairs, score_threshold, iou_min)
 
 
 def track_counts(
-    pred_frames: Sequence[Sequence[tuple[BoundingBox, float, int]]],
-    gt_frames: Sequence[Sequence[tuple[BoundingBox, int]]],
+    pred_frames: Sequence[np.ndarray],
+    gt_frames: Sequence[np.ndarray],
     neighbors: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[MotCounts, PairCounts]:
     """`mot_counts` and `pair_counts` of one tracker output, from per-frame
-    (box, confidence, track_id) rows; MOT counting ignores the confidence.
-    Both count from one IoU per (prediction, ground truth of its frame),
-    computed for all frames at once."""
+    record arrays with `box`, `confidence` and `track_id` fields (the
+    per-frame slices of a tracks array, `datasets.tracks_by_frame`); MOT
+    counting ignores the confidence. Both count from one IoU per
+    (prediction, ground truth of its frame), computed for all frames at
+    once."""
     _check_iou_min(iou_min)
     pairs = _frame_pairs(neighbors, len(pred_frames))
     fo = _frame_overlaps(pred_frames, gt_frames)
-    return (
-        _mot_tally(pred_frames, fo, iou_min),
-        _pair_tally(pred_frames, fo, pairs, score_threshold, iou_min),
-    )
+    return _mot_tally(fo, iou_min), _pair_tally(fo, pairs, score_threshold, iou_min)
 
 
 def pair_accuracy(counts: PairCounts) -> float:

@@ -36,13 +36,19 @@ from embedtrack import (
     sweep_threshold,
     threshold_objective,
     track_counts,
+    track_records,
     track_sequence,
+    tracks_by_frame,
     train,
     training_batches,
     triplet_loss,
 )
 from embedtrack.cli import main
 from oracles import finite_diff_gradient
+
+
+def _translate(box, dx, dy):
+    return BoundingBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
 
 
 @contextmanager
@@ -237,13 +243,10 @@ def test_criterion_5_end_to_end_synthetic():
             seed=77,
         )
         holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
-        assignments = track_sequence(holdout, params, threshold=threshold)
+        tracks = track_records(holdout, track_sequence(holdout, params, threshold=threshold))
 
         counts, pairs = track_counts(
-            [
-                [(f.detections[di].box, f.detections[di].confidence, tid) for di, tid in per_frame]
-                for f, per_frame in zip(holdout, assignments)
-            ],
+            tracks_by_frame(tracks, holdout),
             [f.gt_boxes for f in holdout],
             neighbor_frames(holdout),
         )
@@ -311,11 +314,11 @@ def test_criterion_8_ap_reference_values():
         assert average_precision([(0, unit, 0.9)], [(0, unit)], 0.5) == 1.0
 
         # a false positive ranked above the true positive halves the AP
-        preds = [(0, far.translate(100.0, 0.0), 0.95), (0, unit, 0.9)]
+        preds = [(0, _translate(far, 100.0, 0.0), 0.95), (0, unit, 0.9)]
         assert average_precision(preds, [(0, unit)], 0.5) == 0.5
 
         # exact predictions for every ground truth, at every IoU threshold
-        gts = [(0, unit), (0, far), (1, unit.translate(5.0, 5.0))]
+        gts = [(0, unit), (0, far), (1, _translate(unit, 5.0, 5.0))]
         exact = [(img, box, 0.8) for img, box in gts]
         for t in np.arange(0.50, 1.0, 0.05):
             assert average_precision(exact, gts, float(t)) == 1.0

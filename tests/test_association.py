@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from embedtrack import (
-    BoundingBox,
-    DetectionRecord,
     EmbeddingHeadParams,
-    FrameRecord,
     TrackState,
     distance_matrix,
     match_frames,
     track_sequence,
     update_tracks,
 )
+from records import frame
 
 
 def match_oracle(d, h):
@@ -164,46 +162,47 @@ def _identity_params(dim):
 
 def _frame(index, feats, confidences=None, camera=0):
     confidences = confidences or [0.9] * len(feats)
-    detections = tuple(
-        DetectionRecord(
-            box=BoundingBox(10.0 * k, 0.0, 10.0 * k + 5.0, 5.0),
-            confidence=c,
-            feature=f,
-        )
+    dets = [
+        ((10.0 * k, 0.0, 10.0 * k + 5.0, 5.0), c, f)
         for k, (f, c) in enumerate(zip(feats, confidences))
-    )
-    return FrameRecord(frame_index=index, camera_id=camera, detections=detections, gt_boxes=())
+    ]
+    return frame(index, dets, camera=camera, feature_dim=2)
+
+
+def _tracked(out):
+    """(detection index, track id) of every tracked detection, per frame."""
+    return [[(i, t) for i, t in enumerate(ids.tolist()) if t >= 0] for ids in out]
 
 
 class TestTrackSequence:
     def test_single_frame_issues_distinct_ids(self):
         frames = [_frame(0, [[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])]
-        out = track_sequence(frames, _identity_params(2), threshold=1.0)
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
         assert out == [[(0, 0), (1, 1), (2, 2)]]
 
     def test_ids_persist_across_identical_embeddings(self):
         feats = [[0.0, 0.0], [5.0, 5.0]]
         frames = [_frame(0, feats), _frame(1, feats), _frame(2, feats)]
-        out = track_sequence(frames, _identity_params(2), threshold=1.0)
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
         assert out == [[(0, 0), (1, 1)]] * 3
 
     def test_confidence_filter_drops_detections(self):
         frames = [_frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3])]
-        out = track_sequence(frames, _identity_params(2), threshold=1.0)
-        assert out == [[(0, 0)]]
+        (ids,) = track_sequence(frames, _identity_params(2), threshold=1.0)
+        assert ids.dtype == np.int64 and ids.tolist() == [0, -1]
 
     def test_gap_breaks_track(self):
         # one frame without the detection: the track id is not revived
         feats = [[0.0, 0.0]]
         frames = [_frame(0, feats), _frame(1, []), _frame(2, feats)]
-        out = track_sequence(frames, _identity_params(2), threshold=1.0)
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
         assert out == [[(0, 0)], [], [(0, 1)]]
 
     def test_index_gap_issues_fresh_ids(self):
         # frames 0, 1, 3: frame 3 does not follow frame 1, so nothing matches
         feats = [[0.0, 0.0], [5.0, 5.0]]
         frames = [_frame(0, feats), _frame(1, feats), _frame(3, feats)]
-        out = track_sequence(frames, _identity_params(2), threshold=1.0)
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
         assert out == [[(0, 0), (1, 1)], [(0, 0), (1, 1)], [(0, 2), (1, 3)]]
 
     def test_rejects_multiple_cameras(self):

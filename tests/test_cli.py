@@ -267,9 +267,9 @@ class TestTrackAndEval:
         out = self._run_track(tmp_path, sim_dir, trained_dir, threshold=1e9)
         records = load_track_records(out / "tracks.jsonl")
         frames = load_frames(sim_dir / "frames.jsonl")
-        kept = sum(1 for f in frames for d in f.detections if d.confidence >= 0.5)
+        kept = sum(int((f.detections["confidence"] >= 0.5).sum()) for f in frames)
         assert len(records) == kept
-        assert all(r.track_id >= 0 for r in records)
+        assert (records["track_id"] >= 0).all()
 
     def test_eval_report_structure(self, tmp_path, sim_dir, trained_dir):
         tracks = self._run_track(tmp_path, sim_dir, trained_dir, threshold=1e9)
@@ -390,6 +390,11 @@ class TestThresholdFlags:
             ("eval", "--score-threshold", "-3"),
             ("eval", "--iou-min", "1.0"),
             ("eval", "--iou-min", "nan"),
+            ("calibrate", "--bins", "0"),
+            ("calibrate", "--bins", "-3"),
+            ("track", "--threshold", "-1"),
+            ("track", "--threshold", "0"),
+            ("track", "--threshold", "nan"),
         ],
     )
     def test_out_of_range_value_fails(
@@ -422,6 +427,115 @@ class TestThresholdFlags:
         )
         assert code == 0
         assert _manifest(out)["config"]["score_threshold"] == float(value)
+
+
+    @pytest.mark.parametrize(
+        "stage, flags",
+        [("calibrate", ["--bins", "0"]), ("track", ["--threshold", "-1"])],
+    )
+    def test_checked_before_reading_inputs(self, tmp_path, trained_dir, capsys, stage, flags):
+        # an empty frames file has nothing to fail on later
+        frames = tmp_path / "empty.jsonl"
+        frames.write_text("")
+        out = tmp_path / "out"
+        argv = [stage, "--frames", str(frames), "--params", str(trained_dir / "params.json")]
+        if stage == "calibrate":
+            argv += ["--params", str(tmp_path / "missing.json")]
+        assert main(argv + flags + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} ")
+        assert not out.exists()
+
+
+def _fails_cleanly(argv, capsys, *words):
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+class TestOutsideValues:
+    """Values from config files, count fixtures and parameter files are
+    checked where they are loaded: each bad one prints `error:` and exits 1."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"epochs": "2"}, {"epochs": 2.5}, {"epochs": True}, {"margin": "5"},
+         {"initial_lr": None}, {"seed": [1]}],
+    )
+    def test_train_config_value_of_wrong_type(self, tmp_path, sim_dir, capsys, values):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        _fails_cleanly(
+            ["train", "--frames", sim_dir / "frames.jsonl", "--config", config,
+             "--out", tmp_path / "out"],
+            capsys,
+            next(iter(values)),
+        )
+
+    def test_simulate_config_value_of_wrong_type(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"frame_count": 3.0}))
+        _fails_cleanly(["simulate", "--config", config, "--out", tmp_path / "out"], capsys,
+                       "frame_count")
+
+    def test_integer_accepted_for_float_field(self, tmp_path, sim_dir):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"margin": 4, "initial_lr": 0.01, "epochs": 2}))
+        out = tmp_path / "out"
+        assert main(["train", "--frames", str(sim_dir / "frames.jsonl"), "--config",
+                     str(config), "--out", str(out), "--hidden-dim", "8"]) == 0
+        assert _manifest(out)["config"]["loss"]["margin"] == 4
+
+    @pytest.mark.parametrize(
+        "counts, words",
+        [
+            ({"mot": {"fp": 1}}, ["miss", "gt_total"]),
+            ({"mot": {"fp": "a", "miss": 0, "mismatch": 0, "gt_total": 5}}, ["fp"]),
+            ({"mot": {"fp": 0.5, "miss": 0, "mismatch": 0, "gt_total": 5}}, ["fp"]),
+            ({"mot": {"fp": -1, "miss": 0, "mismatch": 0, "gt_total": 5}}, ["fp"]),
+            ({"mot": {"fp": 0, "miss": 0, "mismatch": 0, "gt_total": True}}, ["gt_total"]),
+            ({"mot": {"fp": 0, "miss": 0, "mismatch": 0, "gt_total": 5, "ids": 1}}, ["ids"]),
+            ({"mot": [1, 2]}, ["mot"]),
+            ({"pair": {"tp": 1, "tn": 1, "fp": 0}}, ["fn"]),
+            ({"pair": {"tp": 1, "tn": 1, "fp": 0, "fn": 0, "gp": 2.0}}, ["gp"]),
+        ],
+    )
+    def test_bad_counts_fixture(self, tmp_path, capsys, counts, words):
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps(counts))
+        _fails_cleanly(["eval", "--counts", fixture, "--out", tmp_path / "out"], capsys, *words)
+
+    def test_counts_fixture_keeps_explicit_totals(self, tmp_path):
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps({"pair": {"tp": 1, "tn": 1, "fp": 0, "fn": 0, "gp": 3}}))
+        out = tmp_path / "out"
+        assert main(["eval", "--counts", str(fixture), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["pair_counts"]["gp"] == 3 and report["pair_counts"]["gn"] == 1
+
+    def test_params_file_must_hold_an_object(self, tmp_path, sim_dir, capsys):
+        params = tmp_path / "params.json"
+        params.write_text("[1]\n")
+        _fails_cleanly(
+            ["track", "--frames", sim_dir / "frames.jsonl", "--params", params,
+             "--threshold", "1.0", "--out", tmp_path / "out"],
+            capsys,
+            "JSON object",
+        )
+
+    @pytest.mark.parametrize("loss_config", [{"margin": 5.0, "w_extra": 1.0}, {"margin": "5"}, [1]])
+    def test_params_loss_config_checked(self, tmp_path, sim_dir, trained_dir, capsys, loss_config):
+        doc = json.loads((trained_dir / "params.json").read_text())
+        doc["loss_config"] = loss_config
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        _fails_cleanly(
+            ["track", "--frames", sim_dir / "frames.jsonl", "--params", params,
+             "--threshold", "1.0", "--out", tmp_path / "out"],
+            capsys,
+            "loss_config",
+        )
 
 
 class TestEntryPoints:

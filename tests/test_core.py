@@ -1,10 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from embedtrack import BoundingBox, DetectionRecord, FrameRecord, iou, iou_matrix
+from embedtrack import BoundingBox, FrameParseError, iou, iou_matrix, load_frames
+from records import frame
 from strategies import any_boxes, boxes
+
+
+def _translate(box, dx, dy):
+    return BoundingBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
 
 
 class TestBoundingBox:
@@ -28,10 +35,6 @@ class TestBoundingBox:
     def test_rejects_degenerate(self, coords):
         with pytest.raises(ValueError):
             BoundingBox(*coords)
-
-    def test_translate(self):
-        b = BoundingBox(0.0, 0.0, 2.0, 3.0).translate(10.0, -1.0)
-        assert b == BoundingBox(10.0, -1.0, 12.0, 2.0)
 
 
 class TestIou:
@@ -63,7 +66,7 @@ class TestIou:
 
     @given(boxes(), boxes(), st.floats(-100, 100), st.floats(-100, 100))
     def test_translation_invariant(self, a, b, dx, dy):
-        assert iou(a.translate(dx, dy), b.translate(dx, dy)) == pytest.approx(
+        assert iou(_translate(a, dx, dy), _translate(b, dx, dy)) == pytest.approx(
             iou(a, b), abs=1e-9
         )
 
@@ -89,71 +92,76 @@ class TestIouMatrix:
         assert iou_matrix(np.zeros((0, 4)), one).shape == (0, 1)
 
 
+def _load_one(tmp_path, detections=(), gt_boxes=(), frame_index=0):
+    """load_frames of a file with one valid frame line, then one built
+    from the given detection and gt objects."""
+    good = {"frame_index": 0, "camera_id": 0, "detections": [], "gt_boxes": []}
+    doc = dict(good, frame_index=frame_index + 1, detections=list(detections),
+               gt_boxes=list(gt_boxes))
+    path = tmp_path / "frames.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(doc) + "\n")
+    return load_frames(path)
+
+
+def _det(**kw):
+    return {"box": [0, 0, 10, 10], "confidence": 0.9, "feature": [1.0, 2.0], **kw}
+
+
+def _rejected(tmp_path, field, **kw):
+    with pytest.raises(FrameParseError) as exc:
+        _load_one(tmp_path, **kw)
+    assert (exc.value.line_number, exc.value.field) == (2, field)
+
+
 class TestDetectionRecord:
-    def _record(self, **kw):
-        defaults = dict(
-            box=BoundingBox(0, 0, 10, 10),
-            confidence=0.9,
-            feature=np.array([1.0, 2.0]),
-        )
-        defaults.update(kw)
-        return DetectionRecord(**defaults)
+    """The rules each row of `FrameRecord.detections` obeys, enforced once
+    by `load_frames`."""
 
-    def test_feature_is_readonly_float64(self):
-        rec = self._record(feature=[1, 2, 3])
-        assert rec.feature.dtype == np.float64
+    def test_feature_is_readonly_float64(self, tmp_path):
+        _, loaded = _load_one(tmp_path, detections=[_det(feature=[1, 2])])
+        features = loaded.detections["feature"]
+        assert features.dtype == np.float64 and features.tolist() == [[1.0, 2.0]]
         with pytest.raises(ValueError):
-            rec.feature[0] = 99.0
+            features[0, 0] = 99.0
 
-    def test_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            self._record(confidence=1.5)
+    def test_rejects_bad_confidence(self, tmp_path):
+        _rejected(tmp_path, "detections", detections=[_det(), _det(confidence=1.5)])
 
-    def test_rejects_nan_feature(self):
-        with pytest.raises(ValueError):
-            self._record(feature=[1.0, float("nan")])
+    def test_rejects_nan_feature(self, tmp_path):
+        _rejected(tmp_path, "detections", detections=[_det(feature=[1.0, float("nan")])])
 
-    def test_rejects_matrix_feature(self):
-        with pytest.raises(ValueError):
-            self._record(feature=np.zeros((2, 2)))
+    def test_rejects_matrix_feature(self, tmp_path):
+        _rejected(tmp_path, "detections", detections=[_det(feature=[[1.0], [2.0]])])
 
-    def test_rejects_negative_identity(self):
-        with pytest.raises(ValueError):
-            self._record(gt_identity=-1)
+    def test_rejects_negative_identity(self, tmp_path):
+        _rejected(tmp_path, "detections", detections=[_det(gt_id=-1)])
 
     def test_equality_compares_feature_values(self):
-        assert self._record() == self._record()
-        assert self._record() != self._record(feature=[1.0, 3.0])
+        dets = [((0, 0, 10, 10), 0.9, [1.0, 2.0], 1)]
+        assert frame(0, dets) == frame(0, dets)
+        assert frame(0, dets) != frame(0, [((0, 0, 10, 10), 0.9, [1.0, 3.0], 1)])
+        assert frame(0, dets) != frame(0, [((0, 0, 10, 10), 0.9, [1.0, 2.0, 0.0], 1)])
 
 
 class TestFrameRecord:
-    def test_coerces_to_tuples(self):
-        frame = FrameRecord(
-            frame_index=0,
-            camera_id=1,
-            detections=[],
-            gt_boxes=[(BoundingBox(0, 0, 1, 1), 3)],
-        )
-        assert isinstance(frame.detections, tuple)
-        assert isinstance(frame.gt_boxes, tuple)
+    def test_fields(self):
+        dets = [((0, 0, 10, 10), 0.9, [1.0, 2.0], 7), ((5, 0, 9, 9), 0.4, [0.0, 1.0])]
+        f = frame(3, dets, [((0, 0, 10, 10), 7)], camera=2)
+        assert f.detections["box"].shape == (2, 4) and f.detections["feature"].shape == (2, 2)
+        assert f.detections["gt_id"].tolist() == [7, -1]
+        assert f.gt_boxes["id"].tolist() == [7]
 
-    def test_rejects_negative_frame_index(self):
-        with pytest.raises(ValueError):
-            FrameRecord(frame_index=-1, camera_id=0, detections=(), gt_boxes=())
+    def test_follows_needs_same_camera_and_next_index(self):
+        assert frame(4).follows(frame(3))
+        assert not frame(5).follows(frame(3))
+        assert not frame(4, camera=1).follows(frame(3))
 
-    def test_rejects_negative_gt_identity(self):
-        with pytest.raises(ValueError):
-            FrameRecord(
-                frame_index=0,
-                camera_id=0,
-                detections=(),
-                gt_boxes=((BoundingBox(0, 0, 1, 1), -2),),
-            )
+    def test_rejects_negative_frame_index(self, tmp_path):
+        _rejected(tmp_path, "frame", frame_index=-2)
 
-    def test_rejects_mixed_feature_dims(self):
-        d1 = DetectionRecord(box=BoundingBox(0, 0, 1, 1), confidence=0.9, feature=[1.0])
-        d2 = DetectionRecord(
-            box=BoundingBox(2, 2, 3, 3), confidence=0.9, feature=[1.0, 2.0]
-        )
-        with pytest.raises(ValueError):
-            FrameRecord(frame_index=0, camera_id=0, detections=(d1, d2), gt_boxes=())
+    def test_rejects_negative_gt_identity(self, tmp_path):
+        _rejected(tmp_path, "frame", gt_boxes=[{"box": [0, 0, 1, 1], "id": -2}])
+
+    def test_rejects_mixed_feature_dims(self, tmp_path):
+        dets = [_det(feature=[1.0]), _det(feature=[1.0, 2.0])]
+        _rejected(tmp_path, "detections.feature", detections=dets)

@@ -6,12 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
-    BoundingBox,
-    DetectionRecord,
     FrameParseError,
     FrameRecord,
     SimConfig,
-    TrackRecord,
     cross_camera_frames,
     default_archetypes,
     distance_matrix,
@@ -25,46 +22,31 @@ from embedtrack import (
     save_frames,
     save_track_records,
     simulate,
+    track_records,
+    tracks_by_frame,
     training_batches,
 )
+from records import detections, frame, gt_boxes, tracks
 
 
 def _det(x1, ident=None, conf=0.9, feature=(1.0, 2.0)):
-    return DetectionRecord(
-        box=BoundingBox(x1, 0.0, x1 + 10.0, 10.0),
-        confidence=conf,
-        feature=np.asarray(feature),
-        gt_identity=ident,
-    )
+    return ((x1, 0.0, x1 + 10.0, 10.0), conf, feature, ident)
 
 
 def _frame(index, idents, camera=0, x_step=50.0):
-    dets = tuple(_det(x_step * k, ident=i) for k, i in enumerate(idents))
-    gts = tuple((d.box, i) for d, i in zip(dets, idents))
-    return FrameRecord(frame_index=index, camera_id=camera, detections=dets, gt_boxes=gts)
+    dets = [_det(x_step * k, ident=i) for k, i in enumerate(idents)]
+    return frame(index, dets, [(d[0], i) for d, i in zip(dets, idents)], camera, feature_dim=2)
 
 
-def _unlabeled(frame):
-    dets = tuple(
-        DetectionRecord(box=d.box, confidence=d.confidence, feature=d.feature)
-        for d in frame.detections
-    )
-    return FrameRecord(
-        frame_index=frame.frame_index,
-        camera_id=frame.camera_id,
-        detections=dets,
-        gt_boxes=frame.gt_boxes,
-    )
+def _unlabeled(f):
+    dets = f.detections.copy()
+    dets["gt_id"] = -1
+    return FrameRecord(f.frame_index, f.camera_id, dets, f.gt_boxes)
 
 
 class TestTrainingBatches:
     def test_stacks_first_frame_above_second(self):
-        a = FrameRecord(
-            frame_index=0,
-            camera_id=0,
-            detections=(_det(0.0, ident=1, feature=(1.0, 0.0)), _det(50.0, ident=2)),
-            gt_boxes=(),
-        )
+        a = frame(0, [_det(0.0, ident=1, feature=(1.0, 0.0)), _det(50.0, ident=2)])
         b = _frame(1, [3, 4])
         (ab, ba) = training_batches([a, b], [(0, 1), (1, 0)])
         assert ab.identities.tolist() == [1, 2, 3, 4]
@@ -107,12 +89,9 @@ class TestTrainingBatches:
         # frame 0 pass through, as in calibration, while frame 1 is labeled
         # by IoU assignment.
         a = _frame(0, [0, 1, 2])
-        a = FrameRecord(
-            frame_index=0,
-            camera_id=0,
-            detections=(_det(0.0, ident=9),) + a.detections[1:],
-            gt_boxes=a.gt_boxes,
-        )
+        dets = a.detections.copy()
+        dets["gt_id"][0] = 9
+        a = FrameRecord(0, 0, dets, a.gt_boxes)
         b = _unlabeled(_frame(1, [0, 1, 2]))
         (batch,) = training_batches([a, b], neighbor_frames([a, b]))
         assert batch.identities.tolist() == [9, 1, 2, 0, 1, 2]
@@ -157,19 +136,21 @@ class TestMtmcPairs:
 
 class TestLabeledRows:
     def test_confidence_filter_and_passthrough(self):
-        dets = [_det(0.0, ident=3, conf=0.9, feature=(1.0, 0.0)), _det(50.0, ident=4, conf=0.2)]
-        features, ids = labeled_rows(dets, [])
+        dets = detections(
+            [_det(0.0, ident=3, conf=0.9, feature=(1.0, 0.0)), _det(50.0, ident=4, conf=0.2)]
+        )
+        features, ids = labeled_rows(dets, gt_boxes([]))
         assert ids.dtype == np.int64 and ids.tolist() == [3]
         assert features.tolist() == [[1.0, 0.0]]
 
     def test_assignment_drops_unmatched(self):
-        dets = [_det(0.0), _det(500.0)]
-        features, ids = labeled_rows(dets, [(dets[0].box, 8)])
+        dets = detections([_det(0.0), _det(500.0)])
+        features, ids = labeled_rows(dets, gt_boxes([(dets["box"][0], 8)]))
         assert ids.tolist() == [8]
         assert features.shape == (1, 2)
 
     def test_nothing_kept_gives_empty_rows(self):
-        features, ids = labeled_rows([_det(0.0, ident=1, conf=0.1)], [])
+        features, ids = labeled_rows(detections([_det(0.0, ident=1, conf=0.1)]), gt_boxes([]))
         assert features.shape == (0, 2) and ids.shape == (0,)
 
 
@@ -198,7 +179,7 @@ class TestNeighborFrames:
         frames = [_frame(0, [1, 2]), _frame(1, [1, 2]), _frame(3, [1, 2])]
         params = init_params(2, 4, 3, np.random.default_rng(0))
         distances, is_same = neighbor_pair_distances(frames, params)
-        emb = [embed_batch(params, np.stack([d.feature for d in f.detections])) for f in frames]
+        emb = [embed_batch(params, f.detections["feature"]) for f in frames]
         assert np.array_equal(distances, distance_matrix(emb[0], emb[1]).ravel())
         assert is_same.tolist() == [True, False, False, True]
 
@@ -212,9 +193,8 @@ class TestSimulate:
     def test_zero_noise_features_equal_archetypes(self):
         cfg = SimConfig(identity_count=3, frame_count=4, feature_dim=4, noise_sigma=0.0)
         frames, archetypes = simulate(cfg)
-        for frame in frames:
-            for det in frame.detections:
-                assert np.array_equal(det.feature, archetypes[det.gt_identity])
+        for f in frames:
+            assert np.array_equal(f.detections["feature"], archetypes[f.detections["gt_id"]])
 
     def test_no_dropout_yields_all_identities(self):
         cfg = SimConfig(identity_count=4, frame_count=6, feature_dim=5, dropout=0.0)
@@ -254,14 +234,8 @@ class TestSimulate:
         max_same, min_diff = -np.inf, np.inf
         for t, ft in enumerate(frames):
             for fs in frames[t + 1 :]:
-                d = distance_matrix(
-                    np.stack([x.feature for x in ft.detections]),
-                    np.stack([x.feature for x in fs.detections]),
-                )
-                same = np.equal.outer(
-                    [x.gt_identity for x in ft.detections],
-                    [x.gt_identity for x in fs.detections],
-                )
+                d = distance_matrix(ft.detections["feature"], fs.detections["feature"])
+                same = np.equal.outer(ft.detections["gt_id"], fs.detections["gt_id"])
                 max_same = max(max_same, d[same].max())
                 min_diff = min(min_diff, d[~same].min())
         assert max_same < min_diff
@@ -271,10 +245,10 @@ class TestSimulate:
             identity_count=3, frame_count=200, feature_dim=4, max_speed=25.0, seed=8
         )
         frames, _ = simulate(cfg)
-        for frame in frames:
-            for box, _ in frame.gt_boxes:
-                assert 0.0 <= box.x1 < box.x2 <= cfg.image_width
-                assert 0.0 <= box.y1 < box.y2 <= cfg.image_height
+        for f in frames:
+            x1, y1, x2, y2 = f.gt_boxes["box"].T
+            assert ((0.0 <= x1) & (x1 < x2) & (x2 <= cfg.image_width)).all()
+            assert ((0.0 <= y1) & (y1 < y2) & (y2 <= cfg.image_height)).all()
 
     def test_dropout_removes_detections_but_not_gt(self):
         cfg = SimConfig(identity_count=5, frame_count=40, feature_dim=6, dropout=0.3, seed=2)
@@ -288,7 +262,7 @@ class TestSimulate:
         arch = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         frames, returned = simulate(cfg, archetypes=arch)
         assert np.array_equal(returned, arch)
-        assert np.array_equal(frames[0].detections[0].feature, arch[0])
+        assert np.array_equal(frames[0].detections["feature"][0], arch[0])
 
     @pytest.mark.parametrize(
         "kw",
@@ -318,15 +292,13 @@ class TestFrameIo:
         assert load_frames(path) == frames
 
     def test_round_trip_without_identities(self, tmp_path):
-        det = DetectionRecord(
-            box=BoundingBox(0, 0, 5, 5), confidence=0.75, feature=[0.25, -1.5]
-        )
-        frame = FrameRecord(frame_index=0, camera_id=2, detections=(det,), gt_boxes=())
+        unlabeled = frame(0, [((0, 0, 5, 5), 0.75, [0.25, -1.5])], camera=2)
         path = tmp_path / "frames.jsonl"
-        save_frames(path, [frame])
+        save_frames(path, [unlabeled])
+        assert "gt_id" not in path.read_text()
         loaded = load_frames(path)
-        assert loaded == [frame]
-        assert loaded[0].detections[0].gt_identity is None
+        assert loaded == [unlabeled]
+        assert loaded[0].detections["gt_id"].tolist() == [-1]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -350,12 +322,7 @@ class TestFrameIo:
     def test_inconsistent_feature_dim_rejected(self, tmp_path):
         frames = [
             _frame(0, [1], camera=0),
-            FrameRecord(
-                frame_index=1,
-                camera_id=0,
-                detections=(_det(0.0, feature=(1.0, 2.0, 3.0)),),
-                gt_boxes=(),
-            ),
+            frame(1, [_det(0.0, feature=(1.0, 2.0, 3.0))]),
         ]
         path = tmp_path / "frames.jsonl"
         save_frames(path, frames)
@@ -363,6 +330,16 @@ class TestFrameIo:
             load_frames(path)
         assert exc.value.field == "detections.feature"
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("first", [5, None, {"x": 1.0}])
+    def test_feature_that_is_not_a_list_named(self, tmp_path, first):
+        doc = _frame_doc(0)
+        doc["detections"][0]["feature"] = first
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FrameParseError) as exc:
+            load_frames(path)
+        assert (exc.value.line_number, exc.value.field) == (1, "detections.feature")
 
     def test_non_increasing_frame_index_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -407,21 +384,33 @@ class TestFrameIo:
 
 class TestTrackRecordIo:
     def test_round_trip(self, tmp_path):
-        records = [
-            TrackRecord(frame_index=0, track_id=4, box=BoundingBox(0, 0, 5, 5), confidence=0.7),
-            TrackRecord(frame_index=1, track_id=4, box=BoundingBox(1, 0, 6, 5), confidence=0.8),
-        ]
+        records = np.concatenate(
+            [tracks([((0, 0, 5, 5), 0.7, 4)], 0), tracks([((1, 0, 6, 5), 0.8, 4)], 1)]
+        )
         path = tmp_path / "tracks.jsonl"
         save_track_records(path, records)
-        assert load_track_records(path) == records
+        loaded = load_track_records(path)
+        assert loaded.dtype == records.dtype and np.array_equal(loaded, records)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrackRecord(frame_index=-1, track_id=0, box=BoundingBox(0, 0, 1, 1), confidence=0.5)
-        with pytest.raises(ValueError):
-            TrackRecord(frame_index=0, track_id=-1, box=BoundingBox(0, 0, 1, 1), confidence=0.5)
-        with pytest.raises(ValueError):
-            TrackRecord(frame_index=0, track_id=0, box=BoundingBox(0, 0, 1, 1), confidence=1.5)
+    def test_validation(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        for field, value, where in [
+            ("frame_index", -1, "record"),
+            ("track_id", -1, "record"),
+            ("confidence", 1.5, "record"),
+            ("confidence", "high", "record"),
+            ("box", [0, 0, 0, 1], "box"),
+            ("box", [0, 0, float("inf"), 1], "box"),
+        ]:
+            rows = [
+                {"frame_index": k, "track_id": 0, "box": [0, 0, 1, 1], "confidence": 0.5}
+                for k in range(3)
+            ]
+            rows[1][field] = value
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            with pytest.raises(FrameParseError) as exc:
+                load_track_records(path)
+            assert (exc.value.line_number, exc.value.field) == (2, where), (field, value)
 
     def test_malformed_record_names_line(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
@@ -491,12 +480,22 @@ class TestIntegerFields:
         assert (exc.value.line_number, exc.value.field) == (line, field)
 
     @pytest.mark.parametrize("value", [1.5, True, 2.0])
-    def test_detection_record_rejects_non_integer_identity(self, value):
-        with pytest.raises(ValueError):
-            _det(0.0, ident=value)
+    def test_detection_record_rejects_non_integer_identity(self, tmp_path, value):
+        path = tmp_path / "frames.jsonl"
+        _write_with_bad_line(path, _frame_doc, "detections.gt_id", value, 2)
+        with pytest.raises(FrameParseError) as exc:
+            load_frames(path)
+        assert (exc.value.line_number, exc.value.field) == (2, "detections.gt_id")
 
-    def test_integer_identity_types_accepted(self):
-        assert _det(0.0, ident=np.int64(3)).gt_identity == 3
+    def test_integer_identity_types_accepted(self, tmp_path):
+        # any JSON integer in the int64 range; one past it is refused
+        assert frame(0, [_det(0.0, ident=np.int64(3))]).detections["gt_id"].tolist() == [3]
+        path = tmp_path / "frames.jsonl"
+        _write_with_bad_line(path, _frame_doc, "detections.gt_id", 2**63 - 1, 1)
+        assert load_frames(path)[0].detections["gt_id"].tolist() == [2**63 - 1]
+        _write_with_bad_line(path, _frame_doc, "gt_boxes.id", 2**63, 1)
+        with pytest.raises(FrameParseError):
+            load_frames(path)
 
 
 class TestDuplicateTrackIds:
@@ -511,3 +510,69 @@ class TestDuplicateTrackIds:
         with pytest.raises(FrameParseError) as exc:
             load_track_records(path)
         assert (exc.value.line_number, exc.value.field) == (3, "track_id")
+
+
+class TestEarliestBadLine:
+    """Values are checked after the whole file is read, types while it is
+    read; either way the error names the earliest bad line."""
+
+    def _error(self, tmp_path, docs):
+        path = tmp_path / "frames.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(FrameParseError) as exc:
+            load_frames(path)
+        return exc.value.line_number, exc.value.field
+
+    def test_bad_value_before_malformed_line(self, tmp_path):
+        docs = [_frame_doc(k) for k in range(3)]
+        docs[1]["detections"][0]["confidence"] = 1.5
+        docs[2]["frame_index"] = True
+        assert self._error(tmp_path, docs) == (2, "detections")
+
+    def test_malformed_line_before_bad_value(self, tmp_path):
+        docs = [_frame_doc(k) for k in range(3)]
+        docs[1]["camera_id"] = "0"
+        docs[2]["gt_boxes"][0]["box"] = [0, 0, -5, 5]
+        assert self._error(tmp_path, docs) == (2, "camera_id")
+
+    def test_detection_values_before_gt_values_on_one_line(self, tmp_path):
+        docs = [_frame_doc(k) for k in range(2)]
+        docs[1]["gt_boxes"][0]["box"] = [0, 0, 0, 5]
+        docs[1]["detections"][0]["feature"] = [float("inf")]
+        assert self._error(tmp_path, docs) == (2, "detections")
+
+    def test_frames_hold_read_only_slices(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        path.write_text("".join(json.dumps(_frame_doc(k)) + "\n" for k in range(2)))
+        frames = load_frames(path)
+        assert frames[0].detections.base is frames[1].detections.base
+        for f in frames:
+            assert not f.detections.flags.writeable and not f.gt_boxes.flags.writeable
+
+
+class TestTracksArray:
+    def test_track_records_keeps_tracked_rows_in_order(self):
+        frames = [_frame(0, [1, 2]), _frame(2, [1])]
+        rows = track_records(frames, [np.array([5, -1]), np.array([7])])
+        assert rows["frame_index"].tolist() == [0, 2]
+        assert rows["track_id"].tolist() == [5, 7]
+        assert rows["box"].tolist() == [frames[0].detections["box"][0].tolist(),
+                                       frames[1].detections["box"][0].tolist()]
+        assert track_records([], []).size == 0
+
+    def test_tracks_by_frame_aligns_rows_with_frames(self):
+        frames = [_frame(0, [1]), _frame(1, [1]), _frame(3, [1])]
+        rows = np.concatenate(
+            [tracks([((0, 0, 1, 1), 0.9, 4)], 3), tracks([((0, 0, 1, 1), 0.9, 1)], 0),
+             tracks([((0, 0, 1, 1), 0.9, 2)], 3)]
+        )
+        per_frame = tracks_by_frame(rows, frames)
+        assert [f["track_id"].tolist() for f in per_frame] == [[1], [], [4, 2]]
+        assert tracks_by_frame(rows[:0], []) == []
+
+    def test_tracks_by_frame_rejects_unknown_frames(self):
+        rows = np.concatenate([tracks([((0, 0, 1, 1), 0.9, 4)], k) for k in (2, 0, 9)])
+        with pytest.raises(ValueError, match=r"unknown frames \[2, 9\]"):
+            tracks_by_frame(rows, [_frame(0, [1]), _frame(1, [1])])
+        with pytest.raises(ValueError, match="increase"):
+            tracks_by_frame(rows[:0], [_frame(1, [1]), _frame(0, [1])])

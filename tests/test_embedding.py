@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 from embedtrack import (
     EmbeddingHeadParams,
     LossConfig,
-    embed,
     embed_batch,
     init_params,
     distance_matrix,
     load_params,
     save_params,
 )
+
+
+def embed(params, feature):
+    """One feature vector's embedding, through `embed_batch`."""
+    feat = np.asarray(feature, dtype=np.float64)
+    if feat.shape != (params.feature_dim,):
+        raise ValueError(f"feature has shape {feat.shape}, head expects ({params.feature_dim},)")
+    return embed_batch(params, feat[None, :])[0]
 
 
 def _random_params(rng, f=4, h=6, e=3):

@@ -19,6 +19,7 @@ from embedtrack import (
     track_counts,
 )
 from oracles import loop_mot_counts, loop_pair_counts, scalar_average_precision, scalar_claims
+import records
 from strategies import any_boxes, row_boxes
 
 
@@ -30,29 +31,51 @@ def _row(x1, x2):
     return BoundingBox(x1, 0, x2, 1)
 
 
+def _assign(preds, gts, **kw):
+    """assign_predictions of (box, confidence) rows against (box, identity)
+    rows, as a list."""
+    dets = records.detections([(box, conf, ()) for box, conf in preds], feature_dim=0)
+    ids = assign_predictions(dets, records.gt_boxes(gts), **kw)
+    assert ids.dtype == np.int64
+    return ids.tolist()
+
+
+def _frames(pred_frames, gt_frames):
+    """Per-frame record arrays of per-frame prediction and gt rows."""
+    return [records.tracks(f) for f in pred_frames], [records.gt_boxes(f) for f in gt_frames]
+
+
+def _mot_counts(pred_frames, gt_frames, *args, **kw):
+    return mot_counts(*_frames(pred_frames, gt_frames), *args, **kw)
+
+
+def _pair_counts(pred_frames, gt_frames, *args, **kw):
+    return pair_counts(*_frames(pred_frames, gt_frames), *args, **kw)
+
+
+def _track_counts(pred_frames, gt_frames, *args, **kw):
+    return track_counts(*_frames(pred_frames, gt_frames), *args, **kw)
+
+
 class TestAssignPredictions:
     def test_exact_match_assigned(self):
         gt = [(_box(0), 7)]
-        result = assign_predictions([(_box(0), 0.9)], gt)
-        assert result.assignments == (7,)
+        assert _assign([(_box(0), 0.9)], gt) == [7]
 
     def test_confidence_filter(self):
         gt = [(_box(0), 7)]
-        result = assign_predictions([(_box(0), 0.4)], gt)
-        assert result.assignments == (None,)
+        assert _assign([(_box(0), 0.4)], gt) == [-1]
 
     def test_low_iou_abandoned(self):
         gt = [(_box(0), 7)]
         # overlap 4x10 over union 160: iou = 0.25 < 0.5
-        result = assign_predictions([(_box(6), 0.9)], gt)
-        assert result.assignments == (None,)
+        assert _assign([(_box(6), 0.9)], gt) == [-1]
 
     def test_highest_iou_wins_contested_gt(self):
         gt = [(_box(0), 7)]
         close = (_box(1), 0.9)  # iou 9/11
         closer = (_box(0), 0.8)  # iou 1.0
-        result = assign_predictions([close, closer], gt)
-        assert result.assignments == (None, 7)
+        assert _assign([close, closer], gt) == [-1, 7]
 
     def test_loser_gets_no_second_choice(self):
         """A prediction outbid on its best ground truth stays unassigned even
@@ -62,20 +85,18 @@ class TestAssignPredictions:
         winner = (_box(0), 0.9)  # iou 1.0 with gt_a
         loser = (_box(1), 0.9)  # iou(gt_a) = 9/11 > iou(gt_b) = 8/12, loses gt_a
         assert iou(loser[0], gt_a[0]) > iou(loser[0], gt_b[0]) > 0.5
-        result = assign_predictions([winner, loser], [gt_a, gt_b])
-        assert result.assignments == (1, None)
+        assert _assign([winner, loser], [gt_a, gt_b]) == [1, -1]
 
     def test_each_gt_assigned_at_most_once(self):
         rng = np.random.default_rng(0)
         gt = [(_box(20.0 * k), k) for k in range(3)]
         preds = [(_box(20.0 * (k % 3) + rng.uniform(-2, 2)), 0.9) for k in range(6)]
-        result = assign_predictions(preds, gt)
-        taken = [a for a in result.assignments if a is not None]
+        taken = [a for a in _assign(preds, gt) if a >= 0]
         assert len(taken) == len(set(taken))
 
     def test_rejects_bad_iou_min(self):
         with pytest.raises(ValueError):
-            assign_predictions([], [], iou_min=0.0)
+            _assign([], [], iou_min=0.0)
 
 
 detections = st.lists(
@@ -93,11 +114,11 @@ class TestScalarOracles:
         st.sampled_from([0.1, 0.5, 0.9]),
     )
     def test_assignment_equals_scalar_claims(self, preds, gts, iou_min):
-        result = assign_predictions(preds, gts, iou_min=iou_min)
         claims = scalar_claims(
             [box if conf >= 0.5 else None for box, conf in preds], [b for b, _ in gts], iou_min
         )
-        assert result.assignments == tuple(None if j is None else gts[j][1] for j in claims)
+        expected = [-1 if j is None else gts[j][1] for j in claims]
+        assert _assign(preds, gts, iou_min=iou_min) == expected
 
     @given(
         detections,
@@ -271,7 +292,7 @@ class TestMotCounts:
     def test_perfect_tracking(self):
         gt = [[(_box(0), 5)], [(_box(2), 5)], [(_box(4), 5)]]
         preds = [[(frame[0][0], 0)] for frame in gt]
-        c = mot_counts(preds, gt)
+        c = _mot_counts(preds, gt)
         assert (c.fp, c.miss, c.mismatch) == (0, 0, 0)
         assert c.gt_total == 3
         assert mota(c) == 1.0
@@ -279,36 +300,36 @@ class TestMotCounts:
     def test_id_switch_counts_once(self):
         gt = [[(_box(0), 5)]] * 3
         preds = [[(_box(0), 0)], [(_box(0), 9)], [(_box(0), 9)]]
-        c = mot_counts(preds, gt)
+        c = _mot_counts(preds, gt)
         assert c.mismatch == 1
         assert c.fp == 0 and c.miss == 0
 
     def test_extra_box_every_frame(self):
         gt = [[(_box(0), 5)]] * 10
         preds = [[(_box(0), 0), (_box(500), 1)]] * 10
-        assert mot_counts(preds, gt).fp == 10
+        assert _mot_counts(preds, gt).fp == 10
 
     def test_missed_frame_counts_as_miss(self):
         gt = [[(_box(0), 5)]] * 3
         preds = [[(_box(0), 0)], [], [(_box(0), 0)]]
-        c = mot_counts(preds, gt)
+        c = _mot_counts(preds, gt)
         assert c.miss == 1
         assert c.mismatch == 0  # same id after the gap: no switch
 
     def test_last_id_persists_through_gap(self):
         gt = [[(_box(0), 5)]] * 3
         preds = [[(_box(0), 0)], [], [(_box(0), 1)]]
-        assert mot_counts(preds, gt).mismatch == 1
+        assert _mot_counts(preds, gt).mismatch == 1
 
     def test_rejects_misaligned_frames(self):
         with pytest.raises(ValueError):
-            mot_counts([[]], [[], []])
+            _mot_counts([[]], [[], []])
 
     def test_rejects_repeated_track_id_in_one_frame(self):
         # two boxes claiming track 7 in one frame would otherwise score MOTA 1.0
         gt = [[(_box(0), 1), (_box(50), 2)]]
         with pytest.raises(ValueError):
-            mot_counts([[(_box(0), 7), (_box(50), 7)]], gt)
+            _mot_counts([[(_box(0), 7), (_box(50), 7)]], gt)
 
     @pytest.mark.parametrize("iou_min", [-0.1, 0.0, 1.0, float("nan")])
     def test_rejects_iou_min_outside_open_interval(self, iou_min):
@@ -317,14 +338,14 @@ class TestMotCounts:
         preds = [[(_box(0), 0)]]
         gt = [[(_box(500), 5)]]
         with pytest.raises(ValueError, match="iou_min"):
-            mot_counts(preds, gt, iou_min=iou_min)
+            _mot_counts(preds, gt, iou_min=iou_min)
 
 
 class TestPairCountsMetric:
     def test_two_vehicles_tracked_perfectly(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 2
         preds = [[(_box(0), 0.9, 10), (_box(50), 0.9, 20)]] * 2
-        c = pair_counts(preds, gt, [(0, 1)])
+        c = _pair_counts(preds, gt, [(0, 1)])
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 2, 0, 0)
         assert c.gp == 2 and c.gn == 2
 
@@ -333,14 +354,14 @@ class TestPairCountsMetric:
         preds = [
             [(_box(0), 0.9, 2 * t), (_box(50), 0.9, 2 * t + 1)] for t in range(3)
         ]
-        c = pair_counts(preds, gt, [(0, 1), (1, 2)])
+        c = _pair_counts(preds, gt, [(0, 1), (1, 2)])
         assert c.tp == 0
         assert c.fn == c.gp
 
     def test_single_vehicle_correct_link(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.9, 3)]] * 2
-        c = pair_counts(preds, gt, [(0, 1)])
+        c = _pair_counts(preds, gt, [(0, 1)])
         assert (c.tp, c.gp, c.gn) == (1, 1, 0)
 
     def test_unlabeled_detections_are_skipped(self):
@@ -349,20 +370,20 @@ class TestPairCountsMetric:
             [(_box(0), 0.9, 3), (_box(500), 0.9, 4)],  # second box matches no gt
             [(_box(0), 0.9, 3)],
         ]
-        c = pair_counts(preds, gt, [(0, 1)])
+        c = _pair_counts(preds, gt, [(0, 1)])
         assert c.tp + c.tn + c.fp + c.fn == 1
 
     def test_neighbors_skip_index_gap(self):
         # one object in frames 0, 1, 3: the tracker ends its track at the gap
         gt = [[(_box(0), 1)]] * 3
         preds = [[(_box(0), 0.9, 0)], [(_box(0), 0.9, 0)], [(_box(0), 0.9, 1)]]
-        assert pair_counts(preds, gt, [(0, 1)]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
+        assert _pair_counts(preds, gt, [(0, 1)]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
 
     def test_confidence_filter_applies(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.3, 3)], [(_box(0), 0.9, 3)]]
         assert sum(
-            getattr(pair_counts(preds, gt, [(0, 1)]), f) for f in ("tp", "tn", "fp", "fn")
+            getattr(_pair_counts(preds, gt, [(0, 1)]), f) for f in ("tp", "tn", "fp", "fn")
         ) == 0
 
 
@@ -415,19 +436,19 @@ class TestTrackCounts:
         mot_preds = [[(b, t) for b, _, t in f] for f in preds]
         expected_mot = loop_mot_counts(mot_preds, gts, iou_min)
         expected_pairs = loop_pair_counts(preds, gts, neighbors, iou_min=iou_min)
-        mot, pairs = track_counts(preds, gts, neighbors, iou_min=iou_min)
+        mot, pairs = _track_counts(preds, gts, neighbors, iou_min=iou_min)
         assert (mot, pairs) == (expected_mot, expected_pairs)
         assert {type(v) for v in (*vars(mot).values(), *vars(pairs).values())} == {int}
-        assert mot_counts(mot_preds, gts, iou_min) == expected_mot
-        assert pair_counts(preds, gts, neighbors, iou_min=iou_min) == expected_pairs
+        assert _mot_counts(mot_preds, gts, iou_min) == expected_mot
+        assert _pair_counts(preds, gts, neighbors, iou_min=iou_min) == expected_pairs
 
     @pytest.mark.parametrize("iou_min", [-0.1, 1.0, float("nan")])
     def test_rejects_iou_min_before_any_work(self, iou_min):
         # misaligned frames would raise too; the iou_min check comes first
         for call in (
-            lambda: track_counts([[]], [[], []], [], iou_min=iou_min),
-            lambda: pair_counts([[]], [[], []], [], iou_min=iou_min),
-            lambda: mot_counts([[]], [[], []], iou_min=iou_min),
+            lambda: _track_counts([[]], [[], []], [], iou_min=iou_min),
+            lambda: _pair_counts([[]], [[], []], [], iou_min=iou_min),
+            lambda: _mot_counts([[]], [[], []], iou_min=iou_min),
         ):
             with pytest.raises(ValueError, match="iou_min"):
                 call()
@@ -437,19 +458,19 @@ class TestTrackCounts:
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.9, 3)]] * 2
         with pytest.raises(ValueError, match="neighbors"):
-            pair_counts(preds, gt, neighbors)
+            _pair_counts(preds, gt, neighbors)
         with pytest.raises(ValueError, match="neighbors"):
-            track_counts(preds, gt, neighbors)
+            _track_counts(preds, gt, neighbors)
 
     def test_equals_separate_counts(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 3
         preds = [[(_box(0), 0.9, 0), (_box(50), 0.4, 1)], [(_box(0), 0.9, 0)], []]
-        mot, pairs = track_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
-        assert mot == mot_counts([[(b, t) for b, _, t in f] for f in preds], gt)
-        assert pairs == pair_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
+        mot, pairs = _track_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
+        assert mot == _mot_counts([[(b, t) for b, _, t in f] for f in preds], gt)
+        assert pairs == _pair_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
         assert (mot.fp, mot.miss) == (0, 3)  # MOT counting keeps the 0.4 box
-        _, gapped = track_counts(preds, gt, [(0, 1)], score_threshold=0.5)
-        assert gapped == pair_counts(preds[:2], gt[:2], [(0, 1)], score_threshold=0.5)
+        _, gapped = _track_counts(preds, gt, [(0, 1)], score_threshold=0.5)
+        assert gapped == _pair_counts(preds[:2], gt[:2], [(0, 1)], score_threshold=0.5)
 
 
 class TestPairAccuracy:
