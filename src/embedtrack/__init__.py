@@ -60,12 +60,9 @@ from .evaluation import (
     AP_IOU_THRESHOLDS,
     MotCounts,
     assign_predictions,
-    average_precision,
     mean_ap,
-    mot_counts,
     mota,
     pair_accuracy,
-    pair_counts,
     track_counts,
 )
 from .training import (
@@ -99,7 +96,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "assign_predictions",
-    "average_precision",
     "batch_loss",
     "cosine_lr",
     "counts_at",
@@ -120,12 +116,10 @@ __all__ = [
     "load_track_records",
     "match_frames",
     "mean_ap",
-    "mot_counts",
     "mota",
     "neighbor_frames",
     "neighbor_pair_distances",
     "pair_accuracy",
-    "pair_counts",
     "pull_loss",
     "save_frames",
     "save_params",

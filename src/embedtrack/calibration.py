@@ -119,28 +119,34 @@ class ThresholdSweep:
 def _candidate_thresholds(distances: np.ndarray) -> np.ndarray:
     """One representative threshold per plateau of the objective.
 
-    Prediction flips happen only when h crosses an observed distance, so
-    midpoints between consecutive distinct distances cover every interior
-    plateau; d_min / 2 realises "call everything different" and d_max + 1
-    realises "call everything same". When d_min is 0 the first endpoint is
-    skipped: thresholds are positive, so the all-different plateau is
-    unreachable (a 0 distance is predicted same under any h > 0).
+    Prediction flips happen only when h crosses an observed distance, so the
+    plateaus are 0 < h <= d_min ("call everything different"), a < h <= b
+    between consecutive distinct distances a < b, and h > d_max ("call
+    everything same"). They are represented by d_min / 2, (a + b) / 2 and
+    d_max + 1. Where rounding puts one of these outside its plateau (b is
+    the next float after a, a + b overflows, or d_max + 1 == d_max), the
+    next float above the plateau's lower end stands in. When d_min is 0 the
+    first plateau is empty: thresholds are positive, so a 0 distance is
+    predicted same under any h.
     """
     uniq = np.unique(distances)
-    lowest = uniq[:1] / 2.0 if uniq[0] > 0 else uniq[:0]
-    return np.concatenate([lowest, (uniq[:-1] + uniq[1:]) / 2.0, uniq[-1:] + 1.0])
+    lower = np.concatenate([[0.0], uniq])
+    upper = np.concatenate([uniq, [np.inf]])
+    with np.errstate(over="ignore"):
+        mid = np.concatenate([uniq[:1] / 2.0, (uniq[:-1] + uniq[1:]) / 2.0, uniq[-1:] + 1.0])
+        above = np.nextafter(lower, np.inf)
+    inside = (lower < mid) & (mid <= upper)
+    return np.where(inside, mid, above)[lower < upper]
 
 
-def sweep_threshold(distances, is_same, tie_break: str = "smallest") -> ThresholdSweep:
+def sweep_threshold(distances, is_same) -> ThresholdSweep:
     """Exact minimisation of `threshold_objective` over all thresholds.
 
     `distances` and `is_same` are parallel 1-D arrays, one entry per pair.
     Requires at least one same pair and one different pair. Equal objectives
-    resolve to the smallest candidate threshold by default (favouring fewer
-    false merges); pass tie_break="largest" for the opposite bias.
+    resolve to the smallest candidate threshold, favouring fewer false
+    merges.
     """
-    if tie_break not in ("smallest", "largest"):
-        raise ValueError(f"tie_break must be 'smallest' or 'largest', got {tie_break!r}")
     dist, same = _check_pairs(distances, is_same)
     gp = int(same.sum())
     gn = same.size - gp
@@ -160,10 +166,7 @@ def sweep_threshold(distances, is_same, tie_break: str = "smallest") -> Threshol
     rows = np.rec.fromarrays([cands, fp, fn, tp, tn, objective], names="h,fp,fn,tp,tn,objective")
     rows.flags.writeable = False
 
-    if tie_break == "smallest":
-        best = int(np.argmin(objective))
-    else:
-        best = objective.size - 1 - int(np.argmin(objective[::-1]))
+    best = int(np.argmin(objective))
     return ThresholdSweep(
         threshold=float(cands[best]), objective=float(objective[best]), rows=rows
     )

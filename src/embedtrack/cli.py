@@ -73,10 +73,20 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
 
 
 def _resolve_config(cls, file_values: dict, args: argparse.Namespace):
-    """defaults < config file < flags, validated by the dataclass itself."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    values = {k: v for k, v in file_values.items() if k in names}
-    for name in names:
+    """defaults < config file < flags, validated by the dataclass itself.
+
+    A JSON integer given for a float field becomes the float its flag would
+    parse to, so that a file value and the same flag write the same bytes.
+    """
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    values = {}
+    for name, value in file_values.items():
+        if name in kinds:
+            try:
+                values[name] = kinds[name](value)
+            except OverflowError:
+                raise ValueError(f"config value {name} is too large for a float") from None
+    for name in kinds:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value

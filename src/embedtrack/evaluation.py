@@ -9,7 +9,7 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,11 +20,8 @@ __all__ = [
     "AP_IOU_THRESHOLDS",
     "MotCounts",
     "assign_predictions",
-    "average_precision",
     "mean_ap",
     "mota",
-    "mot_counts",
-    "pair_counts",
     "pair_accuracy",
     "track_counts",
 ]
@@ -130,8 +127,7 @@ def _greedy_hits(
     image that is still unmatched, overlaps it and reaches the threshold.
     Predictions of different images never compete for a ground truth, so
     step s matches the s-th ranked prediction of every image at once, for
-    all thresholds. Each image's ground truths are padded to the largest
-    per-image count with all-zero boxes, whose IoU is 0 and so never a hit.
+    all thresholds.
     """
     order = np.argsort(-np.array([c for _, _, c in predictions]), kind="stable")
     slot: dict[int, int] = {}
@@ -143,15 +139,13 @@ def _greedy_hits(
     if kept.size == 0:
         return hits
     kept = kept[np.argsort(gt_image[kept], kind="stable")]
-    gt_counts = np.bincount(gt_image[kept], minlength=len(slot))
-    gt_boxes = np.zeros((len(slot), int(gt_counts.max()), 4))
-    gt_boxes[gt_image[kept], _within_group(gt_counts)] = _box_array(
-        [ground_truths[g][1] for g in kept]
+    overlaps = _grouped_iou(
+        _box_array([predictions[k][1] for k in order]),
+        image,
+        _box_array([ground_truths[g][1] for g in kept]),
+        np.bincount(gt_image[kept], minlength=len(slot)),
     )
-    overlaps = _broadcast_iou(
-        _box_array([predictions[k][1] for k in order])[:, None], gt_boxes[image]
-    )
-    matched = np.zeros((thresholds.size,) + gt_boxes.shape[:2], dtype=bool)
+    matched = np.zeros((thresholds.size, len(slot), overlaps.shape[1]), dtype=bool)
 
     step = np.empty_like(image)
     step[np.argsort(image, kind="stable")] = _within_group(np.bincount(image))
@@ -174,51 +168,50 @@ def _within_group(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _integrate(recall: np.ndarray, precision: np.ndarray, interpolation: str) -> float:
-    """Area under one threshold's precision/recall curve."""
-    if interpolation == "eleven_point":
-        levels = np.linspace(0.0, 1.0, 11)
-        vals = [precision[recall >= r].max() if (recall >= r).any() else 0.0 for r in levels]
-        return float(np.mean(vals))
+def _grouped_iou(
+    boxes: np.ndarray, group: np.ndarray, gt_boxes: np.ndarray, gt_counts: np.ndarray
+) -> np.ndarray:
+    """(P, G) IoU of each box with every ground truth of its group.
+
+    Box p belongs to group `group[p]`; `gt_boxes` are sorted by group, with
+    `gt_counts[g]` of them in group g. Each group's ground truths are padded
+    to the largest per-group count (at least one) with all-zero boxes, whose
+    IoU is 0 and so never a match.
+    """
+    padded = np.zeros((gt_counts.size, max(int(gt_counts.max(initial=0)), 1), 4))
+    padded[np.repeat(np.arange(gt_counts.size), gt_counts), _within_group(gt_counts)] = gt_boxes
+    return _broadcast_iou(boxes[:, None], padded[group])
+
+
+def _integrate(recall: np.ndarray, precision: np.ndarray) -> float:
+    """Area under one threshold's precision/recall curve, with all-point
+    interpolation."""
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     change = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))
 
 
-def average_precision(
-    predictions: Sequence[tuple[int, BoundingBox, float]],
-    ground_truths: Sequence[tuple[int, BoundingBox]],
-    iou_threshold: float,
-    interpolation: Literal["all_point", "eleven_point"] = "all_point",
-) -> float:
-    """Detection average precision at one IoU threshold.
-
-    Predictions are (image_id, box, confidence) across any number of images;
-    ground truths are (image_id, box). Predictions are ranked by confidence
-    (ties keep input order) and greedily matched to the best still-unmatched
-    ground truth of their image at IoU >= iou_threshold. The default
-    integration is exact all-point interpolation; "eleven_point" averages
-    interpolated precision at recalls 0.0, 0.1, ..., 1.0 instead.
-    """
-    return mean_ap(predictions, ground_truths, (iou_threshold,), interpolation)
-
-
 def mean_ap(
     predictions: Sequence[tuple[int, BoundingBox, float]],
     ground_truths: Sequence[tuple[int, BoundingBox]],
     iou_thresholds: Sequence[float] = AP_IOU_THRESHOLDS,
-    interpolation: Literal["all_point", "eleven_point"] = "all_point",
 ) -> float:
-    """Mean of `average_precision` over the given IoU thresholds; every
-    threshold is matched in one greedy pass over within-image ranks."""
+    """Detection average precision, averaged over the given IoU thresholds;
+    pass one threshold for the AP at that threshold.
+
+    Predictions are (image_id, box, confidence) across any number of images;
+    ground truths are (image_id, box). Predictions are ranked by confidence
+    (ties keep input order) and greedily matched to the best still-unmatched
+    ground truth of their image at IoU >= the threshold. Each threshold's
+    precision/recall curve is integrated exactly (all-point interpolation).
+    Every threshold is matched in one greedy pass over within-image ranks.
+    """
     thresholds = np.array(iou_thresholds, dtype=np.float64).reshape(-1)
     if thresholds.size == 0:
         raise ValueError("at least one IoU threshold is required")
     if not np.isfinite(thresholds).all():
         raise ValueError(f"IoU thresholds must be finite, got {thresholds.tolist()}")
-    if interpolation not in ("all_point", "eleven_point"):
-        raise ValueError(f"unknown interpolation {interpolation!r}")
     if not ground_truths:
         raise ValueError("average precision is undefined without ground truths")
     if not predictions:
@@ -228,9 +221,7 @@ def mean_ap(
     tp_cum = np.cumsum(is_tp, axis=1)
     recall = tp_cum / len(ground_truths)
     precision = tp_cum / np.arange(1, is_tp.shape[1] + 1)
-    return float(
-        np.mean([_integrate(rec, pre, interpolation) for rec, pre in zip(recall, precision)])
-    )
+    return float(np.mean([_integrate(rec, pre) for rec, pre in zip(recall, precision)]))
 
 
 def mota(counts: MotCounts) -> float:
@@ -260,9 +251,7 @@ def _frame_overlaps(
     pred_frames: Sequence[np.ndarray], gt_frames: Sequence[np.ndarray]
 ) -> _FrameOverlaps:
     """One IoU per (prediction, ground truth of its frame), for every frame at
-    once. Each frame's ground truths are padded to the largest per-frame
-    count (at least one) with all-zero boxes, whose IoU is 0 and so never
-    claimed."""
+    once."""
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
             f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames"
@@ -270,16 +259,13 @@ def _frame_overlaps(
     n_pred = np.array([len(preds) for preds in pred_frames], dtype=np.int64)
     n_gt = np.array([len(gts) for gts in gt_frames], dtype=np.int64)
     frame = np.repeat(np.arange(n_pred.size), n_pred)
-    gt_boxes = np.zeros((n_gt.size, max(int(n_gt.max(initial=0)), 1), 4))
-    gt_boxes[np.repeat(np.arange(n_gt.size), n_gt), _within_group(n_gt)] = _column(
-        gt_frames, "box", (0, 4)
-    )
-    pred_boxes = _column(pred_frames, "box", (0, 4))
     return _FrameOverlaps(
         frame=frame,
         confidence=_column(pred_frames, "confidence"),
         track=_column(pred_frames, "track_id", dtype=np.int64),
-        overlaps=_broadcast_iou(pred_boxes[:, None], gt_boxes[frame]),
+        overlaps=_grouped_iou(
+            _column(pred_frames, "box", (0, 4)), frame, _column(gt_frames, "box", (0, 4)), n_gt
+        ),
         gt_offset=(np.cumsum(n_gt) - n_gt)[frame],
         gt_identity=_codes(_column(gt_frames, "id", dtype=np.int64)),
     )
@@ -349,6 +335,8 @@ def _pair_tally(
         fp=same_track - tp,
         fn=same_identity - tp,
     )
+
+
 def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> int:
     """Number of (row of frame t, row of frame u) with equal keys, summed
     over the (t, u) in `pairs`: the sum over keys k of c_t(k) * c_u(k), with
@@ -368,51 +356,6 @@ def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> in
     return int(counts[src] @ np.where(cells[found] == target, counts[found], 0))
 
 
-def mot_counts(
-    pred_frames: Sequence[np.ndarray],
-    gt_frames: Sequence[np.ndarray],
-    iou_min: float = 0.5,
-) -> MotCounts:
-    """Tally false positives, misses, and identity mismatches over a sequence.
-
-    `pred_frames[t]` is a record array of tracker outputs with `box`,
-    `confidence` (ignored here) and `track_id` fields; `gt_frames[t]` has
-    `box` and `id` fields, as `FrameRecord.gt_boxes`. The two sequences
-    must be frame aligned. Boxes are matched per frame by
-    the unique highest-IoU rule. A mismatch is a matched ground truth whose
-    track id differs from the track id it was last matched with, however
-    long ago that was. A track id may occur at most once per frame.
-    """
-    _check_iou_min(iou_min)
-    return _mot_tally(_frame_overlaps(pred_frames, gt_frames), iou_min)
-
-
-def pair_counts(
-    pred_frames: Sequence[np.ndarray],
-    gt_frames: Sequence[np.ndarray],
-    neighbors: Sequence[tuple[int, int]],
-    score_threshold: float = 0.5,
-    iou_min: float = 0.5,
-) -> PairCounts:
-    """Confusion counts over all cross-frame detection pairs.
-
-    `pred_frames[t]` is a record array with `box`, `confidence` and
-    `track_id` fields; `gt_frames[t]` has `box` and `id` fields. Each
-    frame's predictions are first labeled with ground-truth identities as
-    `assign_predictions` labels them; then for every (t, u) in `neighbors`,
-    every (labeled detection in t) x (labeled detection in u) combination
-    is scored: actually-same means equal identities, predicted-same means
-    equal track ids. Pairs involving an unlabeled detection are skipped.
-
-    `neighbors` lists the (t, u) positions where frame u directly follows
-    frame t, as `datasets.neighbor_frames` gives them; a tracker ends every
-    track at a missing frame, so frames across a gap are not paired.
-    """
-    _check_iou_min(iou_min)
-    pairs = _frame_pairs(neighbors, len(pred_frames))
-    return _pair_tally(_frame_overlaps(pred_frames, gt_frames), pairs, score_threshold, iou_min)
-
-
 def track_counts(
     pred_frames: Sequence[np.ndarray],
     gt_frames: Sequence[np.ndarray],
@@ -420,12 +363,33 @@ def track_counts(
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[MotCounts, PairCounts]:
-    """`mot_counts` and `pair_counts` of one tracker output, from per-frame
-    record arrays with `box`, `confidence` and `track_id` fields (the
-    per-frame slices of a tracks array, `datasets.tracks_by_frame`); MOT
-    counting ignores the confidence. Both count from one IoU per
-    (prediction, ground truth of its frame), computed for all frames at
-    once."""
+    """CLEAR MOT tallies and cross-frame pair confusion counts of one
+    tracker output.
+
+    `pred_frames[t]` is a record array of tracker outputs with `box`,
+    `confidence` and `track_id` fields (the per-frame slices of a tracks
+    array, `datasets.tracks_by_frame`); `gt_frames[t]` has `box` and `id`
+    fields, as `FrameRecord.gt_boxes`. The two sequences must be frame
+    aligned, and a track id may occur at most once per frame. Both tallies
+    count from one IoU per (prediction, ground truth of its frame), computed
+    for all frames at once, and match boxes per frame by the unique
+    highest-IoU rule.
+
+    MOT counting ignores the confidence. A false positive is an unmatched
+    prediction and a miss an unmatched ground truth. A mismatch is a matched
+    ground truth whose track id differs from the track id it was last
+    matched with, however long ago that was.
+
+    Pair counting first labels each frame's predictions with ground-truth
+    identities as `assign_predictions` labels them (predictions below
+    `score_threshold` stay unlabeled). Then for every (t, u) in `neighbors`,
+    every (labeled detection in t) x (labeled detection in u) combination
+    is scored: actually-same means equal identities, predicted-same means
+    equal track ids. Pairs involving an unlabeled detection are skipped.
+    `neighbors` lists the (t, u) positions where frame u directly follows
+    frame t, as `datasets.neighbor_frames` gives them; a tracker ends every
+    track at a missing frame, so `neighbors` never spans a gap.
+    """
     _check_iou_min(iou_min)
     pairs = _frame_pairs(neighbors, len(pred_frames))
     fo = _frame_overlaps(pred_frames, gt_frames)

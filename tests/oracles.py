@@ -110,7 +110,7 @@ def scalar_claims(pred_boxes, gt_boxes, iou_min):
     return [j if j is not None and winners[j] == i else None for i, j in enumerate(claims)]
 
 
-def scalar_average_precision(predictions, ground_truths, iou_threshold, interpolation="all_point"):
+def scalar_average_precision(predictions, ground_truths, iou_threshold):
     """Detection AP with one scalar `iou` call per (prediction, ground truth)
     of an image, recomputed at every threshold: predictions ranked by
     confidence (stable), each greedily takes the best still-unmatched ground
@@ -145,13 +145,6 @@ def scalar_average_precision(predictions, ground_truths, iou_threshold, interpol
     fp_cum = np.cumsum(~is_tp)
     recall = tp_cum / len(ground_truths)
     precision = tp_cum / (tp_cum + fp_cum)
-
-    if interpolation == "eleven_point":
-        levels = np.linspace(0.0, 1.0, 11)
-        vals = [precision[recall >= r].max() if (recall >= r).any() else 0.0 for r in levels]
-        return float(np.mean(vals))
-    if interpolation != "all_point":
-        raise ValueError(f"unknown interpolation {interpolation!r}")
 
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.concatenate([[0.0], precision, [0.0]])

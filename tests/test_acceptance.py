@@ -19,7 +19,6 @@ from embedtrack import (
     PairCounts,
     SimConfig,
     TrainConfig,
-    average_precision,
     counts_at,
     distance_matrix,
     embed_batch,
@@ -311,15 +310,15 @@ def test_criterion_8_ap_reference_values():
         far = BoundingBox(50.0, 50.0, 60.0, 60.0)
 
         # one ground truth, one exact prediction
-        assert average_precision([(0, unit, 0.9)], [(0, unit)], 0.5) == 1.0
+        assert mean_ap([(0, unit, 0.9)], [(0, unit)], (0.5,)) == 1.0
 
         # a false positive ranked above the true positive halves the AP
         preds = [(0, _translate(far, 100.0, 0.0), 0.95), (0, unit, 0.9)]
-        assert average_precision(preds, [(0, unit)], 0.5) == 0.5
+        assert mean_ap(preds, [(0, unit)], (0.5,)) == 0.5
 
         # exact predictions for every ground truth, at every IoU threshold
         gts = [(0, unit), (0, far), (1, _translate(unit, 5.0, 5.0))]
         exact = [(img, box, 0.8) for img, box in gts]
         for t in np.arange(0.50, 1.0, 0.05):
-            assert average_precision(exact, gts, float(t)) == 1.0
+            assert mean_ap(exact, gts, (float(t),)) == 1.0
         assert mean_ap(exact, gts) == 1.0

@@ -1,9 +1,10 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
@@ -101,17 +102,16 @@ class TestCountsAt:
 
 
 def _brute_force_best(pairs):
-    """Evaluate the objective at every candidate plateau by direct counting."""
+    """The first plateau (lo, hi] of thresholds with the least objective, and
+    that objective, by direct counting at the upper end of every plateau:
+    each distinct positive distance, and for h > d_max (hi = inf) the next
+    float above d_max."""
     distances = sorted(set(pairs[0].tolist()))
-    cands = []
-    if distances[0] > 0:
-        cands.append(distances[0] / 2.0)
-    cands += [(a + b) / 2.0 for a, b in zip(distances, distances[1:])]
-    cands.append(distances[-1] + 1.0)
-    scored = [(threshold_objective(counts_at(*pairs, h)), h) for h in cands]
-    best_obj = min(obj for obj, _ in scored)
-    best_h = min(h for obj, h in scored if obj == best_obj)
-    return best_h, best_obj
+    ends = [d for d in distances if d > 0] + [math.inf]
+    top = math.nextafter(distances[-1], math.inf)
+    best_obj, hi = min((threshold_objective(counts_at(*pairs, min(h, top))), h) for h in ends)
+    lo = max([0.0] + [d for d in distances if d < hi])
+    return (lo, hi), best_obj
 
 
 class TestSweepThreshold:
@@ -126,22 +126,11 @@ class TestSweepThreshold:
         assert sweep.objective == 0.5
         assert sweep.threshold == 1.5
 
-    def test_tie_break_largest(self):
-        sweep = sweep_threshold(
-            *_pairs(same=[1.0, 3.0], diff=[2.0, 4.0]), tie_break="largest"
-        )
-        assert sweep.objective == 0.5
-        assert sweep.threshold == 3.5
-
     def test_single_label_kind_raises(self):
         with pytest.raises(DegenerateDevSetError):
             sweep_threshold([1.0, 2.0], [True, True])
         with pytest.raises(DegenerateDevSetError):
             sweep_threshold([], [])
-
-    def test_rejects_unknown_tie_break(self):
-        with pytest.raises(ValueError):
-            sweep_threshold(*_pairs([1.0], [2.0]), tie_break="median")
 
     def test_rows_cover_all_candidates_in_order(self):
         sweep = sweep_threshold(*_pairs(same=[1.0, 2.0], diff=[3.0]))
@@ -166,13 +155,19 @@ class TestSweepThreshold:
 
     @given(pair_sets)
     @settings(max_examples=60, deadline=None)
+    # (1 + b) / 2 rounds to 1.0 when b is the next float after 1.0
+    @example(([1.0], [math.nextafter(1.0, 2.0)]))
+    # 2**60 + 1 == 2**60, and the 0.0 different pair rules out "all different"
+    @example(([2.0**60], [0.0]))
+    # the smallest subnormal halves to 0.0, which is not a threshold
+    @example(([5e-324], [5e-324]))
     def test_matches_brute_force(self, sets):
         same, diff = sets
         pairs = _pairs(same, diff)
         sweep = sweep_threshold(*pairs)
-        best_h, best_obj = _brute_force_best(pairs)
+        (lo, hi), best_obj = _brute_force_best(pairs)
         assert sweep.objective == best_obj
-        assert sweep.threshold == best_h
+        assert lo < sweep.threshold <= hi
 
     @given(pair_sets, st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)

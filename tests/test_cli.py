@@ -3,11 +3,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from embedtrack import load_frames, load_params, load_track_records
+from embedtrack import (
+    LossConfig,
+    SimConfig,
+    TrainConfig,
+    load_frames,
+    load_params,
+    load_track_records,
+)
 from embedtrack.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -87,6 +95,77 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "noise_sigma" in err
+
+
+# One non-default value per config field exposed as a flag, against the
+# SIM_ARGS and FIELD_TRAIN_ARGS runs.
+SIM_CHANGES = {
+    "identity_count": "2", "frame_count": "5", "feature_dim": "5",
+    "archetype_separation": "4.0", "noise_sigma": "0.5", "dropout": "0.3",
+    "image_width": "1000.0", "image_height": "1000.0", "min_box_size": "100.0",
+    "max_box_size": "120.0", "max_speed": "2.0", "camera_id": "1", "seed": "6",
+}
+TRAIN_CHANGES = {
+    "margin": "2.0", "pull_margin": "0.5", "w_triplet": "0.5", "w_pull": "0.5",
+    "score_threshold": "0.8", "initial_lr": "0.01", "epochs": "3", "hidden_dim": "6",
+    "embed_dim": "3", "seed": "1",
+}
+# The head-only trainer computes no detector loss for these to weight.
+REFUSED_TRAIN_FIELDS = ("w_cls", "w_reg")
+FIELD_TRAIN_ARGS = ["--epochs", "2", "--hidden-dim", "8", "--embed-dim", "4"]
+
+
+def _outputs(out_dir):
+    """Every output but manifest.json, with params.json's copy of the loss
+    config left out, so that a field counts only by what it changes."""
+    outputs = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "params.json":
+            doc = json.loads(path.read_text())
+            del doc["loss_config"]
+            outputs[path.name] = doc
+        elif path.name != "manifest.json":
+            outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+class TestEveryConfigFieldMatters:
+    """No config field that changes nothing: a non-default value of each
+    SimConfig, TrainConfig and LossConfig flag changes an output of its
+    stage, or the stage refuses it by name."""
+
+    def test_every_field_has_a_case(self):
+        assert set(SIM_CHANGES) == {f.name for f in fields(SimConfig)}
+        assert set(TRAIN_CHANGES) | set(REFUSED_TRAIN_FIELDS) == {
+            f.name for f in fields(LossConfig) + fields(TrainConfig)
+        }
+
+    def test_simulate_fields_change_the_frames(self, tmp_path):
+        def run(name, extra):
+            out = tmp_path / name
+            assert main(["simulate", "--out", str(out)] + SIM_ARGS + extra) == 0
+            return _outputs(out)
+
+        base = run("base", [])
+        for name, value in SIM_CHANGES.items():
+            assert run(name, ["--" + name.replace("_", "-"), value]) != base, name
+
+    def test_train_fields_change_the_head(self, tmp_path, sim_dir, capsys):
+        def run(name, extra):
+            out = tmp_path / name
+            argv = ["train", "--frames", str(sim_dir / "frames.jsonl"), "--out", str(out)]
+            return main(argv + FIELD_TRAIN_ARGS + extra), out
+
+        code, out = run("base", [])
+        assert code == 0
+        base = _outputs(out)
+        for name, value in TRAIN_CHANGES.items():
+            code, out = run(name, ["--" + name.replace("_", "-"), value])
+            assert code == 0 and _outputs(out) != base, name
+        for name in REFUSED_TRAIN_FIELDS:
+            capsys.readouterr()
+            assert run(name, ["--" + name.replace("_", "-"), "2.0"])[0] == 1
+            assert name in capsys.readouterr().err
 
 
 class TestTrain:
@@ -461,7 +540,7 @@ class TestOutsideValues:
     @pytest.mark.parametrize(
         "values",
         [{"epochs": "2"}, {"epochs": 2.5}, {"epochs": True}, {"margin": "5"},
-         {"initial_lr": None}, {"seed": [1]}],
+         {"initial_lr": None}, {"seed": [1]}, {"margin": 10**400}],
     )
     def test_train_config_value_of_wrong_type(self, tmp_path, sim_dir, capsys, values):
         config = tmp_path / "cfg.json"
@@ -480,12 +559,18 @@ class TestOutsideValues:
                        "frame_count")
 
     def test_integer_accepted_for_float_field(self, tmp_path, sim_dir):
+        """A float field given as a JSON integer writes the bytes its flag
+        writes."""
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"margin": 4, "initial_lr": 0.01, "epochs": 2}))
-        out = tmp_path / "out"
-        assert main(["train", "--frames", str(sim_dir / "frames.jsonl"), "--config",
-                     str(config), "--out", str(out), "--hidden-dim", "8"]) == 0
-        assert _manifest(out)["config"]["loss"]["margin"] == 4
+        train = ["train", "--frames", str(sim_dir / "frames.jsonl"), "--hidden-dim", "8"]
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert main(train + ["--config", str(config), "--out", str(from_file)]) == 0
+        assert main(train + ["--margin", "4", "--initial-lr", "0.01", "--epochs", "2",
+                             "--out", str(from_flags)]) == 0
+        assert _manifest(from_file)["config"]["loss"]["margin"] == 4
+        for name in ("params.json", "manifest.json"):
+            assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
 
     @pytest.mark.parametrize(
         "counts, words",

@@ -9,13 +9,10 @@ from embedtrack import (
     MotCounts,
     PairCounts,
     assign_predictions,
-    average_precision,
     iou,
     mean_ap,
-    mot_counts,
     mota,
     pair_accuracy,
-    pair_counts,
     track_counts,
 )
 from oracles import loop_mot_counts, loop_pair_counts, scalar_average_precision, scalar_claims
@@ -45,16 +42,18 @@ def _frames(pred_frames, gt_frames):
     return [records.tracks(f) for f in pred_frames], [records.gt_boxes(f) for f in gt_frames]
 
 
-def _mot_counts(pred_frames, gt_frames, *args, **kw):
-    return mot_counts(*_frames(pred_frames, gt_frames), *args, **kw)
-
-
-def _pair_counts(pred_frames, gt_frames, *args, **kw):
-    return pair_counts(*_frames(pred_frames, gt_frames), *args, **kw)
-
-
 def _track_counts(pred_frames, gt_frames, *args, **kw):
     return track_counts(*_frames(pred_frames, gt_frames), *args, **kw)
+
+
+def _mot_counts(pred_frames, gt_frames, iou_min=0.5):
+    """The MOT tallies of `track_counts`, which pair no frames."""
+    return _track_counts(pred_frames, gt_frames, [], iou_min=iou_min)[0]
+
+
+def _pair_counts(pred_frames, gt_frames, neighbors, score_threshold=0.5, iou_min=0.5):
+    """The pair counts of `track_counts`."""
+    return _track_counts(pred_frames, gt_frames, neighbors, score_threshold, iou_min)[1]
 
 
 class TestAssignPredictions:
@@ -124,11 +123,10 @@ class TestScalarOracles:
         detections,
         annotations,
         st.sampled_from([0.0, 0.3, 0.5, 0.75, 1.0]),
-        st.sampled_from(["all_point", "eleven_point"]),
     )
-    def test_average_precision_equals_scalar_loop(self, preds, gts, threshold, interpolation):
-        expected = scalar_average_precision(preds, gts, threshold, interpolation)
-        assert average_precision(preds, gts, threshold, interpolation) == expected
+    def test_average_precision_equals_scalar_loop(self, preds, gts, threshold):
+        expected = scalar_average_precision(preds, gts, threshold)
+        assert mean_ap(preds, gts, (threshold,)) == expected
 
     @given(detections, annotations)
     def test_mean_ap_equals_scalar_loop(self, preds, gts):
@@ -153,7 +151,6 @@ class TestScalarOracles:
             min_size=1,
             max_size=5,
         ),
-        st.sampled_from(["all_point", "eleven_point"]),
     )
     @example(
         # the first ranked prediction overlaps both ground truths by 0.5; only
@@ -161,40 +158,39 @@ class TestScalarOracles:
         [(0, _row(1, 2), 0.9), (0, _row(0, 1), 0.6)],
         [(0, _row(0, 2)), (0, _row(1, 3))],
         [0.5],
-        "all_point",
     )
-    def test_mean_ap_matches_every_threshold_list(self, preds, gts, thresholds, interpolation):
+    def test_mean_ap_matches_every_threshold_list(self, preds, gts, thresholds):
         """Many ranks per image, images with predictions but no ground truth,
         equal confidences across images, and thresholds in any order with
         repeats: the one-pass match equals the scalar loop per threshold."""
         expected = float(
-            np.mean([scalar_average_precision(preds, gts, t, interpolation) for t in thresholds])
+            np.mean([scalar_average_precision(preds, gts, t) for t in thresholds])
         )
-        assert mean_ap(preds, gts, thresholds, interpolation) == expected
+        assert mean_ap(preds, gts, thresholds) == expected
 
 
 class TestAveragePrecision:
     def test_single_exact_prediction(self):
         gt = [(0, _box(0))]
-        assert average_precision([(0, _box(0), 0.9)], gt, 0.5) == 1.0
+        assert mean_ap([(0, _box(0), 0.9)], gt, (0.5,)) == 1.0
 
     def test_false_positive_ranked_first(self):
         gt = [(0, _box(0))]
         preds = [(0, _box(100), 0.9), (0, _box(0), 0.8)]
-        assert average_precision(preds, gt, 0.5) == 0.5
+        assert mean_ap(preds, gt, (0.5,)) == 0.5
 
     def test_exact_predictions_at_every_threshold(self):
         gt = [(0, _box(0)), (0, _box(30)), (1, _box(0))]
         preds = [(img, box, 0.9) for img, box in gt]
         for t in AP_IOU_THRESHOLDS:
-            assert average_precision(preds, gt, t) == 1.0
+            assert mean_ap(preds, gt, (t,)) == 1.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(ValueError):
-            average_precision([(0, _box(0), 0.9)], [], 0.5)
+            mean_ap([(0, _box(0), 0.9)], [], (0.5,))
 
     def test_no_predictions_is_zero(self):
-        assert average_precision([], [(0, _box(0))], 0.5) == 0.0
+        assert mean_ap([], [(0, _box(0))], (0.5,)) == 0.0
 
     def test_invariant_under_monotone_confidence_transform(self):
         rng = np.random.default_rng(1)
@@ -203,29 +199,16 @@ class TestAveragePrecision:
             (k % 2, _box(15.0 * k + rng.uniform(-6, 6)), float(rng.uniform(0.1, 1.0)))
             for k in range(10)
         ]
-        base = average_precision(preds, gt, 0.5)
+        base = mean_ap(preds, gt, (0.5,))
         squashed = [(i, b, 0.001 + c**3 / 2) for i, b, c in preds]
-        assert average_precision(squashed, gt, 0.5) == base
+        assert mean_ap(squashed, gt, (0.5,)) == base
 
     def test_confidence_ties_keep_input_order(self):
         gt = [(0, _box(0))]
         fp_first = [(0, _box(100), 0.9), (0, _box(0), 0.9)]
         tp_first = [(0, _box(0), 0.9), (0, _box(100), 0.9)]
-        assert average_precision(fp_first, gt, 0.5) == 0.5
-        assert average_precision(tp_first, gt, 0.5) == 1.0
-
-    def test_eleven_point_interpolation(self):
-        # one of two ground truths found: recall tops out at 0.5
-        gt = [(0, _box(0)), (0, _box(50))]
-        preds = [(0, _box(0), 0.9), (0, _box(100), 0.8)]
-        assert average_precision(preds, gt, 0.5) == 0.5
-        # 11-point: precision 1.0 at the six levels up to recall 0.5, then 0
-        ap = average_precision(preds, gt, 0.5, interpolation="eleven_point")
-        assert ap == pytest.approx(6 / 11)
-
-    def test_rejects_unknown_interpolation(self):
-        with pytest.raises(ValueError):
-            average_precision([(0, _box(0), 0.9)], [(0, _box(0))], 0.5, interpolation="trapezoid")
+        assert mean_ap(fp_first, gt, (0.5,)) == 0.5
+        assert mean_ap(tp_first, gt, (0.5,)) == 1.0
 
 
 class TestMeanAp:
@@ -236,11 +219,6 @@ class TestMeanAp:
 
     def test_no_predictions(self):
         assert mean_ap([], [(0, _box(0))]) == 0.0
-
-    @pytest.mark.parametrize("preds", [[], [(0, _box(0), 0.9)]])
-    def test_rejects_unknown_interpolation(self, preds):
-        with pytest.raises(ValueError, match="interpolation"):
-            mean_ap(preds, [(0, _box(0))], interpolation="bogus")
 
     @pytest.mark.parametrize("preds", [[], [(0, _box(0), 0.9)]])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
