@@ -24,7 +24,6 @@ from embedtrack import (
     simulate,
     sweep_threshold,
     track_counts,
-    track_records,
     track_sequence,
     tracks_by_frame,
     train,
@@ -59,7 +58,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
         seed=args.holdout_seed,
     )
     holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
-    tracks = track_records(holdout, track_sequence(holdout, params, threshold=sweep.threshold))
+    tracks = track_sequence(holdout, params, threshold=sweep.threshold)
 
     counts, pairs = track_counts(
         tracks_by_frame(tracks, holdout), [f.gt_boxes for f in holdout], neighbor_frames(holdout)

@@ -9,12 +9,7 @@ cross-frame pair accuracy.
 
 __version__ = "0.1.0"
 
-from .association import (
-    TrackState,
-    match_frames,
-    track_sequence,
-    update_tracks,
-)
+from .association import match_frames, track_sequence, update_tracks
 from .calibration import (
     DegenerateDevSetError,
     DistanceHistogram,
@@ -25,9 +20,8 @@ from .calibration import (
     sweep_threshold,
     threshold_objective,
 )
-from .core import GT_DTYPE, BoundingBox, FrameRecord, detection_dtype, iou, iou_matrix
+from .core import GT_DTYPE, TRACK_DTYPE, BoundingBox, FrameRecord, detection_dtype, iou, iou_matrix
 from .datasets import (
-    TRACK_DTYPE,
     FrameParseError,
     SimConfig,
     cross_camera_frames,
@@ -40,7 +34,6 @@ from .datasets import (
     save_frames,
     save_track_records,
     simulate,
-    track_records,
     tracks_by_frame,
     training_batches,
 )
@@ -92,7 +85,6 @@ __all__ = [
     "SimConfig",
     "TRACK_DTYPE",
     "ThresholdSweep",
-    "TrackState",
     "TrainConfig",
     "TrainingDivergedError",
     "assign_predictions",
@@ -128,7 +120,6 @@ __all__ = [
     "sweep_threshold",
     "threshold_objective",
     "track_counts",
-    "track_records",
     "track_sequence",
     "tracks_by_frame",
     "train",

@@ -8,17 +8,15 @@ fresh id. Ids are never reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FrameRecord
+from .core import TRACK_DTYPE, FrameRecord
 from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 
 __all__ = [
     "match_frames",
-    "TrackState",
     "update_tracks",
     "track_sequence",
 ]
@@ -40,90 +38,35 @@ def match_frames(distances: np.ndarray, threshold: float) -> list[Optional[int]]
     n_cur, n_fmr = d.shape
     if n_cur == 0 or n_fmr == 0:
         return [None] * n_cur
+    rows = np.arange(n_cur)
     row_arg = d.argmin(axis=1)
-    col_arg = d.argmin(axis=0)
-    out: list[Optional[int]] = []
-    for i in range(n_cur):
-        j = row_arg[i]
-        if col_arg[j] == i and d[i, j] < threshold:
-            out.append(int(j))
-        else:
-            out.append(None)
-    return out
-
-
-@dataclass(frozen=True)
-class TrackState:
-    """What survives from one frame to the next: embeddings, their track ids,
-    and the next unused id."""
-
-    former_embeddings: np.ndarray
-    former_track_ids: tuple[int, ...]
-    next_track_id: int
-
-    def __post_init__(self) -> None:
-        emb = np.array(self.former_embeddings, dtype=np.float64, copy=True)
-        if emb.ndim != 2:
-            raise ValueError(f"former_embeddings must be 2-D, got shape {emb.shape}")
-        ids = tuple(int(t) for t in self.former_track_ids)
-        if emb.shape[0] != len(ids):
-            raise ValueError(
-                f"{emb.shape[0]} embeddings but {len(ids)} track ids"
-            )
-        if any(t < 0 for t in ids):
-            raise ValueError("track ids must be non-negative")
-        if self.next_track_id < 0:
-            raise ValueError("next_track_id must be non-negative")
-        emb.flags.writeable = False
-        object.__setattr__(self, "former_embeddings", emb)
-        object.__setattr__(self, "former_track_ids", ids)
-
-    @classmethod
-    def empty(cls, embed_dim: int) -> "TrackState":
-        return cls(
-            former_embeddings=np.zeros((0, embed_dim)),
-            former_track_ids=(),
-            next_track_id=0,
-        )
+    mutual = (d.argmin(axis=0)[row_arg] == rows) & (d[rows, row_arg] < threshold)
+    return [j if m else None for j, m in zip(row_arg.tolist(), mutual.tolist())]
 
 
 def update_tracks(
-    state: TrackState, embeddings: np.ndarray, matches: Sequence[Optional[int]]
-) -> tuple[TrackState, list[int]]:
-    """Advance the tracker one frame.
+    former_ids: np.ndarray, matches: Sequence[Optional[int]], next_id: int
+) -> tuple[np.ndarray, int]:
+    """Track ids of one frame's rows, and the next unused id.
 
     `matches[i]` is the previous-frame column matched to current row i (or
-    None). Matched rows keep the column's track id; unmatched rows get fresh
-    ids in row order. The new state remembers only the current frame.
+    None). Matched rows keep the column's id in `former_ids`; unmatched rows
+    get fresh ids from `next_id` on, in row order.
     """
-    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    if emb.size == 0:
-        emb = emb.reshape(0, state.former_embeddings.shape[1])
-    if len(matches) != emb.shape[0]:
-        raise ValueError(f"{len(matches)} matches for {emb.shape[0]} embeddings")
-    n_former = len(state.former_track_ids)
-    taken: set[int] = set()
-    for j in matches:
-        if j is None:
-            continue
-        if not 0 <= j < n_former:
-            raise ValueError(f"match column {j} outside previous frame of {n_former}")
-        if j in taken:
-            raise ValueError(f"column {j} matched twice")
-        taken.add(j)
-
-    next_id = state.next_track_id
-    ids: list[int] = []
-    for j in matches:
-        if j is None:
-            ids.append(next_id)
-            next_id += 1
-        else:
-            ids.append(state.former_track_ids[j])
-    new_state = TrackState(
-        former_embeddings=emb, former_track_ids=tuple(ids), next_track_id=next_id
-    )
-    return new_state, ids
+    n_former = len(former_ids)
+    cols = [j for j in matches if j is not None]
+    outside = [j for j in cols if not 0 <= j < n_former]
+    if outside:
+        raise ValueError(f"match column {outside[0]} outside previous frame of {n_former}")
+    if len(set(cols)) < len(cols):
+        twice = next(j for k, j in enumerate(cols) if j in cols[:k])
+        raise ValueError(f"column {twice} matched twice")
+    matched = np.array([j is not None for j in matches], dtype=bool)
+    ids = np.empty(matched.size, dtype=np.int64)
+    ids[matched] = former_ids[cols]
+    births = matched.size - len(cols)
+    ids[~matched] = np.arange(next_id, next_id + births)
+    return ids, next_id + births
 
 
 def track_sequence(
@@ -131,15 +74,14 @@ def track_sequence(
     params: EmbeddingHeadParams,
     threshold: float,
     score_threshold: float = 0.5,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Run the tracker over one single-camera sequence.
 
     Detections below `score_threshold` are ignored. A frame that does not
     directly follow the previous one (`FrameRecord.follows`) has nothing to
     match against, so after an index gap every detection gets a fresh id.
-    Returns, per frame, the int64 track id of each detection, -1 for the
-    detections that were not tracked (`datasets.track_records` turns this
-    into a tracks array).
+    Returns the tracks array (`TRACK_DTYPE`): one row per kept detection, in
+    frame order, then detection order.
     """
     cameras = {f.camera_id for f in frames}
     if len(cameras) > 1:
@@ -150,20 +92,32 @@ def track_sequence(
                 f"frame indices must increase: {prev.frame_index} then {cur.frame_index}"
             )
 
-    state = TrackState.empty(params.embed_dim)
-    out: list[np.ndarray] = []
+    former_emb = np.zeros((0, params.embed_dim))
+    former_ids = np.zeros(0, dtype=np.int64)
+    next_id = 0
+    kept_masks, track_ids = [], []
     for k, frame in enumerate(frames):
         kept = frame.detections["confidence"] >= score_threshold
         if kept.any():
             emb = embed_batch(params, frame.detections["feature"][kept])
         else:
             emb = np.zeros((0, params.embed_dim))
-        former = state.former_embeddings
         if k > 0 and not frame.follows(frames[k - 1]):
-            former = former[:0]
-        matches = match_frames(distance_matrix(emb, former), threshold)
-        state, ids = update_tracks(state, emb, matches)
-        track_ids = np.full(kept.size, -1, dtype=np.int64)
-        track_ids[kept] = ids
-        out.append(track_ids)
-    return out
+            former_emb, former_ids = former_emb[:0], former_ids[:0]
+        matches = match_frames(distance_matrix(emb, former_emb), threshold)
+        former_ids, next_id = update_tracks(former_ids, matches, next_id)
+        former_emb = emb
+        kept_masks.append(kept)
+        track_ids.append(former_ids)
+
+    # Whole-file columns: concatenating per-frame record arrays costs a
+    # dtype promotion per frame.
+    counts = [ids.size for ids in track_ids]
+    tracks = np.empty(sum(counts), dtype=TRACK_DTYPE)
+    if frames:
+        kept = np.concatenate(kept_masks)
+        tracks["frame_index"] = np.repeat([f.frame_index for f in frames], counts)
+        tracks["track_id"] = np.concatenate(track_ids)
+        for name in ("box", "confidence"):
+            tracks[name] = np.concatenate([f.detections[name] for f in frames])[kept]
+    return tracks

@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,7 +45,6 @@ from .datasets import (
     save_frames,
     save_track_records,
     simulate,
-    track_records,
     tracks_by_frame,
     training_batches,
 )
@@ -77,6 +77,7 @@ def _resolve_config(cls, file_values: dict, args: argparse.Namespace):
 
     A JSON integer given for a float field becomes the float its flag would
     parse to, so that a file value and the same flag write the same bytes.
+    A float field must be finite, whichever of the two gave it.
     """
     kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     values = {}
@@ -90,6 +91,9 @@ def _resolve_config(cls, file_values: dict, args: argparse.Namespace):
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
+    for name, value in values.items():
+        if kinds[name] is float and not math.isfinite(value):
+            raise ValueError(f"config value {name} must be finite, got {value}")
     return cls(**values)
 
 
@@ -125,7 +129,9 @@ def _write_manifest(
         "outputs": outputs,
         "config": config,
     }
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    (out / "manifest.json").write_text(
+        json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -192,7 +198,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     params, _, _ = load_params(args.params)
     frames = load_frames(args.frames)
     distances, is_same = neighbor_pair_distances(
@@ -200,6 +205,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     )
     # Positional pair arrays: the benchmark's traced run reads len(args[0]).
     sweep = sweep_threshold(distances, is_same)
+    if not math.isfinite(sweep.threshold):
+        # inf when the best cut lies above a pair at the largest float
+        raise ValueError(f"calibrated threshold {sweep.threshold} is not finite")
+    out = _out_dir(args)
     write_sweep_csv(out / "sweep.csv", sweep)
     write_histogram_csv(out / "histogram.csv", distance_histogram(distances, is_same, args.bins))
     same = int(is_same.sum())
@@ -211,7 +220,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 "pair_count": distances.size,
                 "same_count": same,
                 "diff_count": distances.size - same,
-            }
+            },
+            allow_nan=False,
         )
         + "\n",
         encoding="utf-8",
@@ -239,10 +249,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     params, _, _ = load_params(args.params)
     frames = load_frames(args.frames)
-    track_ids = track_sequence(
+    tracks = track_sequence(
         frames, params, threshold=args.threshold, score_threshold=args.score_threshold
     )
-    save_track_records(out / "tracks.jsonl", track_records(frames, track_ids))
+    save_track_records(out / "tracks.jsonl", tracks)
     _write_manifest(
         out,
         "track",
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_thresholds(args: argparse.Namespace) -> None:
     """--score-threshold must lie in [0, 1], --iou-min in (0, 1), --bins be
-    at least 1 and --threshold positive; NaN fails every check."""
+    at least 1 and --threshold positive and finite; NaN fails every check."""
     score = getattr(args, "score_threshold", None)
     if score is not None and not 0.0 <= score <= 1.0:
         raise ValueError(f"--score-threshold must lie in [0, 1], got {score}")
@@ -391,8 +401,8 @@ def _check_thresholds(args: argparse.Namespace) -> None:
     if bins is not None and not bins >= 1:
         raise ValueError(f"--bins must be at least 1, got {bins}")
     threshold = getattr(args, "threshold", None)
-    if threshold is not None and not threshold > 0:
-        raise ValueError(f"--threshold must be positive, got {threshold}")
+    if threshold is not None and not 0 < threshold < math.inf:
+        raise ValueError(f"--threshold must be positive and finite, got {threshold}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GT_DTYPE", "BoundingBox", "FrameRecord", "detection_dtype", "iou", "iou_matrix"]
+__all__ = [
+    "GT_DTYPE", "TRACK_DTYPE", "BoundingBox", "FrameRecord", "detection_dtype", "iou", "iou_matrix"
+]
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,11 @@ def detection_dtype(feature_dim: int) -> np.dtype:
 
 # Record of one ground-truth box: [x1, y1, x2, y2] and its identity.
 GT_DTYPE = np.dtype([("box", "f8", (4,)), ("id", "i8")])
+
+# Record of one tracked detection: where, when, which track, how confident.
+TRACK_DTYPE = np.dtype(
+    [("frame_index", "i8"), ("track_id", "i8"), ("box", "f8", (4,)), ("confidence", "f8")]
+)
 
 
 @dataclass(frozen=True, eq=False)

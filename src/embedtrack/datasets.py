@@ -21,13 +21,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GT_DTYPE, FrameRecord, detection_dtype
+from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype
 from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 from .evaluation import assign_predictions
 from .training import LabeledBatch
 
 __all__ = [
-    "TRACK_DTYPE",
     "SimConfig",
     "FrameParseError",
     "neighbor_frames",
@@ -39,16 +38,10 @@ __all__ = [
     "simulate",
     "save_frames",
     "load_frames",
-    "track_records",
     "tracks_by_frame",
     "save_track_records",
     "load_track_records",
 ]
-
-# Record of one tracked detection: where, when, which track, how confident.
-TRACK_DTYPE = np.dtype(
-    [("frame_index", "i8"), ("track_id", "i8"), ("box", "f8", (4,)), ("confidence", "f8")]
-)
 
 
 def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
@@ -297,7 +290,9 @@ class FrameParseError(ValueError):
 
 def save_frames(path: Union[str, Path], frames: Sequence[FrameRecord]) -> None:
     """Write frames as JSON lines. Field set is fixed; floats round-trip; a
-    detection's gt_id is omitted when it is -1 (unlabeled)."""
+    detection's gt_id is omitted when it is -1 (unlabeled). A non-finite
+    float raises ValueError: JSON has no NaN or Infinity."""
+    encode = json.JSONEncoder(allow_nan=False).encode
     with Path(path).open("w", encoding="utf-8") as fh:
         for frame in frames:
             det, gt = frame.detections, frame.gt_boxes
@@ -314,7 +309,7 @@ def save_frames(path: Union[str, Path], frames: Sequence[FrameRecord]) -> None:
                     for box, ident in zip(gt["box"].tolist(), gt["id"].tolist())
                 ],
             }
-            fh.write(json.dumps(doc) + "\n")
+            fh.write(encode(doc) + "\n")
 
 
 def _json_lines(path: Union[str, Path]):
@@ -472,24 +467,6 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
     if error is not None:
         raise error
     return _frames(heads, det, gt)
-
-
-def track_records(frames: Sequence[FrameRecord], track_ids: Sequence[np.ndarray]) -> np.ndarray:
-    """The tracks array (`TRACK_DTYPE`) of `association.track_sequence`
-    output: one row per detection with a track id (>= 0), in frame order,
-    then detection order."""
-    if not frames:
-        return np.empty(0, dtype=TRACK_DTYPE)
-    detections = np.concatenate([frame.detections for frame in frames])
-    counts = [len(frame.detections) for frame in frames]
-    ids = np.concatenate(track_ids)
-    rows = np.flatnonzero(ids >= 0)
-    tracks = np.empty(rows.size, dtype=TRACK_DTYPE)
-    tracks["frame_index"] = np.repeat([frame.frame_index for frame in frames], counts)[rows]
-    tracks["track_id"] = ids[rows]
-    tracks["box"] = detections["box"][rows]
-    tracks["confidence"] = detections["confidence"][rows]
-    return tracks
 
 
 def tracks_by_frame(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> list[np.ndarray]:

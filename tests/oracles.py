@@ -3,13 +3,62 @@
 import numpy as np
 
 from embedtrack import (
+    TRACK_DTYPE,
     EmbeddingHeadParams,
     MotCounts,
     PairCounts,
     batch_loss,
     distance_matrix,
+    embed_batch,
     iou,
 )
+
+
+def match_oracle(d, h):
+    """Per-row enumeration of the matching conditions: j is the first
+    minimum of row i, i is the first minimum of column j, d[i, j] < h."""
+    n_rows, n_cols = d.shape
+    out = []
+    for i in range(n_rows):
+        match = None
+        for j in range(n_cols):
+            row_first_min = all(d[i, k] > d[i, j] for k in range(j)) and all(
+                d[i, k] >= d[i, j] for k in range(j + 1, n_cols)
+            )
+            col_first_min = all(d[k, j] > d[i, j] for k in range(i)) and all(
+                d[k, j] >= d[i, j] for k in range(i + 1, n_rows)
+            )
+            if row_first_min and col_first_min and d[i, j] < h:
+                match = j
+                break
+        out.append(match)
+    return out
+
+
+def loop_tracker(frames, params, threshold, score_threshold=0.5):
+    """The tracks array of a frame-by-frame loop: kept rows are matched to
+    the previous frame's kept rows by `match_oracle`, a matched row takes
+    its partner's id, any other row the next value of a plain counter, and
+    no row of a frame that does not `follows` the one before is matched."""
+    rows = []
+    former, former_ids = np.zeros((0, params.embed_dim)), []
+    next_id = 0
+    for k, frame in enumerate(frames):
+        kept = frame.detections["confidence"] >= score_threshold
+        emb = embed_batch(params, frame.detections["feature"][kept])
+        if k == 0 or not frame.follows(frames[k - 1]):
+            former, former_ids = former[:0], []
+        ids = []
+        for j in match_oracle(distance_matrix(emb, former), threshold):
+            if j is None:
+                ids.append(next_id)
+                next_id += 1
+            else:
+                ids.append(former_ids[j])
+        for det, track_id in zip(frame.detections[kept], ids):
+            rows.append((frame.frame_index, track_id, det["box"], det["confidence"]))
+        former, former_ids = emb, ids
+    return np.array(rows, dtype=TRACK_DTYPE)
 
 
 def finite_diff_gradient(params, batch, cfg, eps=1e-5):

@@ -35,7 +35,6 @@ from embedtrack import (
     sweep_threshold,
     threshold_objective,
     track_counts,
-    track_records,
     track_sequence,
     tracks_by_frame,
     train,
@@ -242,7 +241,7 @@ def test_criterion_5_end_to_end_synthetic():
             seed=77,
         )
         holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
-        tracks = track_records(holdout, track_sequence(holdout, params, threshold=threshold))
+        tracks = track_sequence(holdout, params, threshold=threshold)
 
         counts, pairs = track_counts(
             tracks_by_frame(tracks, holdout),

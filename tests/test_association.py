@@ -1,36 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedtrack import (
+    TRACK_DTYPE,
     EmbeddingHeadParams,
-    TrackState,
     distance_matrix,
     match_frames,
     track_sequence,
+    tracks_by_frame,
     update_tracks,
 )
+from oracles import loop_tracker, match_oracle
 from records import frame
-
-
-def match_oracle(d, h):
-    """Per-row enumeration of the matching conditions: j is the first
-    minimum of row i, i is the first minimum of column j, d[i, j] < h."""
-    n_rows, n_cols = d.shape
-    out = []
-    for i in range(n_rows):
-        match = None
-        for j in range(n_cols):
-            row_first_min = all(d[i, k] > d[i, j] for k in range(j)) and all(
-                d[i, k] >= d[i, j] for k in range(j + 1, n_cols)
-            )
-            col_first_min = all(d[k, j] > d[i, j] for k in range(i)) and all(
-                d[k, j] >= d[i, j] for k in range(i + 1, n_rows)
-            )
-            if row_first_min and col_first_min and d[i, j] < h:
-                match = j
-                break
-        out.append(match)
-    return out
 
 
 class TestDistanceMatrix:
@@ -112,46 +95,42 @@ class TestMatchFrames:
             assert match_frames(d, h) == match_frames(shifted, h)
 
 
+NO_IDS = np.zeros(0, dtype=np.int64)
+
+
 class TestUpdateTracks:
     def test_fresh_ids_from_empty_state(self):
-        state = TrackState.empty(2)
-        emb = np.array([[0.0, 0.0], [1.0, 1.0]])
-        state, ids = update_tracks(state, emb, [None, None])
-        assert ids == [0, 1]
-        assert state.next_track_id == 2
+        ids, next_id = update_tracks(NO_IDS, [None, None], 0)
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 1]
+        assert next_id == 2
 
     def test_perfect_matches_preserve_ids(self):
-        state = TrackState.empty(2)
-        emb = np.array([[0.0, 0.0], [1.0, 1.0]])
-        state, first = update_tracks(state, emb, [None, None])
-        state, second = update_tracks(state, emb, [0, 1])
-        assert second == first
-        assert state.next_track_id == 2
+        first, next_id = update_tracks(NO_IDS, [None, None], 0)
+        second, next_id = update_tracks(first, [0, 1], next_id)
+        assert second.tolist() == first.tolist()
+        assert next_id == 2
 
     def test_mixed_match_and_fresh(self):
-        state = TrackState.empty(2)
-        state, first = update_tracks(state, np.array([[0.0, 0.0]]), [None])
-        emb = np.array([[0.0, 0.0], [5.0, 5.0]])
-        state, ids = update_tracks(state, emb, [0, None])
+        first, next_id = update_tracks(NO_IDS, [None], 0)
+        ids, _ = update_tracks(first, [0, None], next_id)
         assert ids[0] == first[0]
-        assert ids[1] > max(first)
+        assert ids[1] > first.max()
 
     def test_unmatched_former_track_is_dropped(self):
-        state = TrackState.empty(1)
-        state, _ = update_tracks(state, np.array([[0.0], [9.0]]), [None, None])
-        state, _ = update_tracks(state, np.array([[0.0]]), [0])
-        assert state.former_track_ids == (0,)  # track 1 forgotten
+        first, next_id = update_tracks(NO_IDS, [None, None], 0)
+        ids, next_id = update_tracks(first, [0], next_id)
+        assert ids.tolist() == [0]
+        # track 1 is forgotten, and its id is not reused
+        assert update_tracks(ids, [None], next_id)[0].tolist() == [2]
 
     def test_rejects_bad_column(self):
-        state = TrackState.empty(1)
-        with pytest.raises(ValueError):
-            update_tracks(state, np.array([[1.0]]), [3])
+        for column in (3, 1, -1):
+            with pytest.raises(ValueError, match="outside previous frame of 1"):
+                update_tracks(np.array([0]), [column], 1)
 
     def test_rejects_duplicate_columns(self):
-        state = TrackState.empty(1)
-        state, _ = update_tracks(state, np.array([[0.0]]), [None])
-        with pytest.raises(ValueError):
-            update_tracks(state, np.array([[0.0], [0.1]]), [0, 0])
+        with pytest.raises(ValueError, match="column 0 matched twice"):
+            update_tracks(np.array([0]), [0, 0], 1)
 
 
 def _identity_params(dim):
@@ -169,40 +148,44 @@ def _frame(index, feats, confidences=None, camera=0):
     return frame(index, dets, camera=camera, feature_dim=2)
 
 
-def _tracked(out):
-    """(detection index, track id) of every tracked detection, per frame."""
-    return [[(i, t) for i, t in enumerate(ids.tolist()) if t >= 0] for ids in out]
+def _tracked(tracks, frames):
+    """(detection index, track id) of every tracked detection, per frame;
+    `_frame` puts detection k's box at x1 = 10 k."""
+    return [
+        [(int(box[0]) // 10, t) for box, t in zip(rows["box"].tolist(), rows["track_id"].tolist())]
+        for rows in tracks_by_frame(tracks, frames)
+    ]
 
 
 class TestTrackSequence:
     def test_single_frame_issues_distinct_ids(self):
         frames = [_frame(0, [[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])]
-        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0), (1, 1), (2, 2)]]
 
     def test_ids_persist_across_identical_embeddings(self):
         feats = [[0.0, 0.0], [5.0, 5.0]]
         frames = [_frame(0, feats), _frame(1, feats), _frame(2, feats)]
-        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0), (1, 1)]] * 3
 
     def test_confidence_filter_drops_detections(self):
         frames = [_frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3])]
-        (ids,) = track_sequence(frames, _identity_params(2), threshold=1.0)
-        assert ids.dtype == np.int64 and ids.tolist() == [0, -1]
+        tracks = track_sequence(frames, _identity_params(2), threshold=1.0)
+        assert _tracked(tracks, frames) == [[(0, 0)]]
 
     def test_gap_breaks_track(self):
         # one frame without the detection: the track id is not revived
         feats = [[0.0, 0.0]]
         frames = [_frame(0, feats), _frame(1, []), _frame(2, feats)]
-        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0)], [], [(0, 1)]]
 
     def test_index_gap_issues_fresh_ids(self):
         # frames 0, 1, 3: frame 3 does not follow frame 1, so nothing matches
         feats = [[0.0, 0.0], [5.0, 5.0]]
         frames = [_frame(0, feats), _frame(1, feats), _frame(3, feats)]
-        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0))
+        out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0), (1, 1)], [(0, 0), (1, 1)], [(0, 2), (1, 3)]]
 
     def test_rejects_multiple_cameras(self):
@@ -214,3 +197,46 @@ class TestTrackSequence:
         frames = [_frame(1, [[0.0, 0.0]]), _frame(1, [[0.0, 0.0]])]
         with pytest.raises(ValueError):
             track_sequence(frames, _identity_params(2), threshold=1.0)
+
+    def test_tracks_keep_tracked_rows_in_order(self):
+        frames = [
+            _frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3]),
+            _frame(2, [[1.0, 1.0]]),
+        ]
+        tracks = track_sequence(frames, _identity_params(2), threshold=1.0)
+        assert tracks.dtype == TRACK_DTYPE
+        assert tracks["frame_index"].tolist() == [0, 2]
+        assert tracks["track_id"].tolist() == [0, 1]
+        assert tracks["box"].tolist() == [frames[0].detections["box"][0].tolist(),
+                                         frames[1].detections["box"][0].tolist()]
+        assert tracks["confidence"].tolist() == [0.9, 0.9]
+        empty = track_sequence([], _identity_params(2), threshold=1.0)
+        assert empty.dtype == TRACK_DTYPE and empty.size == 0
+
+
+@st.composite
+def tracker_cases(draw):
+    """Frames with index gaps, empty frames, rows at and below the score
+    threshold, and small-integer features, so that distances are exact and
+    often tie with each other and with the gate."""
+    frames, index = [], draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        feats = draw(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=4))
+        confidences = draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=len(feats),
+                                    max_size=len(feats)))
+        frames.append(_frame(index, [[float(x) for x in f] for f in feats], confidences))
+        index += draw(st.sampled_from([1, 1, 1, 2, 3]))
+    return frames, draw(st.sampled_from([0.5, 1.0, 2.0, 5.0, 100.0]))
+
+
+class TestReferenceTracker:
+    @given(tracker_cases())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_loop_tracker(self, case):
+        frames, threshold = case
+        params = _identity_params(2)
+        expected = loop_tracker(frames, params, threshold)
+        tracks = track_sequence(frames, params, threshold)
+        assert tracks.dtype == expected.dtype
+        for name in TRACK_DTYPE.names:
+            assert tracks[name].tolist() == expected[name].tolist()

@@ -6,6 +6,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from embedtrack import (
@@ -16,6 +17,7 @@ from embedtrack import (
     load_params,
     load_track_records,
 )
+from embedtrack import cli
 from embedtrack.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -474,6 +476,7 @@ class TestThresholdFlags:
             ("track", "--threshold", "-1"),
             ("track", "--threshold", "0"),
             ("track", "--threshold", "nan"),
+            ("track", "--threshold", "inf"),
         ],
     )
     def test_out_of_range_value_fails(
@@ -557,6 +560,56 @@ class TestOutsideValues:
         config.write_text(json.dumps({"frame_count": 3.0}))
         _fails_cleanly(["simulate", "--config", config, "--out", tmp_path / "out"], capsys,
                        "frame_count")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise-sigma", "nan"), ("--archetype-separation", "inf"), ("--image-width", "nan"),
+         ("--image-height", "inf"), ("--max-speed", "inf"), ("--min-box-size", "nan")],
+    )
+    def test_simulate_non_finite_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        _fails_cleanly(["simulate", flag, value, "--out", out], capsys,
+                       flag[2:].replace("-", "_"), "finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, text, field",
+        [("simulate", '{"noise_sigma": NaN}', "noise_sigma"),
+         ("simulate", '{"image_height": -Infinity}', "image_height"),
+         ("train", '{"margin": Infinity}', "margin"),
+         ("train", '{"initial_lr": NaN}', "initial_lr")],
+    )
+    def test_non_finite_config_value(self, tmp_path, sim_dir, capsys, stage, text, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        inputs = ["--frames", sim_dir / "frames.jsonl"] if stage == "train" else []
+        out = tmp_path / "out"
+        _fails_cleanly([stage, *inputs, "--config", config, "--out", out], capsys, field, "finite")
+        assert not out.exists()
+
+    def test_simulate_features_overflow(self, tmp_path, capsys):
+        """A finite noise level so large that features overflow to inf: the
+        frames writer refuses to put Infinity into JSON."""
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            _fails_cleanly(["simulate", "--noise-sigma", "1e308", "--frame-count", "2",
+                            "--out", out], capsys, "JSON")
+        assert "Infinity" not in (out / "frames.jsonl").read_text()
+
+    def test_infinite_calibrated_threshold(self, tmp_path, sim_dir, trained_dir, capsys,
+                                           monkeypatch):
+        """One different-identity pair at 0 and one same-identity pair at the
+        largest float: the sweep can only place the threshold at infinity."""
+        pairs = (np.array([0.0, 1.7976931348623157e308]), np.array([False, True]))
+        monkeypatch.setattr(cli, "neighbor_pair_distances", lambda *args: pairs)
+        out = tmp_path / "out"
+        _fails_cleanly(
+            ["calibrate", "--frames", sim_dir / "frames.jsonl",
+             "--params", trained_dir / "params.json", "--out", out],
+            capsys,
+            "threshold inf",
+        )
+        assert not out.exists()
 
     def test_integer_accepted_for_float_field(self, tmp_path, sim_dir):
         """A float field given as a JSON integer writes the bytes its flag

@@ -22,7 +22,6 @@ from embedtrack import (
     save_frames,
     save_track_records,
     simulate,
-    track_records,
     tracks_by_frame,
     training_batches,
 )
@@ -551,15 +550,6 @@ class TestEarliestBadLine:
 
 
 class TestTracksArray:
-    def test_track_records_keeps_tracked_rows_in_order(self):
-        frames = [_frame(0, [1, 2]), _frame(2, [1])]
-        rows = track_records(frames, [np.array([5, -1]), np.array([7])])
-        assert rows["frame_index"].tolist() == [0, 2]
-        assert rows["track_id"].tolist() == [5, 7]
-        assert rows["box"].tolist() == [frames[0].detections["box"][0].tolist(),
-                                       frames[1].detections["box"][0].tolist()]
-        assert track_records([], []).size == 0
-
     def test_tracks_by_frame_aligns_rows_with_frames(self):
         frames = [_frame(0, [1]), _frame(1, [1]), _frame(3, [1])]
         rows = np.concatenate(

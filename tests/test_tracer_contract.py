@@ -67,10 +67,19 @@ def test_traced_pipeline_keeps_the_tracer_contract(tmp_path, capsys):
     }
     assert not_found <= KNOWN_NOT_FOUND
 
+    # One match and one id update per frame, inside the tracker's own span:
+    # frame_us_p50/p95 and match_rate are read from these spans.
+    (sequence,) = [k for k, (name, *_) in enumerate(tracer.spans)
+                   if name == "association.track_sequence"]
+    for name in ("association.match_frames", "association.update_tracks"):
+        parents = [span[3] for span in tracer.spans if span[0] == name]
+        assert parents == [sequence] * len(docs), name
+
     metrics = tracing.layer_metrics(tracer.spans, 0)
     loads = [info for name, *_, info in tracer.spans if name == "datasets.load_frames"]
     assert loads == [detection_count] * 4
     assert metrics["evaluation.assign_predictions_calls"] > 0
     assert 0 < metrics["association.match_rate"] <= 1
+    assert metrics["association.frame_us_p50"] > 0
     evals, distinct = tracing.ap_counts(*tracer.last_args["evaluation.mean_ap"])
     assert evals > 0 and distinct > 0
