@@ -328,7 +328,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         inputs = {"tracks": args.tracks, "frames": args.frames}
         config = {"iou_min": args.iou_min, "score_threshold": args.score_threshold}
     report["config"] = config
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    (out / "report.json").write_text(
+        json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    )
     _write_manifest(out, "eval", None, inputs=inputs, outputs={"report": "report.json"}, config=config)
     return 0
 
@@ -411,7 +413,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_thresholds(args)
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -272,10 +273,15 @@ def _frames(heads: list[tuple], detections: np.ndarray, gt_boxes: np.ndarray) ->
     `heads`, holding consecutive read-only slices of the file's arrays."""
     detections.flags.writeable = False
     gt_boxes.flags.writeable = False
-    ends = np.cumsum(np.array([h[2:] for h in heads], dtype=np.int64).reshape(-1, 2), axis=0)
-    dets = np.split(detections, ends[:-1, 0])
-    gts = np.split(gt_boxes, ends[:-1, 1])
-    return [FrameRecord(h[0], h[1], d, g) for h, d, g in zip(heads, dets, gts)]
+    frames = []
+    d = g = 0
+    for frame_index, camera_id, n, m in heads:
+        frames.append(
+            FrameRecord(frame_index, camera_id, detections[d : d + n], gt_boxes[g : g + m])
+        )
+        d += n
+        g += m
+    return frames
 
 
 class FrameParseError(ValueError):
@@ -335,47 +341,86 @@ def _parse_int(value, line_number: int, field: str) -> int:
     return value
 
 
-def _parse_floats(values, shape: tuple, line_number: int, field: str) -> np.ndarray:
-    """float64 array of one line's values, which must have `shape`."""
+def _holds_text_or_bool(values) -> bool:
+    if isinstance(values, list):
+        return any(map(_holds_text_or_bool, values))
+    return isinstance(values, (str, bool))
+
+
+def _check_floats(values, shape: tuple, line_number: int, field: str) -> None:
+    """One line's values must convert to a float64 array of `shape` and be
+    JSON numbers: NumPy would also convert strings and bools."""
     try:
         column = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FrameParseError(line_number, field, f"expected numbers: {exc}") from exc
     if column.shape != shape:
         raise FrameParseError(line_number, field, f"expected shape {shape}, got {values!r}")
-    return column
+    if _holds_text_or_bool(values):
+        raise FrameParseError(
+            line_number, field, f"expected numbers, not strings or bools, got {values!r}"
+        )
+
+
+def _hides_bool(values: list, column: np.ndarray) -> bool:
+    """Whether a JSON true or false sits among `values`, which NumPy read as
+    the 1-D or 2-D numeric `column`: a bool reads as 1 or 0, so only the
+    cells holding 0 or 1 need a look."""
+    cells = np.nonzero((column == 0) | (column == 1))
+    if column.ndim == 1:
+        return any(type(values[i]) is bool for i in cells[0].tolist())
+    return any(type(values[i][j]) is bool for i, j in zip(*(c.tolist() for c in cells)))
+
+
+def _float_array(values: list, tail: tuple) -> np.ndarray:
+    return np.array(values, dtype=np.float64).reshape(len(values), *tail)
+
+
+def _float_column(values: list, tail: tuple, field: str, line_values) -> tuple:
+    """(column, error) for a file's raw values, one row per value, as a
+    float64 array of shape (len(values), *tail).
+
+    One NumPy call builds the whole column. Only when that call fails, gives
+    a dtype that is not a number's (a string, a null, an integer past 64
+    bits) or hides a bool are the lines checked one by one: `line_values`
+    yields each line's (line number, row count, values, shape). Then the
+    error is the first line's that `_check_floats` rejects, and the column
+    holds the rows before it.
+    """
+    try:
+        column = np.array(values)
+    except (TypeError, ValueError, OverflowError):
+        column = None
+    if (
+        column is not None
+        and column.dtype.kind in "fiu"
+        and column.shape == (len(values), *tail)
+        and not _hides_bool(values, column)
+    ):
+        return column.astype(np.float64, copy=False), None
+    start = 0
+    for line_number, count, line, shape in line_values:
+        try:
+            _check_floats(line, shape, line_number, field)
+        except FrameParseError as exc:
+            return _float_array(values[:start], tail), exc
+        start += count
+    return _float_array(values, tail), None  # a null reads as NaN, for the value checks
+
+
+def _line_slices(values: list, lines: list[int], counts: list[int], tail: tuple):
+    """(line number, row count, values, shape) of every line with rows."""
+    start = 0
+    for line_number, count in zip(lines, counts):
+        if count:
+            yield line_number, count, values[start : start + count], (count, *tail)
+        start += count
 
 
 def _objects(items, line_number: int, field: str) -> list[dict]:
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise FrameParseError(line_number, field, "expected a list of objects")
     return items
-
-
-def _parse_detections(dets: list[dict], feature_dim: int, line_number: int) -> np.ndarray:
-    """The `detection_dtype` records of one line's detections."""
-    n = len(dets)
-    box = _parse_floats([d.get("box") for d in dets], (n, 4), line_number, "detections.box")
-    features = [d.get("feature") for d in dets]
-    bad = [f for f in features if not (isinstance(f, list) and len(f) == feature_dim)]
-    if bad:
-        raise FrameParseError(
-            line_number,
-            "detections.feature",
-            f"expected a list as long as the file's first, got {bad[0]!r}",
-        )
-    det = np.empty(n, dtype=detection_dtype(feature_dim))
-    det["box"] = box
-    gt_id = [d.get("gt_id") for d in dets]
-    for g in gt_id:
-        if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
-            raise FrameParseError(line_number, "detections", f"gt_id must be non-negative, got {g}")
-    det["confidence"] = _parse_floats(
-        [d.get("confidence") for d in dets], (n,), line_number, "detections"
-    )
-    det["feature"] = _parse_floats(features, (n, feature_dim), line_number, "detections")
-    det["gt_id"] = [-1 if g is None else g for g in gt_id]
-    return det
 
 
 def _bad_boxes(boxes: np.ndarray) -> np.ndarray:
@@ -393,6 +438,11 @@ def _check_values(*checks: tuple) -> None:
         raise FrameParseError(int(line), field, f"{rule}, got {values[bad][0].tolist()}")
 
 
+def _first_error(*errors: Optional[FrameParseError]) -> Optional[FrameParseError]:
+    """The error on the earliest line; on one line the earlier argument."""
+    return min((e for e in errors if e is not None), key=lambda e: e.line_number, default=None)
+
+
 BOX_RULE = "box must be finite with x1 < x2 and y1 < y2"
 
 
@@ -400,63 +450,117 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
     """Read frames written by `save_frames` into read-only slices of one
     detection and one gt record array per file.
 
-    Types and structure are checked line by line as the file streams in,
-    values (boxes, confidences, features) once, vectorised, on the joined
-    arrays; README.md lists the checks. A rejected file raises
-    FrameParseError at its earliest bad line. An empty file gives [].
+    Types and structure are checked line by line as the file streams in.
+    The numbers of all lines become arrays once per file, where their values
+    (boxes, confidences, features) are checked; README.md lists the checks.
+    A rejected file raises FrameParseError at its earliest bad line. An
+    empty file gives [].
     """
     heads: list[tuple[int, int, int, int]] = []
     lines: list[int] = []
-    det_chunks: list[np.ndarray] = []
-    gt_chunks: list[np.ndarray] = []
+    boxes: list = []
+    confidences: list = []
+    features: list = []
+    gt_ids: list[int] = []
+    gt_box_values: list = []
+    ids: list[int] = []
     feature_dim: Optional[int] = None
     last_index: dict[int, int] = {}
     error: Optional[FrameParseError] = None
     try:
         for line_number, doc in _json_lines(path):
-            for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
-                if key not in doc:
-                    raise FrameParseError(line_number, key, "missing")
-            dets = _objects(doc["detections"], line_number, "detections")
-            gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
-            if dets:
-                if feature_dim is None and isinstance(dets[0].get("feature"), list):
-                    feature_dim = len(dets[0]["feature"])
-                det = _parse_detections(dets, feature_dim, line_number)
-            gt = np.empty(len(gts), dtype=GT_DTYPE)
-            if gts:
-                boxes = [g.get("box") for g in gts]
-                gt["box"] = _parse_floats(boxes, (len(gts), 4), line_number, "gt_boxes.box")
-            ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
-            if len(set(ids)) < len(ids):
-                raise FrameParseError(line_number, "gt_boxes.id", f"an identity repeats: {ids}")
-            gt["id"] = ids
-            frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
-            camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
-            if frame_index < 0 or min(ids, default=0) < 0:
-                raise FrameParseError(
-                    line_number, "frame", f"negative frame_index {frame_index} or identity in {ids}"
-                )
-            prev = last_index.get(camera_id)
-            if prev is not None and frame_index <= prev:
-                raise FrameParseError(
-                    line_number,
-                    "frame_index",
-                    f"{frame_index} does not increase over {prev} for camera {camera_id}",
-                )
+            floats: list[tuple] = []  # the line's number fields, in the order they are checked
+            try:
+                for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
+                    if key not in doc:
+                        raise FrameParseError(line_number, key, "missing")
+                dets = _objects(doc["detections"], line_number, "detections")
+                gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
+                n, m = len(dets), len(gts)
+                box = [d.get("box") for d in dets]
+                feature = [d.get("feature") for d in dets]
+                confidence = [d.get("confidence") for d in dets]
+                gt_id = [d.get("gt_id") for d in dets]
+                gt_box = [g.get("box") for g in gts]
+                if dets:
+                    if feature_dim is None and isinstance(feature[0], list):
+                        feature_dim = len(feature[0])
+                    floats.append((box, (n, 4), "detections.box"))
+                    bad = [
+                        f for f in feature if not (isinstance(f, list) and len(f) == feature_dim)
+                    ]
+                    if bad:
+                        raise FrameParseError(
+                            line_number,
+                            "detections.feature",
+                            f"expected a list as long as the file's first, got {bad[0]!r}",
+                        )
+                    for g in gt_id:
+                        if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
+                            raise FrameParseError(
+                                line_number, "detections", f"gt_id must be non-negative, got {g}"
+                            )
+                    floats.append((confidence, (n,), "detections"))
+                    floats.append((feature, (n, feature_dim), "detections"))
+                if gts:
+                    floats.append((gt_box, (m, 4), "gt_boxes.box"))
+                line_ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
+                if len(set(line_ids)) < len(line_ids):
+                    raise FrameParseError(
+                        line_number, "gt_boxes.id", f"an identity repeats: {line_ids}"
+                    )
+                frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
+                camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
+                if frame_index < 0 or min(line_ids, default=0) < 0:
+                    raise FrameParseError(
+                        line_number,
+                        "frame",
+                        f"negative frame_index {frame_index} or identity in {line_ids}",
+                    )
+                prev = last_index.get(camera_id)
+                if prev is not None and frame_index <= prev:
+                    raise FrameParseError(
+                        line_number,
+                        "frame_index",
+                        f"{frame_index} does not increase over {prev} for camera {camera_id}",
+                    )
+            except FrameParseError:
+                for values, shape, field in floats:  # a number field checked earlier wins
+                    _check_floats(values, shape, line_number, field)
+                raise
             last_index[camera_id] = frame_index
-            if dets:
-                det_chunks.append(det)
-            gt_chunks.append(gt)
-            heads.append((frame_index, camera_id, len(dets), len(gts)))
+            boxes += box
+            confidences += confidence
+            features += feature
+            gt_ids += [-1 if g is None else g for g in gt_id]
+            gt_box_values += gt_box
+            ids += line_ids
+            heads.append((frame_index, camera_id, n, m))
             lines.append(line_number)
     except FrameParseError as exc:
-        error = exc  # raised after any bad value on an earlier line
+        error = exc  # raised after any bad number or value on an earlier line
 
-    det = np.concatenate([np.empty(0, detection_dtype(feature_dim or 0))] + det_chunks)
-    gt = np.concatenate([np.empty(0, GT_DTYPE)] + gt_chunks)
-    det_lines = np.repeat(lines, [h[2] for h in heads])
-    gt_lines = np.repeat(lines, [h[3] for h in heads])
+    det_counts = [h[2] for h in heads]
+    gt_counts = [h[3] for h in heads]
+    feature_tail = (feature_dim or 0,)
+    (box, box_error), (conf, conf_error), (feature, feature_error), (gt_box, gt_box_error) = (
+        _float_column(values, tail, field, _line_slices(values, lines, counts, tail))
+        for values, tail, field, counts in (
+            (boxes, (4,), "detections.box", det_counts),
+            (confidences, (), "detections", det_counts),
+            (features, feature_tail, "detections", det_counts),
+            (gt_box_values, (4,), "gt_boxes.box", gt_counts),
+        )
+    )
+    error = _first_error(box_error, conf_error, feature_error, gt_box_error, error)
+    kept = len(lines) if error is None else bisect_left(lines, error.line_number)
+    det_lines = np.repeat(lines[:kept], det_counts[:kept])
+    gt_lines = np.repeat(lines[:kept], gt_counts[:kept])
+    det = np.empty(det_lines.size, detection_dtype(feature_tail[0]))
+    det["box"], det["confidence"] = box[: det.size], conf[: det.size]
+    det["feature"], det["gt_id"] = feature[: det.size], gt_ids[: det.size]
+    gt = np.empty(gt_lines.size, GT_DTYPE)
+    gt["box"], gt["id"] = gt_box[: gt.size], ids[: gt.size]
     conf, feature = det["confidence"], det["feature"]
     _check_values(
         (_bad_boxes(det["box"]), det_lines, "detections.box", BOX_RULE, det["box"]),
@@ -485,42 +589,70 @@ def tracks_by_frame(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> list[n
     return np.split(tracks[np.argsort(position, kind="stable")], ends) if frames else []
 
 
+# One tracks.jsonl line: `json.dumps` of the row's dict, whose floats are
+# written as their repr.
+_TRACK_LINE = '{"frame_index": %d, "track_id": %d, "box": [%r, %r, %r, %r], "confidence": %r}\n'
+
+
 def save_track_records(path: Union[str, Path], tracks: np.ndarray) -> None:
-    """Write a tracks array (`TRACK_DTYPE`) as JSON lines."""
-    names = ("frame_index", "track_id", "box", "confidence")
+    """Write a tracks array (`TRACK_DTYPE`) as JSON lines, one row per line.
+    A non-finite box or confidence raises ValueError before anything is
+    written: JSON has no NaN or Infinity."""
+    box, confidence = tracks["box"], tracks["confidence"]
+    if not (np.isfinite(box).all() and np.isfinite(confidence).all()):
+        raise ValueError("track boxes and confidences must be finite to be written as JSON")
+    rows = zip(
+        tracks["frame_index"].tolist(), tracks["track_id"].tolist(), *box.T.tolist(),
+        confidence.tolist(),
+    )
     with Path(path).open("w", encoding="utf-8") as fh:
-        for row in zip(*(tracks[name].tolist() for name in names)):
-            fh.write(json.dumps(dict(zip(names, row))) + "\n")
+        fh.writelines(_TRACK_LINE % row for row in rows)
 
 
 def load_track_records(path: Union[str, Path]) -> np.ndarray:
     """Read tracker output written by `save_track_records` into one tracks
     array (`TRACK_DTYPE`), checked as `load_frames` checks frames; a track
     id may occur only once per frame."""
-    rows: list[tuple] = []
+    keys: list[tuple[int, int]] = []
+    boxes: list = []
+    confidences: list = []
     lines: list[int] = []
     seen: set[tuple[int, int]] = set()
     error: Optional[FrameParseError] = None
     try:
         for line_number, doc in _json_lines(path):
-            box = _parse_floats(doc.get("box"), (4,), line_number, "box")
-            key = (
-                _parse_int(doc.get("frame_index"), line_number, "frame_index"),
-                _parse_int(doc.get("track_id"), line_number, "track_id"),
-            )
-            if key in seen:
-                raise FrameParseError(
-                    line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
+            box = doc.get("box")
+            try:
+                key = (
+                    _parse_int(doc.get("frame_index"), line_number, "frame_index"),
+                    _parse_int(doc.get("track_id"), line_number, "track_id"),
                 )
+                if key in seen:
+                    raise FrameParseError(
+                        line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
+                    )
+            except FrameParseError:
+                _check_floats(box, (4,), line_number, "box")  # the box is checked first
+                raise
             seen.add(key)
-            confidence = _parse_floats(doc.get("confidence"), (), line_number, "record")
-            rows.append((*key, box, confidence))
+            keys.append(key)
+            boxes.append(box)
+            confidences.append(doc.get("confidence"))
             lines.append(line_number)
     except FrameParseError as exc:
-        error = exc  # raised after any bad value on an earlier line
+        error = exc  # raised after any bad number or value on an earlier line
 
-    tracks = np.array(rows, dtype=TRACK_DTYPE)
-    lines = np.array(lines, dtype=np.int64)
+    (box, box_error), (conf, conf_error) = (
+        _float_column(values, tail, field, ((n, 1, v, tail) for n, v in zip(lines, values)))
+        for values, tail, field in ((boxes, (4,), "box"), (confidences, (), "record"))
+    )
+    error = _first_error(box_error, conf_error, error)
+    kept = len(lines) if error is None else bisect_left(lines, error.line_number)
+    tracks = np.empty(kept, TRACK_DTYPE)
+    tracks["frame_index"] = [k[0] for k in keys[:kept]]
+    tracks["track_id"] = [k[1] for k in keys[:kept]]
+    tracks["box"], tracks["confidence"] = box[:kept], conf[:kept]
+    lines = np.array(lines[:kept], dtype=np.int64)
     conf = tracks["confidence"]
     _check_values(
         (_bad_boxes(tracks["box"]), lines, "box", BOX_RULE, tracks["box"]),

@@ -3,14 +3,26 @@
 import numpy as np
 
 from embedtrack import (
+    GT_DTYPE,
     TRACK_DTYPE,
     EmbeddingHeadParams,
+    FrameParseError,
+    FrameRecord,
     MotCounts,
     PairCounts,
     batch_loss,
+    detection_dtype,
     distance_matrix,
     embed_batch,
     iou,
+)
+from embedtrack.datasets import (
+    BOX_RULE,
+    _bad_boxes,
+    _check_values,
+    _json_lines,
+    _objects,
+    _parse_int,
 )
 
 
@@ -251,3 +263,162 @@ def loop_pair_counts(pred_frames, gt_frames, neighbors, score_threshold=0.5, iou
                 else:
                     tn += 1
     return PairCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+
+
+def _leaves(values):
+    if isinstance(values, list):
+        for value in values:
+            yield from _leaves(value)
+    else:
+        yield values
+
+
+def _parse_floats(values, shape, line_number, field):
+    """float64 array of one line's values, which must have `shape` and be
+    JSON numbers, not strings or bools."""
+    try:
+        column = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FrameParseError(line_number, field, f"expected numbers: {exc}") from exc
+    if column.shape != shape:
+        raise FrameParseError(line_number, field, f"expected shape {shape}, got {values!r}")
+    if any(isinstance(v, (str, bool)) for v in _leaves(values)):
+        raise FrameParseError(
+            line_number, field, f"expected numbers, not strings or bools, got {values!r}"
+        )
+    return column
+
+
+def _parse_detections(dets, feature_dim, line_number):
+    n = len(dets)
+    box = _parse_floats([d.get("box") for d in dets], (n, 4), line_number, "detections.box")
+    features = [d.get("feature") for d in dets]
+    bad = [f for f in features if not (isinstance(f, list) and len(f) == feature_dim)]
+    if bad:
+        raise FrameParseError(
+            line_number,
+            "detections.feature",
+            f"expected a list as long as the file's first, got {bad[0]!r}",
+        )
+    det = np.empty(n, dtype=detection_dtype(feature_dim))
+    det["box"] = box
+    gt_id = [d.get("gt_id") for d in dets]
+    for g in gt_id:
+        if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
+            raise FrameParseError(line_number, "detections", f"gt_id must be non-negative, got {g}")
+    det["confidence"] = _parse_floats(
+        [d.get("confidence") for d in dets], (n,), line_number, "detections"
+    )
+    det["feature"] = _parse_floats(features, (n, feature_dim), line_number, "detections")
+    det["gt_id"] = [-1 if g is None else g for g in gt_id]
+    return det
+
+
+def line_load_frames(path):
+    """`load_frames` one line at a time: each line becomes its own arrays as
+    it is read (types and structure), values are checked on the joined
+    arrays, and the earliest bad line raises."""
+    heads, lines, det_chunks, gt_chunks = [], [], [], []
+    feature_dim = None
+    last_index = {}
+    error = None
+    try:
+        for line_number, doc in _json_lines(path):
+            for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
+                if key not in doc:
+                    raise FrameParseError(line_number, key, "missing")
+            dets = _objects(doc["detections"], line_number, "detections")
+            gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
+            if dets:
+                if feature_dim is None and isinstance(dets[0].get("feature"), list):
+                    feature_dim = len(dets[0]["feature"])
+                det = _parse_detections(dets, feature_dim, line_number)
+            gt = np.empty(len(gts), dtype=GT_DTYPE)
+            if gts:
+                boxes = [g.get("box") for g in gts]
+                gt["box"] = _parse_floats(boxes, (len(gts), 4), line_number, "gt_boxes.box")
+            ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
+            if len(set(ids)) < len(ids):
+                raise FrameParseError(line_number, "gt_boxes.id", f"an identity repeats: {ids}")
+            gt["id"] = ids
+            frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
+            camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
+            if frame_index < 0 or min(ids, default=0) < 0:
+                raise FrameParseError(
+                    line_number, "frame", f"negative frame_index {frame_index} or identity in {ids}"
+                )
+            prev = last_index.get(camera_id)
+            if prev is not None and frame_index <= prev:
+                raise FrameParseError(
+                    line_number,
+                    "frame_index",
+                    f"{frame_index} does not increase over {prev} for camera {camera_id}",
+                )
+            last_index[camera_id] = frame_index
+            if dets:
+                det_chunks.append(det)
+            gt_chunks.append(gt)
+            heads.append((frame_index, camera_id, len(dets), len(gts)))
+            lines.append(line_number)
+    except FrameParseError as exc:
+        error = exc
+
+    det = np.concatenate([np.empty(0, detection_dtype(feature_dim or 0))] + det_chunks)
+    gt = np.concatenate([np.empty(0, GT_DTYPE)] + gt_chunks)
+    det_lines = np.repeat(lines, [h[2] for h in heads])
+    gt_lines = np.repeat(lines, [h[3] for h in heads])
+    conf, feature = det["confidence"], det["feature"]
+    _check_values(
+        (_bad_boxes(det["box"]), det_lines, "detections.box", BOX_RULE, det["box"]),
+        (~((conf >= 0) & (conf <= 1)), det_lines, "detections", "confidence not in [0, 1]", conf),
+        (~np.isfinite(feature).all(axis=1), det_lines, "detections", "feature not finite", feature),
+        (_bad_boxes(gt["box"]), gt_lines, "gt_boxes.box", BOX_RULE, gt["box"]),
+    )
+    if error is not None:
+        raise error
+    ends = np.cumsum(np.array([h[2:] for h in heads], dtype=np.int64).reshape(-1, 2), axis=0)
+    dets = np.split(det, ends[:-1, 0])
+    gts = np.split(gt, ends[:-1, 1])
+    return [FrameRecord(h[0], h[1], d, g) for h, d, g in zip(heads, dets, gts)]
+
+
+def line_load_track_records(path):
+    """`load_track_records` one line at a time, checked as `line_load_frames`
+    checks frames."""
+    rows, lines = [], []
+    seen = set()
+    error = None
+    try:
+        for line_number, doc in _json_lines(path):
+            box = _parse_floats(doc.get("box"), (4,), line_number, "box")
+            key = (
+                _parse_int(doc.get("frame_index"), line_number, "frame_index"),
+                _parse_int(doc.get("track_id"), line_number, "track_id"),
+            )
+            if key in seen:
+                raise FrameParseError(
+                    line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
+                )
+            seen.add(key)
+            confidence = _parse_floats(doc.get("confidence"), (), line_number, "record")
+            rows.append((*key, box, confidence))
+            lines.append(line_number)
+    except FrameParseError as exc:
+        error = exc
+
+    tracks = np.array(rows, dtype=TRACK_DTYPE)
+    lines = np.array(lines, dtype=np.int64)
+    conf = tracks["confidence"]
+    _check_values(
+        (_bad_boxes(tracks["box"]), lines, "box", BOX_RULE, tracks["box"]),
+        (
+            (tracks["frame_index"] < 0) | (tracks["track_id"] < 0) | ~((conf >= 0) & (conf <= 1)),
+            lines,
+            "record",
+            "frame_index and track_id must be non-negative, confidence in [0, 1]",
+            tracks,
+        ),
+    )
+    if error is not None:
+        raise error
+    return tracks

@@ -596,6 +596,11 @@ class TestOutsideValues:
                             "--out", out], capsys, "JSON")
         assert "Infinity" not in (out / "frames.jsonl").read_text()
 
+    def test_simulate_speed_range_overflow(self, tmp_path, capsys):
+        """A finite speed whose range (twice the speed) overflows a float."""
+        _fails_cleanly(["simulate", "--max-speed", "1e308", "--frame-count", "2",
+                        "--out", tmp_path / "out"], capsys, "range")
+
     def test_infinite_calibrated_threshold(self, tmp_path, sim_dir, trained_dir, capsys,
                                            monkeypatch):
         """One different-identity pair at 0 and one same-identity pair at the
@@ -637,6 +642,7 @@ class TestOutsideValues:
             ({"mot": [1, 2]}, ["mot"]),
             ({"pair": {"tp": 1, "tn": 1, "fp": 0}}, ["fn"]),
             ({"pair": {"tp": 1, "tn": 1, "fp": 0, "fn": 0, "gp": 2.0}}, ["gp"]),
+            ({"mot": {"fp": 10**400, "miss": 0, "mismatch": 0, "gt_total": 1}}, ["too large"]),
         ],
     )
     def test_bad_counts_fixture(self, tmp_path, capsys, counts, words):

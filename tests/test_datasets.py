@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
+    TRACK_DTYPE,
     FrameParseError,
     FrameRecord,
     SimConfig,
@@ -25,6 +26,7 @@ from embedtrack import (
     tracks_by_frame,
     training_batches,
 )
+from oracles import line_load_frames, line_load_track_records
 from records import detections, frame, gt_boxes, tracks
 
 
@@ -381,6 +383,68 @@ class TestFrameIo:
         assert (exc.value.line_number, exc.value.field) == (2, "gt_boxes.id")
 
 
+class TestStringsAndBools:
+    """JSON strings and bools are not numbers, though NumPy converts both."""
+
+    def test_frames_line_with_text_and_bools_rejected(self, tmp_path):
+        doc = _frame_doc(0)
+        doc["detections"][0].update(
+            {"box": ["1", "2", "30", "40"], "confidence": True, "feature": ["0.5", False]}
+        )
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FrameParseError, match="not strings or bools") as exc:
+            load_frames(path)
+        assert (exc.value.line_number, exc.value.field) == (1, "detections.box")
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("box", [0, 0, "5", 5], "detections.box"),
+            ("confidence", True, "detections"),
+            ("confidence", "0.5", "detections"),
+            ("feature", [False], "detections"),
+            ("feature", ["0.5"], "detections"),
+            ("gt_box", [0, 0, 5, True], "gt_boxes.box"),
+        ],
+    )
+    def test_frames_reject_on_their_line(self, tmp_path, key, value, field):
+        docs = [_frame_doc(k) for k in range(3)]
+        if key == "gt_box":
+            docs[1]["gt_boxes"][0]["box"] = value
+        else:
+            docs[1]["detections"][0][key] = value
+        path = tmp_path / "frames.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(FrameParseError, match="not strings or bools") as exc:
+            load_frames(path)
+        assert (exc.value.line_number, exc.value.field) == (2, field)
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("confidence", "0.5", "record"), ("confidence", False, "record"),
+         ("box", [0, 0, 5, "5"], "box"), ("box", [True, 0, 5, 5], "box")],
+    )
+    def test_tracks_reject_on_their_line(self, tmp_path, key, value, field):
+        rows = [{"frame_index": k, "track_id": 0, "box": [0, 0, 5, 5], "confidence": 0.5}
+                for k in range(3)]
+        rows[1][key] = value
+        path = tmp_path / "tracks.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(FrameParseError, match="not strings or bools") as exc:
+            load_track_records(path)
+        assert (exc.value.line_number, exc.value.field) == (2, field)
+
+    def test_zero_and_one_as_numbers_accepted(self, tmp_path):
+        doc = _frame_doc(0)
+        doc["detections"][0].update({"box": [0, 0, 1, 1.0], "confidence": 1, "feature": [0]})
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        (loaded,) = load_frames(path)
+        assert loaded.detections["box"].tolist() == [[0.0, 0.0, 1.0, 1.0]]
+        assert loaded.detections["confidence"].tolist() == [1.0]
+
+
 class TestTrackRecordIo:
     def test_round_trip(self, tmp_path):
         records = np.concatenate(
@@ -410,6 +474,34 @@ class TestTrackRecordIo:
             with pytest.raises(FrameParseError) as exc:
                 load_track_records(path)
             assert (exc.value.line_number, exc.value.field) == (2, where), (field, value)
+
+    def test_bytes_equal_json_dumps(self, tmp_path):
+        edges = [-0.0, 5e-324, 1e16, 1.7976931348623157e308]
+        records = np.zeros(4, dtype=TRACK_DTYPE)
+        records["frame_index"] = [0, 2**63 - 1, -(2**63), 7]
+        records["track_id"] = [-(2**63), 0, 2**63 - 1, 3]
+        records["box"] = [edges, edges[::-1], [0.1, 0.2, 0.3, 1e-7], [1.5, -2.5, 3, 4]]
+        records["confidence"] = edges
+        path = tmp_path / "tracks.jsonl"
+        save_track_records(path, records)
+        names = ("frame_index", "track_id", "box", "confidence")
+        rows = zip(*(records[name].tolist() for name in names))
+        expected = "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "field, value", [("confidence", float("nan")), ("box", float("inf")), ("box", float("nan"))]
+    )
+    def test_non_finite_refused_before_writing(self, tmp_path, field, value):
+        records = tracks([((0, 0, 5, 5), 0.7, 4), ((1, 0, 6, 5), 0.8, 5)])
+        if field == "box":
+            records["box"][1, 2] = value
+        else:
+            records["confidence"][1] = value
+        path = tmp_path / "tracks.jsonl"
+        with pytest.raises(ValueError, match="finite"):
+            save_track_records(path, records)
+        assert not path.exists()
 
     def test_malformed_record_names_line(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
@@ -512,8 +604,9 @@ class TestDuplicateTrackIds:
 
 
 class TestEarliestBadLine:
-    """Values are checked after the whole file is read, types while it is
-    read; either way the error names the earliest bad line."""
+    """Numbers and values are checked after the whole file is read, other
+    types while it is read; either way the error names the earliest bad
+    line, and on one line the field checked first."""
 
     def _error(self, tmp_path, docs):
         path = tmp_path / "frames.jsonl"
@@ -539,6 +632,47 @@ class TestEarliestBadLine:
         docs[1]["gt_boxes"][0]["box"] = [0, 0, 0, 5]
         docs[1]["detections"][0]["feature"] = [float("inf")]
         assert self._error(tmp_path, docs) == (2, "detections")
+
+    @pytest.mark.parametrize(
+        "det, gt_box, field",
+        [
+            ({"box": ["0", 0, 5, 5], "confidence": "0.5"}, None, "detections.box"),
+            ({"box": [0, 0, 5, True], "gt_id": 1.5}, None, "detections.box"),
+            ({"confidence": True, "gt_id": 1.5}, None, "detections.gt_id"),
+            ({"feature": [None, 1.0]}, [0, 0, "5", 5], "detections.feature"),
+            ({"feature": ["1"]}, [0, 0, "5", 5], "detections"),
+            ({"confidence": 2}, [0, 0, "5", 5], "gt_boxes.box"),
+            ({}, [0, 0, False, 5], "gt_boxes.box"),
+        ],
+    )
+    def test_number_fields_keep_their_place_on_one_line(self, tmp_path, det, gt_box, field):
+        docs = [_frame_doc(k) for k in range(3)]
+        docs[1]["detections"][0].update(det)
+        if gt_box is not None:
+            docs[1]["gt_boxes"][0]["box"] = gt_box
+        docs[1]["gt_boxes"].append(dict(docs[1]["gt_boxes"][0]))  # a repeated identity
+        docs[2]["camera_id"] = "0"
+        assert self._error(tmp_path, docs) == (2, field)
+
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            ({"box": ["0", 0, 5, 5], "track_id": 1.5}, "box"),
+            ({"confidence": "0.5", "track_id": 1.5}, "track_id"),
+            ({"confidence": "0.5", "box": [0, 0, 5, False]}, "box"),
+            ({"confidence": True}, "record"),
+        ],
+    )
+    def test_track_fields_keep_their_place_on_one_line(self, tmp_path, edits, field):
+        rows = [{"frame_index": k, "track_id": 0, "box": [0, 0, 5, 5], "confidence": 0.5}
+                for k in range(3)]
+        rows[1].update(edits)
+        rows[2]["frame_index"] = -1
+        path = tmp_path / "tracks.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(FrameParseError) as exc:
+            load_track_records(path)
+        assert (exc.value.line_number, exc.value.field) == (2, field)
 
     def test_frames_hold_read_only_slices(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -566,3 +700,176 @@ class TestTracksArray:
             tracks_by_frame(rows, [_frame(0, [1]), _frame(1, [1])])
         with pytest.raises(ValueError, match="increase"):
             tracks_by_frame(rows[:0], [_frame(1, [1]), _frame(0, [1])])
+
+
+bad_numbers = st.sampled_from(
+    ["0.5", "x", "", True, False, None, 10**400, 2**64, float("nan"), float("inf"), -1.5, 1.5,
+     [1.0], {"v": 1}]
+)
+bad_integers = st.sampled_from([1.5, "1", True, None, -1, 2**63, [1]])
+
+
+def _number(rng, low=-20.0, high=200.0):
+    """A JSON integer or float, often 0 or 1 (the values a bool reads as)."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return int(rng.integers(low, high))
+    if kind == 1:
+        return float(rng.uniform(low, high))
+    return [0, 1, 0.0, 1.0][rng.integers(4)]
+
+
+def _box_values(rng):
+    x, y = _number(rng), _number(rng)
+    return [x, y, x + int(rng.integers(1, 50)), y + float(rng.uniform(0.5, 50))]
+
+
+@st.composite
+def _frame_docs(draw):
+    """Valid frame docs: Hypothesis draws the layout, a seeded generator the
+    numbers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    dim = draw(st.integers(1, 2))
+    docs, index = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        index += draw(st.integers(1, 2))
+        dets = []
+        for _ in range(draw(st.integers(0, 2))):
+            det = {"box": _box_values(rng), "confidence": _number(rng, 0.0, 1.0),
+                   "feature": [_number(rng) for _ in range(dim)]}
+            if draw(st.booleans()):
+                det["gt_id"] = int(rng.integers(10))
+            dets.append(det)
+        ids = rng.permutation(10)[: draw(st.integers(0, 2))].tolist()
+        docs.append({"frame_index": index, "camera_id": draw(st.integers(0, 1)),
+                     "detections": dets,
+                     "gt_boxes": [{"box": _box_values(rng), "id": i} for i in ids]})
+    return docs
+
+
+@st.composite
+def _track_docs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    docs, keys = [], set()
+    for _ in range(draw(st.integers(1, 6))):
+        key = (int(rng.integers(4)), int(rng.integers(4)))
+        if key not in keys:
+            keys.add(key)
+            docs.append({"frame_index": key[0], "track_id": key[1], "box": _box_values(rng),
+                         "confidence": _number(rng, 0.0, 1.0)})
+    return docs
+
+
+def _corrupt(draw, docs):
+    """Apply one corruption to a random line of `docs` (dicts, edited in
+    place): a bad number, a bad shape, x1 >= x2, a bad or repeated id, a
+    decreasing frame_index or a missing key."""
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    dets = [d for d in doc.get("detections", []) if isinstance(d, dict)]
+    gts = [g for g in doc.get("gt_boxes", []) if isinstance(g, dict)]
+    rows = dets + gts if "detections" in doc else [doc]
+    lists = [row[key] for row in rows for key in ("box", "feature")
+             if isinstance(row.get(key), list) and row[key]]
+    kind = draw(st.sampled_from(["number", "shape", "order", "integer", "repeat", "missing"]))
+    if kind == "number":
+        slots = [(values, i) for values in lists for i in range(len(values))]
+        slots += [(row, "confidence") for row in rows if "confidence" in row]
+        if slots:
+            target, key = draw(st.sampled_from(slots))
+            target[key] = draw(bad_numbers)
+    elif kind == "shape" and lists:
+        values = draw(st.sampled_from(lists))
+        change = draw(st.sampled_from(["pop", "append", "nest"]))
+        if change == "pop":
+            values.pop()
+        elif change == "append":
+            values.append(1.0)
+        else:
+            values[0] = [values[0]]
+    elif kind == "order":
+        boxes = [row["box"] for row in rows
+                 if isinstance(row.get("box"), list) and len(row["box"]) == 4]
+        if boxes:
+            box = draw(st.sampled_from(boxes))
+            box[2] = box[0]
+    elif kind == "integer":
+        slots = [(row, key) for row in [doc] + rows
+                 for key in ("frame_index", "camera_id", "gt_id", "id", "track_id") if key in row]
+        if slots:
+            target, key = draw(st.sampled_from(slots))
+            target[key] = draw(bad_integers)
+    elif kind == "repeat":
+        index = docs.index(doc)
+        if "track_id" in doc and index > 0:  # a track id twice in one frame
+            before = docs[index - 1]
+            doc["frame_index"], doc["track_id"] = before["frame_index"], before["track_id"]
+        elif len(gts) >= 2:
+            gts[1]["id"] = gts[0]["id"]
+        elif index > 0:  # frame_index does not increase
+            doc["frame_index"] = docs[index - 1]["frame_index"]
+    elif kind == "missing":
+        target = draw(st.sampled_from([doc] + rows))
+        if target:
+            del target[draw(st.sampled_from(sorted(target)))]
+
+
+@st.composite
+def _corrupted_lines(draw, docs_strategy):
+    """JSON lines of valid docs after 0-3 corruptions: edits of the docs,
+    then invalid JSON or blank lines."""
+    docs = draw(docs_strategy)
+    count = draw(st.integers(0, 3))
+    kinds = sorted(draw(st.sampled_from(["doc"] * 4 + ["line"])) for _ in range(count))
+    lines = []
+    for kind in kinds:
+        if kind == "doc" and docs:
+            _corrupt(draw, docs)
+        elif kind == "line":
+            lines = lines or [json.dumps(doc) for doc in docs]
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(["", "  ", "{not json", "[1, 2]", "7"])))
+    lines = lines or [json.dumps(doc) for doc in docs]
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except FrameParseError as exc:
+        return (exc.line_number, exc.field, str(exc))
+
+
+class TestLineParserOracle:
+    """The readers build each number column once per file; the per-line
+    parsers of tests/oracles.py are the reference for every result and
+    every error."""
+
+    @given(text=_corrupted_lines(_frame_docs()))
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_frames_equals_line_parser(self, tmp_path, text):
+        path = tmp_path / "frames.jsonl"
+        path.write_text(text)
+        got, want = _outcome(load_frames, path), _outcome(line_load_frames, path)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [(f.frame_index, f.camera_id) for f in got] == [
+            (f.frame_index, f.camera_id) for f in want]
+        for g, w in zip(got, want):
+            assert g.detections.dtype == w.detections.dtype
+            assert g.detections.tobytes() == w.detections.tobytes()
+            assert g.gt_boxes.tobytes() == w.gt_boxes.tobytes()
+
+    @given(text=_corrupted_lines(_track_docs()))
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_track_records_equals_line_parser(self, tmp_path, text):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(text)
+        got = _outcome(load_track_records, path)
+        want = _outcome(line_load_track_records, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
