@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -200,15 +201,25 @@ def distance_histogram(distances, is_same, bin_count: int = 50) -> DistanceHisto
     )
 
 
+_SWEEP_CHUNK_ROWS = 4096
+
+
 def write_sweep_csv(path: Union[str, Path], sweep: ThresholdSweep) -> None:
     """One row per candidate threshold: h, fp, fn, tp, tn, objective.
 
-    Writes the bytes `csv.writer` would (floats as `repr`, CRLF line ends),
-    one formatted string per row, streamed so that the file is never held
-    in memory whole."""
+    Writes the bytes `csv.writer(fh).writerows(sweep.rows.tolist())` would
+    (floats as `repr`, CRLF line ends), one formatted string per chunk of
+    rows, so that only one chunk's Python values and text are alive at a
+    time."""
+    rows = sweep.rows
+    names = rows.dtype.names
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(sweep.rows.dtype.names) + "\r\n")
-        fh.writelines("%r,%d,%d,%d,%d,%r\r\n" % row for row in sweep.rows.tolist())
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, len(rows), _SWEEP_CHUNK_ROWS):
+            part = rows[start : start + _SWEEP_CHUNK_ROWS]
+            # The `%` exhausts `cells`, so no chunk's values outlive its write.
+            cells = chain.from_iterable(zip(*[part[name].tolist() for name in names]))
+            fh.write("%r,%d,%d,%d,%d,%r\r\n" * len(part) % tuple(cells))
 
 
 def write_histogram_csv(path: Union[str, Path], hist: DistanceHistogram) -> None:

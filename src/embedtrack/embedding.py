@@ -217,7 +217,22 @@ def distance_matrix(current: np.ndarray, former: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"embedding dims differ: current {cur.shape[1]}, former {fmr.shape[1]}"
         )
-    diff = cur[:, None, :] - fmr[None, :, :]
+    return _squared_distances(cur, fmr)
+
+
+def _squared_distances(cur: np.ndarray, fmr: np.ndarray) -> np.ndarray:
+    """`distance_matrix` of two checked float64 (n, E) and (m, E) arrays.
+
+    The C-contiguous (n, m, E) difference tensor is built from n rows of
+    m * E values, `cur` rows repeated minus all of `fmr`, so that each
+    subtraction loop runs m * E elements, not E. einsum then reduces over
+    the contiguous last axis whatever the inputs' layout.
+    """
+    n, e = cur.shape
+    m = fmr.shape[0]
+    diff = np.repeat(cur, m, axis=0).reshape(n, m * e)
+    diff -= fmr.reshape(1, m * e)
+    diff = diff.reshape(n, m, e)
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .embedding import (
     EmbeddingHeadParams,
     _flat_views,
+    _squared_distances,
     LossConfig,
     distance_matrix,
     embed_batch,
@@ -175,7 +176,7 @@ def _loss_and_gradient(
     z = features @ w1.T + b1
     a = np.maximum(z, 0.0)
     e = a @ w2.T + b2
-    d = distance_matrix(e, e)
+    d = _squared_distances(e, e)
 
     masked_pos = np.where(index.pos, d, -np.inf)
     masked_neg = np.where(index.neg, d, np.inf)

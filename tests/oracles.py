@@ -26,6 +26,19 @@ from embedtrack.datasets import (
 )
 
 
+def broadcast_distance_matrix(current, former):
+    """`distance_matrix` as one broadcast subtraction, (n, 1, E) minus
+    (1, m, E), then the same einsum over the last axis.
+
+    The inputs are copied to C order first: from a Fortran-ordered input the
+    broadcast difference keeps that layout, and einsum then sums each row in
+    another order, which changes last bits."""
+    cur = np.ascontiguousarray(current, dtype=np.float64)
+    fmr = np.ascontiguousarray(former, dtype=np.float64)
+    diff = cur[:, None, :] - fmr[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def match_oracle(d, h):
     """Per-row enumeration of the matching conditions: j is the first
     minimum of row i, i is the first minimum of column j, d[i, j] < h."""

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,41 @@ class TestCsvExport:
         writer.writerow(rows.dtype.names)
         writer.writerows(rows.tolist())
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("count", [2, 4095, 4096, 4097, 8193])
+    def test_sweep_csv_bytes_equal_csv_writer_across_chunks(self, tmp_path, count):
+        floats = [5e-324, 1e-05, 0.1, 1e16, 1.7976931348623157e308]
+        k = np.arange(count)
+        rows = np.rec.fromarrays(
+            [np.resize(floats, count), k, count - k, k * 2**40, k % 7, np.resize(floats[::-1], count)],
+            names="h,fp,fn,tp,tn,objective",
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, ThresholdSweep(threshold=0.1, objective=0.1, rows=rows))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(rows.dtype.names)
+        writer.writerows(rows.tolist())
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_sweep_csv_peak_memory_stays_at_one_chunk(self, tmp_path):
+        # A crowd-sized sweep: 56 700 rows are about 3.2 MB of text and
+        # 15 MB of Python values when formatted all at once.
+        count = 56_700
+        rng = np.random.default_rng(0)
+        rows = np.rec.fromarrays(
+            [np.sort(rng.random(count)) * 100.0, *rng.integers(0, 60_000, (4, count)),
+             rng.random(count)],
+            names="h,fp,fn,tp,tn,objective",
+        )
+        sweep = ThresholdSweep(threshold=1.0, objective=1.0, rows=rows)
+        tracemalloc.start()
+        try:
+            write_sweep_csv(tmp_path / "sweep.csv", sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_histogram_csv_round_trip(self, tmp_path):
         hist = distance_histogram(*_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)

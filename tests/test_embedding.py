@@ -12,6 +12,7 @@ from embedtrack import (
     load_params,
     save_params,
 )
+from oracles import broadcast_distance_matrix
 
 
 def embed(params, feature):
@@ -93,6 +94,56 @@ class TestForward:
         )
         f = rng.normal(size=4)
         np.testing.assert_allclose(embed(scaled, f), c * embed(params, f), rtol=1e-9)
+
+
+def _laid_out(x, layout):
+    """`x` with the same values, C-ordered, transposed (Fortran-ordered) or
+    a strided view into a larger array."""
+    if layout == "transposed":
+        return np.ascontiguousarray(x.T).T
+    if layout == "strided":
+        big = np.ones((2 * x.shape[0], 3 * x.shape[1]))
+        big[::2, ::3] = x
+        return big[::2, ::3]
+    return x
+
+
+@st.composite
+def embedding_pairs(draw):
+    """Current (n, E) and former (m, E) arrays, n and m in [0, 80], E in
+    [1, 40], with magnitudes spread over a drawn part of [1e-150, 1e150],
+    zeros of both signs, former rows copied from current ones, and each
+    array in a drawn memory layout."""
+    n, m = draw(st.integers(0, 80)), draw(st.integers(0, 80))
+    e = draw(st.integers(1, 40))
+    lo = draw(st.integers(-150, 150))
+    hi = draw(st.integers(lo, 150))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(rows):
+        x = rng.choice([-1.0, 1.0], size=(rows, e)) * 10.0 ** rng.uniform(lo, hi, (rows, e))
+        return np.where(rng.random((rows, e)) < zeros, 0.0 * x, x)
+
+    cur, fmr = values(n), values(m)
+    if n and m:
+        shared = rng.random(m) < 0.3
+        fmr[shared] = cur[rng.integers(0, n, shared.sum())]
+    layouts = st.sampled_from(["C", "transposed", "strided"])
+    return _laid_out(cur, draw(layouts)), _laid_out(fmr, draw(layouts))
+
+
+class TestBroadcastOracle:
+    """`distance_matrix` builds its difference tensor from repeated rows;
+    the broadcast form of tests/oracles.py is the reference for its bits."""
+
+    @given(embedding_pairs())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_broadcast_form(self, pair):
+        cur, fmr = pair
+        got = distance_matrix(cur, fmr)
+        assert got.shape == (cur.shape[0], fmr.shape[0])
+        assert np.array_equal(got, broadcast_distance_matrix(cur, fmr))
 
 
 class TestPairwiseDistances:
