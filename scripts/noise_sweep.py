@@ -41,7 +41,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
         dropout=0.05,
         seed=args.seed,
     )
-    frames, archetypes = simulate(sim_cfg)
+    frames = simulate(sim_cfg)
 
     batches = training_batches(frames, neighbor_frames(frames))
     params, trace = train(batches, LossConfig(), TrainConfig(epochs=args.epochs))
@@ -57,7 +57,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
         dropout=0.0,
         seed=args.holdout_seed,
     )
-    holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
+    holdout = simulate(holdout_cfg)
     tracks = track_sequence(holdout, params, threshold=sweep.threshold)
 
     counts, pairs = track_counts(

@@ -43,7 +43,6 @@ from .embedding import (
     distance_matrix,
     embed_batch,
     init_params,
-    joint_loss,
     load_params,
     pull_loss,
     save_params,
@@ -101,7 +100,6 @@ __all__ = [
     "init_params",
     "iou",
     "iou_matrix",
-    "joint_loss",
     "labeled_rows",
     "load_frames",
     "load_params",

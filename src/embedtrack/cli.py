@@ -137,8 +137,8 @@ def _write_manifest(
 def cmd_simulate(args: argparse.Namespace) -> int:
     file_values = _load_config_file(args.config, SimConfig)
     cfg = _resolve_config(SimConfig, file_values, args)
+    frames = simulate(cfg)
     out = _out_dir(args)
-    frames, _ = simulate(cfg)
     save_frames(out / "frames.jsonl", frames)
     _write_manifest(
         out,
@@ -155,8 +155,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     file_values = _load_config_file(args.config, LossConfig, TrainConfig)
     loss_cfg = _resolve_config(LossConfig, file_values, args)
     train_cfg = _resolve_config(TrainConfig, file_values, args)
-    out = _out_dir(args)
-
     frames = load_frames(args.frames)
     if not frames:
         raise ValueError(f"{args.frames} contains no frames")
@@ -175,6 +173,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     params, trace = train(batches, loss_cfg, train_cfg)
+    out = _out_dir(args)
     save_params(out / "params.json", params, seed=train_cfg.seed, loss_config=loss_cfg)
     with (out / "loss_trace.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -246,12 +245,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     params, _, _ = load_params(args.params)
     frames = load_frames(args.frames)
     tracks = track_sequence(
         frames, params, threshold=args.threshold, score_threshold=args.score_threshold
     )
+    out = _out_dir(args)
     save_track_records(out / "tracks.jsonl", tracks)
     _write_manifest(
         out,
@@ -291,7 +290,6 @@ def _counts_from_fixture(path: str) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     if args.counts is not None:
         report = _counts_from_fixture(args.counts)
         inputs = {"counts": args.counts}
@@ -328,6 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         inputs = {"tracks": args.tracks, "frames": args.frames}
         config = {"iou_min": args.iou_min, "score_threshold": args.score_threshold}
     report["config"] = config
+    out = _out_dir(args)
     (out / "report.json").write_text(
         json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )

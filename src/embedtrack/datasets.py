@@ -203,6 +203,8 @@ class SimConfig:
             raise ValueError("max_box_size must fit inside the image")
         if self.max_speed < 0:
             raise ValueError(f"max_speed must be non-negative, got {self.max_speed}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def default_archetypes(cfg: SimConfig) -> np.ndarray:
@@ -221,25 +223,16 @@ def default_archetypes(cfg: SimConfig) -> np.ndarray:
     return arch
 
 
-def simulate(
-    cfg: SimConfig, archetypes: Optional[np.ndarray] = None
-) -> tuple[list[FrameRecord], np.ndarray]:
+def simulate(cfg: SimConfig) -> list[FrameRecord]:
     """Generate one camera's sequence of frames with full ground truth.
 
     Every frame lists all identities as ground truth; each identity
     additionally yields a detection unless dropped (independently, at the
-    dropout rate) whose feature is its archetype plus Gaussian noise and
-    whose confidence is uniform on [0.6, 1.0). Deterministic per seed.
+    dropout rate) whose feature is its `default_archetypes` row plus
+    Gaussian noise and whose confidence is uniform on [0.6, 1.0).
+    Deterministic per seed.
     """
-    if archetypes is None:
-        archetypes = default_archetypes(cfg)
-    archetypes = np.asarray(archetypes, dtype=np.float64)
-    if archetypes.shape != (cfg.identity_count, cfg.feature_dim):
-        raise ValueError(
-            f"archetypes must have shape {(cfg.identity_count, cfg.feature_dim)}, "
-            f"got {archetypes.shape}"
-        )
-
+    archetypes = default_archetypes(cfg)
     rng = np.random.default_rng(cfg.seed)
     widths = rng.uniform(cfg.min_box_size, cfg.max_box_size, size=cfg.identity_count)
     heights = rng.uniform(cfg.min_box_size, cfg.max_box_size, size=cfg.identity_count)
@@ -265,7 +258,7 @@ def simulate(
     gt["box"] = np.concatenate(gt_boxes)
     gt["id"] = np.tile(np.arange(cfg.identity_count), cfg.frame_count)
     detections = np.array(detections, dtype=detection_dtype(cfg.feature_dim))
-    return _frames(heads, detections, gt), archetypes
+    return _frames(heads, detections, gt)
 
 
 def _frames(heads: list[tuple], detections: np.ndarray, gt_boxes: np.ndarray) -> list[FrameRecord]:

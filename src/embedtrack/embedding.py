@@ -26,7 +26,6 @@ __all__ = [
     "distance_matrix",
     "triplet_loss",
     "pull_loss",
-    "joint_loss",
     "save_params",
     "load_params",
 ]
@@ -40,15 +39,12 @@ class LossConfig:
 
     `margin` separates hardest-positive from hardest-negative distances,
     `pull_margin` anchors the absolute scale of intra-identity distances,
-    and the four weights blend externally supplied detector losses with the
-    embedding losses. `score_threshold` filters detections by confidence
-    before identities are assigned.
+    and the two weights blend the triplet and pull losses. `score_threshold`
+    filters detections by confidence before identities are assigned.
     """
 
     margin: float = 5.0
     pull_margin: float = 1.0
-    w_cls: float = 1.0
-    w_reg: float = 1.0
     w_triplet: float = 0.2
     w_pull: float = 0.2
     score_threshold: float = 0.5
@@ -56,10 +52,10 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.pull_margin < 0:
+        if not self.pull_margin >= 0:
             raise ValueError(f"pull_margin must be non-negative, got {self.pull_margin}")
-        for name in ("w_cls", "w_reg", "w_triplet", "w_pull"):
-            if getattr(self, name) < 0:
+        for name in ("w_triplet", "w_pull"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
@@ -287,25 +283,6 @@ def pull_loss(distances: np.ndarray, identities: Sequence[int], pull_margin: flo
     return float(np.mean(terms))
 
 
-def joint_loss(
-    cls_loss: float, reg_loss: float, tri_loss: float, pull_loss_value: float, cfg: LossConfig
-) -> float:
-    """Weighted sum of detector and embedding losses.
-
-    Detector losses are supplied externally (pass 0.0 when training the
-    embedding head alone).
-    """
-    terms = (cls_loss, reg_loss, tri_loss, pull_loss_value)
-    if not all(np.isfinite(t) and t >= 0 for t in terms):
-        raise ValueError(f"loss terms must be finite and non-negative, got {terms}")
-    return (
-        cfg.w_cls * cls_loss
-        + cfg.w_reg * reg_loss
-        + cfg.w_triplet * tri_loss
-        + cfg.w_pull * pull_loss_value
-    )
-
-
 def save_params(
     path: Union[str, Path],
     params: EmbeddingHeadParams,
@@ -337,29 +314,48 @@ def load_params(
 ) -> tuple[EmbeddingHeadParams, Optional[int], Optional[LossConfig]]:
     """Read a parameter document written by `save_params`.
 
-    Returns (params, seed, loss_config); the latter two may be None.
+    Returns (params, seed, loss_config); the latter two may be None. The
+    version, dims (>= 1) and seed (>= 0 or null) must be JSON integers, and
+    each weight a flat list of JSON numbers of the length the dims give.
+    `w_cls` and `w_reg`, which older files hold in `loss_config`, must be 1.0.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"parameter file {path} must hold a JSON object")
     version = doc.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
-        raise ValueError(f"unsupported parameter file version: {version!r}")
-    f, h, e = (int(doc[k]) for k in ("feature_dim", "hidden_dim", "embed_dim"))
+    if type(version) is not int or version != PARAMS_FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version in {path}: {version!r}")
+    names = ("feature_dim", "hidden_dim", "embed_dim")
+    f, h, e = dims = [doc.get(name) for name in names]
+    for name, value in zip(names, dims):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} in {path} must be a JSON integer >= 1, got {value!r}")
+    flat = {}
+    for name, size in (("w1", h * f), ("b1", h), ("w2", e * h), ("b2", e)):
+        values = doc.get(name)
+        numbers = type(values) is list and set(map(type, values)) <= {int, float}
+        if not numbers or len(values) != size:
+            raise ValueError(f"{name} in {path} must be a flat list of {size} JSON numbers")
+        try:
+            flat[name] = np.array(values, dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{name} in {path} holds a number too large for a float") from None
     params = EmbeddingHeadParams(
-        w1=np.asarray(doc["w1"], dtype=np.float64).reshape(h, f),
-        b1=np.asarray(doc["b1"], dtype=np.float64),
-        w2=np.asarray(doc["w2"], dtype=np.float64).reshape(e, h),
-        b2=np.asarray(doc["b2"], dtype=np.float64),
+        flat["w1"].reshape(h, f), flat["b1"], flat["w2"].reshape(e, h), flat["b2"]
     )
     seed = doc.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"seed in {path} must be a JSON integer >= 0 or null, got {seed!r}")
     loss_cfg = doc.get("loss_config")
     if loss_cfg is not None:
         if not isinstance(loss_cfg, dict):
             raise ValueError(f"loss_config in {path} must be a JSON object")
+        for name in ("w_cls", "w_reg"):
+            value = loss_cfg.pop(name, 1.0)
+            if type(value) not in (int, float) or value != 1.0:
+                raise ValueError(
+                    f"loss_config in {path}: {name} must be 1.0, as no detector loss is "
+                    f"computed, got {value!r}"
+                )
         _check_config_values(loss_cfg, (LossConfig,), f"loss_config in {path}")
-    return (
-        params,
-        int(seed) if seed is not None else None,
-        LossConfig(**loss_cfg) if loss_cfg is not None else None,
-    )
+    return params, seed, LossConfig(**loss_cfg) if loss_cfg is not None else None

@@ -108,6 +108,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ValueError("hidden_dim and embed_dim must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def cosine_lr(step: int, total_steps: int, initial_lr: float) -> float:
@@ -239,19 +241,10 @@ def train(
 
     Returns the final parameters and the per-epoch mean loss, where each
     batch's loss is recorded before its update is applied. Fully
-    deterministic for a fixed seed and batch order. The detector weights
-    w_cls and w_reg must keep their defaults: this head-only trainer
-    computes no detector loss for them to weight.
+    deterministic for a fixed seed and batch order.
     """
     if not batches:
         raise ValueError("at least one batch is required")
-    for name in ("w_cls", "w_reg"):
-        value, default = getattr(loss_config, name), getattr(LossConfig, name)
-        if value != default:
-            raise ValueError(
-                f"{name}={value} would be ignored: the head-only trainer computes no "
-                f"detector loss (keep the default {default})"
-            )
     feature_dim = batches[0].feature_dim
     for b in batches:
         if b.feature_dim != feature_dim:

@@ -225,7 +225,7 @@ def test_criterion_5_end_to_end_synthetic():
             dropout=0.05,
             seed=11,
         )
-        frames, archetypes = simulate(train_cfg_sim)
+        frames = simulate(train_cfg_sim)
 
         batches = training_batches(frames, neighbor_frames(frames))
         params, _ = train(batches, LossConfig(), TrainConfig(epochs=50))
@@ -240,7 +240,7 @@ def test_criterion_5_end_to_end_synthetic():
             dropout=0.0,
             seed=77,
         )
-        holdout, _ = simulate(holdout_cfg, archetypes=archetypes)
+        holdout = simulate(holdout_cfg)
         tracks = track_sequence(holdout, params, threshold=threshold)
 
         counts, pairs = track_counts(

@@ -112,8 +112,6 @@ TRAIN_CHANGES = {
     "score_threshold": "0.8", "initial_lr": "0.01", "epochs": "3", "hidden_dim": "6",
     "embed_dim": "3", "seed": "1",
 }
-# The head-only trainer computes no detector loss for these to weight.
-REFUSED_TRAIN_FIELDS = ("w_cls", "w_reg")
 FIELD_TRAIN_ARGS = ["--epochs", "2", "--hidden-dim", "8", "--embed-dim", "4"]
 
 
@@ -134,13 +132,11 @@ def _outputs(out_dir):
 class TestEveryConfigFieldMatters:
     """No config field that changes nothing: a non-default value of each
     SimConfig, TrainConfig and LossConfig flag changes an output of its
-    stage, or the stage refuses it by name."""
+    stage."""
 
     def test_every_field_has_a_case(self):
         assert set(SIM_CHANGES) == {f.name for f in fields(SimConfig)}
-        assert set(TRAIN_CHANGES) | set(REFUSED_TRAIN_FIELDS) == {
-            f.name for f in fields(LossConfig) + fields(TrainConfig)
-        }
+        assert set(TRAIN_CHANGES) == {f.name for f in fields(LossConfig) + fields(TrainConfig)}
 
     def test_simulate_fields_change_the_frames(self, tmp_path):
         def run(name, extra):
@@ -152,7 +148,7 @@ class TestEveryConfigFieldMatters:
         for name, value in SIM_CHANGES.items():
             assert run(name, ["--" + name.replace("_", "-"), value]) != base, name
 
-    def test_train_fields_change_the_head(self, tmp_path, sim_dir, capsys):
+    def test_train_fields_change_the_head(self, tmp_path, sim_dir):
         def run(name, extra):
             out = tmp_path / name
             argv = ["train", "--frames", str(sim_dir / "frames.jsonl"), "--out", str(out)]
@@ -164,10 +160,6 @@ class TestEveryConfigFieldMatters:
         for name, value in TRAIN_CHANGES.items():
             code, out = run(name, ["--" + name.replace("_", "-"), value])
             assert code == 0 and _outputs(out) != base, name
-        for name in REFUSED_TRAIN_FIELDS:
-            capsys.readouterr()
-            assert run(name, ["--" + name.replace("_", "-"), "2.0"])[0] == 1
-            assert name in capsys.readouterr().err
 
 
 class TestTrain:
@@ -220,13 +212,16 @@ class TestTrain:
         assert "two distinct identities" in capsys.readouterr().err
 
     def test_rejects_detector_weights_from_flags_and_file(self, tmp_path, sim_dir, capsys):
-        # the head-only trainer computes no detector loss, so these would do nothing
+        # no detector loss is computed, so there are no weights for it, not even 1.0
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"w_reg": 3.0}))
+        cfg_path.write_text(json.dumps({"w_reg": 1.0}))
         base = ["train", "--frames", str(sim_dir / "frames.jsonl"), "--out", str(tmp_path / "out")]
-        for extra in (["--w-cls", "7"], ["--config", str(cfg_path)]):
-            assert main(base + extra + TRAIN_ARGS) == 1
-            assert "no detector loss" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--w-cls", "1"] + TRAIN_ARGS)
+        assert exc.value.code == 2
+        assert "--w-cls" in capsys.readouterr().err
+        assert main(base + ["--config", str(cfg_path)] + TRAIN_ARGS) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_boxes_left_of_zero(self, tmp_path, sim_dir, trained_dir):
         # every box moved left of x = 0; the labels and features, and so the
@@ -680,6 +675,98 @@ class TestOutsideValues:
             capsys,
             "loss_config",
         )
+
+    @pytest.mark.parametrize(
+        "edits, field",
+        [({"hidden_dim": -1}, "hidden_dim"), ({"hidden_dim": 8.9}, "hidden_dim"),
+         ({"hidden_dim": "8"}, "hidden_dim"), ({"format_version": True}, "format_version"),
+         ({"format_version": 1.0}, "format_version"), ({"seed": 2.7}, "seed"),
+         ({"seed": "5"}, "seed"), ({"seed": True}, "seed"), ({"w1": [[0.5] * 4] * 8}, "w1"),
+         ({"feature_dim": 0, "w1": []}, "feature_dim"), ({"b2": [0.0, 0.0, 0.0, 10**400]}, "b2"),
+         ({"loss_config": {"w_pull": float("nan")}}, "w_pull")],
+    )
+    def test_params_fields_checked(self, tmp_path, sim_dir, trained_dir, capsys, edits, field):
+        """Each edit of the trained file (hidden 8, feature 4) would load, or
+        fail naming no field, if the dims were read with `int`, the weights
+        reshaped and the loss weights only compared with 0."""
+        doc = json.loads((trained_dir / "params.json").read_text())
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**doc, **edits}))
+        out = tmp_path / "out"
+        argv = ["calibrate", "--frames", str(sim_dir / "frames.jsonl"), "--params", str(params)]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.replace(str(params), "PATH")
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_params_written_with_detector_weights(self, tmp_path, sim_dir, trained_dir, capsys):
+        """A params.json from before `w_cls` and `w_reg` left `LossConfig`
+        holds both at 1.0: it loads, and calibrate and track write what they
+        write on the current file. Any other value is refused by name."""
+        current = trained_dir / "params.json"
+        text = current.read_text()
+        assert text.count('"pull_margin": 1.0, ') == 1
+
+        def older(name, w_cls):
+            path = tmp_path / name
+            weights = f'"pull_margin": 1.0, "w_cls": {w_cls}, "w_reg": 1.0, '
+            path.write_text(text.replace('"pull_margin": 1.0, ', weights))
+            return path
+
+        frames = str(sim_dir / "frames.jsonl")
+        outputs = {}
+        for name, params in (("current", current), ("older", older("older.json", 1.0))):
+            root = tmp_path / name
+            assert main(["calibrate", "--frames", frames, "--params", str(params),
+                         "--out", str(root / "calib")]) == 0
+            threshold = json.loads((root / "calib/threshold.json").read_text())["threshold"]
+            assert main(["track", "--frames", frames, "--params", str(params),
+                         "--threshold", repr(threshold), "--out", str(root / "tracks")]) == 0
+            outputs[name] = {
+                path.relative_to(root): path.read_bytes()
+                for path in root.glob("*/*") if path.name != "manifest.json"
+            }
+        assert outputs["older"] == outputs["current"]
+        _fails_cleanly(
+            ["track", "--frames", frames, "--params", older("refused.json", 2.0),
+             "--threshold", "1.0", "--out", tmp_path / "out"],
+            capsys,
+            "w_cls",
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--seed", "-1"], ["simulate", "--config", "{config}"],
+         ["train", "--frames", "{frames}", "--seed", "-1"],
+         ["train", "--frames", "{frames}", "--config", "{config}"]],
+    )
+    def test_negative_seed(self, tmp_path, sim_dir, capsys, argv):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "out"
+        argv = [a.format(frames=sim_dir / "frames.jsonl", config=config) for a in argv]
+        _fails_cleanly([*argv, "--out", out], capsys, "seed must be non-negative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--max-speed", "1e308", "--frame-count", "2"],
+         ["train", "--frames", "{tmp}/missing.jsonl"],
+         ["track", "--frames", "{frames}", "--params", "{tmp}/versionless.json",
+          "--threshold", "1.0"],
+         ["eval", "--tracks", "{tmp}/missing.jsonl", "--frames", "{frames}"],
+         ["eval", "--counts", "{tmp}/missing.json"]],
+    )
+    def test_failed_run_leaves_no_out(self, tmp_path, sim_dir, trained_dir, capsys, argv):
+        """The output directory is made only once a subcommand's inputs have
+        loaded and its results are computed."""
+        doc = json.loads((trained_dir / "params.json").read_text())
+        del doc["format_version"]
+        (tmp_path / "versionless.json").write_text(json.dumps(doc))
+        argv = [a.format(tmp=tmp_path, frames=sim_dir / "frames.jsonl") for a in argv]
+        out = tmp_path / "out"
+        _fails_cleanly([*argv, "--out", out], capsys)
+        assert not out.exists()
 
 
 class TestEntryPoints:

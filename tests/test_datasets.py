@@ -193,22 +193,19 @@ class TestNeighborFrames:
 class TestSimulate:
     def test_zero_noise_features_equal_archetypes(self):
         cfg = SimConfig(identity_count=3, frame_count=4, feature_dim=4, noise_sigma=0.0)
-        frames, archetypes = simulate(cfg)
-        for f in frames:
+        archetypes = default_archetypes(cfg)
+        for f in simulate(cfg):
             assert np.array_equal(f.detections["feature"], archetypes[f.detections["gt_id"]])
 
     def test_no_dropout_yields_all_identities(self):
         cfg = SimConfig(identity_count=4, frame_count=6, feature_dim=5, dropout=0.0)
-        frames, _ = simulate(cfg)
+        frames = simulate(cfg)
         assert all(len(f.detections) == 4 for f in frames)
         assert all(len(f.gt_boxes) == 4 for f in frames)
 
     def test_same_seed_reproduces_sequence(self):
         cfg = SimConfig(identity_count=3, frame_count=5, feature_dim=4, seed=12)
-        f1, a1 = simulate(cfg)
-        f2, a2 = simulate(cfg)
-        assert np.array_equal(a1, a2)
-        assert f1 == f2
+        assert simulate(cfg) == simulate(cfg)
 
     def test_archetypes_equidistant_and_seed_independent(self):
         cfg_a = SimConfig(identity_count=4, frame_count=2, feature_dim=6, seed=0)
@@ -231,7 +228,7 @@ class TestSimulate:
             noise_sigma=0.4,
             seed=3,
         )
-        frames, _ = simulate(cfg)
+        frames = simulate(cfg)
         max_same, min_diff = -np.inf, np.inf
         for t, ft in enumerate(frames):
             for fs in frames[t + 1 :]:
@@ -245,7 +242,7 @@ class TestSimulate:
         cfg = SimConfig(
             identity_count=3, frame_count=200, feature_dim=4, max_speed=25.0, seed=8
         )
-        frames, _ = simulate(cfg)
+        frames = simulate(cfg)
         for f in frames:
             x1, y1, x2, y2 = f.gt_boxes["box"].T
             assert ((0.0 <= x1) & (x1 < x2) & (x2 <= cfg.image_width)).all()
@@ -253,17 +250,10 @@ class TestSimulate:
 
     def test_dropout_removes_detections_but_not_gt(self):
         cfg = SimConfig(identity_count=5, frame_count=40, feature_dim=6, dropout=0.3, seed=2)
-        frames, _ = simulate(cfg)
+        frames = simulate(cfg)
         total = sum(len(f.detections) for f in frames)
         assert total < 5 * 40
         assert all(len(f.gt_boxes) == 5 for f in frames)
-
-    def test_custom_archetypes_override_default(self):
-        cfg = SimConfig(identity_count=2, frame_count=2, feature_dim=3, noise_sigma=0.0)
-        arch = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        frames, returned = simulate(cfg, archetypes=arch)
-        assert np.array_equal(returned, arch)
-        assert np.array_equal(frames[0].detections["feature"][0], arch[0])
 
     @pytest.mark.parametrize(
         "kw",
@@ -287,7 +277,7 @@ class TestSimulate:
 class TestFrameIo:
     def test_round_trip(self, tmp_path):
         cfg = SimConfig(identity_count=3, frame_count=5, feature_dim=4, dropout=0.2, seed=4)
-        frames, _ = simulate(cfg)
+        frames = simulate(cfg)
         path = tmp_path / "frames.jsonl"
         save_frames(path, frames)
         assert load_frames(path) == frames

@@ -245,7 +245,6 @@ class TestLossConfig:
         cfg = LossConfig()
         assert cfg.margin == 5.0
         assert cfg.pull_margin == 1.0
-        assert cfg.w_cls == cfg.w_reg == 1.0
         assert cfg.w_triplet == cfg.w_pull == 0.2
         assert cfg.score_threshold == 0.5
 

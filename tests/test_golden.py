@@ -12,8 +12,10 @@ import json
 
 from embedtrack.cli import main
 
+# Every head/params.json digest below was re-recorded when `loss_config`
+# lost the detector weights `w_cls` and `w_reg`; nothing else in it changed.
 GOLDEN = {
-    "head/params.json": "5fe3ad852e76ad88471f00fbc827402b65418325bff4a4276287cd22eebb6869",
+    "head/params.json": "c8a8d87f9d700bedcb0272e3175c2521288a1d4da4fd4e484b2d0b3ad9fe726c",
     "head/loss_trace.csv": "c7ce20e086cc693476804286a8bf9f4cfbc2d1376a763abd65c3d36026d427e4",
     "calib/threshold.json": "88351275fccf9170ac94b40abfd9eee89f5815d2073bec0eb6eda0edca402a42",
     "calib/sweep.csv": "4bbb47f59ff74e14ac1995e7ed2f3da779687ede4dd8feee80bd228f8dfd4200",
@@ -25,7 +27,7 @@ GOLDEN = {
 # Many identities per batch (about 30 rows, 15 identities): every step has
 # many valid anchors and many pull terms at once.
 GOLDEN_CROWDED_HEAD = {
-    "head/params.json": "55d126f42bdec53adee23cff1703d6f8b8bfa611c19efe1e166b51618e2d51b5",
+    "head/params.json": "6dbf3972dbdc323d1f6031a7bf829d95dc51322868679a4dabcc365696f941b5",
     "head/loss_trace.csv": "0b6ee0834c249ee8450244b349cf3e095cecbb6e97c8219af9f0d4b99d569c79",
 }
 
@@ -67,7 +69,7 @@ def test_crowded_head_is_unchanged(tmp_path):
 
 # No gt_id anywhere: train labels every detection by IoU assignment.
 GOLDEN_UNLABELED_HEAD = {
-    "head/params.json": "a2454ffc83a45c41645e208fa1898672909023a25715919bd8eadff6136f8ea7",
+    "head/params.json": "9410372d2b057890c262572a9826c35d6d6639b5e179b2a9e0839c84ee8bfac2",
     "head/loss_trace.csv": "bb4e70a423582a237bab907a5871d3d2254aa6b10fe03d7c1c17cecadc6f498e",
 }
 
@@ -77,7 +79,7 @@ GOLDEN_UNLABELED_HEAD = {
 # distinct pair, (0, 10), and so one cross-camera batch (batch_count 19).
 # Recorded when repeated pairs stopped giving repeated batches.
 GOLDEN_MTMC_HEAD = {
-    "head/params.json": "93ac84ac0022371d7ad5e6f621d89679c13f21fc2f38304ec19f48ccc73a9f17",
+    "head/params.json": "b6bdcc475e8192a882cabb9d7f0b6aa4f1ca1fb51579c08bb713f8a525e2cc4f",
     "head/loss_trace.csv": "769db789f053649de4352bc6907c0ab82f5ccb1a3b182cd208f487e70237073c",
 }
 
@@ -114,7 +116,7 @@ def test_mtmc_head_is_unchanged(tmp_path):
 # that mixes labeled and unlabeled detections (8), boxes at negative x
 # (9 and 10), and identical detection and gt boxes (11).
 GOLDEN_EDGE_CASES = {
-    "head/params.json": "4d287606a1f61414e407ddaafa577c6b4167eff28715b9f9a80814aa51a3edfa",
+    "head/params.json": "6f649657c9f581bf9bcbed1023c91f78be476c94a91664e9e84c00c5e12c3437",
     "head/loss_trace.csv": "344c3a2e91c5717c3e7fc84d6c664487baa8ab3605ac93b73452cf758d5adedc",
     "calib/threshold.json": "cf9920952aec7f9951c06a13448ad68933569f56bc3e8b71f6c3a468f3ae9a6c",
     "calib/sweep.csv": "4c34f6919d125dfeb8bf659993caa3234d6ce4ecf58fa22c7de251406f6cc667",

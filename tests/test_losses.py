@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from embedtrack import (
-    LossConfig,
     distance_matrix,
-    joint_loss,
     pull_loss,
     triplet_loss,
 )
@@ -63,23 +61,6 @@ class TestPullLoss:
     def test_no_multi_member_identity_returns_zero(self):
         d = _dist([[0.0], [1.0]])
         assert pull_loss(d, [0, 1], pull_margin=1.0) == 0.0
-
-
-class TestJointLoss:
-    def test_all_zero(self):
-        assert joint_loss(0.0, 0.0, 0.0, 0.0, LossConfig()) == 0.0
-
-    def test_embedding_terms_only(self):
-        assert joint_loss(0.0, 0.0, 4.0, 2.0, LossConfig()) == pytest.approx(1.2)
-
-    def test_with_detector_terms(self):
-        assert joint_loss(1.0, 1.0, 4.0, 2.0, LossConfig()) == pytest.approx(3.2)
-
-    def test_rejects_non_finite_or_negative(self):
-        with pytest.raises(ValueError):
-            joint_loss(float("nan"), 0.0, 0.0, 0.0, LossConfig())
-        with pytest.raises(ValueError):
-            joint_loss(0.0, 0.0, -1.0, 0.0, LossConfig())
 
 
 class TestLossInvariants:

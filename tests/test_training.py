@@ -218,12 +218,6 @@ class TestFusedStep:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("field", ["w_cls", "w_reg"])
-    def test_rejects_unused_detector_weights(self, field):
-        batch = _two_cluster_batch(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="no detector loss"):
-            train([batch], LossConfig(**{field: 7.0}), TrainConfig(epochs=1))
-
     def test_zero_loss_dataset_leaves_params_at_init(self):
         rng = np.random.default_rng(1)
         batch = LabeledBatch(
