@@ -164,9 +164,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     batches = training_batches(frames, pairs, score_threshold=loss_cfg.score_threshold)
     if not batches:
         raise ValueError("no usable training batches (need frames with labeled detections)")
-    identities = set()
-    for batch in batches:
-        identities.update(int(i) for i in batch.identities)
+    identities = set().union(*(batch.identities.tolist() for batch in batches))
     if len(identities) < 2:
         raise ValueError(
             f"training needs at least two distinct identities, found {sorted(identities)}"
@@ -178,8 +176,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with (out / "loss_trace.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(trace):
-            writer.writerow([epoch, repr(float(loss))])
+        writer.writerows([epoch, repr(float(loss))] for epoch, loss in enumerate(trace))
     _write_manifest(
         out,
         "train",
@@ -196,9 +193,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_head_and_frames(args: argparse.Namespace):
+    """The --params head and --frames; --score-threshold defaults to the head's."""
+    params, _, loss_cfg = load_params(args.params)
+    if args.score_threshold is None:
+        args.score_threshold = (loss_cfg or LossConfig()).score_threshold
+    return params, load_frames(args.frames)
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    params, _, _ = load_params(args.params)
-    frames = load_frames(args.frames)
+    params, frames = _load_head_and_frames(args)
     distances, is_same = neighbor_pair_distances(
         frames, params, args.score_threshold, args.iou_min
     )
@@ -245,8 +249,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    params, _, _ = load_params(args.params)
-    frames = load_frames(args.frames)
+    params, frames = _load_head_and_frames(args)
     tracks = track_sequence(
         frames, params, threshold=args.threshold, score_threshold=args.score_threshold
     )
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True, help="labeled dev frames (JSONL)")
     p.add_argument("--params", required=True, help="trained head parameters (JSON)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--score-threshold", type=float, default=0.5)
+    p.add_argument("--score-threshold", type=float, help="default: the head's value, or 0.5")
     p.add_argument("--iou-min", type=float, default=0.5)
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
     p.set_defaults(func=cmd_calibrate)
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True, help="input frames (JSONL)")
     p.add_argument("--params", required=True, help="trained head parameters (JSON)")
     p.add_argument("--threshold", type=float, required=True, help="association gate")
-    p.add_argument("--score-threshold", type=float, default=0.5)
+    p.add_argument("--score-threshold", type=float, help="default: the head's value, or 0.5")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_track)
 

@@ -12,6 +12,7 @@ margins and thresholds are expressed in those units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -50,13 +51,12 @@ class LossConfig:
     score_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if not self.pull_margin >= 0:
-            raise ValueError(f"pull_margin must be non-negative, got {self.pull_margin}")
-        for name in ("w_triplet", "w_pull"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        for name in ("pull_margin", "w_triplet", "w_pull"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
 
@@ -226,7 +226,7 @@ def _squared_distances(cur: np.ndarray, fmr: np.ndarray) -> np.ndarray:
     """
     n, e = cur.shape
     m = fmr.shape[0]
-    diff = np.repeat(cur, m, axis=0).reshape(n, m * e)
+    diff = cur.repeat(m, axis=0).reshape(n, m * e)
     diff -= fmr.reshape(1, m * e)
     diff = diff.reshape(n, m, e)
     return np.einsum("ijk,ijk->ij", diff, diff)

@@ -5,14 +5,16 @@ batch under a cosine learning-rate schedule, converges in seconds, so there
 is no optimizer machinery here: just an analytic gradient of the triplet +
 pull objective and a training loop over labeled batches. Each step runs one
 forward pass for both the loss and the gradient, reads label-only masks
-computed once per batch, and updates one flat parameter vector.
+computed once per batch, writes the gradient into one preallocated buffer
+and updates one flat parameter vector in place.
 
 `batch_loss` is the reference objective, built from the public losses;
-`gradient` exposes the training step's gradient.
+`gradient` runs the training step on a fresh buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -131,50 +133,53 @@ def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
 
 
 class _BatchIndex(NamedTuple):
-    """What the losses read from a batch's labels alone, computed once per
-    batch: the positive (same identity, off the diagonal) and negative masks,
-    the valid anchors (rows with both), and one row-membership mask per
-    identity with at least two rows, in ascending identity order."""
+    """A batch's label-only constants: the positive (same identity, off the
+    diagonal) and negative masks, the valid anchors (rows with both), one row
+    mask per identity of two or more rows (ascending), and the row numbers."""
 
     pos: np.ndarray
     neg: np.ndarray
     anchors: np.ndarray
     groups: np.ndarray
+    rows: np.ndarray
 
 
 def _batch_index(identities: np.ndarray) -> _BatchIndex:
-    _, inverse, counts = np.unique(identities, return_inverse=True, return_counts=True)
-    same = inverse[:, None] == inverse[None, :]
-    pos = same & ~np.eye(inverse.size, dtype=bool)
+    ids = np.sort(identities)
+    run = ids[1:] == ids[:-1]  # ids[k] and ids[k + 1] share a run
+    multi = ids[:-1][run & np.concatenate(([True], ~run[:-1]))]  # each run of two or more
+    same = identities[:, None] == identities[None, :]
+    pos = same & ~np.eye(identities.size, dtype=bool)
     neg = ~same
     anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
-    groups = np.flatnonzero(counts >= 2)[:, None] == inverse[None, :]
-    return _BatchIndex(pos=pos, neg=neg, anchors=anchors, groups=groups)
+    groups = multi[:, None] == identities[None, :]
+    return _BatchIndex(pos, neg, anchors, groups, np.arange(identities.size))
 
 
 def _loss_and_gradient(
-    flat: np.ndarray,
-    dims: tuple[int, int, int],
+    params: Sequence[np.ndarray],
     features: np.ndarray,
     index: _BatchIndex,
     cfg: LossConfig,
-) -> tuple[float, np.ndarray]:
-    """`batch_loss` and its analytic gradient from one forward pass.
+    grad: Sequence[np.ndarray],
+) -> float:
+    """`batch_loss` from one forward pass of the head `params` (w1, b1, w2,
+    b2), with its analytic gradient written into the same-shaped `grad`.
 
-    The gradient is flat, laid out as `to_flat`. Both losses touch only the
-    per-anchor hardest pairs, so d(loss)/d(distances) is a sparse fill. An
-    identity's largest intra-identity distance is the largest hardest-positive
-    distance among its rows; the first such row and its first hardest column
-    reproduce the row-major first-occurrence tie rule of the loop reference.
-    At hinge and absolute-value kinks the subgradient 0 is used. With S the
-    symmetrised distance gradient,
+    Both losses touch only the per-anchor hardest pairs, so d(loss)/d(distances)
+    is a sparse fill. An identity's largest intra-identity distance is the
+    largest hardest-positive distance among its rows; the first such row and
+    its first hardest column reproduce the row-major first-occurrence tie
+    rule of the loop reference. At hinge and absolute-value kinks the
+    subgradient 0 is used. With S the symmetrised distance gradient,
 
         d(loss)/d(e_i) = 2 * (sum_j S_ij * (e_i - e_j))
 
     which vectorises to 2 * (rowsum(S) * E - S @ E); the two layers follow
     by the chain rule.
     """
-    w1, b1, w2, b2 = _flat_views(flat, dims)
+    w1, b1, w2, b2 = params
+    dw1, db1, dw2, db2 = grad
     z = features @ w1.T + b1
     a = np.maximum(z, 0.0)
     e = a @ w2.T + b2
@@ -184,23 +189,19 @@ def _loss_and_gradient(
     masked_neg = np.where(index.neg, d, np.inf)
     jp = masked_pos.argmax(axis=1)
     jn = masked_neg.argmin(axis=1)
-    rows = np.arange(d.shape[0])
-    hardest_pos = masked_pos[rows, jp]
+    hardest_pos = masked_pos[index.rows, jp]
 
     anchors = index.anchors
     slack = hardest_pos[anchors] - masked_neg[anchors, jn[anchors]] + cfg.margin
-    triplet = float(np.maximum(slack, 0.0).mean()) if anchors.size else 0.0
+    triplet = float(np.add.reduce(np.maximum(slack, 0.0))) / anchors.size if anchors.size else 0.0
 
     n_groups = index.groups.shape[0]
-    if n_groups:
-        top = np.where(index.groups, hardest_pos, -np.inf).argmax(axis=1)
-        excess = hardest_pos[top] - cfg.pull_margin
-        pull = float(np.abs(excess).mean())
-    else:
-        pull = 0.0
+    top = np.where(index.groups, hardest_pos, -np.inf).argmax(axis=1)
+    excess = hardest_pos[top] - cfg.pull_margin
+    pull = float(np.add.reduce(np.abs(excess))) / n_groups if n_groups else 0.0
     loss = cfg.w_triplet * triplet + cfg.w_pull * pull
 
-    dd = np.zeros_like(d)
+    dd = np.zeros(d.shape)
     if anchors.size and cfg.w_triplet > 0:
         active = anchors[slack > 0]
         w = cfg.w_triplet / anchors.size
@@ -209,14 +210,14 @@ def _loss_and_gradient(
     if n_groups and cfg.w_pull > 0:
         dd[top, jp[top]] += (cfg.w_pull / n_groups) * np.sign(excess)
     s = dd + dd.T
-    g_e = 2.0 * (s.sum(axis=1, keepdims=True) * e - s @ e)
+    g_e = 2.0 * (np.add.reduce(s, axis=1, keepdims=True) * e - s @ e)
 
-    dw2 = g_e.T @ a
-    db2 = g_e.sum(axis=0)
+    np.matmul(g_e.T, a, out=dw2)
+    np.add.reduce(g_e, axis=0, out=db2)
     g_z = (g_e @ w2) * (z > 0)
-    dw1 = g_z.T @ features
-    db1 = g_z.sum(axis=0)
-    return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    np.matmul(g_z.T, features, out=dw1)
+    np.add.reduce(g_z, axis=0, out=db1)
+    return loss
 
 
 def gradient(
@@ -224,11 +225,10 @@ def gradient(
 ) -> EmbeddingHeadParams:
     """Analytic gradient of `batch_loss` with respect to every parameter,
     computed by the same step `train` takes."""
-    dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
-    _, flat_grad = _loss_and_gradient(
-        params.to_flat(), dims, batch.features, _batch_index(batch.identities), cfg
-    )
-    return EmbeddingHeadParams.from_flat(flat_grad, *dims)
+    head = (params.w1, params.b1, params.w2, params.b2)
+    grad = [np.empty_like(p) for p in head]
+    _loss_and_gradient(head, batch.features, _batch_index(batch.identities), cfg, grad)
+    return EmbeddingHeadParams(*grad)
 
 
 def train(
@@ -248,33 +248,30 @@ def train(
     feature_dim = batches[0].feature_dim
     for b in batches:
         if b.feature_dim != feature_dim:
-            raise ValueError(
-                f"batches disagree on feature dim: {b.feature_dim} vs {feature_dim}"
-            )
+            raise ValueError(f"batches disagree on feature dim: {b.feature_dim} vs {feature_dim}")
 
     dims = (feature_dim, train_config.hidden_dim, train_config.embed_dim)
     flat = init_params(*dims, np.random.default_rng(train_config.seed)).to_flat()
+    grad, update = np.empty(flat.size), np.empty(flat.size)
+    params, grads = _flat_views(flat, dims), _flat_views(grad, dims)
     prepared = [(b.features, _batch_index(b.identities)) for b in batches]
     total_steps = train_config.epochs * len(batches)
     trace: list[float] = []
-    step = 0
     # Divergence shows up as overflow in the forward pass before the loss
     # check catches it; keep numpy quiet about the transient non-finite
     # values and raise one diagnostic error instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(train_config.epochs):
+        for epoch in range(train_config.epochs):
             epoch_losses = []
-            for features, index in prepared:
-                loss, grad = _loss_and_gradient(flat, dims, features, index, loss_config)
-                if not np.isfinite(loss):
+            for step, (features, index) in enumerate(prepared, epoch * len(prepared)):
+                loss = _loss_and_gradient(params, features, index, loss_config, grads)
+                if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {step}")
                 epoch_losses.append(loss)
                 lr = cosine_lr(step, total_steps, train_config.initial_lr)
-                flat = flat + (-lr) * grad
+                np.multiply(-lr, grad, out=update)
+                flat += update
                 if not np.isfinite(flat).all():
-                    raise TrainingDivergedError(
-                        f"parameters became non-finite at step {step}"
-                    )
-                step += 1
+                    raise TrainingDivergedError(f"parameters became non-finite at step {step}")
             trace.append(float(np.mean(epoch_losses)))
     return EmbeddingHeadParams.from_flat(flat, *dims), trace

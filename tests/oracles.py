@@ -10,10 +10,13 @@ from embedtrack import (
     FrameRecord,
     MotCounts,
     PairCounts,
+    TrainingDivergedError,
     batch_loss,
+    cosine_lr,
     detection_dtype,
     distance_matrix,
     embed_batch,
+    init_params,
     iou,
 )
 from embedtrack.datasets import (
@@ -146,6 +149,11 @@ def loop_gradient(params, batch, cfg):
     distance gradient, chained through the squared distances and the two
     layers: d(loss)/d(e_i) = 2 * sum_j S_ij * (e_i - e_j) with S the
     symmetrised distance gradient."""
+    return EmbeddingHeadParams(*_loop_gradient_arrays(params, batch, cfg))
+
+
+def _loop_gradient_arrays(params, batch, cfg):
+    """`loop_gradient` as its (w1, b1, w2, b2) arrays, which may overflow."""
     feats = batch.features
     z = feats @ params.w1.T + params.b1
     a = np.maximum(z, 0.0)
@@ -154,9 +162,49 @@ def loop_gradient(params, batch, cfg):
     s = dd + dd.T
     g_e = 2.0 * (s.sum(axis=1, keepdims=True) * e - s @ e)
     g_z = (g_e @ params.w2) * (z > 0)
-    return EmbeddingHeadParams(
-        w1=g_z.T @ feats, b1=g_z.sum(axis=0), w2=g_e.T @ a, b2=g_e.sum(axis=0)
-    )
+    return g_z.T @ feats, g_z.sum(axis=0), g_e.T @ a, g_e.sum(axis=0)
+
+
+def loop_train(batches, loss_config, train_config):
+    """`train` from the references: per step `batch_loss` and `loop_gradient`
+    of an immutable head, the out-of-place update `flat + (-lr) * grad` under
+    `cosine_lr`, and `train`'s checks in `train`'s order."""
+    dims = (batches[0].feature_dim, train_config.hidden_dim, train_config.embed_dim)
+    params = init_params(*dims, np.random.default_rng(train_config.seed))
+    total_steps = train_config.epochs * len(batches)
+    trace = []
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(train_config.epochs):
+            losses = []
+            for batch in batches:
+                loss = batch_loss(params, batch, loss_config)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"loss became non-finite at step {step}")
+                losses.append(loss)
+                grad = np.concatenate(
+                    [g.ravel() for g in _loop_gradient_arrays(params, batch, loss_config)]
+                )
+                lr = cosine_lr(step, total_steps, train_config.initial_lr)
+                flat = params.to_flat() + (-lr) * grad
+                if not np.isfinite(flat).all():
+                    raise TrainingDivergedError(f"parameters became non-finite at step {step}")
+                params = EmbeddingHeadParams.from_flat(flat, *dims)
+                step += 1
+            trace.append(float(np.mean(losses)))
+    return params, trace
+
+
+def unique_batch_index(identities):
+    """`training._batch_index` from `np.unique`: the fields (pos, neg,
+    anchors, groups, rows) in order, identity groups in ascending order."""
+    _, inverse, counts = np.unique(identities, return_inverse=True, return_counts=True)
+    same = inverse[:, None] == inverse[None, :]
+    pos = same & ~np.eye(inverse.size, dtype=bool)
+    neg = ~same
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    groups = np.flatnonzero(counts >= 2)[:, None] == inverse[None, :]
+    return pos, neg, anchors, groups, np.arange(inverse.size)
 
 
 def scalar_claims(pred_boxes, gt_boxes, iou_min):

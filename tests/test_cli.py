@@ -531,6 +531,48 @@ def _fails_cleanly(argv, capsys, *words):
         assert word in err
 
 
+def _calibrate_and_track(root, frames, params, *flags):
+    """Outputs of calibrate and track on `frames`, by path under `root`."""
+    assert main(["calibrate", "--frames", frames, "--params", params, *flags,
+                 "--out", str(root / "calib")]) == 0
+    assert main(["track", "--frames", frames, "--params", params, "--threshold", "1e9",
+                 *flags, "--out", str(root / "track")]) == 0
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.glob("*/*"))}
+
+
+class TestHeadScoreThreshold:
+    """calibrate and track default --score-threshold to the value the head
+    was trained at, and to 0.5 for a head file without a loss config."""
+
+    def test_trained_value_travels_with_the_head(self, tmp_path, sim_dir):
+        frames = str(sim_dir / "frames.jsonl")
+        head = tmp_path / "head"
+        assert main(["train", "--frames", frames, "--score-threshold", "0.8",
+                     "--out", str(head)] + TRAIN_ARGS) == 0
+        params = str(head / "params.json")
+        unset = _calibrate_and_track(tmp_path / "unset", frames, params)
+        given = _calibrate_and_track(tmp_path / "given", frames, params, "--score-threshold", "0.8")
+        assert unset == given
+        for stage in ("calib", "track"):
+            assert _manifest(tmp_path / "unset" / stage)["config"]["score_threshold"] == 0.8
+        # a flag that is given still wins
+        low = _calibrate_and_track(tmp_path / "low", frames, params, "--score-threshold", "0.5")
+        assert _manifest(tmp_path / "low/track")["config"]["score_threshold"] == 0.5
+        assert low[Path("track/tracks.jsonl")] != unset[Path("track/tracks.jsonl")]
+
+    def test_head_without_loss_config_uses_the_default(self, tmp_path, sim_dir, trained_dir):
+        doc = json.loads((trained_dir / "params.json").read_text())
+        doc["loss_config"] = None
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        frames = str(sim_dir / "frames.jsonl")
+        unset = _calibrate_and_track(tmp_path / "unset", frames, str(params))
+        given = _calibrate_and_track(
+            tmp_path / "given", frames, str(params), "--score-threshold", "0.5"
+        )
+        assert unset == given
+
+
 class TestOutsideValues:
     """Values from config files, count fixtures and parameter files are
     checked where they are loaded: each bad one prints `error:` and exits 1."""
@@ -697,6 +739,27 @@ class TestOutsideValues:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err.replace(str(params), "PATH")
         assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("number", ["Infinity", "1e309"])
+    @pytest.mark.parametrize("field", ["margin", "pull_margin", "w_triplet", "w_pull"])
+    def test_params_loss_config_not_finite(
+        self, tmp_path, sim_dir, trained_dir, capsys, field, number
+    ):
+        """JSON reads both numbers as inf, which the head's loss config
+        refuses by name."""
+        doc = json.loads((trained_dir / "params.json").read_text())
+        doc["loss_config"][field] = "NUMBER"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc).replace('"NUMBER"', number))
+        out = tmp_path / "out"
+        _fails_cleanly(
+            ["calibrate", "--frames", sim_dir / "frames.jsonl", "--params", params,
+             "--out", out],
+            capsys,
+            field,
+            "finite",
+        )
         assert not out.exists()
 
     def test_params_written_with_detector_weights(self, tmp_path, sim_dir, trained_dir, capsys):

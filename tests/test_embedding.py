@@ -256,8 +256,12 @@ class TestLossConfig:
             {"pull_margin": -0.1},
             {"w_triplet": -0.2},
             {"score_threshold": 1.2},
+            {"margin": np.inf},
+            {"pull_margin": np.inf},
+            {"w_triplet": np.inf},
+            {"w_pull": np.inf},
         ],
     )
     def test_rejects_invalid(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             LossConfig(**kw)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from embedtrack import (
     init_params,
     train,
 )
+from embedtrack.embedding import _flat_views
 from embedtrack.training import _batch_index, _loss_and_gradient
-from oracles import finite_diff_gradient, loop_gradient
+from oracles import finite_diff_gradient, loop_gradient, loop_train, unique_batch_index
 
 
 def _two_cluster_batch(rng, n_per=3, sep=4.0, noise=0.05, dim=3):
@@ -144,8 +147,13 @@ def _assert_fused_step_matches_references(params, batch, cfg):
     """The training step's loss equals `batch_loss` and its gradient equals
     the loop oracle, bit for bit."""
     dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
-    loss, grad = _loss_and_gradient(
-        params.to_flat(), dims, batch.features, _batch_index(batch.identities), cfg
+    grad = np.full(params.to_flat().size, np.nan)  # the step must write every entry
+    loss = _loss_and_gradient(
+        _flat_views(params.to_flat(), dims),
+        batch.features,
+        _batch_index(batch.identities),
+        cfg,
+        _flat_views(grad, dims),
     )
     reference = loop_gradient(params, batch, cfg)
     assert loss == batch_loss(params, batch, cfg)
@@ -215,6 +223,114 @@ class TestFusedStep:
         _assert_fused_step_matches_references(
             params, LabeledBatch(features=feats, identities=np.array(ids)), cfg
         )
+
+
+@st.composite
+def identity_vectors(draw):
+    """2-80 int64 identities: singletons only, one identity, or draws from a
+    few values, any of which may be negative or near the int64 ends."""
+    n = draw(st.integers(2, 80))
+    value = st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+    kind = draw(st.sampled_from(["singletons", "one", "few"]))
+    if kind == "singletons":
+        ids = draw(st.lists(value, min_size=n, max_size=n, unique=True))
+    elif kind == "one":
+        ids = [draw(value)] * n
+    else:
+        pool = draw(st.lists(value, min_size=1, max_size=6))
+        ids = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(ids, dtype=np.int64)
+
+
+class TestBatchIndex:
+    @given(identity_vectors())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_unique_form(self, ids):
+        index = _batch_index(ids)
+        for name, expected in zip(index._fields, unique_batch_index(ids), strict=True):
+            assert np.array_equal(getattr(index, name), expected), name
+
+
+@st.composite
+def train_cases(draw):
+    """(batches, loss config, train config) over one to three batches of
+    mixed, single-identity or all-singleton labels (the last two have no
+    valid anchor), zero loss weights, and learning rates that diverge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 8))
+        labels = draw(st.sampled_from(["mixed", "single", "singletons"]))
+        ids = {
+            "mixed": rng.integers(0, 4, size=n),
+            "single": np.zeros(n, dtype=np.int64),
+            "singletons": np.arange(n),
+        }[labels]
+        batches.append(LabeledBatch(features=scale * rng.normal(size=(n, 3)), identities=ids))
+    cfg = LossConfig(
+        margin=draw(st.sampled_from([0.5, 5.0])),
+        pull_margin=draw(st.sampled_from([0.0, 1.0])),
+        w_triplet=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        w_pull=draw(st.sampled_from([0.0, 0.2, 1.0])),
+    )
+    tc = TrainConfig(
+        initial_lr=draw(st.sampled_from([1e-2, 1.0, 1e20, 1e200, 1e308])),
+        epochs=draw(st.integers(1, 3)),
+        hidden_dim=5,
+        embed_dim=2,
+        seed=draw(st.integers(0, 100)),
+    )
+    return batches, cfg, tc
+
+
+def _assert_train_matches_loop_train(batches, cfg, tc):
+    """Equal params and loss trace, or the same divergence error."""
+    try:
+        expected_params, expected_trace = loop_train(batches, cfg, tc)
+    except TrainingDivergedError as exc:
+        with pytest.raises(TrainingDivergedError, match=f"^{re.escape(str(exc))}$"):
+            train(batches, cfg, tc)
+    else:
+        params, trace = train(batches, cfg, tc)
+        assert trace == expected_trace
+        assert params == expected_params
+
+
+class TestTrainMatchesLoopTrain:
+    @given(train_cases())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_params_and_trace(self, case):
+        _assert_train_matches_loop_train(*case)
+
+    @pytest.mark.parametrize(
+        "lr, scale, message",
+        [
+            (1e20, 1.0, "loss became non-finite at step 2"),
+            (1e200, 1e3, "loss became non-finite at step 1"),
+            (1e308, 1e3, "parameters became non-finite at step 0"),
+        ],
+    )
+    def test_divergence_names_the_same_step(self, lr, scale, message):
+        batch = _two_cluster_batch(np.random.default_rng(9))
+        batch = LabeledBatch(features=scale * batch.features, identities=batch.identities)
+        tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, initial_lr=lr, seed=1)
+        with pytest.raises(TrainingDivergedError, match=f"^{message}$"):
+            loop_train([batch], LossConfig(), tc)
+        _assert_train_matches_loop_train([batch], LossConfig(), tc)
+
+    def test_corner_batches_over_epochs(self):
+        """A batch with no valid anchor, a single-identity batch and a mixed
+        one, under each zero loss weight."""
+        rng = np.random.default_rng(3)
+        batches = [
+            LabeledBatch(features=rng.normal(size=(4, 3)), identities=np.arange(4)),
+            LabeledBatch(features=rng.normal(size=(3, 3)), identities=np.zeros(3, dtype=int)),
+            _two_cluster_batch(rng),
+        ]
+        tc = TrainConfig(initial_lr=1e-1, epochs=4, hidden_dim=6, embed_dim=3, seed=2)
+        for cfg in (LossConfig(), LossConfig(w_triplet=0.0), LossConfig(w_pull=0.0)):
+            _assert_train_matches_loop_train(batches, cfg, tc)
 
 
 class TestTrain:
