@@ -15,10 +15,8 @@ from .calibration import (
     DistanceHistogram,
     PairCounts,
     ThresholdSweep,
-    counts_at,
     distance_histogram,
     sweep_threshold,
-    threshold_objective,
 )
 from .core import GT_DTYPE, TRACK_DTYPE, BoundingBox, FrameRecord, detection_dtype, iou, iou_matrix
 from .datasets import (
@@ -44,9 +42,7 @@ from .embedding import (
     embed_batch,
     init_params,
     load_params,
-    pull_loss,
     save_params,
-    triplet_loss,
 )
 from .evaluation import (
     AP_IOU_THRESHOLDS,
@@ -89,7 +85,6 @@ __all__ = [
     "assign_predictions",
     "batch_loss",
     "cosine_lr",
-    "counts_at",
     "cross_camera_frames",
     "default_archetypes",
     "detection_dtype",
@@ -110,18 +105,15 @@ __all__ = [
     "neighbor_frames",
     "neighbor_pair_distances",
     "pair_accuracy",
-    "pull_loss",
     "save_frames",
     "save_params",
     "save_track_records",
     "simulate",
     "sweep_threshold",
-    "threshold_objective",
     "track_counts",
     "track_sequence",
     "tracks_by_frame",
     "train",
     "training_batches",
-    "triplet_loss",
     "update_tracks",
 ]

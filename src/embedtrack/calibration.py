@@ -7,7 +7,9 @@ gate is the threshold h minimising
 
 where a pair is predicted "same" when its distance is strictly below h.
 The objective is piecewise constant in h, so an exact sweep over one
-candidate per plateau finds the global minimum.
+candidate per plateau finds the global minimum. `sweep_threshold` is the
+one place the counts and the objective are computed: its rows hold them
+for every candidate.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = [
     "ThresholdSweep",
     "DistanceHistogram",
     "DegenerateDevSetError",
-    "counts_at",
-    "threshold_objective",
     "sweep_threshold",
     "distance_histogram",
     "write_sweep_csv",
@@ -85,27 +85,6 @@ class PairCounts:
             raise ValueError("gp and gn must be non-negative")
 
 
-def counts_at(distances, is_same, threshold: float) -> PairCounts:
-    """Confusion counts when pairs with distance < threshold are called same."""
-    dist, same = _check_pairs(distances, is_same)
-    pred = dist < threshold
-    return PairCounts(
-        tp=int((pred & same).sum()),
-        tn=int((~pred & ~same).sum()),
-        fp=int((pred & ~same).sum()),
-        fn=int((~pred & same).sum()),
-    )
-
-
-def threshold_objective(counts: PairCounts) -> float:
-    """Sum of the false-positive and false-negative rates: fp/gn + fn/gp."""
-    if counts.gp == 0 or counts.gn == 0:
-        raise DegenerateDevSetError(
-            f"objective undefined with gp={counts.gp}, gn={counts.gn}"
-        )
-    return counts.fp / counts.gn + counts.fn / counts.gp
-
-
 @dataclass(frozen=True, eq=False)
 class ThresholdSweep:
     """Result of an exact threshold sweep: the winning threshold, its
@@ -141,7 +120,12 @@ def _candidate_thresholds(distances: np.ndarray) -> np.ndarray:
 
 
 def sweep_threshold(distances, is_same) -> ThresholdSweep:
-    """Exact minimisation of `threshold_objective` over all thresholds.
+    """Exact minimisation over all thresholds h of the objective
+
+        fp / gn + fn / gp
+
+    the sum of the false-positive and false-negative rates when pairs with
+    distance < h are called same.
 
     `distances` and `is_same` are parallel 1-D arrays, one entry per pair.
     Requires at least one same pair and one different pair. Equal objectives

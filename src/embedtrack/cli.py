@@ -73,27 +73,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
 
 
 def _resolve_config(cls, file_values: dict, args: argparse.Namespace):
-    """defaults < config file < flags, validated by the dataclass itself.
-
-    A JSON integer given for a float field becomes the float its flag would
-    parse to, so that a file value and the same flag write the same bytes.
-    A float field must be finite, whichever of the two gave it.
-    """
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    values = {}
-    for name, value in file_values.items():
-        if name in kinds:
-            try:
-                values[name] = kinds[name](value)
-            except OverflowError:
-                raise ValueError(f"config value {name} is too large for a float") from None
-    for name in kinds:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    for name, value in values.items():
-        if kinds[name] is float and not math.isfinite(value):
-            raise ValueError(f"config value {name} must be finite, got {value}")
+    """defaults < config file < flags, validated by the dataclass itself."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = {name: file_values[name] for name in names if name in file_values}
+    values.update((name, getattr(args, name)) for name in names if getattr(args, name) is not None)
     return cls(**values)
 
 
@@ -103,8 +86,7 @@ def _load_config_file(path: Optional[str], *classes) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    _check_config_values(doc, classes, f"config file {path}")
-    return doc
+    return _check_config_values(doc, classes, f"config file {path}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

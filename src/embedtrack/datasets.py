@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype
-from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
+from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
 from .evaluation import assign_predictions
 from .training import LabeledBatch
 
@@ -180,6 +180,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.identity_count < 1:
             raise ValueError(f"identity_count must be positive, got {self.identity_count}")
         if self.frame_count < 1:

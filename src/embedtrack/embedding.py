@@ -1,4 +1,4 @@
-"""Two-layer embedding head over ROI feature vectors, with its training losses.
+"""Two-layer embedding head over ROI feature vectors.
 
 The head maps an F-dimensional detector feature to an E-dimensional metric
 embedding through one hidden rectified layer:
@@ -25,8 +25,6 @@ __all__ = [
     "init_params",
     "embed_batch",
     "distance_matrix",
-    "triplet_loss",
-    "pull_loss",
     "save_params",
     "load_params",
 ]
@@ -61,17 +59,36 @@ class LossConfig:
             raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
 
 
-def _check_config_values(values: dict, classes: Sequence[type], source: str) -> None:
+def _check_finite(cfg) -> None:
+    """Every float field of the config dataclass instance `cfg` must be finite."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if type(f.default) is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def _check_config_values(values: dict, classes: Sequence[type], source: str) -> dict:
     """Every key of `values` must name a field of one of the config
     dataclasses `classes`, and every value must be a JSON integer for int
-    fields, an integer or float for float fields, never a bool."""
+    fields, an integer or float for float fields, never a bool.
+
+    Returns the values with each integer given for a float field made the
+    float its flag would parse to, so that a file value and the same flag
+    write the same bytes.
+    """
     kinds = {f.name: type(f.default) for cls in classes for f in fields(cls)}
     unknown = sorted(set(values) - set(kinds))
     if unknown:
         raise ValueError(f"unknown config keys in {source}: {unknown}")
+    coerced = {}
     for name, value in values.items():
         if type(value) not in ((int,) if kinds[name] is int else (int, float)):
             raise ValueError(f"{source}: {name} must be {kinds[name].__name__}, got {value!r}")
+        try:
+            coerced[name] = kinds[name](value)
+        except OverflowError:
+            raise ValueError(f"{source}: {name} is too large for a float") from None
+    return coerced
 
 
 def _as_param_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -232,57 +249,6 @@ def _squared_distances(cur: np.ndarray, fmr: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def triplet_loss(distances: np.ndarray, identities: Sequence[int], margin: float) -> float:
-    """Batch-hard triplet loss from a precomputed distance matrix.
-
-    Each element with at least one same-identity other and one
-    different-identity other acts as an anchor and contributes
-
-        max(max(d_same) - min(d_diff) + margin, 0)
-
-    The result is the mean over valid anchors, or 0.0 when there is none.
-    """
-    d = np.asarray(distances, dtype=np.float64)
-    ids = np.asarray(identities)
-    n = ids.shape[0]
-    if d.shape != (n, n):
-        raise ValueError(f"distance matrix shape {d.shape} does not match {n} identities")
-    same = ids[:, None] == ids[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-    pos = same & off_diag
-    neg = ~same
-    valid = pos.any(axis=1) & neg.any(axis=1)
-    if not valid.any():
-        return 0.0
-    hardest_pos = np.where(pos, d, -np.inf).max(axis=1)
-    hardest_neg = np.where(neg, d, np.inf).min(axis=1)
-    per_anchor = np.maximum(hardest_pos - hardest_neg + margin, 0.0)
-    return float(per_anchor[valid].mean())
-
-
-def pull_loss(distances: np.ndarray, identities: Sequence[int], pull_margin: float) -> float:
-    """Absolute deviation of each identity's largest intra-identity distance
-    from `pull_margin`, averaged over identities with at least two members.
-
-    Returns 0.0 when no identity has two members.
-    """
-    d = np.asarray(distances, dtype=np.float64)
-    ids = np.asarray(identities)
-    if d.shape != (ids.shape[0], ids.shape[0]):
-        raise ValueError(f"distance matrix shape {d.shape} does not match {ids.shape[0]} identities")
-    terms = []
-    for ident in np.unique(ids):
-        members = np.nonzero(ids == ident)[0]
-        if members.size < 2:
-            continue
-        sub = d[np.ix_(members, members)]
-        largest = sub[~np.eye(members.size, dtype=bool)].max()
-        terms.append(abs(float(largest) - pull_margin))
-    if not terms:
-        return 0.0
-    return float(np.mean(terms))
-
-
 def save_params(
     path: Union[str, Path],
     params: EmbeddingHeadParams,
@@ -357,5 +323,5 @@ def load_params(
                     f"loss_config in {path}: {name} must be 1.0, as no detector loss is "
                     f"computed, got {value!r}"
                 )
-        _check_config_values(loss_cfg, (LossConfig,), f"loss_config in {path}")
+        loss_cfg = _check_config_values(loss_cfg, (LossConfig,), f"loss_config in {path}")
     return params, seed, LossConfig(**loss_cfg) if loss_cfg is not None else None

@@ -8,8 +8,8 @@ forward pass for both the loss and the gradient, reads label-only masks
 computed once per batch, writes the gradient into one preallocated buffer
 and updates one flat parameter vector in place.
 
-`batch_loss` is the reference objective, built from the public losses;
-`gradient` runs the training step on a fresh buffer.
+The loss is computed only inside that step. `batch_loss` and `gradient`
+run it once on a fresh buffer and return its loss or its gradient.
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ import numpy as np
 
 from .embedding import (
     EmbeddingHeadParams,
+    _check_finite,
     _flat_views,
     _squared_distances,
     LossConfig,
-    distance_matrix,
-    embed_batch,
     init_params,
-    pull_loss,
-    triplet_loss,
 )
 
 __all__ = [
@@ -104,6 +101,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.initial_lr > 0:
             raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
         if self.epochs < 1:
@@ -121,15 +119,6 @@ def cosine_lr(step: int, total_steps: int, initial_lr: float) -> float:
     if total_steps < 1:
         raise ValueError("total_steps must be at least 1")
     return 0.5 * initial_lr * (1.0 + np.cos(np.pi * step / total_steps))
-
-
-def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig) -> float:
-    """Weighted triplet + pull loss of one batch under the current head."""
-    e = embed_batch(params, batch.features)
-    d = distance_matrix(e, e)
-    return cfg.w_triplet * triplet_loss(d, batch.identities, cfg.margin) + cfg.w_pull * pull_loss(
-        d, batch.identities, cfg.pull_margin
-    )
 
 
 class _BatchIndex(NamedTuple):
@@ -163,8 +152,19 @@ def _loss_and_gradient(
     cfg: LossConfig,
     grad: Sequence[np.ndarray],
 ) -> float:
-    """`batch_loss` from one forward pass of the head `params` (w1, b1, w2,
-    b2), with its analytic gradient written into the same-shaped `grad`.
+    """The loss of one batch from one forward pass of the head `params`
+    (w1, b1, w2, b2), with its analytic gradient written into the
+    same-shaped `grad`.
+
+    With d the squared distances between the batch's embeddings, the loss is
+    w_triplet * triplet + w_pull * pull, where
+
+        triplet = mean over anchors i of max(max_p d[i, p] - min_n d[i, n] + margin, 0)
+        pull    = mean over identities k of |max of d within k - pull_margin|
+
+    An anchor is a row with at least one other row p of its identity and one
+    row n of another (batch-hard triplet loss); the pull mean runs over
+    identities of two or more rows. An empty mean is 0.
 
     Both losses touch only the per-anchor hardest pairs, so d(loss)/d(distances)
     is a sparse fill. An identity's largest intra-identity distance is the
@@ -220,15 +220,27 @@ def _loss_and_gradient(
     return loss
 
 
+def _step(
+    params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
+) -> tuple[float, list[np.ndarray]]:
+    """The training step's loss and gradient arrays at `params`."""
+    head = (params.w1, params.b1, params.w2, params.b2)
+    grad = [np.empty_like(p) for p in head]
+    return _loss_and_gradient(head, batch.features, _batch_index(batch.identities), cfg, grad), grad
+
+
+def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig) -> float:
+    """Weighted triplet + pull loss of one batch under the head `params`, as
+    the training step computes it."""
+    return _step(params, batch, cfg)[0]
+
+
 def gradient(
     params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
 ) -> EmbeddingHeadParams:
     """Analytic gradient of `batch_loss` with respect to every parameter,
     computed by the same step `train` takes."""
-    head = (params.w1, params.b1, params.w2, params.b2)
-    grad = [np.empty_like(p) for p in head]
-    _loss_and_gradient(head, batch.features, _batch_index(batch.identities), cfg, grad)
-    return EmbeddingHeadParams(*grad)
+    return EmbeddingHeadParams(*_step(params, batch, cfg)[1])
 
 
 def train(

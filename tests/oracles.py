@@ -1,17 +1,21 @@
 """Independent test oracles shared by the unit and acceptance suites."""
 
+from typing import Sequence
+
 import numpy as np
 
 from embedtrack import (
     GT_DTYPE,
     TRACK_DTYPE,
+    DegenerateDevSetError,
     EmbeddingHeadParams,
     FrameParseError,
     FrameRecord,
+    LabeledBatch,
+    LossConfig,
     MotCounts,
     PairCounts,
     TrainingDivergedError,
-    batch_loss,
     cosine_lr,
     detection_dtype,
     distance_matrix,
@@ -19,6 +23,7 @@ from embedtrack import (
     init_params,
     iou,
 )
+from embedtrack.calibration import _check_pairs
 from embedtrack.datasets import (
     BOX_RULE,
     _bad_boxes,
@@ -87,6 +92,88 @@ def loop_tracker(frames, params, threshold, score_threshold=0.5):
             rows.append((frame.frame_index, track_id, det["box"], det["confidence"]))
         former, former_ids = emb, ids
     return np.array(rows, dtype=TRACK_DTYPE)
+
+
+def triplet_loss(distances: np.ndarray, identities: Sequence[int], margin: float) -> float:
+    """Batch-hard triplet loss from a precomputed distance matrix.
+
+    Each element with at least one same-identity other and one
+    different-identity other acts as an anchor and contributes
+
+        max(max(d_same) - min(d_diff) + margin, 0)
+
+    The result is the mean over valid anchors, or 0.0 when there is none.
+    """
+    d = np.asarray(distances, dtype=np.float64)
+    ids = np.asarray(identities)
+    n = ids.shape[0]
+    if d.shape != (n, n):
+        raise ValueError(f"distance matrix shape {d.shape} does not match {n} identities")
+    same = ids[:, None] == ids[None, :]
+    off_diag = ~np.eye(n, dtype=bool)
+    pos = same & off_diag
+    neg = ~same
+    valid = pos.any(axis=1) & neg.any(axis=1)
+    if not valid.any():
+        return 0.0
+    hardest_pos = np.where(pos, d, -np.inf).max(axis=1)
+    hardest_neg = np.where(neg, d, np.inf).min(axis=1)
+    per_anchor = np.maximum(hardest_pos - hardest_neg + margin, 0.0)
+    return float(per_anchor[valid].mean())
+
+
+def pull_loss(distances: np.ndarray, identities: Sequence[int], pull_margin: float) -> float:
+    """Absolute deviation of each identity's largest intra-identity distance
+    from `pull_margin`, averaged over identities with at least two members.
+
+    Returns 0.0 when no identity has two members.
+    """
+    d = np.asarray(distances, dtype=np.float64)
+    ids = np.asarray(identities)
+    if d.shape != (ids.shape[0], ids.shape[0]):
+        raise ValueError(f"distance matrix shape {d.shape} does not match {ids.shape[0]} identities")
+    terms = []
+    for ident in np.unique(ids):
+        members = np.nonzero(ids == ident)[0]
+        if members.size < 2:
+            continue
+        sub = d[np.ix_(members, members)]
+        largest = sub[~np.eye(members.size, dtype=bool)].max()
+        terms.append(abs(float(largest) - pull_margin))
+    if not terms:
+        return 0.0
+    return float(np.mean(terms))
+
+
+def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig) -> float:
+    """`training.batch_loss` from the two losses above: weighted triplet +
+    pull loss of one batch under the current head."""
+    e = embed_batch(params, batch.features)
+    d = distance_matrix(e, e)
+    return cfg.w_triplet * triplet_loss(d, batch.identities, cfg.margin) + cfg.w_pull * pull_loss(
+        d, batch.identities, cfg.pull_margin
+    )
+
+
+def counts_at(distances, is_same, threshold: float) -> PairCounts:
+    """Confusion counts when pairs with distance < threshold are called same."""
+    dist, same = _check_pairs(distances, is_same)
+    pred = dist < threshold
+    return PairCounts(
+        tp=int((pred & same).sum()),
+        tn=int((~pred & ~same).sum()),
+        fp=int((pred & ~same).sum()),
+        fn=int((~pred & same).sum()),
+    )
+
+
+def threshold_objective(counts: PairCounts) -> float:
+    """Sum of the false-positive and false-negative rates: fp/gn + fn/gp."""
+    if counts.gp == 0 or counts.gn == 0:
+        raise DegenerateDevSetError(
+            f"objective undefined with gp={counts.gp}, gn={counts.gn}"
+        )
+    return counts.fp / counts.gn + counts.fn / counts.gp
 
 
 def finite_diff_gradient(params, batch, cfg, eps=1e-5):

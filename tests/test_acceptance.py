@@ -19,7 +19,6 @@ from embedtrack import (
     PairCounts,
     SimConfig,
     TrainConfig,
-    counts_at,
     distance_matrix,
     embed_batch,
     gradient,
@@ -30,19 +29,16 @@ from embedtrack import (
     neighbor_frames,
     neighbor_pair_distances,
     pair_accuracy,
-    pull_loss,
     simulate,
     sweep_threshold,
-    threshold_objective,
     track_counts,
     track_sequence,
     tracks_by_frame,
     train,
     training_batches,
-    triplet_loss,
 )
 from embedtrack.cli import main
-from oracles import finite_diff_gradient
+from oracles import counts_at, finite_diff_gradient, pull_loss, threshold_objective, triplet_loss
 
 
 def _translate(box, dx, dy):

@@ -13,12 +13,11 @@ from embedtrack import (
     DistanceHistogram,
     PairCounts,
     ThresholdSweep,
-    counts_at,
     distance_histogram,
     sweep_threshold,
-    threshold_objective,
 )
 from embedtrack.calibration import write_histogram_csv, write_sweep_csv
+from oracles import counts_at, threshold_objective
 
 
 def _pairs(same, diff):

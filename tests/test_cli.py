@@ -762,6 +762,38 @@ class TestOutsideValues:
         )
         assert not out.exists()
 
+    def test_params_integer_loss_config(self, tmp_path, sim_dir, trained_dir):
+        """A head whose loss_config holds JSON integers makes calibrate and
+        track write the bytes, manifests included, that the same head with
+        floats makes them write."""
+        doc = json.loads((trained_dir / "params.json").read_text())
+        whole = {"margin": 5, "pull_margin": 1, "w_triplet": 1, "w_pull": 0, "score_threshold": 0}
+        params = tmp_path / "params.json"  # one path, so the manifests' inputs agree
+        outputs = {}
+        for cast in (int, float):
+            loss_config = {name: cast(value) for name, value in whole.items()}
+            params.write_text(json.dumps({**doc, "loss_config": loss_config}))
+            outputs[cast] = _calibrate_and_track(
+                tmp_path / cast.__name__, str(sim_dir / "frames.jsonl"), str(params)
+            )
+        assert _manifest(tmp_path / "int/calib")["config"]["score_threshold"] == 0.0
+        assert outputs[int] == outputs[float]
+
+    def test_params_loss_config_too_large(self, tmp_path, sim_dir, trained_dir, capsys):
+        doc = json.loads((trained_dir / "params.json").read_text())
+        doc["loss_config"]["margin"] = 10**400
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        _fails_cleanly(
+            ["track", "--frames", sim_dir / "frames.jsonl", "--params", params,
+             "--threshold", "1.0", "--out", out],
+            capsys,
+            "margin",
+            "too large",
+        )
+        assert not out.exists()
+
     def test_params_written_with_detector_weights(self, tmp_path, sim_dir, trained_dir, capsys):
         """A params.json from before `w_cls` and `w_reg` left `LossConfig`
         holds both at 1.0: it loads, and calibrate and track write what they

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from embedtrack import (
     EmbeddingHeadParams,
     LossConfig,
+    SimConfig,
+    TrainConfig,
     embed_batch,
     init_params,
     distance_matrix,
@@ -265,3 +269,20 @@ class TestLossConfig:
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             LossConfig(**kw)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (cls, f.name)
+        for cls in (SimConfig, TrainConfig)
+        for f in fields(cls)
+        if type(f.default) is float
+    ],
+)
+def test_config_float_fields_refuse_non_finite(cls, field, value):
+    """Every float field refuses NaN and +-inf when the config is built,
+    naming the field, whichever other check the value would slip past."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})

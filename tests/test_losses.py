@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from embedtrack import (
-    distance_matrix,
-    pull_loss,
-    triplet_loss,
-)
+from embedtrack import distance_matrix
+from oracles import pull_loss, triplet_loss
 from strategies import labeled_batches
 
 

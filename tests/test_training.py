@@ -19,6 +19,7 @@ from embedtrack import (
 )
 from embedtrack.embedding import _flat_views
 from embedtrack.training import _batch_index, _loss_and_gradient
+import oracles
 from oracles import finite_diff_gradient, loop_gradient, loop_train, unique_batch_index
 
 
@@ -144,8 +145,8 @@ def _integer_params(rng, dims=(3, 5, 2)):
 
 
 def _assert_fused_step_matches_references(params, batch, cfg):
-    """The training step's loss equals `batch_loss` and its gradient equals
-    the loop oracle, bit for bit."""
+    """The training step's loss equals the reference `batch_loss` and its
+    gradient equals the loop oracle, bit for bit."""
     dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
     grad = np.full(params.to_flat().size, np.nan)  # the step must write every entry
     loss = _loss_and_gradient(
@@ -156,7 +157,7 @@ def _assert_fused_step_matches_references(params, batch, cfg):
         _flat_views(grad, dims),
     )
     reference = loop_gradient(params, batch, cfg)
-    assert loss == batch_loss(params, batch, cfg)
+    assert loss == oracles.batch_loss(params, batch, cfg)
     assert np.array_equal(grad, reference.to_flat())
     assert gradient(params, batch, cfg) == reference
 
@@ -198,6 +199,15 @@ class TestFusedStep:
     @settings(max_examples=300, deadline=None)
     def test_matches_batch_loss_and_loop_gradient(self, case):
         _assert_fused_step_matches_references(*case)
+
+    @given(step_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_entry_points_match_references(self, case):
+        """The library's `batch_loss` and `gradient`, which run the fused
+        step, equal the reference loss and the loop gradient bit for bit."""
+        params, batch, cfg = case
+        assert batch_loss(params, batch, cfg) == oracles.batch_loss(params, batch, cfg)
+        assert gradient(params, batch, cfg) == loop_gradient(params, batch, cfg)
 
     @pytest.mark.parametrize(
         "ids, whole, cfg",
@@ -367,7 +377,7 @@ class TestTrain:
         tc = TrainConfig(epochs=3, hidden_dim=8, embed_dim=4, initial_lr=1e-2, seed=4)
         init = init_params(batch.feature_dim, 8, 4, np.random.default_rng(4))
         _, trace = train([batch], LossConfig(), tc)
-        assert trace[0] == batch_loss(init, batch, LossConfig())
+        assert trace[0] == oracles.batch_loss(init, batch, LossConfig())
 
     def test_raises_on_divergence(self):
         rng = np.random.default_rng(9)
