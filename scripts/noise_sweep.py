@@ -25,7 +25,6 @@ from embedtrack import (
     sweep_threshold,
     track_counts,
     track_sequence,
-    tracks_by_frame,
     train,
     training_batches,
 )
@@ -60,9 +59,7 @@ def run_once(sigma: float, args: argparse.Namespace) -> dict:
     holdout = simulate(holdout_cfg)
     tracks = track_sequence(holdout, params, threshold=sweep.threshold)
 
-    counts, pairs = track_counts(
-        tracks_by_frame(tracks, holdout), [f.gt_boxes for f in holdout], neighbor_frames(holdout)
-    )
+    counts, pairs = track_counts(tracks, holdout)
     return {
         "sigma": sigma,
         "final_loss": trace[-1],

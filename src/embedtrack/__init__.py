@@ -18,7 +18,16 @@ from .calibration import (
     distance_histogram,
     sweep_threshold,
 )
-from .core import GT_DTYPE, TRACK_DTYPE, BoundingBox, FrameRecord, detection_dtype, iou, iou_matrix
+from .core import (
+    GT_DTYPE,
+    TRACK_DTYPE,
+    BoundingBox,
+    FrameRecord,
+    detection_dtype,
+    iou,
+    iou_matrix,
+    neighbor_frames,
+)
 from .datasets import (
     FrameParseError,
     SimConfig,
@@ -27,12 +36,10 @@ from .datasets import (
     labeled_rows,
     load_frames,
     load_track_records,
-    neighbor_frames,
     neighbor_pair_distances,
     save_frames,
     save_track_records,
     simulate,
-    tracks_by_frame,
     training_batches,
 )
 from .embedding import (
@@ -112,7 +119,6 @@ __all__ = [
     "sweep_threshold",
     "track_counts",
     "track_sequence",
-    "tracks_by_frame",
     "train",
     "training_batches",
     "update_tracks",

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TRACK_DTYPE, FrameRecord
+from .core import TRACK_DTYPE, FrameRecord, _check_sequence
 from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 
 __all__ = [
@@ -83,14 +83,7 @@ def track_sequence(
     Returns the tracks array (`TRACK_DTYPE`): one row per kept detection, in
     frame order, then detection order.
     """
-    cameras = {f.camera_id for f in frames}
-    if len(cameras) > 1:
-        raise ValueError(f"expected a single camera, got {sorted(cameras)}")
-    for prev, cur in zip(frames, frames[1:]):
-        if cur.frame_index <= prev.frame_index:
-            raise ValueError(
-                f"frame indices must increase: {prev.frame_index} then {cur.frame_index}"
-            )
+    _check_sequence(frames)
 
     former_emb = np.zeros((0, params.embed_dim))
     former_ids = np.zeros(0, dtype=np.int64)

@@ -34,18 +34,16 @@ from .calibration import (
     write_histogram_csv,
     write_sweep_csv,
 )
-from .core import BoundingBox
+from .core import BoundingBox, neighbor_frames
 from .datasets import (
     SimConfig,
     cross_camera_frames,
     load_frames,
     load_track_records,
-    neighbor_frames,
     neighbor_pair_distances,
     save_frames,
     save_track_records,
     simulate,
-    tracks_by_frame,
     training_batches,
 )
 from .embedding import LossConfig, _check_config_values, load_params, save_params
@@ -283,16 +281,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.tracks is None or args.frames is None:
             raise ValueError("eval needs either --counts or both --tracks and --frames")
         frames = load_frames(args.frames)
-        cameras = {f.camera_id for f in frames}
-        if len(cameras) > 1:
-            raise ValueError(f"eval expects a single camera, got {sorted(cameras)}")
         tracks = load_track_records(args.tracks)
         mc, pc = track_counts(
-            tracks_by_frame(tracks, frames),
-            [f.gt_boxes for f in frames],
-            neighbor_frames(frames),
-            score_threshold=args.score_threshold,
-            iou_min=args.iou_min,
+            tracks, frames, score_threshold=args.score_threshold, iou_min=args.iou_min
         )
         columns = (tracks[name].tolist() for name in ("frame_index", "box", "confidence"))
         ap_preds = [(i, BoundingBox(*box), conf) for i, box, conf in zip(*columns)]

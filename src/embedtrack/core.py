@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "GT_DTYPE", "TRACK_DTYPE", "BoundingBox", "FrameRecord", "detection_dtype", "iou", "iou_matrix"
+    "GT_DTYPE",
+    "TRACK_DTYPE",
+    "BoundingBox",
+    "FrameRecord",
+    "detection_dtype",
+    "iou",
+    "iou_matrix",
+    "neighbor_frames",
 ]
 
 
@@ -39,9 +47,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def as_list(self) -> list[float]:
-        return [float(self.x1), float(self.y1), float(self.x2), float(self.y2)]
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -104,8 +109,10 @@ class FrameRecord:
 
     def follows(self, other: "FrameRecord") -> bool:
         """True when this frame is the next one after `other`: same camera,
-        frame_index one higher. Training pairs, calibration pairs, the
-        tracker's one-frame memory and eval's pair counts all use this rule."""
+        frame_index one higher. Training and calibration pairs and eval's
+        pair counts take their frame pairs from `neighbor_frames`, and the
+        tracker keeps its one-frame memory only across such a step, so all
+        four stages share this rule."""
         return self.camera_id == other.camera_id and self.frame_index == other.frame_index + 1
 
     def __eq__(self, other: object) -> bool:
@@ -118,3 +125,31 @@ class FrameRecord:
             and np.array_equal(self.detections, other.detections)
             and np.array_equal(self.gt_boxes, other.gt_boxes)
         )
+
+
+def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
+    """Index pairs (i, j) where frames[j] directly follows frames[i]
+    (`FrameRecord.follows`): cameras in increasing id, input order within
+    a camera."""
+    by_camera: dict[int, list[int]] = {}
+    for k, frame in enumerate(frames):
+        by_camera.setdefault(frame.camera_id, []).append(k)
+    return [
+        (i, j)
+        for camera in sorted(by_camera)
+        for i, j in zip(by_camera[camera], by_camera[camera][1:])
+        if frames[j].follows(frames[i])
+    ]
+
+
+def _check_sequence(frames: Sequence[FrameRecord]) -> None:
+    """Refuse frames that are not one camera's sequence: a single camera,
+    frame indices increasing."""
+    cameras = {f.camera_id for f in frames}
+    if len(cameras) > 1:
+        raise ValueError(f"expected a single camera, got {sorted(cameras)}")
+    for prev, cur in zip(frames, frames[1:]):
+        if cur.frame_index <= prev.frame_index:
+            raise ValueError(
+                f"frame indices must increase: {prev.frame_index} then {cur.frame_index}"
+            )

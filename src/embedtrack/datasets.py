@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype
+from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype, neighbor_frames
 from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
 from .evaluation import assign_predictions
 from .training import LabeledBatch
@@ -30,7 +30,6 @@ from .training import LabeledBatch
 __all__ = [
     "SimConfig",
     "FrameParseError",
-    "neighbor_frames",
     "cross_camera_frames",
     "labeled_rows",
     "training_batches",
@@ -39,25 +38,9 @@ __all__ = [
     "simulate",
     "save_frames",
     "load_frames",
-    "tracks_by_frame",
     "save_track_records",
     "load_track_records",
 ]
-
-
-def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
-    """Index pairs (i, j) where frames[j] directly follows frames[i]
-    (`FrameRecord.follows`): cameras in increasing id, input order within
-    a camera."""
-    by_camera: dict[int, list[int]] = {}
-    for k, frame in enumerate(frames):
-        by_camera.setdefault(frame.camera_id, []).append(k)
-    return [
-        (i, j)
-        for camera in sorted(by_camera)
-        for i, j in zip(by_camera[camera], by_camera[camera][1:])
-        if frames[j].follows(frames[i])
-    ]
 
 
 def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
@@ -565,22 +548,6 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
     if error is not None:
         raise error
     return _frames(heads, det, gt)
-
-
-def tracks_by_frame(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> list[np.ndarray]:
-    """The rows of `tracks` in each of `frames`, which must hold increasing
-    frame indices (one camera); rows keep their order within a frame.
-    Raises ValueError when a row names no frame."""
-    index = np.array([frame.frame_index for frame in frames], dtype=np.int64)
-    if (np.diff(index) <= 0).any():
-        raise ValueError(f"frame indices must increase, got {index.tolist()}")
-    known = np.isin(tracks["frame_index"], index)
-    if not known.all():
-        unknown = np.unique(tracks["frame_index"][~known])[:5].tolist()
-        raise ValueError(f"track records reference unknown frames {unknown}")
-    position = np.searchsorted(index, tracks["frame_index"])
-    ends = np.cumsum(np.bincount(position, minlength=index.size))[:-1]
-    return np.split(tracks[np.argsort(position, kind="stable")], ends) if frames else []
 
 
 # One tracks.jsonl line: `json.dumps` of the row's dict, whose floats are

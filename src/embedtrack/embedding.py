@@ -32,6 +32,21 @@ __all__ = [
 PARAMS_FORMAT_VERSION = 1
 
 
+def _check_finite(cfg) -> None:
+    """Every float field of the config dataclass instance `cfg` must be
+    finite; an integer given for one must fit in a float."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if type(f.default) is not float:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{f.name} is too large for a float") from None
+        if not finite:
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Loss margins and weights.
@@ -49,22 +64,15 @@ class LossConfig:
     score_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        _check_finite(self)
+        if self.margin <= 0:
+            raise ValueError(f"margin must be positive, got {self.margin}")
         for name in ("pull_margin", "w_triplet", "w_pull"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
-
-
-def _check_finite(cfg) -> None:
-    """Every float field of the config dataclass instance `cfg` must be finite."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if type(f.default) is float and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _check_config_values(values: dict, classes: Sequence[type], source: str) -> dict:
@@ -161,15 +169,6 @@ class EmbeddingHeadParams:
         if vec.shape != (size,):
             raise ValueError(f"expected flat vector of length {size}, got shape {vec.shape}")
         return cls(*_flat_views(vec, (feature_dim, hidden_dim, embed_dim)))
-
-    @classmethod
-    def zeros(cls, feature_dim: int, hidden_dim: int, embed_dim: int) -> "EmbeddingHeadParams":
-        return cls(
-            w1=np.zeros((hidden_dim, feature_dim)),
-            b1=np.zeros(hidden_dim),
-            w2=np.zeros((embed_dim, hidden_dim)),
-            b2=np.zeros(embed_dim),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingHeadParams):

@@ -3,7 +3,8 @@
 Covers three evaluation layers: identity assignment of predicted boxes to
 ground truth (the labeling step everything else builds on), detection
 AP / mAP, and tracking quality via MOTA counts and cross-frame pair
-accuracy.
+accuracy. `track_counts` scores one tracks array against one camera's
+frames in a single call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .calibration import PairCounts
-from .core import BoundingBox, _broadcast_iou, iou_matrix
+from .core import (
+    GT_DTYPE,
+    BoundingBox,
+    FrameRecord,
+    _broadcast_iou,
+    _check_sequence,
+    iou_matrix,
+    neighbor_frames,
+)
 
 __all__ = [
     "AP_IOU_THRESHOLDS",
@@ -232,7 +241,7 @@ def mota(counts: MotCounts) -> float:
 
 
 class _FrameOverlaps(NamedTuple):
-    """Flattened predictions of aligned frames and their overlaps."""
+    """Tracks rows in frame order and their overlaps."""
 
     frame: np.ndarray  # (P,) frame position of each prediction
     confidence: np.ndarray  # (P,) confidence of each prediction
@@ -242,33 +251,38 @@ class _FrameOverlaps(NamedTuple):
     gt_identity: np.ndarray  # (M,) dense code of every ground-truth identity, flat
 
 
-def _column(frames: Sequence[np.ndarray], field: str, empty: tuple = (0,), dtype=np.float64):
-    """One field of every frame's records, concatenated."""
-    return np.concatenate([np.zeros(empty, dtype)] + [f[field] for f in frames])
-
-
-def _frame_overlaps(
-    pred_frames: Sequence[np.ndarray], gt_frames: Sequence[np.ndarray]
-) -> _FrameOverlaps:
-    """One IoU per (prediction, ground truth of its frame), for every frame at
-    once."""
-    if len(pred_frames) != len(gt_frames):
-        raise ValueError(
-            f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames"
-        )
-    n_pred = np.array([len(preds) for preds in pred_frames], dtype=np.int64)
-    n_gt = np.array([len(gts) for gts in gt_frames], dtype=np.int64)
-    frame = np.repeat(np.arange(n_pred.size), n_pred)
+def _frame_overlaps(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> _FrameOverlaps:
+    """One IoU per (tracks row, ground truth of its frame), for every frame at
+    once. Rows are sorted by frame and keep their order within a frame."""
+    frame_index, track_id = tracks["frame_index"], tracks["track_id"]
+    index = np.array([f.frame_index for f in frames], dtype=np.int64)
+    known = np.isin(frame_index, index)
+    if not known.all():
+        unknown = np.unique(frame_index[~known])[:5].tolist()
+        raise ValueError(f"track records reference unknown frames {unknown}")
+    by_track = np.lexsort((track_id, frame_index))
+    repeat = (np.diff(frame_index[by_track]) == 0) & (np.diff(track_id[by_track]) == 0)
+    if repeat.any():
+        t = int(frame_index[by_track][1:][repeat][0])
+        track_ids = sorted(track_id[frame_index == t].tolist())
+        raise ValueError(f"track records of frame {t} repeat a track id: {track_ids}")
+    position = np.searchsorted(index, frame_index)
+    order = np.argsort(position, kind="stable")
+    frame = position[order]
+    n_gt = np.array([len(f.gt_boxes) for f in frames], dtype=np.int64)
     return _FrameOverlaps(
         frame=frame,
-        confidence=_column(pred_frames, "confidence"),
-        track=_column(pred_frames, "track_id", dtype=np.int64),
-        overlaps=_grouped_iou(
-            _column(pred_frames, "box", (0, 4)), frame, _column(gt_frames, "box", (0, 4)), n_gt
-        ),
+        confidence=tracks["confidence"][order],
+        track=track_id[order],
+        overlaps=_grouped_iou(tracks["box"][order], frame, _gt_column(frames, "box"), n_gt),
         gt_offset=(np.cumsum(n_gt) - n_gt)[frame],
-        gt_identity=_codes(_column(gt_frames, "id", dtype=np.int64)),
+        gt_identity=_codes(_gt_column(frames, "id")),
     )
+
+
+def _gt_column(frames: Sequence[FrameRecord], field: str) -> np.ndarray:
+    """One field of every frame's ground truths, concatenated."""
+    return np.concatenate([np.zeros(0, GT_DTYPE)[field]] + [f.gt_boxes[field] for f in frames])
 
 
 def _codes(values: np.ndarray) -> np.ndarray:
@@ -277,28 +291,8 @@ def _codes(values: np.ndarray) -> np.ndarray:
     return np.unique(values, return_inverse=True)[1].reshape(-1)
 
 
-def _frame_pairs(neighbors: Sequence[tuple[int, int]], frame_count: int) -> np.ndarray:
-    pairs = np.array(neighbors).reshape(-1, 2)
-    if pairs.size and pairs.dtype.kind not in "iu":
-        raise ValueError(f"neighbors must hold integer frame positions, got {pairs.dtype}")
-    pairs = pairs.astype(np.int64)
-    outside = ((pairs < 0) | (pairs >= frame_count)).any(axis=1)
-    if outside.any():
-        raise ValueError(
-            f"neighbors must index the {frame_count} frames, got {pairs[outside][0].tolist()}"
-        )
-    return pairs
-
-
 def _mot_tally(fo: _FrameOverlaps, iou_min: float) -> MotCounts:
     track = _codes(fo.track)
-    order = np.lexsort((track, fo.frame))
-    repeat = (np.diff(fo.frame[order]) == 0) & (np.diff(track[order]) == 0)
-    if repeat.any():
-        t = int(fo.frame[order][1:][repeat][0])
-        track_ids = fo.track[fo.frame == t].tolist()
-        raise ValueError(f"prediction frame {t} repeats a track id: {sorted(track_ids)}")
-
     claims = _claims(fo.frame, fo.overlaps, iou_min)
     matched = np.nonzero(claims >= 0)[0]
     identity = fo.gt_identity[fo.gt_offset[matched] + claims[matched]]
@@ -357,42 +351,40 @@ def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> in
 
 
 def track_counts(
-    pred_frames: Sequence[np.ndarray],
-    gt_frames: Sequence[np.ndarray],
-    neighbors: Sequence[tuple[int, int]],
+    tracks: np.ndarray,
+    frames: Sequence[FrameRecord],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[MotCounts, PairCounts]:
     """CLEAR MOT tallies and cross-frame pair confusion counts of one
     tracker output.
 
-    `pred_frames[t]` is a record array of tracker outputs with `box`,
-    `confidence` and `track_id` fields (the per-frame slices of a tracks
-    array, `datasets.tracks_by_frame`); `gt_frames[t]` has `box` and `id`
-    fields, as `FrameRecord.gt_boxes`. The two sequences must be frame
-    aligned, and a track id may occur at most once per frame. Both tallies
-    count from one IoU per (prediction, ground truth of its frame), computed
-    for all frames at once, and match boxes per frame by the unique
-    highest-IoU rule.
+    `tracks` is a tracks array (`TRACK_DTYPE`), its rows in any order across
+    frames; within a frame, rows keep their order, and a track id may occur
+    at most once. `frames` is one camera's sequence, frame indices
+    increasing, and every row's `frame_index` must name one of them. Both
+    tallies count from one IoU per (row, ground truth of its frame),
+    computed for all frames at once, and match boxes per frame by the
+    unique highest-IoU rule.
 
     MOT counting ignores the confidence. A false positive is an unmatched
-    prediction and a miss an unmatched ground truth. A mismatch is a matched
+    row and a miss an unmatched ground truth. A mismatch is a matched
     ground truth whose track id differs from the track id it was last
     matched with, however long ago that was.
 
-    Pair counting first labels each frame's predictions with ground-truth
-    identities as `assign_predictions` labels them (predictions below
-    `score_threshold` stay unlabeled). Then for every (t, u) in `neighbors`,
-    every (labeled detection in t) x (labeled detection in u) combination
-    is scored: actually-same means equal identities, predicted-same means
-    equal track ids. Pairs involving an unlabeled detection are skipped.
-    `neighbors` lists the (t, u) positions where frame u directly follows
-    frame t, as `datasets.neighbor_frames` gives them; a tracker ends every
-    track at a missing frame, so `neighbors` never spans a gap.
+    Pair counting first labels each frame's rows with ground-truth
+    identities as `assign_predictions` labels them (rows below
+    `score_threshold` stay unlabeled). Then for every frame pair
+    (t, u) of `neighbor_frames(frames)`, where u directly follows t, every
+    (labeled row in t) x (labeled row in u) combination is scored:
+    actually-same means equal identities, predicted-same means equal track
+    ids. Pairs involving an unlabeled row are skipped. The tracker ends
+    every track at a missing frame, so no pair spans a gap.
     """
     _check_iou_min(iou_min)
-    pairs = _frame_pairs(neighbors, len(pred_frames))
-    fo = _frame_overlaps(pred_frames, gt_frames)
+    _check_sequence(frames)
+    fo = _frame_overlaps(tracks, frames)
+    pairs = np.array(neighbor_frames(frames), dtype=np.int64).reshape(-1, 2)
     return _mot_tally(fo, iou_min), _pair_tally(fo, pairs, score_threshold, iou_min)
 
 

@@ -8,7 +8,7 @@ from embedtrack import GT_DTYPE, TRACK_DTYPE, BoundingBox, FrameRecord, detectio
 
 
 def _box(box):
-    return box.as_list() if isinstance(box, BoundingBox) else list(box)
+    return [box.x1, box.y1, box.x2, box.y2] if isinstance(box, BoundingBox) else list(box)
 
 
 def detections(rows, feature_dim=None):

@@ -33,7 +33,6 @@ from embedtrack import (
     sweep_threshold,
     track_counts,
     track_sequence,
-    tracks_by_frame,
     train,
     training_batches,
 )
@@ -239,11 +238,7 @@ def test_criterion_5_end_to_end_synthetic():
         holdout = simulate(holdout_cfg)
         tracks = track_sequence(holdout, params, threshold=threshold)
 
-        counts, pairs = track_counts(
-            tracks_by_frame(tracks, holdout),
-            [f.gt_boxes for f in holdout],
-            neighbor_frames(holdout),
-        )
+        counts, pairs = track_counts(tracks, holdout)
         accuracy = pair_accuracy(pairs)
         assert counts.mismatch == 0
         assert accuracy >= 0.99

@@ -9,7 +9,6 @@ from embedtrack import (
     distance_matrix,
     match_frames,
     track_sequence,
-    tracks_by_frame,
     update_tracks,
 )
 from oracles import loop_tracker, match_oracle
@@ -153,7 +152,7 @@ def _tracked(tracks, frames):
     `_frame` puts detection k's box at x1 = 10 k."""
     return [
         [(int(box[0]) // 10, t) for box, t in zip(rows["box"].tolist(), rows["track_id"].tolist())]
-        for rows in tracks_by_frame(tracks, frames)
+        for rows in (tracks[tracks["frame_index"] == f.frame_index] for f in frames)
     ]
 
 

@@ -380,6 +380,18 @@ class TestTrackAndEval:
         counts = json.loads((out / "report.json").read_text())["pair_counts"]
         assert counts["tp"] + counts["tn"] + counts["fp"] + counts["fn"] == 9
 
+    def test_eval_ignores_track_line_order(self, tmp_path, sim_dir, trained_dir):
+        tracks = self._run_track(tmp_path, sim_dir, trained_dir, threshold=1e9) / "tracks.jsonl"
+        reversed_tracks = tmp_path / "reversed.jsonl"
+        reversed_tracks.write_text("".join(tracks.read_text().splitlines(True)[::-1]))
+        reports = []
+        for path in (tracks, reversed_tracks):
+            out = tmp_path / path.stem
+            assert main(["eval", "--tracks", str(path), "--frames", str(sim_dir / "frames.jsonl"),
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_eval_counts_fixture(self, tmp_path):
         fixture = tmp_path / "counts.json"
         fixture.write_text(

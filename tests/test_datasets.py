@@ -23,7 +23,6 @@ from embedtrack import (
     save_frames,
     save_track_records,
     simulate,
-    tracks_by_frame,
     training_batches,
 )
 from oracles import line_load_frames, line_load_track_records
@@ -671,25 +670,6 @@ class TestEarliestBadLine:
         assert frames[0].detections.base is frames[1].detections.base
         for f in frames:
             assert not f.detections.flags.writeable and not f.gt_boxes.flags.writeable
-
-
-class TestTracksArray:
-    def test_tracks_by_frame_aligns_rows_with_frames(self):
-        frames = [_frame(0, [1]), _frame(1, [1]), _frame(3, [1])]
-        rows = np.concatenate(
-            [tracks([((0, 0, 1, 1), 0.9, 4)], 3), tracks([((0, 0, 1, 1), 0.9, 1)], 0),
-             tracks([((0, 0, 1, 1), 0.9, 2)], 3)]
-        )
-        per_frame = tracks_by_frame(rows, frames)
-        assert [f["track_id"].tolist() for f in per_frame] == [[1], [], [4, 2]]
-        assert tracks_by_frame(rows[:0], []) == []
-
-    def test_tracks_by_frame_rejects_unknown_frames(self):
-        rows = np.concatenate([tracks([((0, 0, 1, 1), 0.9, 4)], k) for k in (2, 0, 9)])
-        with pytest.raises(ValueError, match=r"unknown frames \[2, 9\]"):
-            tracks_by_frame(rows, [_frame(0, [1]), _frame(1, [1])])
-        with pytest.raises(ValueError, match="increase"):
-            tracks_by_frame(rows[:0], [_frame(1, [1]), _frame(0, [1])])
 
 
 bad_numbers = st.sampled_from(

@@ -31,6 +31,10 @@ def _random_params(rng, f=4, h=6, e=3):
     return init_params(f, h, e, rng)
 
 
+def _zero_params(f, h, e):
+    return EmbeddingHeadParams(np.zeros((h, f)), np.zeros(h), np.zeros((e, h)), np.zeros(e))
+
+
 def _forward_oracle(params, feature):
     """Straight-line re-computation: explicit loops, no broadcasting."""
     hidden = np.zeros(params.hidden_dim)
@@ -50,7 +54,7 @@ def _forward_oracle(params, feature):
 
 class TestForward:
     def test_zero_params_give_zero_embedding(self):
-        params = EmbeddingHeadParams.zeros(4, 6, 3)
+        params = _zero_params(4, 6, 3)
         assert np.array_equal(embed(params, np.ones(4)), np.zeros(3))
 
     def test_identity_layers_pass_nonnegative_input_through(self):
@@ -79,7 +83,7 @@ class TestForward:
             )
 
     def test_dimension_mismatch_raises(self):
-        params = EmbeddingHeadParams.zeros(4, 6, 3)
+        params = _zero_params(4, 6, 3)
         with pytest.raises(ValueError):
             embed(params, np.ones(5))
         with pytest.raises(ValueError):
@@ -228,7 +232,7 @@ class TestParams:
         assert loaded_cfg == cfg
 
     def test_round_trip_without_metadata(self, tmp_path):
-        params = EmbeddingHeadParams.zeros(2, 3, 2)
+        params = _zero_params(2, 3, 2)
         path = tmp_path / "params.json"
         save_params(path, params)
         loaded, seed, cfg = load_params(path)
@@ -237,7 +241,7 @@ class TestParams:
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "params.json"
-        save_params(path, EmbeddingHeadParams.zeros(2, 2, 2))
+        save_params(path, _zero_params(2, 2, 2))
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError):
@@ -286,3 +290,19 @@ def test_config_float_fields_refuse_non_finite(cls, field, value):
     naming the field, whichever other check the value would slip past."""
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (cls, f.name)
+        for cls in (LossConfig, SimConfig, TrainConfig)
+        for f in fields(cls)
+        if type(f.default) is float
+    ],
+)
+def test_config_float_fields_refuse_oversized_integers(cls, field):
+    """An integer too large for a float is refused when the config is built,
+    naming the field, instead of kept or raised as a bare OverflowError."""
+    with pytest.raises(ValueError, match=f"^{field} is too large for a float"):
+        cls(**{field: 10**400})

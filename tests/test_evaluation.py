@@ -37,23 +37,31 @@ def _assign(preds, gts, **kw):
     return ids.tolist()
 
 
-def _frames(pred_frames, gt_frames):
-    """Per-frame record arrays of per-frame prediction and gt rows."""
-    return [records.tracks(f) for f in pred_frames], [records.gt_boxes(f) for f in gt_frames]
+def _frames(pred_frames, gt_frames, indices=None):
+    """The tracks array and `FrameRecord`s of per-frame prediction and gt
+    rows; frame k gets frame index `indices[k]`, by default k."""
+    assert len(pred_frames) == len(gt_frames)
+    indices = range(len(gt_frames)) if indices is None else indices
+    tracks = np.concatenate(
+        [records.tracks([])] + [records.tracks(f, i) for f, i in zip(pred_frames, indices)]
+    )
+    return tracks, [records.frame(i, gts=g) for i, g in zip(indices, gt_frames)]
 
 
-def _track_counts(pred_frames, gt_frames, *args, **kw):
-    return track_counts(*_frames(pred_frames, gt_frames), *args, **kw)
+def _track_counts(pred_frames, gt_frames, indices=None, **kw):
+    return track_counts(*_frames(pred_frames, gt_frames, indices), **kw)
 
 
 def _mot_counts(pred_frames, gt_frames, iou_min=0.5):
-    """The MOT tallies of `track_counts`, which pair no frames."""
-    return _track_counts(pred_frames, gt_frames, [], iou_min=iou_min)[0]
+    """The MOT tallies of `track_counts`."""
+    return _track_counts(pred_frames, gt_frames, iou_min=iou_min)[0]
 
 
-def _pair_counts(pred_frames, gt_frames, neighbors, score_threshold=0.5, iou_min=0.5):
+def _pair_counts(pred_frames, gt_frames, indices=None, score_threshold=0.5, iou_min=0.5):
     """The pair counts of `track_counts`."""
-    return _track_counts(pred_frames, gt_frames, neighbors, score_threshold, iou_min)[1]
+    return _track_counts(
+        pred_frames, gt_frames, indices, score_threshold=score_threshold, iou_min=iou_min
+    )[1]
 
 
 class TestAssignPredictions:
@@ -299,15 +307,13 @@ class TestMotCounts:
         preds = [[(_box(0), 0)], [], [(_box(0), 1)]]
         assert _mot_counts(preds, gt).mismatch == 1
 
-    def test_rejects_misaligned_frames(self):
-        with pytest.raises(ValueError):
-            _mot_counts([[]], [[], []])
-
     def test_rejects_repeated_track_id_in_one_frame(self):
         # two boxes claiming track 7 in one frame would otherwise score MOTA 1.0
         gt = [[(_box(0), 1), (_box(50), 2)]]
         with pytest.raises(ValueError):
             _mot_counts([[(_box(0), 7), (_box(50), 7)]], gt)
+        with pytest.raises(ValueError, match=r"frame 5 repeat a track id: \[7, 7\]"):
+            _track_counts([[], [(_box(0), 7), (_box(50), 7)]], [[], gt[0]], [0, 5])
 
     @pytest.mark.parametrize("iou_min", [-0.1, 0.0, 1.0, float("nan")])
     def test_rejects_iou_min_outside_open_interval(self, iou_min):
@@ -323,7 +329,7 @@ class TestPairCountsMetric:
     def test_two_vehicles_tracked_perfectly(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 2
         preds = [[(_box(0), 0.9, 10), (_box(50), 0.9, 20)]] * 2
-        c = _pair_counts(preds, gt, [(0, 1)])
+        c = _pair_counts(preds, gt)
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 2, 0, 0)
         assert c.gp == 2 and c.gn == 2
 
@@ -332,14 +338,14 @@ class TestPairCountsMetric:
         preds = [
             [(_box(0), 0.9, 2 * t), (_box(50), 0.9, 2 * t + 1)] for t in range(3)
         ]
-        c = _pair_counts(preds, gt, [(0, 1), (1, 2)])
+        c = _pair_counts(preds, gt)
         assert c.tp == 0
         assert c.fn == c.gp
 
     def test_single_vehicle_correct_link(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.9, 3)]] * 2
-        c = _pair_counts(preds, gt, [(0, 1)])
+        c = _pair_counts(preds, gt)
         assert (c.tp, c.gp, c.gn) == (1, 1, 0)
 
     def test_unlabeled_detections_are_skipped(self):
@@ -348,29 +354,30 @@ class TestPairCountsMetric:
             [(_box(0), 0.9, 3), (_box(500), 0.9, 4)],  # second box matches no gt
             [(_box(0), 0.9, 3)],
         ]
-        c = _pair_counts(preds, gt, [(0, 1)])
+        c = _pair_counts(preds, gt)
         assert c.tp + c.tn + c.fp + c.fn == 1
 
     def test_neighbors_skip_index_gap(self):
         # one object in frames 0, 1, 3: the tracker ends its track at the gap
         gt = [[(_box(0), 1)]] * 3
         preds = [[(_box(0), 0.9, 0)], [(_box(0), 0.9, 0)], [(_box(0), 0.9, 1)]]
-        assert _pair_counts(preds, gt, [(0, 1)]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
+        assert _pair_counts(preds, gt, [0, 1, 3]) == PairCounts(tp=1, tn=0, fp=0, fn=0)
 
     def test_confidence_filter_applies(self):
         gt = [[(_box(0), 1)]] * 2
         preds = [[(_box(0), 0.3, 3)], [(_box(0), 0.9, 3)]]
         assert sum(
-            getattr(_pair_counts(preds, gt, [(0, 1)]), f) for f in ("tp", "tn", "fp", "fn")
+            getattr(_pair_counts(preds, gt), f) for f in ("tp", "tn", "fp", "fn")
         ) == 0
 
 
 @st.composite
 def tracked_frames(draw):
-    """Aligned (box, confidence, track_id) and (box, identity) frames, some
-    empty or without ground truth, identities repeated within a frame, and
-    frame pairs that repeat, skip frames or pair a frame with itself."""
-    n = draw(st.integers(1, 4))
+    """Per-frame (box, confidence, track_id) and (box, identity) rows, some
+    frames empty or without ground truth and identities repeated within a
+    frame; increasing frame indices with gaps; and the frame of each tracks
+    row in file order, which interleaves the frames."""
+    n = draw(st.integers(0, 4))
     pred_row = st.tuples(row_boxes, st.sampled_from([0.3, 0.5, 0.9, 0.9]), st.integers(0, 3))
     gt_row = st.tuples(row_boxes, st.integers(0, 2))
     preds, gts = [], []
@@ -380,9 +387,19 @@ def tracked_frames(draw):
         preds.append(draw(st.lists(pred_row, min_size=k, max_size=k, unique_by=lambda r: r[2])))
         k = draw(st.integers(0, 4))
         gts.append(draw(st.lists(gt_row, min_size=k, max_size=k)))
-    frame = st.integers(0, n - 1)
-    neighbors = draw(st.lists(st.tuples(frame, frame), min_size=1, max_size=6))
-    return preds, gts, neighbors
+    steps = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=n, max_size=n))
+    indices = (draw(st.integers(0, 2)) + np.cumsum(steps, dtype=int)).tolist()
+    row_frames = draw(st.permutations([k for k, f in enumerate(preds) for _ in f]))
+    return preds, gts, indices, row_frames
+
+
+def _interleaved(preds, indices, row_frames):
+    """One tracks array whose rows come from the frames in `row_frames`
+    order, each frame's rows in their own order."""
+    rows = [iter(f) for f in preds]
+    return np.concatenate(
+        [records.tracks([])] + [records.tracks([next(rows[k])], indices[k]) for k in row_frames]
+    )
 
 
 class TestTrackCounts:
@@ -396,59 +413,84 @@ class TestTrackCounts:
         (
             [[(_row(0, 1), 0.3, 1), (_row(0, 1), 0.9, 2)], [(_row(0, 1), 0.9, 2)]],
             [[(_row(0, 1), 7)], [(_row(0, 1), 7)]],
-            [(0, 1)],
+            [0, 1],
+            [1, 0, 0],
         ),
         0.5,
     )
     @example(
         # identity 5 is tracked as 3, unseen in frame 1, then tracked as 4
+        # after a gap
         (
             [[(_row(0, 1), 0.9, 3)], [], [(_row(0, 1), 0.9, 4)]],
             [[(_row(0, 1), 5)], [], [(_row(0, 1), 5)]],
-            [(0, 1), (1, 2), (0, 2), (0, 2)],
+            [0, 1, 3],
+            [2, 0],
         ),
         0.5,
     )
     def test_equals_loop_oracles(self, frames, iou_min):
-        preds, gts, neighbors = frames
+        preds, gts, indices, row_frames = frames
+        sequence = [records.frame(i, gts=g) for i, g in zip(indices, gts)]
+        neighbors = [
+            (t, t + 1) for t in range(len(sequence) - 1) if sequence[t + 1].follows(sequence[t])
+        ]
         mot_preds = [[(b, t) for b, _, t in f] for f in preds]
         expected_mot = loop_mot_counts(mot_preds, gts, iou_min)
         expected_pairs = loop_pair_counts(preds, gts, neighbors, iou_min=iou_min)
-        mot, pairs = _track_counts(preds, gts, neighbors, iou_min=iou_min)
+        tracks = _interleaved(preds, indices, row_frames)
+        mot, pairs = track_counts(tracks, sequence, iou_min=iou_min)
         assert (mot, pairs) == (expected_mot, expected_pairs)
         assert {type(v) for v in (*vars(mot).values(), *vars(pairs).values())} == {int}
-        assert _mot_counts(mot_preds, gts, iou_min) == expected_mot
-        assert _pair_counts(preds, gts, neighbors, iou_min=iou_min) == expected_pairs
+
+    def test_rows_in_any_frame_order(self):
+        # frame 3's two rows tie for identity 7: the first, track 4, keeps
+        # it, so identity 7 stays on track 4 and track 2 is a false positive
+        box = (0, 0, 1, 1)
+        frames = [records.frame(k, gts=g) for k, g in ((0, [(box, 7)]), (1, []), (3, [(box, 7)]))]
+        rows = np.concatenate(
+            [records.tracks([(box, 0.9, t)], k) for k, t in ((3, 4), (0, 4), (3, 2))]
+        )
+        mot, pairs = track_counts(rows, frames)
+        assert mot == MotCounts(fp=1, miss=0, mismatch=0, gt_total=2)
+        in_order = rows[np.argsort(rows["frame_index"], kind="stable")]
+        assert (mot, pairs) == track_counts(in_order, frames)
+        assert track_counts(rows[:0], []) == (MotCounts(0, 0, 0, 0), PairCounts(0, 0, 0, 0))
 
     @pytest.mark.parametrize("iou_min", [-0.1, 1.0, float("nan")])
     def test_rejects_iou_min_before_any_work(self, iou_min):
-        # misaligned frames would raise too; the iou_min check comes first
-        for call in (
-            lambda: _track_counts([[]], [[], []], [], iou_min=iou_min),
-            lambda: _pair_counts([[]], [[], []], [], iou_min=iou_min),
-            lambda: _mot_counts([[]], [[], []], iou_min=iou_min),
-        ):
-            with pytest.raises(ValueError, match="iou_min"):
-                call()
+        # the frames would be refused too; the iou_min check comes first
+        tracks = records.tracks([(_box(0), 0.9, 3)], frame_index=5)
+        frames = [records.frame(1, camera=1), records.frame(0)]
+        with pytest.raises(ValueError, match="iou_min"):
+            track_counts(tracks, frames, iou_min=iou_min)
 
-    @pytest.mark.parametrize("neighbors", [[(0, 2)], [(-1, 0)], [(0, 1), (2, 0)], [(0.5, 1)]])
-    def test_rejects_neighbors_outside_the_frames(self, neighbors):
-        gt = [[(_box(0), 1)]] * 2
-        preds = [[(_box(0), 0.9, 3)]] * 2
-        with pytest.raises(ValueError, match="neighbors"):
-            _pair_counts(preds, gt, neighbors)
-        with pytest.raises(ValueError, match="neighbors"):
-            _track_counts(preds, gt, neighbors)
+    def test_rejects_multi_camera_frames(self):
+        frames = [records.frame(0), records.frame(1, camera=1)]
+        with pytest.raises(ValueError, match=r"single camera, got \[0, 1\]"):
+            track_counts(records.tracks([]), frames)
+
+    @pytest.mark.parametrize("indices", [[1, 0], [0, 2, 2]])
+    def test_rejects_non_increasing_frames(self, indices):
+        with pytest.raises(ValueError, match="frame indices must increase"):
+            track_counts(records.tracks([]), [records.frame(i) for i in indices])
+
+    def test_rejects_unknown_frames(self):
+        rows = np.concatenate([records.tracks([((0, 0, 1, 1), 0.9, 4)], k) for k in (2, 0, 9)])
+        with pytest.raises(ValueError, match=r"unknown frames \[2, 9\]"):
+            track_counts(rows, [records.frame(0), records.frame(1)])
+        with pytest.raises(ValueError, match=r"unknown frames \[0\]"):
+            track_counts(rows[1:2], [])
 
     def test_equals_separate_counts(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 3
         preds = [[(_box(0), 0.9, 0), (_box(50), 0.4, 1)], [(_box(0), 0.9, 0)], []]
-        mot, pairs = _track_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
+        mot, pairs = _track_counts(preds, gt, score_threshold=0.5)
         assert mot == _mot_counts([[(b, t) for b, _, t in f] for f in preds], gt)
-        assert pairs == _pair_counts(preds, gt, [(0, 1), (1, 2)], score_threshold=0.5)
+        assert pairs == _pair_counts(preds, gt, score_threshold=0.5)
         assert (mot.fp, mot.miss) == (0, 3)  # MOT counting keeps the 0.4 box
-        _, gapped = _track_counts(preds, gt, [(0, 1)], score_threshold=0.5)
-        assert gapped == _pair_counts(preds[:2], gt[:2], [(0, 1)], score_threshold=0.5)
+        _, gapped = _track_counts(preds, gt, [0, 1, 3], score_threshold=0.5)
+        assert gapped == _pair_counts(preds[:2], gt[:2], score_threshold=0.5)
 
 
 class TestPairAccuracy:

@@ -1,10 +1,12 @@
 """Every name a module lists in `__all__` exists: a function deleted while
 still listed for export fails here instead of at a user's import. And every
-name a submodule exports is used by the program, so that the library
-carries no function only tests call."""
+name a submodule exports, and every public method and property of an
+exported class, is used by the program, so that the library carries no
+function only tests call."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -52,16 +54,41 @@ def _names_traced(path):
     return named
 
 
-def test_every_exported_name_is_used():
+def _names_used():
+    """Names read by the program (`src/` without `__init__.py`, and
+    `scripts/`) or named by the benchmark's tracer."""
     package = ROOT / "src" / "embedtrack"
     program = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     used = _names_read(program + sorted((ROOT / "scripts").glob("*.py")))
-    used |= _names_traced(ROOT / "perfbench" / "tracing.py")
+    return used | _names_traced(ROOT / "perfbench" / "tracing.py")
+
+
+def _exports():
+    """(module, name, object) of every name a submodule exports."""
+    for name in MODULES:
+        if name != "embedtrack":
+            module = importlib.import_module(name)
+            for attr in module.__all__:
+                yield name, attr, getattr(module, attr)
+
+
+def test_every_exported_name_is_used():
+    used = _names_used()
+    unused = [f"{name}.{attr}" for name, attr, _ in _exports() if attr not in used]
+    assert unused == []
+
+
+def _is_method(member):
+    return isinstance(member, (property, classmethod, staticmethod)) or inspect.isfunction(member)
+
+
+def test_every_public_method_of_an_exported_class_is_used():
+    used = _names_used()
     unused = [
-        f"{name}.{attr}"
-        for name in MODULES
-        if name != "embedtrack"
-        for attr in importlib.import_module(name).__all__
-        if attr not in used
+        f"{name}.{attr}.{member}"
+        for name, attr, obj in _exports()
+        if inspect.isclass(obj)
+        for member, value in vars(obj).items()
+        if not member.startswith("_") and _is_method(value) and member not in used
     ]
     assert unused == []
