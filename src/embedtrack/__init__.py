@@ -21,7 +21,6 @@ from .calibration import (
 from .core import (
     GT_DTYPE,
     TRACK_DTYPE,
-    BoundingBox,
     FrameRecord,
     detection_dtype,
     iou,
@@ -55,6 +54,7 @@ from .evaluation import (
     AP_IOU_THRESHOLDS,
     MotCounts,
     assign_predictions,
+    ground_truth_records,
     mean_ap,
     mota,
     pair_accuracy,
@@ -73,7 +73,6 @@ from .training import (
 __all__ = [
     "__version__",
     "AP_IOU_THRESHOLDS",
-    "BoundingBox",
     "DegenerateDevSetError",
     "DistanceHistogram",
     "EmbeddingHeadParams",
@@ -99,6 +98,7 @@ __all__ = [
     "distance_matrix",
     "embed_batch",
     "gradient",
+    "ground_truth_records",
     "init_params",
     "iou",
     "iou_matrix",

@@ -34,7 +34,7 @@ from .calibration import (
     write_histogram_csv,
     write_sweep_csv,
 )
-from .core import BoundingBox, neighbor_frames
+from .core import neighbor_frames
 from .datasets import (
     SimConfig,
     cross_camera_frames,
@@ -47,7 +47,7 @@ from .datasets import (
     training_batches,
 )
 from .embedding import LossConfig, _check_config_values, load_params, save_params
-from .evaluation import MotCounts, mean_ap, mota, pair_accuracy, track_counts
+from .evaluation import MotCounts, ground_truth_records, mean_ap, mota, pair_accuracy, track_counts
 from .training import TrainConfig, train
 
 __all__ = ["main"]
@@ -285,11 +285,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         mc, pc = track_counts(
             tracks, frames, score_threshold=args.score_threshold, iou_min=args.iou_min
         )
-        columns = (tracks[name].tolist() for name in ("frame_index", "box", "confidence"))
-        ap_preds = [(i, BoundingBox(*box), conf) for i, box, conf in zip(*columns)]
-        ap_gts = [
-            (f.frame_index, BoundingBox(*box)) for f in frames for box in f.gt_boxes["box"].tolist()
-        ]
+        ap_preds = tracks[["frame_index", "box", "confidence"]]
+        ap_gts = ground_truth_records(frames)
         report = {
             "mota": mota(mc) if mc.gt_total > 0 else None,
             "mot_counts": dataclasses.asdict(mc),
@@ -297,7 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 pair_accuracy(pc) if pc.tp + pc.tn + pc.fp + pc.fn > 0 else None
             ),
             "pair_counts": dataclasses.asdict(pc),
-            "mean_ap": mean_ap(ap_preds, ap_gts) if ap_gts else None,
+            "mean_ap": mean_ap(ap_preds, ap_gts) if len(ap_gts) else None,
         }
         inputs = {"tracks": args.tracks, "frames": args.frames}
         config = {"iou_min": args.iou_min, "score_threshold": args.score_threshold}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,7 +10,6 @@ import numpy as np
 __all__ = [
     "GT_DTYPE",
     "TRACK_DTYPE",
-    "BoundingBox",
     "FrameRecord",
     "detection_dtype",
     "iou",
@@ -20,43 +18,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned rectangle in pixel coordinates, corner form, x1 < x2 and y1 < y2."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"box coordinates must be finite, got {coords}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(f"degenerate box (requires x1 < x2 and y1 < y2): {coords}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0.0 when they are disjoint."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection over union of two boxes [x1, y1, x2, y2]; 0.0 when they
+    are disjoint."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

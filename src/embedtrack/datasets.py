@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype, neighbor_frames
 from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
-from .evaluation import assign_predictions
+from .evaluation import _within_group, assign_predictions
 from .training import LabeledBatch
 
 __all__ = [
@@ -100,17 +100,24 @@ def training_batches(
     frames[j]'s, for every (i, j) of `pairs` in order (`neighbor_frames`,
     optionally followed by `cross_camera_frames`). Each frame is labeled
     once, by itself; pairs with fewer than two rows (no pair to learn
-    from) give no batch.
+    from) give no batch. Batches are read-only slices of one gathered
+    array; non-finite features raise ValueError.
     """
     rows = [labeled_rows(f.detections, f.gt_boxes, score_threshold, iou_min) for f in frames]
-    batches = []
-    for i, j in pairs:
-        identities = np.concatenate([rows[i][1], rows[j][1]])
-        if identities.size < 2:
-            continue
-        features = np.vstack([feats for feats, ids in (rows[i], rows[j]) if ids.size])
-        batches.append(LabeledBatch(features=features, identities=identities))
-    return batches
+    counts = np.array([ids.size for _, ids in rows], dtype=np.int64)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[counts[pairs].sum(axis=1) >= 2]
+    if pairs.size == 0:
+        return []
+    features = np.concatenate([feats for feats, ids in rows if ids.size])
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
+    # Every batch's rows in one gather: frame i's rows, then frame j's, per pair.
+    lengths = counts[pairs].ravel()
+    take = np.repeat((np.cumsum(counts) - counts)[pairs].ravel(), lengths) + _within_group(lengths)
+    features, identities = features[take], np.concatenate([ids for _, ids in rows])[take]
+    ends = np.cumsum(lengths[::2] + lengths[1::2]).tolist()
+    return [LabeledBatch._adopt(features[a:b], identities[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def neighbor_pair_distances(

@@ -17,7 +17,6 @@ import numpy as np
 from .calibration import PairCounts
 from .core import (
     GT_DTYPE,
-    BoundingBox,
     FrameRecord,
     _broadcast_iou,
     _check_sequence,
@@ -29,6 +28,7 @@ __all__ = [
     "AP_IOU_THRESHOLDS",
     "MotCounts",
     "assign_predictions",
+    "ground_truth_records",
     "mean_ap",
     "mota",
     "pair_accuracy",
@@ -51,10 +51,6 @@ class MotCounts:
         for name in ("fp", "miss", "mismatch", "gt_total"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def _check_iou_min(iou_min: float) -> None:
@@ -125,9 +121,7 @@ def assign_predictions(
 
 
 def _greedy_hits(
-    predictions: Sequence[tuple[int, BoundingBox, float]],
-    ground_truths: Sequence[tuple[int, BoundingBox]],
-    thresholds: np.ndarray,
+    predictions: np.ndarray, ground_truths: np.ndarray, thresholds: np.ndarray
 ) -> np.ndarray:
     """(T, P) bool: whether the prediction of each confidence rank (stable)
     is a true positive at each of the T IoU thresholds.
@@ -138,23 +132,23 @@ def _greedy_hits(
     step s matches the s-th ranked prediction of every image at once, for
     all thresholds.
     """
-    order = np.argsort(-np.array([c for _, _, c in predictions]), kind="stable")
-    slot: dict[int, int] = {}
-    image = np.array([slot.setdefault(predictions[k][0], len(slot)) for k in order])
+    order = np.argsort(-predictions["confidence"], kind="stable")
+    images, image = np.unique(predictions["frame_index"][order], return_inverse=True)
     hits = np.zeros((thresholds.size, order.size), dtype=bool)
 
-    gt_image = np.array([slot.get(img, -1) for img, _ in ground_truths])
-    kept = np.nonzero(gt_image >= 0)[0]
+    gt_frame = ground_truths["frame_index"]
+    gt_image = np.minimum(np.searchsorted(images, gt_frame), images.size - 1)
+    kept = np.nonzero(images[gt_image] == gt_frame)[0]
     if kept.size == 0:
         return hits
     kept = kept[np.argsort(gt_image[kept], kind="stable")]
     overlaps = _grouped_iou(
-        _box_array([predictions[k][1] for k in order]),
+        predictions["box"][order],
         image,
-        _box_array([ground_truths[g][1] for g in kept]),
-        np.bincount(gt_image[kept], minlength=len(slot)),
+        ground_truths["box"][kept],
+        np.bincount(gt_image[kept], minlength=images.size),
     )
-    matched = np.zeros((thresholds.size, len(slot), overlaps.shape[1]), dtype=bool)
+    matched = np.zeros((thresholds.size, images.size, overlaps.shape[1]), dtype=bool)
 
     step = np.empty_like(image)
     step[np.argsort(image, kind="stable")] = _within_group(np.bincount(image))
@@ -201,16 +195,31 @@ def _integrate(recall: np.ndarray, precision: np.ndarray) -> float:
     return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))
 
 
+def ground_truth_records(frames: Sequence[FrameRecord]) -> np.ndarray:
+    """Every ground-truth box of `frames`, frames in order, as one record
+    array with fields `frame_index` and `box`: the ground truths `mean_ap`
+    takes."""
+    n_gt = [len(f.gt_boxes) for f in frames]
+    records = np.zeros(sum(n_gt), dtype=[("frame_index", "i8"), ("box", "f8", (4,))])
+    records["frame_index"] = np.repeat([f.frame_index for f in frames], n_gt)
+    records["box"] = _gt_column(frames, "box")
+    return records
+
+
 def mean_ap(
-    predictions: Sequence[tuple[int, BoundingBox, float]],
-    ground_truths: Sequence[tuple[int, BoundingBox]],
+    predictions: np.ndarray,
+    ground_truths: np.ndarray,
     iou_thresholds: Sequence[float] = AP_IOU_THRESHOLDS,
 ) -> float:
     """Detection average precision, averaged over the given IoU thresholds;
     pass one threshold for the AP at that threshold.
 
-    Predictions are (image_id, box, confidence) across any number of images;
-    ground truths are (image_id, box). Predictions are ranked by confidence
+    `predictions` is a record array with fields `frame_index`, `box` and
+    `confidence` over any number of images (`eval` passes a view of the
+    tracks array), `ground_truths` one with `frame_index` and `box`
+    (`ground_truth_records`). The field order is fixed: a record read by
+    position is the (image, box, confidence) or (image, box) tuple that the
+    benchmark's traced run replays. Predictions are ranked by confidence
     (ties keep input order) and greedily matched to the best still-unmatched
     ground truth of their image at IoU >= the threshold. Each threshold's
     precision/recall curve is integrated exactly (all-point interpolation).
@@ -221,9 +230,9 @@ def mean_ap(
         raise ValueError("at least one IoU threshold is required")
     if not np.isfinite(thresholds).all():
         raise ValueError(f"IoU thresholds must be finite, got {thresholds.tolist()}")
-    if not ground_truths:
+    if len(ground_truths) == 0:
         raise ValueError("average precision is undefined without ground truths")
-    if not predictions:
+    if len(predictions) == 0:
         return 0.0
 
     is_tp = _greedy_hits(predictions, ground_truths, thresholds)

@@ -74,6 +74,17 @@ class LabeledBatch:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "identities", ids)
 
+    @classmethod
+    def _adopt(cls, features: np.ndarray, identities: np.ndarray) -> "LabeledBatch":
+        """A batch that takes over fresh float64 features and int64
+        identities, already checked, without copying them again."""
+        features.flags.writeable = False
+        identities.flags.writeable = False
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "features", features)
+        object.__setattr__(batch, "identities", identities)
+        return batch
+
     @property
     def size(self) -> int:
         return self.features.shape[0]

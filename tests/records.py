@@ -1,14 +1,11 @@
 """Record arrays for tests, built from plain rows: detections, ground
 truths and tracker output in the layouts `FrameRecord` and the tracks
-array use. A box is a `BoundingBox` or four numbers."""
+array use, and the two record arrays `mean_ap` takes. A box is four
+numbers [x1, y1, x2, y2]."""
 
 import numpy as np
 
-from embedtrack import GT_DTYPE, TRACK_DTYPE, BoundingBox, FrameRecord, detection_dtype
-
-
-def _box(box):
-    return [box.x1, box.y1, box.x2, box.y2] if isinstance(box, BoundingBox) else list(box)
+from embedtrack import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype, ground_truth_records
 
 
 def detections(rows, feature_dim=None):
@@ -18,14 +15,14 @@ def detections(rows, feature_dim=None):
     if feature_dim is None:
         feature_dim = len(rows[0][2]) if rows else 0
     return np.array(
-        [(_box(b), c, list(f), -1 if g is None else g) for b, c, f, g in rows],
+        [(list(b), c, list(f), -1 if g is None else g) for b, c, f, g in rows],
         dtype=detection_dtype(feature_dim),
     )
 
 
 def gt_boxes(rows):
     """Rows (box, identity)."""
-    return np.array([(_box(b), i) for b, i in rows], dtype=GT_DTYPE)
+    return np.array([(list(b), i) for b, i in rows], dtype=GT_DTYPE)
 
 
 def frame(index, dets=(), gts=(), camera=0, feature_dim=None):
@@ -42,5 +39,17 @@ def tracks(rows, frame_index=0):
     with confidence 1.0."""
     rows = [(r[0], 1.0, r[1]) if len(r) == 2 else tuple(r) for r in rows]
     return np.array(
-        [(frame_index, t, _box(b), c) for b, c, t in rows], dtype=TRACK_DTYPE
+        [(frame_index, t, list(b), c) for b, c, t in rows], dtype=TRACK_DTYPE
+    )
+
+
+def ap_inputs(predictions, ground_truths):
+    """`mean_ap`'s predictions and ground truths from (frame_index, box,
+    confidence) and (frame_index, box) rows: a view of a tracks array and a
+    record array of the dtype `ground_truth_records` gives."""
+    rows = [(i, 0, list(b), c) for i, b, c in predictions]
+    gts = [(i, list(b)) for i, b in ground_truths]
+    return (
+        np.array(rows, dtype=TRACK_DTYPE)[["frame_index", "box", "confidence"]],
+        np.array(gts, dtype=ground_truth_records([]).dtype),
     )

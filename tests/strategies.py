@@ -1,9 +1,8 @@
-"""Shared hypothesis strategies for geometry and batches."""
+"""Shared hypothesis strategies for geometry and batches. A box is a list
+[x1, y1, x2, y2] with x1 < x2 and y1 < y2."""
 
 import hypothesis.strategies as st
 import numpy as np
-
-from embedtrack import BoundingBox
 
 coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 span = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -13,7 +12,7 @@ span = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=
 def boxes(draw):
     x1 = draw(coord)
     y1 = draw(coord)
-    return BoundingBox(x1, y1, x1 + draw(span), y1 + draw(span))
+    return [x1, y1, x1 + draw(span), y1 + draw(span)]
 
 
 @st.composite
@@ -21,16 +20,14 @@ def grid_boxes(draw):
     """Boxes on a small integer grid: often identical, touching or nested."""
     x1 = draw(st.integers(0, 6))
     y1 = draw(st.integers(0, 6))
-    return BoundingBox(x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
+    return [x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4))]
 
 
 any_boxes = st.one_of(boxes(), grid_boxes())
 
 # Unit-height boxes on one short row: different boxes often tie in IoU with a
 # third, so which of two equal overlaps is taken first decides later matches.
-row_boxes = st.builds(
-    lambda x, w: BoundingBox(x, 0, x + w, 1), st.integers(0, 2), st.integers(1, 2)
-)
+row_boxes = st.builds(lambda x, w: [x, 0, x + w, 1], st.integers(0, 2), st.integers(1, 2))
 
 
 @st.composite

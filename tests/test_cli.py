@@ -392,6 +392,34 @@ class TestTrackAndEval:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def _eval(self, tmp_path, tracks, frames):
+        out = tmp_path / "report"
+        assert main(["eval", "--tracks", str(tracks), "--frames", str(frames),
+                     "--out", str(out)]) == 0
+        return (out / "report.json").read_text()
+
+    def test_eval_empty_tracks_scores_zero_ap(self, tmp_path, sim_dir):
+        tracks = tmp_path / "tracks.jsonl"
+        tracks.write_text("")
+        text = self._eval(tmp_path, tracks, sim_dir / "frames.jsonl")
+        assert '"mean_ap": 0.0,' in text
+        report = json.loads(text)
+        assert report["mot_counts"] == {"fp": 0, "miss": 30, "mismatch": 0, "gt_total": 30}
+        assert (report["mota"], report["pair_accuracy"]) == (0.0, None)
+
+    def test_eval_without_ground_truth_has_no_ap(self, tmp_path, sim_dir, trained_dir):
+        tracks = self._run_track(tmp_path, sim_dir, trained_dir, threshold=1e9) / "tracks.jsonl"
+        docs = [json.loads(line) for line in (sim_dir / "frames.jsonl").read_text().splitlines()]
+        for doc in docs:
+            doc["gt_boxes"] = []
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        text = self._eval(tmp_path, tracks, frames)
+        assert '"mean_ap": null,' in text
+        report = json.loads(text)
+        assert report["mot_counts"]["fp"] == len(load_track_records(tracks))
+        assert (report["mota"], report["pair_accuracy"]) == (None, None)
+
     def test_eval_counts_fixture(self, tmp_path):
         fixture = tmp_path / "counts.json"
         fixture.write_text(

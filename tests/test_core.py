@@ -5,52 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from embedtrack import BoundingBox, FrameParseError, iou, iou_matrix, load_frames
+from embedtrack import FrameParseError, iou, iou_matrix, load_frames, load_track_records
+from embedtrack.datasets import BOX_RULE
 from records import frame
 from strategies import any_boxes, boxes
 
 
 def _translate(box, dx, dy):
-    return BoundingBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
-
-
-class TestBoundingBox:
-    def test_valid_construction(self):
-        b = BoundingBox(1.0, 2.0, 4.0, 8.0)
-        assert b.width == 3.0
-        assert b.height == 6.0
-        assert b.area == 18.0
-
-    @pytest.mark.parametrize(
-        "coords",
-        [
-            (1.0, 0.0, 1.0, 5.0),  # zero width
-            (0.0, 5.0, 5.0, 5.0),  # zero height
-            (3.0, 0.0, 1.0, 5.0),  # inverted x
-            (float("nan"), 0.0, 1.0, 1.0),
-            (0.0, 0.0, float("inf"), 1.0),
-        ],
-    )
-    def test_rejects_degenerate(self, coords):
-        with pytest.raises(ValueError):
-            BoundingBox(*coords)
+    x1, y1, x2, y2 = box
+    return [x1 + dx, y1 + dy, x2 + dx, y2 + dy]
 
 
 class TestIou:
     def test_identical_boxes(self):
-        b = BoundingBox(2.0, 3.0, 7.0, 9.0)
+        b = [2.0, 3.0, 7.0, 9.0]
         assert iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 6, 6)) == 0.0
+        assert iou([0, 0, 1, 1], [5, 5, 6, 6]) == 0.0
 
     def test_touching_boxes_are_disjoint(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 2, 1)) == 0.0
+        assert iou([0, 0, 1, 1], [1, 0, 2, 1]) == 0.0
 
     def test_hand_computed_overlap(self):
         # inter = 5 * 10 = 50, union = 100 + 100 - 50 = 150
-        a = BoundingBox(0, 0, 10, 10)
-        b = BoundingBox(5, 0, 15, 10)
+        a = [0, 0, 10, 10]
+        b = [5, 0, 15, 10]
         assert iou(a, b) == 50.0 / 150.0
 
     @given(boxes(), boxes())
@@ -71,7 +51,7 @@ class TestIou:
 
 
 def _array(boxes):
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+    return np.array(boxes, dtype=float).reshape(-1, 4)
 
 
 class TestIouMatrix:
@@ -81,12 +61,12 @@ class TestIouMatrix:
         assert np.array_equal(iou_matrix(_array(a), _array(b)), expected)
 
     def test_identical_touching_and_disjoint(self):
-        a = [BoundingBox(0, 0, 1, 1)]
-        b = [BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 2, 1), BoundingBox(5, 5, 6, 6)]
+        a = [[0, 0, 1, 1]]
+        b = [[0, 0, 1, 1], [1, 0, 2, 1], [5, 5, 6, 6]]
         assert iou_matrix(_array(a), _array(b)).tolist() == [[1.0, 0.0, 0.0]]
 
     def test_empty_sides_give_empty_shapes(self):
-        one = _array([BoundingBox(0, 0, 1, 1)])
+        one = _array([[0, 0, 1, 1]])
         assert iou_matrix(one, np.zeros((0, 4))).shape == (1, 0)
         assert iou_matrix(np.zeros((0, 4)), one).shape == (0, 1)
 
@@ -110,6 +90,43 @@ def _rejected(tmp_path, field, **kw):
     with pytest.raises(FrameParseError) as exc:
         _load_one(tmp_path, **kw)
     assert (exc.value.line_number, exc.value.field) == (2, field)
+
+
+BAD_BOXES = [
+    [1.0, 0.0, 1.0, 5.0],  # zero width
+    [0.0, 5.0, 5.0, 5.0],  # zero height
+    [3.0, 0.0, 1.0, 5.0],  # inverted x
+    [float("nan"), 0.0, 1.0, 1.0],
+    [0.0, 0.0, float("inf"), 1.0],
+]
+
+
+class TestBoxRule:
+    """A box is checked once, when its file loads: frames (detections and
+    ground truths) and track records refuse the same boxes by one rule."""
+
+    @pytest.mark.parametrize("box", BAD_BOXES)
+    def test_load_frames_refuses_detection_box(self, tmp_path, box):
+        with pytest.raises(FrameParseError, match=BOX_RULE) as exc:
+            _load_one(tmp_path, detections=[_det(box=box)])
+        assert (exc.value.line_number, exc.value.field) == (2, "detections.box")
+
+    @pytest.mark.parametrize("box", BAD_BOXES)
+    def test_load_frames_refuses_gt_box(self, tmp_path, box):
+        with pytest.raises(FrameParseError, match=BOX_RULE) as exc:
+            _load_one(tmp_path, gt_boxes=[{"box": box, "id": 1}])
+        assert (exc.value.line_number, exc.value.field) == (2, "gt_boxes.box")
+
+    @pytest.mark.parametrize("box", BAD_BOXES)
+    def test_load_track_records_refuses(self, tmp_path, box):
+        rows = [{"frame_index": k, "track_id": 0, "box": [0, 0, 1, 1], "confidence": 0.5}
+                for k in range(2)]
+        rows[1]["box"] = box
+        path = tmp_path / "tracks.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(FrameParseError, match=BOX_RULE) as exc:
+            load_track_records(path)
+        assert (exc.value.line_number, exc.value.field) == (2, "box")
 
 
 class TestDetectionRecord:

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from embedtrack import (
     AP_IOU_THRESHOLDS,
-    BoundingBox,
+    TRACK_DTYPE,
     MotCounts,
     PairCounts,
     assign_predictions,
+    ground_truth_records,
     iou,
     mean_ap,
     mota,
@@ -21,11 +22,16 @@ from strategies import any_boxes, row_boxes
 
 
 def _box(x1, y1=0.0, w=10.0, h=10.0):
-    return BoundingBox(x1, y1, x1 + w, y1 + h)
+    return [x1, y1, x1 + w, y1 + h]
 
 
 def _row(x1, x2):
-    return BoundingBox(x1, 0, x2, 1)
+    return [x1, 0, x2, 1]
+
+
+def _mean_ap(preds, gts, *thresholds):
+    """mean_ap of (frame_index, box, confidence) and (frame_index, box) rows."""
+    return mean_ap(*records.ap_inputs(preds, gts), *thresholds)
 
 
 def _assign(preds, gts, **kw):
@@ -134,14 +140,14 @@ class TestScalarOracles:
     )
     def test_average_precision_equals_scalar_loop(self, preds, gts, threshold):
         expected = scalar_average_precision(preds, gts, threshold)
-        assert mean_ap(preds, gts, (threshold,)) == expected
+        assert _mean_ap(preds, gts, (threshold,)) == expected
 
     @given(detections, annotations)
     def test_mean_ap_equals_scalar_loop(self, preds, gts):
         expected = float(
             np.mean([scalar_average_precision(preds, gts, t) for t in AP_IOU_THRESHOLDS])
         )
-        assert mean_ap(preds, gts) == expected
+        assert _mean_ap(preds, gts) == expected
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -174,31 +180,83 @@ class TestScalarOracles:
         expected = float(
             np.mean([scalar_average_precision(preds, gts, t) for t in thresholds])
         )
-        assert mean_ap(preds, gts, thresholds) == expected
+        assert _mean_ap(preds, gts, thresholds) == expected
+
+
+@st.composite
+def scored_frames(draw):
+    """A tracks array in shuffled row order, the frames it is scored
+    against, and both as the oracle's (frame_index, box, confidence) and
+    (frame_index, box) rows. Frame indices have gaps; frames may have
+    predictions but no ground truth or the reverse; confidences tie."""
+    indices = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=5)))
+    box = st.one_of(row_boxes, any_boxes)
+    frames, rows, gts = [], [], []
+    for index in indices:
+        boxes = draw(st.lists(box, max_size=4))
+        frames.append(records.frame(index, gts=[(b, k) for k, b in enumerate(boxes)]))
+        gts += [(index, b) for b in boxes]
+        preds = draw(st.lists(st.tuples(box, st.sampled_from([0.3, 0.6, 0.9])), max_size=5))
+        rows += [(index, k, b, c) for k, (b, c) in enumerate(preds)]
+    rows = draw(st.permutations(rows))
+    tracks = np.array(rows, dtype=TRACK_DTYPE)
+    return tracks, frames, [(i, b, c) for i, _, b, c in rows], gts
+
+
+class TestTracksAgainstFrames:
+    """`mean_ap` as `eval` calls it: a view of the tracks array and
+    `ground_truth_records` of the frames, against the scalar loop."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(scored_frames())
+    def test_equals_scalar_loop(self, scored):
+        tracks, frames, preds, gts = scored
+        predictions = tracks[["frame_index", "box", "confidence"]]
+        ground_truths = ground_truth_records(frames)
+        if not gts:
+            with pytest.raises(ValueError, match="without ground truths"):
+                mean_ap(predictions, ground_truths)
+            return
+        expected = float(
+            np.mean([scalar_average_precision(preds, gts, t) for t in AP_IOU_THRESHOLDS])
+        )
+        assert mean_ap(predictions, ground_truths) == expected
+
+    def test_ground_truth_records_keep_frame_order(self):
+        frames = [
+            records.frame(4, gts=[(_box(0), 1), (_box(30), 2)]),
+            records.frame(6),
+            records.frame(7, gts=[(_box(5), 1)]),
+        ]
+        gts = ground_truth_records(frames)
+        assert gts.dtype.names == ("frame_index", "box")
+        assert gts["frame_index"].tolist() == [4, 4, 7]
+        assert gts["box"].tolist() == [_box(0), _box(30), _box(5)]
+        assert len(ground_truth_records([records.frame(0)])) == 0
 
 
 class TestAveragePrecision:
     def test_single_exact_prediction(self):
         gt = [(0, _box(0))]
-        assert mean_ap([(0, _box(0), 0.9)], gt, (0.5,)) == 1.0
+        assert _mean_ap([(0, _box(0), 0.9)], gt, (0.5,)) == 1.0
 
     def test_false_positive_ranked_first(self):
         gt = [(0, _box(0))]
         preds = [(0, _box(100), 0.9), (0, _box(0), 0.8)]
-        assert mean_ap(preds, gt, (0.5,)) == 0.5
+        assert _mean_ap(preds, gt, (0.5,)) == 0.5
 
     def test_exact_predictions_at_every_threshold(self):
         gt = [(0, _box(0)), (0, _box(30)), (1, _box(0))]
         preds = [(img, box, 0.9) for img, box in gt]
         for t in AP_IOU_THRESHOLDS:
-            assert mean_ap(preds, gt, (t,)) == 1.0
+            assert _mean_ap(preds, gt, (t,)) == 1.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(ValueError):
-            mean_ap([(0, _box(0), 0.9)], [], (0.5,))
+            _mean_ap([(0, _box(0), 0.9)], [], (0.5,))
 
     def test_no_predictions_is_zero(self):
-        assert mean_ap([], [(0, _box(0))], (0.5,)) == 0.0
+        assert _mean_ap([], [(0, _box(0))], (0.5,)) == 0.0
 
     def test_invariant_under_monotone_confidence_transform(self):
         rng = np.random.default_rng(1)
@@ -207,41 +265,41 @@ class TestAveragePrecision:
             (k % 2, _box(15.0 * k + rng.uniform(-6, 6)), float(rng.uniform(0.1, 1.0)))
             for k in range(10)
         ]
-        base = mean_ap(preds, gt, (0.5,))
+        base = _mean_ap(preds, gt, (0.5,))
         squashed = [(i, b, 0.001 + c**3 / 2) for i, b, c in preds]
-        assert mean_ap(squashed, gt, (0.5,)) == base
+        assert _mean_ap(squashed, gt, (0.5,)) == base
 
     def test_confidence_ties_keep_input_order(self):
         gt = [(0, _box(0))]
         fp_first = [(0, _box(100), 0.9), (0, _box(0), 0.9)]
         tp_first = [(0, _box(0), 0.9), (0, _box(100), 0.9)]
-        assert mean_ap(fp_first, gt, (0.5,)) == 0.5
-        assert mean_ap(tp_first, gt, (0.5,)) == 1.0
+        assert _mean_ap(fp_first, gt, (0.5,)) == 0.5
+        assert _mean_ap(tp_first, gt, (0.5,)) == 1.0
 
 
 class TestMeanAp:
     def test_exact_predictions(self):
         gt = [(0, _box(0)), (0, _box(30))]
         preds = [(img, box, 0.7) for img, box in gt]
-        assert mean_ap(preds, gt) == 1.0
+        assert _mean_ap(preds, gt) == 1.0
 
     def test_no_predictions(self):
-        assert mean_ap([], [(0, _box(0))]) == 0.0
+        assert _mean_ap([], [(0, _box(0))]) == 0.0
 
     @pytest.mark.parametrize("preds", [[], [(0, _box(0), 0.9)]])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_threshold(self, preds, bad):
         with pytest.raises(ValueError, match="finite"):
-            mean_ap(preds, [(0, _box(0))], (0.5, bad))
+            _mean_ap(preds, [(0, _box(0))], (0.5, bad))
 
     def test_thresholds_zero_and_one_are_legal(self):
         # both predictions are exact; in the last call the second one is
         # shifted by 1 px, so it overlaps its ground truth below 1.0
         preds = [(0, _box(0), 0.9), (0, _box(5), 0.8)]
         gts = [(0, _box(0)), (0, _box(5))]
-        assert mean_ap(preds, gts, (0.0,)) == 1.0
-        assert mean_ap(preds, gts, (1.0,)) == 1.0
-        assert mean_ap(preds[:1] + [(0, _box(6), 0.8)], gts, (1.0,)) == 0.5
+        assert _mean_ap(preds, gts, (0.0,)) == 1.0
+        assert _mean_ap(preds, gts, (1.0,)) == 1.0
+        assert _mean_ap(preds[:1] + [(0, _box(6), 0.8)], gts, (1.0,)) == 0.5
 
     def test_uses_ten_thresholds(self):
         assert len(AP_IOU_THRESHOLDS) == 10

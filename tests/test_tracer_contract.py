@@ -2,7 +2,8 @@
 outside: it wraps functions under the module attributes its WRAPS table
 names, counts detections as `len(frame.detections)` on what
 `cli.load_frames` returns, and replays `cli.mean_ap`'s arguments through
-`core.iou` on `BoundingBox` objects. A change that breaks any of that
+`core.iou`, reading each record by position as an (image, box,
+confidence) or (image, box) tuple. A change that breaks any of that
 makes a traced benchmark run fail; this test runs the four stages under
 the tracer so that it fails here first."""
 
@@ -81,5 +82,14 @@ def test_traced_pipeline_keeps_the_tracer_contract(tmp_path, capsys):
     assert metrics["evaluation.assign_predictions_calls"] > 0
     assert 0 < metrics["association.match_rate"] <= 1
     assert metrics["association.frame_us_p50"] > 0
-    evals, distinct = tracing.ap_counts(*tracer.last_args["evaluation.mean_ap"])
+    args, kwargs = tracer.last_args["evaluation.mean_ap"]
+    evals, distinct = tracing.ap_counts(args, kwargs)
     assert evals > 0 and distinct > 0
+    # The replay of the record arrays counts what it counts on tuples of
+    # the same rows, so `ap_iou_evals` keeps its meaning.
+    predictions, ground_truths = args[:2]
+    as_tuples = (
+        list(zip(*(predictions[name].tolist() for name in ("frame_index", "box", "confidence")))),
+        list(zip(*(ground_truths[name].tolist() for name in ("frame_index", "box")))),
+    )
+    assert tracing.ap_counts(as_tuples, {}) == (evals, distinct)
