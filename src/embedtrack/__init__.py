@@ -13,7 +13,6 @@ from .association import match_frames, track_sequence, update_tracks
 from .calibration import (
     DegenerateDevSetError,
     DistanceHistogram,
-    PairCounts,
     ThresholdSweep,
     distance_histogram,
     sweep_threshold,
@@ -24,7 +23,6 @@ from .core import (
     FrameRecord,
     detection_dtype,
     iou,
-    iou_matrix,
     neighbor_frames,
 )
 from .datasets import (
@@ -53,6 +51,7 @@ from .embedding import (
 from .evaluation import (
     AP_IOU_THRESHOLDS,
     MotCounts,
+    PairCounts,
     assign_predictions,
     ground_truth_records,
     mean_ap,
@@ -101,7 +100,6 @@ __all__ = [
     "ground_truth_records",
     "init_params",
     "iou",
-    "iou_matrix",
     "labeled_rows",
     "load_frames",
     "load_params",

@@ -18,12 +18,11 @@ import csv
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = [
-    "PairCounts",
     "ThresholdSweep",
     "DistanceHistogram",
     "DegenerateDevSetError",
@@ -54,35 +53,6 @@ def _check_pairs(distances, is_same) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(dist)) or dist.min() < 0:
         raise ValueError("distances must be finite and non-negative")
     return dist, same
-
-
-@dataclass(frozen=True)
-class PairCounts:
-    """Confusion counts over same/different pair predictions.
-
-    gp and gn are the ground-truth positive and negative totals. They default
-    to tp + fn and tn + fp, but can be supplied explicitly: published tallies
-    sometimes keep pairs lost to missed detections in the ground-truth totals,
-    making gp larger than tp + fn.
-    """
-
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    gp: Optional[int] = None
-    gn: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "tn", "fp", "fn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.gp is None:
-            object.__setattr__(self, "gp", self.tp + self.fn)
-        if self.gn is None:
-            object.__setattr__(self, "gn", self.tn + self.fp)
-        if self.gp < 0 or self.gn < 0:
-            raise ValueError("gp and gn must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,13 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .association import track_sequence
-from .calibration import (
-    PairCounts,
-    distance_histogram,
-    sweep_threshold,
-    write_histogram_csv,
-    write_sweep_csv,
-)
+from .calibration import distance_histogram, sweep_threshold, write_histogram_csv, write_sweep_csv
 from .core import neighbor_frames
 from .datasets import (
     SimConfig,
@@ -47,7 +41,9 @@ from .datasets import (
     training_batches,
 )
 from .embedding import LossConfig, _check_config_values, load_params, save_params
-from .evaluation import MotCounts, ground_truth_records, mean_ap, mota, pair_accuracy, track_counts
+from .evaluation import (
+    MotCounts, PairCounts, ground_truth_records, mean_ap, mota, pair_accuracy, track_counts
+)
 from .training import TrainConfig, train
 
 __all__ = ["main"]
@@ -260,15 +256,23 @@ def _counts_from_fixture(path: str) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not ({"mot", "pair"} & set(doc)):
         raise ValueError(f"counts fixture {path} must hold a 'mot' and/or 'pair' object")
+    return _counts_report(
+        _fixture_counts(MotCounts, doc["mot"], f"{path} 'mot'") if "mot" in doc else None,
+        _fixture_counts(PairCounts, doc["pair"], f"{path} 'pair'") if "pair" in doc else None,
+    )
+
+
+def _counts_report(mot: Optional[MotCounts], pair: Optional[PairCounts]) -> dict:
+    """report.json's entries for the given counts, each rate before its
+    counts; a rate is null when its counts hold no object or no pair."""
     report: dict = {}
-    if "mot" in doc:
-        counts = _fixture_counts(MotCounts, doc["mot"], f"{path} 'mot'")
-        report["mot_counts"] = dataclasses.asdict(counts)
-        report["mota"] = mota(counts)
-    if "pair" in doc:
-        counts = _fixture_counts(PairCounts, doc["pair"], f"{path} 'pair'")
-        report["pair_counts"] = dataclasses.asdict(counts)
-        report["pair_accuracy"] = pair_accuracy(counts)
+    if mot is not None:
+        report["mota"] = mota(mot) if mot.gt_total > 0 else None
+        report["mot_counts"] = dataclasses.asdict(mot)
+    if pair is not None:
+        total = pair.tp + pair.tn + pair.fp + pair.fn
+        report["pair_accuracy"] = pair_accuracy(pair) if total > 0 else None
+        report["pair_counts"] = dataclasses.asdict(pair)
     return report
 
 
@@ -287,15 +291,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         ap_preds = tracks[["frame_index", "box", "confidence"]]
         ap_gts = ground_truth_records(frames)
-        report = {
-            "mota": mota(mc) if mc.gt_total > 0 else None,
-            "mot_counts": dataclasses.asdict(mc),
-            "pair_accuracy": (
-                pair_accuracy(pc) if pc.tp + pc.tn + pc.fp + pc.fn > 0 else None
-            ),
-            "pair_counts": dataclasses.asdict(pc),
-            "mean_ap": mean_ap(ap_preds, ap_gts) if len(ap_gts) else None,
-        }
+        report = _counts_report(mc, pc)
+        report["mean_ap"] = mean_ap(ap_preds, ap_gts) if len(ap_gts) else None
         inputs = {"tracks": args.tracks, "frames": args.frames}
         config = {"iou_min": args.iou_min, "score_threshold": args.score_threshold}
     report["config"] = config

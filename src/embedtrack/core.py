@@ -13,7 +13,6 @@ __all__ = [
     "FrameRecord",
     "detection_dtype",
     "iou",
-    "iou_matrix",
     "neighbor_frames",
 ]
 
@@ -27,14 +26,6 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
         return 0.0
     inter = iw * ih
     return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) IoU of every box of `a` (n, 4) against every box of `b` (m, 4),
-    rows [x1, y1, x2, y2]; every entry equals `iou` of the two boxes exactly."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    return _broadcast_iou(a[:, None], b[None, :])
 
 
 def _broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

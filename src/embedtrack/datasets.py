@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype, neighbor_frames
 from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
-from .evaluation import _within_group, assign_predictions
+from .evaluation import _column, _within_group, assign_predictions
 from .training import LabeledBatch
 
 __all__ = [
@@ -68,26 +68,28 @@ def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
 
 
 def labeled_rows(
-    detections: np.ndarray,
-    gt_boxes: np.ndarray,
-    score_threshold: float = 0.5,
-    iou_min: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(features, identities) of one frame's detections that survive labeling.
+    frames: Sequence[FrameRecord], score_threshold: float = 0.5, iou_min: float = 0.5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, identities, counts) of the detections of `frames` that
+    survive labeling, frames in order.
 
-    Detections below `score_threshold` are dropped. When every kept
-    detection already carries a ground-truth identity (`gt_id` >= 0) the
-    labels pass through; otherwise identities come from IoU assignment
-    against `gt_boxes` and unassigned detections are dropped. Features are
-    (n, F), identities (n,) int64; n may be 0.
+    Detections below `score_threshold` are dropped. The rule is per frame:
+    when every kept detection of a frame carries a `gt_id` >= 0 its labels
+    pass through; the other frames are labeled by one `assign_predictions`
+    call, and their unassigned detections are dropped. Features are (N, F),
+    identities (N,) int64, and counts[k] is the row count of frames[k].
     """
-    kept = detections[detections["confidence"] >= score_threshold]
-    identities = kept["gt_id"]
-    if (identities < 0).any():
-        identities = assign_predictions(kept, gt_boxes, score_threshold, iou_min)
-        kept = kept[identities >= 0]
-        identities = identities[identities >= 0]
-    return np.ascontiguousarray(kept["feature"]), np.ascontiguousarray(identities)
+    frame = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
+    identities = _column(frames, "detections", "gt_id")
+    kept = _column(frames, "detections", "confidence") >= score_threshold
+    assigned = np.zeros(len(frames), dtype=bool)
+    assigned[frame[kept & (identities < 0)]] = True
+    if assigned.any():
+        chosen = [f for f, a in zip(frames, assigned.tolist()) if a]
+        identities[assigned[frame]] = assign_predictions(chosen, score_threshold, iou_min)
+    kept &= identities >= 0
+    features = _column(frames, "detections", "feature")[kept]
+    return features, identities[kept], np.bincount(frame[kept], minlength=len(frames))
 
 
 def training_batches(
@@ -103,19 +105,17 @@ def training_batches(
     from) give no batch. Batches are read-only slices of one gathered
     array; non-finite features raise ValueError.
     """
-    rows = [labeled_rows(f.detections, f.gt_boxes, score_threshold, iou_min) for f in frames]
-    counts = np.array([ids.size for _, ids in rows], dtype=np.int64)
+    features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[counts[pairs].sum(axis=1) >= 2]
     if pairs.size == 0:
         return []
-    features = np.concatenate([feats for feats, ids in rows if ids.size])
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite entries")
     # Every batch's rows in one gather: frame i's rows, then frame j's, per pair.
     lengths = counts[pairs].ravel()
     take = np.repeat((np.cumsum(counts) - counts)[pairs].ravel(), lengths) + _within_group(lengths)
-    features, identities = features[take], np.concatenate([ids for _, ids in rows])[take]
+    features, identities = features[take], identities[take]
     ends = np.cumsum(lengths[::2] + lengths[1::2]).tolist()
     return [LabeledBatch._adopt(features[a:b], identities[a:b]) for a, b in zip([0] + ends, ends)]
 
@@ -131,17 +131,18 @@ def neighbor_pair_distances(
     of a against every row of b, row-major. Distances are squared Euclidean
     between head embeddings; is_same says the two identities are equal.
     """
-    rows = []
-    for frame in frames:
-        features, ids = labeled_rows(frame.detections, frame.gt_boxes, score_threshold, iou_min)
-        emb = embed_batch(params, features) if ids.size else np.zeros((0, params.embed_dim))
-        rows.append((emb, ids))
+    features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
+    cuts = np.cumsum(counts)[:-1]
+    embedded = [
+        embed_batch(params, rows) if len(rows) else np.zeros((0, params.embed_dim))
+        for rows in np.split(features, cuts)
+    ]
+    identities = np.split(identities, cuts)
     distances = [np.zeros(0)]
     is_same = [np.zeros(0, dtype=bool)]
     for i, j in neighbor_frames(frames):
-        (emb_a, ids_a), (emb_b, ids_b) = rows[i], rows[j]
-        distances.append(distance_matrix(emb_a, emb_b).ravel())
-        is_same.append((ids_a[:, None] == ids_b[None, :]).ravel())
+        distances.append(distance_matrix(embedded[i], embedded[j]).ravel())
+        is_same.append((identities[i][:, None] == identities[j][None, :]).ravel())
     return np.concatenate(distances), np.concatenate(is_same)
 
 

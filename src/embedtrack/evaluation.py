@@ -14,19 +14,19 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .calibration import PairCounts
 from .core import (
     GT_DTYPE,
     FrameRecord,
     _broadcast_iou,
     _check_sequence,
-    iou_matrix,
+    detection_dtype,
     neighbor_frames,
 )
 
 __all__ = [
     "AP_IOU_THRESHOLDS",
     "MotCounts",
+    "PairCounts",
     "assign_predictions",
     "ground_truth_records",
     "mean_ap",
@@ -53,6 +53,35 @@ class MotCounts:
                 raise ValueError(f"{name} must be non-negative")
 
 
+@dataclass(frozen=True)
+class PairCounts:
+    """Confusion counts over same/different pair predictions.
+
+    gp and gn are the ground-truth positive and negative totals. They default
+    to tp + fn and tn + fp, but can be supplied explicitly: published tallies
+    sometimes keep pairs lost to missed detections in the ground-truth totals,
+    making gp larger than tp + fn.
+    """
+
+    tp: int
+    tn: int
+    fp: int
+    fn: int
+    gp: Optional[int] = None
+    gn: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("tp", "tn", "fp", "fn"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.gp is None:
+            object.__setattr__(self, "gp", self.tp + self.fn)
+        if self.gn is None:
+            object.__setattr__(self, "gn", self.tn + self.fp)
+        if self.gp < 0 or self.gn < 0:
+            raise ValueError("gp and gn must be non-negative")
+
+
 def _check_iou_min(iou_min: float) -> None:
     if not 0.0 < iou_min < 1.0:
         raise ValueError(f"iou_min must lie in (0, 1), got {iou_min}")
@@ -61,18 +90,20 @@ def _check_iou_min(iou_min: float) -> None:
 def _claims(
     frame: np.ndarray,
     overlaps: np.ndarray,
+    gt_offset: np.ndarray,
     iou_min: float,
     live: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Unique highest-IoU matching used by assignment, MOT and pair counting:
-    the ground-truth column each row keeps, or -1.
+    the rows that keep a ground truth, increasing, and the flat index of each
+    one's ground truth.
 
     Row r belongs to frame `frame[r]`, and `overlaps[r]` holds its IoU with
-    each ground truth of that frame (padding columns read 0). Each row in
-    `live` (default every row) claims its first highest-IoU column when that
-    IoU is strictly above iou_min. Of the claimants of one (frame, column),
-    the highest IoU keeps it, ties to the lowest row; the rest keep nothing,
-    with no second choice.
+    each ground truth of that frame (padding columns read 0), the first at
+    flat index `gt_offset[r]`. Each row in `live` (default every row) claims
+    its first highest-IoU column when that IoU is strictly above iou_min. Of
+    the claimants of one (frame, column), the highest IoU keeps it, ties to
+    the lowest row; the rest keep nothing, with no second choice.
     """
     best = overlaps.argmax(axis=1)
     best_iou = np.take_along_axis(overlaps, best[:, None], axis=1)[:, 0]
@@ -86,37 +117,40 @@ def _claims(
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    winners = rows[order[first]]
-    kept = np.full(best.size, -1)
-    kept[winners] = best[winners]
-    return kept
+    winners = np.sort(rows[order[first]])
+    return winners, gt_offset[winners] + best[winners]
+
+
+def _overlaps(
+    boxes: np.ndarray, frame: np.ndarray, frames: Sequence[FrameRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(overlaps, gt_offset) of boxes at frame positions `frame`: each box's
+    IoU with every (padded) ground truth of its frame of `frames`, and the
+    flat index of that frame's first ground truth, for all frames at once."""
+    n_gt = np.array([len(f.gt_boxes) for f in frames], dtype=np.int64)
+    overlaps = _grouped_iou(boxes, frame, _column(frames, "gt_boxes", "box"), n_gt)
+    return overlaps, (np.cumsum(n_gt) - n_gt)[frame]
 
 
 def assign_predictions(
-    detections: np.ndarray,
-    gt_boxes: np.ndarray,
-    score_threshold: float = 0.5,
-    iou_min: float = 0.5,
+    frames: Sequence[FrameRecord], score_threshold: float = 0.5, iou_min: float = 0.5
 ) -> np.ndarray:
-    """Label one frame's detections with ground-truth identities.
+    """The int64 ground-truth identity of every detection of `frames`, frames
+    in order and detections in order within a frame, or -1 where it has none.
 
-    `detections` is a record array with `box` and `confidence` fields;
-    rows below `score_threshold` are dropped. `gt_boxes` has `box` and `id`
-    fields, as `FrameRecord.gt_boxes`. Each surviving row is paired with
-    its highest-IoU ground truth when that IoU exceeds `iou_min`; contested
-    ground truths go to the highest-IoU row and the losers are left
-    unassigned, so every ground truth labels at most one row. Returns the
-    int64 identity of every row, -1 when it has none.
+    Detections below `score_threshold` stay unlabeled. Every other one takes
+    the highest-IoU ground truth of its frame when that IoU exceeds
+    `iou_min`; a contested ground truth goes to the highest-IoU detection and
+    the losers stay unlabeled, so each ground truth labels at most one
+    detection. All frames are matched in one pass.
     """
     _check_iou_min(iou_min)
-    identities = np.full(len(detections), -1, dtype=np.int64)
-    if len(gt_boxes) == 0:
-        return identities
-    overlaps = iou_matrix(detections["box"], gt_boxes["box"])
-    live = detections["confidence"] >= score_threshold
-    claims = _claims(np.zeros(live.size, dtype=np.int64), overlaps, iou_min, live)
-    kept = claims >= 0
-    identities[kept] = gt_boxes["id"][claims[kept]]
+    frame = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
+    overlaps, gt_offset = _overlaps(_column(frames, "detections", "box"), frame, frames)
+    live = _column(frames, "detections", "confidence") >= score_threshold
+    rows, gt_rows = _claims(frame, overlaps, gt_offset, iou_min, live)
+    identities = np.full(frame.size, -1, dtype=np.int64)
+    identities[rows] = _column(frames, "gt_boxes", "id")[gt_rows]
     return identities
 
 
@@ -202,7 +236,7 @@ def ground_truth_records(frames: Sequence[FrameRecord]) -> np.ndarray:
     n_gt = [len(f.gt_boxes) for f in frames]
     records = np.zeros(sum(n_gt), dtype=[("frame_index", "i8"), ("box", "f8", (4,))])
     records["frame_index"] = np.repeat([f.frame_index for f in frames], n_gt)
-    records["box"] = _gt_column(frames, "box")
+    records["box"] = _column(frames, "gt_boxes", "box")
     return records
 
 
@@ -278,20 +312,27 @@ def _frame_overlaps(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> _Frame
     position = np.searchsorted(index, frame_index)
     order = np.argsort(position, kind="stable")
     frame = position[order]
-    n_gt = np.array([len(f.gt_boxes) for f in frames], dtype=np.int64)
+    overlaps, gt_offset = _overlaps(tracks["box"][order], frame, frames)
     return _FrameOverlaps(
         frame=frame,
         confidence=tracks["confidence"][order],
         track=track_id[order],
-        overlaps=_grouped_iou(tracks["box"][order], frame, _gt_column(frames, "box"), n_gt),
-        gt_offset=(np.cumsum(n_gt) - n_gt)[frame],
-        gt_identity=_codes(_gt_column(frames, "id")),
+        overlaps=overlaps,
+        gt_offset=gt_offset,
+        gt_identity=_codes(_column(frames, "gt_boxes", "id")),
     )
 
 
-def _gt_column(frames: Sequence[FrameRecord], field: str) -> np.ndarray:
-    """One field of every frame's ground truths, concatenated."""
-    return np.concatenate([np.zeros(0, GT_DTYPE)[field]] + [f.gt_boxes[field] for f in frames])
+_NO_ROWS = {"detections": np.zeros(0, detection_dtype(0)), "gt_boxes": np.zeros(0, GT_DTYPE)}
+
+
+def _column(frames: Sequence[FrameRecord], records: str, field: str) -> np.ndarray:
+    """One field of the `detections` or `gt_boxes` of every frame that has
+    any, concatenated into a new array; with no rows, an empty one (whose
+    detection feature has width 0). A field per call: joining whole records
+    would promote their dtype once per frame."""
+    columns = [rows[field] for rows in (getattr(f, records) for f in frames) if len(rows)]
+    return np.concatenate(columns or [_NO_ROWS[records][field]])
 
 
 def _codes(values: np.ndarray) -> np.ndarray:
@@ -302,16 +343,15 @@ def _codes(values: np.ndarray) -> np.ndarray:
 
 def _mot_tally(fo: _FrameOverlaps, iou_min: float) -> MotCounts:
     track = _codes(fo.track)
-    claims = _claims(fo.frame, fo.overlaps, iou_min)
-    matched = np.nonzero(claims >= 0)[0]
-    identity = fo.gt_identity[fo.gt_offset[matched] + claims[matched]]
+    matched, gt_rows = _claims(fo.frame, fo.overlaps, fo.gt_offset, iou_min)
+    identity = fo.gt_identity[gt_rows]
     # Matched rows stay in (frame, prediction) order within each identity.
     by_identity = np.argsort(identity, kind="stable")
     identity, track = identity[by_identity], track[matched][by_identity]
     mismatch = np.count_nonzero((np.diff(identity) == 0) & (np.diff(track) != 0))
     gt_total = fo.gt_identity.size
     return MotCounts(
-        fp=claims.size - matched.size,
+        fp=fo.frame.size - matched.size,
         miss=gt_total - matched.size,
         mismatch=int(mismatch),
         gt_total=gt_total,
@@ -321,10 +361,10 @@ def _mot_tally(fo: _FrameOverlaps, iou_min: float) -> MotCounts:
 def _pair_tally(
     fo: _FrameOverlaps, pairs: np.ndarray, score_threshold: float, iou_min: float
 ) -> PairCounts:
-    claims = _claims(fo.frame, fo.overlaps, iou_min, fo.confidence >= score_threshold)
-    kept = np.nonzero(claims >= 0)[0]
+    live = fo.confidence >= score_threshold
+    kept, gt_rows = _claims(fo.frame, fo.overlaps, fo.gt_offset, iou_min, live)
     frame = fo.frame[kept]
-    identity = fo.gt_identity[fo.gt_offset[kept] + claims[kept]]
+    identity = fo.gt_identity[gt_rows]
     track = _codes(fo.track[kept])
     both = identity * (int(track.max(initial=0)) + 1) + track
 

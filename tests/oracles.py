@@ -319,6 +319,24 @@ def scalar_claims(pred_boxes, gt_boxes, iou_min):
     return [j if j is not None and winners[j] == i else None for i, j in enumerate(claims)]
 
 
+def frame_labeled_rows(detections, gt_boxes, score_threshold=0.5, iou_min=0.5):
+    """(features, identities) of one frame by the per-frame labeling rule:
+    detections below score_threshold are dropped; when every kept detection
+    carries a gt_id the labels pass through, and otherwise each kept
+    detection takes the identity of the ground truth it wins in
+    `scalar_claims` over the kept detections, and the others are dropped."""
+    kept = [k for k, c in enumerate(detections["confidence"].tolist()) if c >= score_threshold]
+    identities = [int(detections["gt_id"][k]) for k in kept]
+    if any(ident < 0 for ident in identities):
+        claims = scalar_claims(
+            [detections["box"][k].tolist() for k in kept], gt_boxes["box"].tolist(), iou_min
+        )
+        won = [(k, int(gt_boxes["id"][j])) for k, j in zip(kept, claims) if j is not None]
+        kept, identities = [k for k, _ in won], [ident for _, ident in won]
+    features = detections["feature"][kept]
+    return features, np.array(identities, dtype=np.int64)
+
+
 def scalar_average_precision(predictions, ground_truths, iou_threshold):
     """Detection AP with one scalar `iou` call per (prediction, ground truth)
     of an image, recomputed at every threshold: predictions ranked by

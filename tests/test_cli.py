@@ -436,6 +436,29 @@ class TestTrackAndEval:
         assert report["mota"] == pytest.approx(0.6)
         assert report["pair_accuracy"] == pytest.approx(0.7)
 
+    def test_eval_zero_counts_fixture_writes_nulls(self, tmp_path):
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps({
+            "mot": {"fp": 0, "miss": 0, "mismatch": 0, "gt_total": 0},
+            "pair": {"tp": 0, "tn": 0, "fp": 0, "fn": 0},
+        }))
+        out = tmp_path / "out"
+        assert main(["eval", "--counts", str(fixture), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["mota"], report["pair_accuracy"]) == (None, None)
+
+    def test_eval_counts_fixture_scores_as_the_frames_path(self, tmp_path, sim_dir, trained_dir):
+        tracks = self._run_track(tmp_path, sim_dir, trained_dir, threshold=1e9) / "tracks.jsonl"
+        text = self._eval(tmp_path, tracks, sim_dir / "frames.jsonl")
+        scored = json.loads(text)
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps({"mot": scored["mot_counts"], "pair": scored["pair_counts"]}))
+        out = tmp_path / "from_counts"
+        assert main(["eval", "--counts", str(fixture), "--out", str(out)]) == 0
+        counted = json.loads((out / "report.json").read_text())
+        del scored["mean_ap"], scored["config"], counted["config"]
+        assert list(counted.items()) == list(scored.items())
+
     def test_eval_needs_inputs(self, tmp_path, capsys):
         code = main(["eval", "--out", str(tmp_path / "out")])
         assert code == 1

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from embedtrack import FrameParseError, iou, iou_matrix, load_frames, load_track_records
+from embedtrack import FrameParseError, iou, load_frames, load_track_records
+from embedtrack.core import _broadcast_iou
 from embedtrack.datasets import BOX_RULE
 from records import frame
 from strategies import any_boxes, boxes
@@ -52,6 +53,12 @@ class TestIou:
 
 def _array(boxes):
     return np.array(boxes, dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(a, b):
+    """(n, m) IoU of every box of `a` against every box of `b`, through the
+    broadcast kernel that AP, MOT and assignment overlaps use."""
+    return _broadcast_iou(a[:, None], b[None, :])
 
 
 class TestIouMatrix:

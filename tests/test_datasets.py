@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
@@ -25,8 +25,10 @@ from embedtrack import (
     simulate,
     training_batches,
 )
-from oracles import line_load_frames, line_load_track_records
+import embedtrack.datasets
+from oracles import frame_labeled_rows, line_load_frames, line_load_track_records
 from records import detections, frame, gt_boxes, tracks
+from strategies import grid_boxes, row_boxes
 
 
 def _det(x1, ident=None, conf=0.9, feature=(1.0, 2.0)):
@@ -62,7 +64,7 @@ class TestTrainingBatches:
     def test_overlapping_boxes_label_as_in_their_own_frame(self):
         frames = [_unlabeled(_frame(t, [1, 2], x_step=6.0)) for t in range(2)]  # iou 0.25
         (batch,) = training_batches(frames, [(0, 1)])
-        rows = [labeled_rows(f.detections, f.gt_boxes) for f in frames]
+        rows = [labeled_rows([f]) for f in frames]
         assert np.array_equal(batch.features, np.vstack([r[0] for r in rows]))
         assert batch.identities.tolist() == [1, 2, 1, 2]
 
@@ -95,7 +97,8 @@ class TestTrainingBatches:
         b = _unlabeled(_frame(1, [0, 1, 2]))
         (batch,) = training_batches([a, b], neighbor_frames([a, b]))
         assert batch.identities.tolist() == [9, 1, 2, 0, 1, 2]
-        assert labeled_rows(a.detections, a.gt_boxes)[1].tolist() == [9, 1, 2]
+        assert labeled_rows([a])[1].tolist() == [9, 1, 2]
+        assert labeled_rows([a, b])[1].tolist() == [9, 1, 2, 0, 1, 2]
 
 
 class TestMtmcPairs:
@@ -134,24 +137,101 @@ class TestMtmcPairs:
         assert cross_camera_frames(frames) == [(1, 2)]
 
 
+def _one_frame(dets, gts):
+    return [FrameRecord(0, 0, dets, gts)]
+
+
+def _spec_frame(index, dets, gts):
+    """A frame of (box, confidence, gt_id or None) detections, each with a
+    feature naming its frame and row, and (box, identity) ground truths."""
+    rows = [(box, conf, (index, k), ident) for k, (box, conf, ident) in enumerate(dets)]
+    return frame(index, rows, gts, feature_dim=2)
+
+
+# TestTrainingBatches.test_each_frame_labeled_by_itself as a spec: frame 0's
+# labels disagree with its ground truth and pass through, frame 1 has none.
+_BOXES = [(50.0 * k, 0.0, 50.0 * k + 10.0, 10.0) for k in range(3)]
+_NINE_ONE_TWO = [
+    ([(box, 0.9, ident) for box, ident in zip(_BOXES, ids)], list(zip(_BOXES, range(3))))
+    for ids in ([9, 1, 2], [None, None, None])
+]
+
+_spec_boxes = st.one_of(row_boxes, grid_boxes())
+# Ground truths on the short row, where most detections overlap one or tie.
+_spec_gts = st.lists(st.tuples(row_boxes, st.integers(0, 4)), max_size=4, unique_by=lambda g: g[1])
+
+
+@st.composite
+def _spec_frames(draw):
+    """Frames that are fully labeled, partly labeled or unlabeled, empty or
+    without ground truth, with rows below the score threshold and boxes on a
+    small grid or one short row, so that IoUs often tie."""
+    frames = []
+    for _ in range(draw(st.integers(0, 5))):
+        labels = draw(st.sampled_from(["all", "some", "none"]))
+        ident = {
+            "all": st.integers(0, 4),
+            "some": st.one_of(st.none(), st.integers(0, 4)),
+            "none": st.none(),
+        }[labels]
+        dets = draw(
+            st.lists(st.tuples(_spec_boxes, st.sampled_from([0.3, 0.6, 0.9]), ident), max_size=6)
+        )
+        frames.append((dets, draw(_spec_gts)))
+    return frames
+
+
 class TestLabeledRows:
     def test_confidence_filter_and_passthrough(self):
         dets = detections(
             [_det(0.0, ident=3, conf=0.9, feature=(1.0, 0.0)), _det(50.0, ident=4, conf=0.2)]
         )
-        features, ids = labeled_rows(dets, gt_boxes([]))
+        features, ids, counts = labeled_rows(_one_frame(dets, gt_boxes([])))
         assert ids.dtype == np.int64 and ids.tolist() == [3]
         assert features.tolist() == [[1.0, 0.0]]
+        assert counts.tolist() == [1]
 
     def test_assignment_drops_unmatched(self):
         dets = detections([_det(0.0), _det(500.0)])
-        features, ids = labeled_rows(dets, gt_boxes([(dets["box"][0], 8)]))
+        features, ids, _ = labeled_rows(_one_frame(dets, gt_boxes([(dets["box"][0], 8)])))
         assert ids.tolist() == [8]
         assert features.shape == (1, 2)
 
     def test_nothing_kept_gives_empty_rows(self):
-        features, ids = labeled_rows(detections([_det(0.0, ident=1, conf=0.1)]), gt_boxes([]))
-        assert features.shape == (0, 2) and ids.shape == (0,)
+        dets = detections([_det(0.0, ident=1, conf=0.1)])
+        features, ids, counts = labeled_rows(_one_frame(dets, gt_boxes([])))
+        assert features.shape == (0, 2) and ids.shape == (0,) and counts.tolist() == [0]
+
+    def test_assigns_once_and_only_the_frames_that_need_it(self, monkeypatch):
+        calls = []
+        original = embedtrack.datasets.assign_predictions
+
+        def assign(frames, *args):
+            calls.append([f.frame_index for f in frames])
+            return original(frames, *args)
+
+        monkeypatch.setattr(embedtrack.datasets, "assign_predictions", assign)
+        frames = [_frame(0, [1, 2]), _unlabeled(_frame(1, [1, 2])), _frame(2, [1]),
+                  _unlabeled(_frame(3, [2]))]
+        assert labeled_rows(frames)[1].tolist() == [1, 2, 1, 2, 1, 2]
+        assert calls == [[1, 3]]
+        calls.clear()
+        labeled_rows(frames[::2])
+        assert calls == []
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_spec_frames(), st.sampled_from([0.5, 0.7]), st.sampled_from([0.1, 0.5, 0.9]))
+    @example(_NINE_ONE_TWO, 0.5, 0.5)
+    def test_file_equals_per_frame_rule(self, spec, score_threshold, iou_min):
+        frames = [_spec_frame(k, dets, gts) for k, (dets, gts) in enumerate(spec)]
+        expected = [frame_labeled_rows(f.detections, f.gt_boxes, score_threshold, iou_min)
+                    for f in frames]
+        features, ids, counts = labeled_rows(frames, score_threshold, iou_min)
+        assert counts.tolist() == [e_ids.size for _, e_ids in expected]
+        assert ids.tolist() == [i for _, e_ids in expected for i in e_ids.tolist()]
+        assert features.reshape(-1, 2).tolist() == [
+            row for e_features, _ in expected for row in e_features.tolist()
+        ]
 
 
 class TestNeighborFrames:

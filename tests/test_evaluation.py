@@ -35,12 +35,15 @@ def _mean_ap(preds, gts, *thresholds):
 
 
 def _assign(preds, gts, **kw):
-    """assign_predictions of (box, confidence) rows against (box, identity)
-    rows, as a list."""
-    dets = records.detections([(box, conf, ()) for box, conf in preds], feature_dim=0)
-    ids = assign_predictions(dets, records.gt_boxes(gts), **kw)
+    """assign_predictions of a one-frame file of (box, confidence) rows
+    against (box, identity) rows, as a list."""
+    ids = assign_predictions([_assign_frame(0, preds, gts)], **kw)
     assert ids.dtype == np.int64
     return ids.tolist()
+
+
+def _assign_frame(index, preds, gts):
+    return records.frame(index, [(box, conf, ()) for box, conf in preds], gts, feature_dim=0)
 
 
 def _frames(pred_frames, gt_frames, indices=None):
@@ -132,6 +135,30 @@ class TestScalarOracles:
         )
         expected = [-1 if j is None else gts[j][1] for j in claims]
         assert _assign(preds, gts, iou_min=iou_min) == expected
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.one_of(row_boxes, any_boxes), st.sampled_from([0.3, 0.9]))),
+                st.lists(st.tuples(st.one_of(row_boxes, any_boxes), st.integers(0, 5)), max_size=4),
+            ),
+            max_size=5,
+        ),
+        st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    # One box in three frames, each claiming only its own frame's ground truth.
+    @example([([(_box(0), 0.9)], [(_box(0), 7)]), ([(_box(0), 0.9)], []),
+              ([(_box(0), 0.9)], [(_box(0), 8)])], 0.5)
+    def test_file_assignment_equals_scalar_claims_per_frame(self, spec, iou_min):
+        expected = []
+        for preds, gts in spec:
+            claims = scalar_claims(
+                [box if conf >= 0.5 else None for box, conf in preds], [b for b, _ in gts], iou_min
+            )
+            expected += [-1 if j is None else gts[j][1] for j in claims]
+        frames = [_assign_frame(k, preds, gts) for k, (preds, gts) in enumerate(spec)]
+        assert assign_predictions(frames, iou_min=iou_min).tolist() == expected
 
     @given(
         detections,
