@@ -60,7 +60,6 @@ from .evaluation import (
     track_counts,
 )
 from .training import (
-    LabeledBatch,
     TrainConfig,
     TrainingDivergedError,
     batch_loss,
@@ -78,7 +77,6 @@ __all__ = [
     "FrameParseError",
     "FrameRecord",
     "GT_DTYPE",
-    "LabeledBatch",
     "LossConfig",
     "MotCounts",
     "PairCounts",

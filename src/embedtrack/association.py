@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TRACK_DTYPE, FrameRecord, _check_sequence
+from .core import TRACK_DTYPE, FrameRecord, _check_score_threshold, _check_sequence
 from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 
 __all__ = [
@@ -83,6 +83,7 @@ def track_sequence(
     Returns the tracks array (`TRACK_DTYPE`): one row per kept detection, in
     frame order, then detection order.
     """
+    _check_score_threshold(score_threshold)
     _check_sequence(frames)
 
     former_emb = np.zeros((0, params.embed_dim))

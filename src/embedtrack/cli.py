@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .association import track_sequence
 from .calibration import distance_histogram, sweep_threshold, write_histogram_csv, write_sweep_csv
@@ -138,13 +140,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.mtmc:
         pairs += cross_camera_frames(frames)
     batches = training_batches(frames, pairs, score_threshold=loss_cfg.score_threshold)
-    if not batches:
+    _, identities, counts = batches
+    if not counts.size:
         raise ValueError("no usable training batches (need frames with labeled detections)")
-    identities = set().union(*(batch.identities.tolist() for batch in batches))
-    if len(identities) < 2:
-        raise ValueError(
-            f"training needs at least two distinct identities, found {sorted(identities)}"
-        )
+    distinct = np.unique(identities).tolist()
+    if len(distinct) < 2:
+        raise ValueError(f"training needs at least two distinct identities, found {distinct}")
 
     params, trace = train(batches, loss_cfg, train_cfg)
     out = _out_dir(args)
@@ -163,7 +164,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "loss": dataclasses.asdict(loss_cfg),
             "train": dataclasses.asdict(train_cfg),
             "mtmc": bool(args.mtmc),
-            "batch_count": len(batches),
+            "batch_count": counts.size,
         },
     )
     return 0

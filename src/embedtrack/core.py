@@ -114,3 +114,13 @@ def _check_sequence(frames: Sequence[FrameRecord]) -> None:
             raise ValueError(
                 f"frame indices must increase: {prev.frame_index} then {cur.frame_index}"
             )
+
+
+def _check_score_threshold(score_threshold: float) -> None:
+    if not 0.0 <= score_threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"score_threshold must lie in [0, 1], got {score_threshold}")
+
+
+def _check_iou_min(iou_min: float) -> None:
+    if not 0.0 < iou_min < 1.0:
+        raise ValueError(f"iou_min must lie in (0, 1), got {iou_min}")

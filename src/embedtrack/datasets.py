@@ -22,10 +22,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype, neighbor_frames
+from .core import (
+    GT_DTYPE, TRACK_DTYPE, FrameRecord, _check_iou_min, _check_score_threshold, detection_dtype,
+    neighbor_frames,
+)
 from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
 from .evaluation import _column, _within_group, assign_predictions
-from .training import LabeledBatch
 
 __all__ = [
     "SimConfig",
@@ -79,6 +81,8 @@ def labeled_rows(
     call, and their unassigned detections are dropped. Features are (N, F),
     identities (N,) int64, and counts[k] is the row count of frames[k].
     """
+    _check_score_threshold(score_threshold)
+    _check_iou_min(iou_min)
     frame = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
     identities = _column(frames, "detections", "gt_id")
     kept = _column(frames, "detections", "confidence") >= score_threshold
@@ -97,27 +101,24 @@ def training_batches(
     pairs: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
-) -> list[LabeledBatch]:
-    """One batch per frame pair: frames[i]'s `labeled_rows` stacked above
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batches `training.train` takes, as (features, identities, counts).
+
+    One batch per frame pair: frames[i]'s `labeled_rows` stacked above
     frames[j]'s, for every (i, j) of `pairs` in order (`neighbor_frames`,
     optionally followed by `cross_camera_frames`). Each frame is labeled
-    once, by itself; pairs with fewer than two rows (no pair to learn
-    from) give no batch. Batches are read-only slices of one gathered
-    array; non-finite features raise ValueError.
+    once, by itself; pairs with fewer than two rows (no pair to learn from)
+    give no batch. Features are every batch's rows in batch order, (N, F),
+    identities (N,) int64, and counts[b] is the row count of batch b; all
+    three are empty when no pair has two rows.
     """
     features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[counts[pairs].sum(axis=1) >= 2]
-    if pairs.size == 0:
-        return []
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite entries")
     # Every batch's rows in one gather: frame i's rows, then frame j's, per pair.
     lengths = counts[pairs].ravel()
     take = np.repeat((np.cumsum(counts) - counts)[pairs].ravel(), lengths) + _within_group(lengths)
-    features, identities = features[take], identities[take]
-    ends = np.cumsum(lengths[::2] + lengths[1::2]).tolist()
-    return [LabeledBatch._adopt(features[a:b], identities[a:b]) for a, b in zip([0] + ends, ends)]
+    return features[take], identities[take], lengths[::2] + lengths[1::2]
 
 
 def neighbor_pair_distances(

@@ -18,6 +18,8 @@ from .core import (
     GT_DTYPE,
     FrameRecord,
     _broadcast_iou,
+    _check_iou_min,
+    _check_score_threshold,
     _check_sequence,
     detection_dtype,
     neighbor_frames,
@@ -82,11 +84,6 @@ class PairCounts:
             raise ValueError("gp and gn must be non-negative")
 
 
-def _check_iou_min(iou_min: float) -> None:
-    if not 0.0 < iou_min < 1.0:
-        raise ValueError(f"iou_min must lie in (0, 1), got {iou_min}")
-
-
 def _claims(
     frame: np.ndarray,
     overlaps: np.ndarray,
@@ -144,6 +141,7 @@ def assign_predictions(
     the losers stay unlabeled, so each ground truth labels at most one
     detection. All frames are matched in one pass.
     """
+    _check_score_threshold(score_threshold)
     _check_iou_min(iou_min)
     frame = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
     overlaps, gt_offset = _overlaps(_column(frames, "detections", "box"), frame, frames)
@@ -430,6 +428,7 @@ def track_counts(
     ids. Pairs involving an unlabeled row are skipped. The tracker ends
     every track at a missing frame, so no pair spans a gap.
     """
+    _check_score_threshold(score_threshold)
     _check_iou_min(iou_min)
     _check_sequence(frames)
     fo = _frame_overlaps(tracks, frames)

@@ -3,10 +3,13 @@
 The head is small enough that plain gradient descent, one step per labeled
 batch under a cosine learning-rate schedule, converges in seconds, so there
 is no optimizer machinery here: just an analytic gradient of the triplet +
-pull objective and a training loop over labeled batches. Each step runs one
-forward pass for both the loss and the gradient, reads label-only masks
-computed once per batch, writes the gradient into one preallocated buffer
-and updates one flat parameter vector in place.
+pull objective and a training loop over labeled batches. The batches come
+as one array triple, as `datasets.training_batches` builds it: every
+batch's feature rows stacked into one (N, F) array, their identities in one
+(N,) array, and the row count of each batch. Each step runs one forward
+pass for both the loss and the gradient, reads label-only masks computed
+once per batch, writes the gradient into one preallocated buffer and
+updates one flat parameter vector in place.
 
 The loss is computed only inside that step. `batch_loss` and `gradient`
 run it once on a fresh buffer and return its loss or its gradient.
@@ -30,7 +33,6 @@ from .embedding import (
 )
 
 __all__ = [
-    "LabeledBatch",
     "TrainConfig",
     "TrainingDivergedError",
     "cosine_lr",
@@ -44,66 +46,9 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the training loss or the parameters stop being finite."""
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledBatch:
-    """Feature rows with parallel integer identity labels.
-
-    One batch is typically two frames' labeled rows stacked
-    (`datasets.training_batches`); losses need at least two rows to form any
-    pair.
-    """
-
-    features: np.ndarray
-    identities: np.ndarray
-
-    def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64, copy=True)
-        ids = np.array(self.identities, dtype=np.int64, copy=True)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if feats.shape[0] < 2:
-            raise ValueError("a batch needs at least two rows")
-        if ids.shape != (feats.shape[0],):
-            raise ValueError(
-                f"identities shape {ids.shape} does not match {feats.shape[0]} feature rows"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain non-finite entries")
-        feats.flags.writeable = False
-        ids.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "identities", ids)
-
-    @classmethod
-    def _adopt(cls, features: np.ndarray, identities: np.ndarray) -> "LabeledBatch":
-        """A batch that takes over fresh float64 features and int64
-        identities, already checked, without copying them again."""
-        features.flags.writeable = False
-        identities.flags.writeable = False
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "features", features)
-        object.__setattr__(batch, "identities", identities)
-        return batch
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledBatch):
-            return NotImplemented
-        return np.array_equal(self.features, other.features) and np.array_equal(
-            self.identities, other.identities
-        )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop hyperparameters. The schedule length is epochs * len(batches)."""
+    """Loop hyperparameters. The schedule length is epochs * batch count."""
 
     initial_lr: float = 1e-3
     epochs: int = 40
@@ -232,53 +177,72 @@ def _loss_and_gradient(
 
 
 def _step(
-    params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
+    params: EmbeddingHeadParams, features: np.ndarray, identities: np.ndarray, cfg: LossConfig
 ) -> tuple[float, list[np.ndarray]]:
     """The training step's loss and gradient arrays at `params`."""
     head = (params.w1, params.b1, params.w2, params.b2)
     grad = [np.empty_like(p) for p in head]
-    return _loss_and_gradient(head, batch.features, _batch_index(batch.identities), cfg, grad), grad
+    return _loss_and_gradient(head, features, _batch_index(identities), cfg, grad), grad
 
 
-def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig) -> float:
-    """Weighted triplet + pull loss of one batch under the head `params`, as
-    the training step computes it."""
-    return _step(params, batch, cfg)[0]
+def batch_loss(
+    params: EmbeddingHeadParams, features: np.ndarray, identities: np.ndarray, cfg: LossConfig
+) -> float:
+    """Weighted triplet + pull loss of one batch, (N, F) features with (N,)
+    int64 identities, under the head `params`, as the training step
+    computes it."""
+    return _step(params, features, identities, cfg)[0]
 
 
 def gradient(
-    params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig
+    params: EmbeddingHeadParams, features: np.ndarray, identities: np.ndarray, cfg: LossConfig
 ) -> EmbeddingHeadParams:
     """Analytic gradient of `batch_loss` with respect to every parameter,
     computed by the same step `train` takes."""
-    return EmbeddingHeadParams(*_step(params, batch, cfg)[1])
+    return EmbeddingHeadParams(*_step(params, features, identities, cfg)[1])
 
 
 def train(
-    batches: Sequence[LabeledBatch],
+    batches: tuple[np.ndarray, np.ndarray, np.ndarray],
     loss_config: LossConfig,
     train_config: TrainConfig,
 ) -> tuple[EmbeddingHeadParams, list[float]]:
     """Gradient descent with one step per batch, over all batches in order,
     for the configured epochs.
 
+    `batches` is (features, identities, counts) as `training_batches` gives
+    it: (N, F) finite features, (N,) identities, and the row count of each
+    batch, batches stacked in order; every batch needs at least two rows.
     Returns the final parameters and the per-epoch mean loss, where each
     batch's loss is recorded before its update is applied. Fully
     deterministic for a fixed seed and batch order.
     """
-    if not batches:
+    features, identities, counts = batches
+    features = np.asarray(features, dtype=np.float64)
+    identities = np.asarray(identities, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
         raise ValueError("at least one batch is required")
-    feature_dim = batches[0].feature_dim
-    for b in batches:
-        if b.feature_dim != feature_dim:
-            raise ValueError(f"batches disagree on feature dim: {b.feature_dim} vs {feature_dim}")
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
+    if identities.shape != (features.shape[0],):
+        raise ValueError(
+            f"identities shape {identities.shape} does not match {features.shape[0]} feature rows"
+        )
+    if counts.sum() != features.shape[0]:
+        raise ValueError(f"batch counts sum to {counts.sum()}, not {features.shape[0]} rows")
+    if counts.min() < 2:
+        raise ValueError("every batch needs at least two rows")
 
-    dims = (feature_dim, train_config.hidden_dim, train_config.embed_dim)
+    dims = (features.shape[1], train_config.hidden_dim, train_config.embed_dim)
     flat = init_params(*dims, np.random.default_rng(train_config.seed)).to_flat()
     grad, update = np.empty(flat.size), np.empty(flat.size)
     params, grads = _flat_views(flat, dims), _flat_views(grad, dims)
-    prepared = [(b.features, _batch_index(b.identities)) for b in batches]
-    total_steps = train_config.epochs * len(batches)
+    ends = np.cumsum(counts).tolist()
+    prepared = [(features[a:b], _batch_index(identities[a:b])) for a, b in zip([0] + ends, ends)]
+    total_steps = train_config.epochs * len(prepared)
     trace: list[float] = []
     # Divergence shows up as overflow in the forward pass before the loss
     # check catches it; keep numpy quiet about the transient non-finite
@@ -286,8 +250,8 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_config.epochs):
             epoch_losses = []
-            for step, (features, index) in enumerate(prepared, epoch * len(prepared)):
-                loss = _loss_and_gradient(params, features, index, loss_config, grads)
+            for step, (rows, index) in enumerate(prepared, epoch * len(prepared)):
+                loss = _loss_and_gradient(params, rows, index, loss_config, grads)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {step}")
                 epoch_losses.append(loss)

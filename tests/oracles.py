@@ -11,7 +11,6 @@ from embedtrack import (
     EmbeddingHeadParams,
     FrameParseError,
     FrameRecord,
-    LabeledBatch,
     LossConfig,
     MotCounts,
     PairCounts,
@@ -145,13 +144,15 @@ def pull_loss(distances: np.ndarray, identities: Sequence[int], pull_margin: flo
     return float(np.mean(terms))
 
 
-def batch_loss(params: EmbeddingHeadParams, batch: LabeledBatch, cfg: LossConfig) -> float:
+def batch_loss(
+    params: EmbeddingHeadParams, features: np.ndarray, identities: np.ndarray, cfg: LossConfig
+) -> float:
     """`training.batch_loss` from the two losses above: weighted triplet +
     pull loss of one batch under the current head."""
-    e = embed_batch(params, batch.features)
+    e = embed_batch(params, features)
     d = distance_matrix(e, e)
-    return cfg.w_triplet * triplet_loss(d, batch.identities, cfg.margin) + cfg.w_pull * pull_loss(
-        d, batch.identities, cfg.pull_margin
+    return cfg.w_triplet * triplet_loss(d, identities, cfg.margin) + cfg.w_pull * pull_loss(
+        d, identities, cfg.pull_margin
     )
 
 
@@ -176,7 +177,7 @@ def threshold_objective(counts: PairCounts) -> float:
     return counts.fp / counts.gn + counts.fn / counts.gp
 
 
-def finite_diff_gradient(params, batch, cfg, eps=1e-5):
+def finite_diff_gradient(params, features, identities, cfg, eps=1e-5):
     """Central-difference gradient of `batch_loss`, one coordinate at a time."""
     flat = params.to_flat()
     grad = np.zeros_like(flat)
@@ -184,9 +185,9 @@ def finite_diff_gradient(params, batch, cfg, eps=1e-5):
     for k in range(flat.size):
         bumped = flat.copy()
         bumped[k] += eps
-        hi = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), batch, cfg)
+        hi = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), features, identities, cfg)
         bumped[k] = flat[k] - eps
-        lo = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), batch, cfg)
+        lo = batch_loss(EmbeddingHeadParams.from_flat(bumped, f, h, e), features, identities, cfg)
         grad[k] = (hi - lo) / (2.0 * eps)
     return EmbeddingHeadParams.from_flat(grad, f, h, e)
 
@@ -231,21 +232,20 @@ def _loop_distance_grad(d, ids, cfg):
     return dd
 
 
-def loop_gradient(params, batch, cfg):
+def loop_gradient(params, features, identities, cfg):
     """Gradient of `batch_loss` by a per-anchor, per-identity loop over the
     distance gradient, chained through the squared distances and the two
     layers: d(loss)/d(e_i) = 2 * sum_j S_ij * (e_i - e_j) with S the
     symmetrised distance gradient."""
-    return EmbeddingHeadParams(*_loop_gradient_arrays(params, batch, cfg))
+    return EmbeddingHeadParams(*_loop_gradient_arrays(params, features, identities, cfg))
 
 
-def _loop_gradient_arrays(params, batch, cfg):
+def _loop_gradient_arrays(params, feats, identities, cfg):
     """`loop_gradient` as its (w1, b1, w2, b2) arrays, which may overflow."""
-    feats = batch.features
     z = feats @ params.w1.T + params.b1
     a = np.maximum(z, 0.0)
     e = a @ params.w2.T + params.b2
-    dd = _loop_distance_grad(distance_matrix(e, e), batch.identities, cfg)
+    dd = _loop_distance_grad(distance_matrix(e, e), identities, cfg)
     s = dd + dd.T
     g_e = 2.0 * (s.sum(axis=1, keepdims=True) * e - s @ e)
     g_z = (g_e @ params.w2) * (z > 0)
@@ -253,24 +253,29 @@ def _loop_gradient_arrays(params, batch, cfg):
 
 
 def loop_train(batches, loss_config, train_config):
-    """`train` from the references: per step `batch_loss` and `loop_gradient`
-    of an immutable head, the out-of-place update `flat + (-lr) * grad` under
-    `cosine_lr`, and `train`'s checks in `train`'s order."""
-    dims = (batches[0].feature_dim, train_config.hidden_dim, train_config.embed_dim)
+    """`train` from the references, on the same (features, identities,
+    counts) batches, split with `np.split`: per step `batch_loss` and
+    `loop_gradient` of an immutable head, the out-of-place update
+    `flat + (-lr) * grad` under `cosine_lr`, and `train`'s divergence
+    checks in `train`'s order."""
+    features, identities, counts = batches
+    cuts = np.cumsum(counts)[:-1]
+    split = list(zip(np.split(features, cuts), np.split(identities, cuts)))
+    dims = (features.shape[1], train_config.hidden_dim, train_config.embed_dim)
     params = init_params(*dims, np.random.default_rng(train_config.seed))
-    total_steps = train_config.epochs * len(batches)
+    total_steps = train_config.epochs * len(split)
     trace = []
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(train_config.epochs):
             losses = []
-            for batch in batches:
-                loss = batch_loss(params, batch, loss_config)
+            for feats, ids in split:
+                loss = batch_loss(params, feats, ids, loss_config)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {step}")
                 losses.append(loss)
                 grad = np.concatenate(
-                    [g.ravel() for g in _loop_gradient_arrays(params, batch, loss_config)]
+                    [g.ravel() for g in _loop_gradient_arrays(params, feats, ids, loss_config)]
                 )
                 lr = cosine_lr(step, total_steps, train_config.initial_lr)
                 flat = params.to_flat() + (-lr) * grad

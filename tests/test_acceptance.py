@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from embedtrack import (
-    LabeledBatch,
     LossConfig,
     MotCounts,
     PairCounts,
@@ -86,23 +85,22 @@ def test_criterion_1_published_metric_arithmetic():
         assert time.monotonic() - start < 1.0
 
 
-def _away_from_kinks(params, batch, cfg, gap=1e-3):
+def _away_from_kinks(params, features, ids, cfg, gap=1e-3):
     """True when no loss term sits within `gap` of a non-differentiable point.
 
     Checked: relu pre-activations near 0, near-tied distances (argmax/argmin
     selection flips), triplet hinges near 0, and pull deviations near 0.
     """
-    z = batch.features @ params.w1.T + params.b1
+    z = features @ params.w1.T + params.b1
     if np.min(np.abs(z)) < gap:
         return False
-    emb = embed_batch(params, batch.features)
+    emb = embed_batch(params, features)
     d = distance_matrix(emb, emb)
-    n = batch.size
+    n = ids.size
     iu = np.triu_indices(n, k=1)
     values = np.sort(d[iu])
     if np.min(np.diff(values)) < gap:
         return False
-    ids = batch.identities
     same = ids[:, None] == ids[None, :]
     pos = same & ~np.eye(n, dtype=bool)
     neg = ~same
@@ -132,11 +130,11 @@ def test_criterion_2_gradient_matches_finite_differences():
             params = init_params(8, 16, 8, rng)
             ids = np.array([0, 0, 1, 1, 2, 2])
             rng.shuffle(ids)
-            batch = LabeledBatch(features=rng.normal(size=(6, 8)), identities=ids)
-            if not _away_from_kinks(params, batch, cfg):
+            features = rng.normal(size=(6, 8))
+            if not _away_from_kinks(params, features, ids, cfg):
                 continue
-            analytic = gradient(params, batch, cfg).to_flat()
-            numeric = finite_diff_gradient(params, batch, cfg, eps=1e-5).to_flat()
+            analytic = gradient(params, features, ids, cfg).to_flat()
+            numeric = finite_diff_gradient(params, features, ids, cfg, eps=1e-5).to_flat()
             scale = np.maximum(np.abs(analytic), np.abs(numeric))
             assert np.all(np.abs(analytic - numeric) <= np.maximum(1e-8, 1e-4 * scale))
             checked += 1

@@ -197,6 +197,13 @@ class TestTrackSequence:
         with pytest.raises(ValueError):
             track_sequence(frames, _identity_params(2), threshold=1.0)
 
+    @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
+    def test_rejects_score_threshold_outside_unit_interval(self, score_threshold):
+        # NaN once dropped every detection and gave an empty tracks array
+        frames = [_frame(0, [[0.0, 0.0]])]
+        with pytest.raises(ValueError, match="score_threshold must lie in"):
+            track_sequence(frames, _identity_params(2), 1.0, score_threshold)
+
     def test_tracks_keep_tracked_rows_in_order(self):
         frames = [
             _frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3]),

@@ -211,6 +211,16 @@ class TestTrain:
         assert code == 1
         assert "two distinct identities" in capsys.readouterr().err
 
+    def test_refuses_data_without_batches(self, tmp_path, sim_dir, capsys):
+        # simulated confidences lie in [0.6, 1.0), so a threshold of 1.0 keeps no row
+        out = tmp_path / "out"
+        _fails_cleanly(
+            ["train", "--frames", sim_dir / "frames.jsonl", "--out", out,
+             "--score-threshold", "1.0", *TRAIN_ARGS],
+            capsys, "no usable training batches",
+        )
+        assert not out.exists()
+
     def test_rejects_detector_weights_from_flags_and_file(self, tmp_path, sim_dir, capsys):
         # no detector loss is computed, so there are no weights for it, not even 1.0
         cfg_path = tmp_path / "cfg.json"

@@ -46,44 +46,53 @@ def _unlabeled(f):
     return FrameRecord(f.frame_index, f.camera_id, dets, f.gt_boxes)
 
 
+def _batches(frames, pairs, **kwargs):
+    """The (features, identities) of each batch of `training_batches`."""
+    features, identities, counts = training_batches(frames, pairs, **kwargs)
+    ends = np.cumsum(counts).tolist()
+    return [(features[a:b], identities[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 class TestTrainingBatches:
     def test_stacks_first_frame_above_second(self):
         a = frame(0, [_det(0.0, ident=1, feature=(1.0, 0.0)), _det(50.0, ident=2)])
         b = _frame(1, [3, 4])
-        (ab, ba) = training_batches([a, b], [(0, 1), (1, 0)])
-        assert ab.identities.tolist() == [1, 2, 3, 4]
-        assert ab.features.tolist() == [[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
-        assert ba.identities.tolist() == [3, 4, 1, 2]
+        features, identities, counts = training_batches([a, b], [(0, 1), (1, 0)])
+        assert counts.tolist() == [4, 4]
+        assert identities.dtype == np.int64
+        assert identities.tolist() == [1, 2, 3, 4, 3, 4, 1, 2]
+        assert features[:4].tolist() == [[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
 
     def test_positive_pair_only_when_identity_shared(self):
-        (shared,) = training_batches([_frame(0, [1]), _frame(1, [1])], [(0, 1)])
-        (apart,) = training_batches([_frame(0, [1]), _frame(1, [2])], [(0, 1)])
-        assert shared.identities.tolist() == [1, 1]
-        assert apart.identities.tolist() == [1, 2]
+        ((_, shared),) = _batches([_frame(0, [1]), _frame(1, [1])], [(0, 1)])
+        ((_, apart),) = _batches([_frame(0, [1]), _frame(1, [2])], [(0, 1)])
+        assert shared.tolist() == [1, 1]
+        assert apart.tolist() == [1, 2]
 
     def test_overlapping_boxes_label_as_in_their_own_frame(self):
         frames = [_unlabeled(_frame(t, [1, 2], x_step=6.0)) for t in range(2)]  # iou 0.25
-        (batch,) = training_batches(frames, [(0, 1)])
+        ((features, identities),) = _batches(frames, [(0, 1)])
         rows = [labeled_rows([f]) for f in frames]
-        assert np.array_equal(batch.features, np.vstack([r[0] for r in rows]))
-        assert batch.identities.tolist() == [1, 2, 1, 2]
+        assert np.array_equal(features, np.vstack([r[0] for r in rows]))
+        assert identities.tolist() == [1, 2, 1, 2]
 
     def test_passthrough_when_all_labeled(self):
-        (batch,) = training_batches([_frame(0, [1, 2]), _frame(1, [1, 2])], [(0, 1)])
-        assert batch.identities.tolist() == [1, 2, 1, 2]
+        ((_, identities),) = _batches([_frame(0, [1, 2]), _frame(1, [1, 2])], [(0, 1)])
+        assert identities.tolist() == [1, 2, 1, 2]
 
     def test_assignment_path_for_unlabeled_detections(self):
         frames = [_unlabeled(_frame(0, [1, 2])), _frame(1, [1, 2])]
-        (batch,) = training_batches(frames, [(0, 1)])
-        assert batch.identities.tolist() == [1, 2, 1, 2]
+        ((_, identities),) = _batches(frames, [(0, 1)])
+        assert identities.tolist() == [1, 2, 1, 2]
 
     def test_skips_pairs_below_two_rows(self):
         frames = [_frame(0, [1]), _frame(1, []), _frame(2, [1]), _frame(3, [1, 2])]
-        assert training_batches(frames, [(0, 1)], score_threshold=0.95) == []
-        assert len(training_batches(frames, [(0, 1), (1, 2), (0, 2)])) == 1
+        features, identities, counts = training_batches(frames, [(0, 1)], score_threshold=0.95)
+        assert features.shape == (0, 2) and identities.shape == (0,) and counts.shape == (0,)
+        assert len(_batches(frames, [(0, 1), (1, 2), (0, 2)])) == 1
         # a frame without detections adds no rows, whatever its partner
-        (batch,) = training_batches(frames, [(1, 3)])
-        assert batch.features.shape == (2, 2) and batch.identities.tolist() == [1, 2]
+        ((features, identities),) = _batches(frames, [(1, 3)])
+        assert features.shape == (2, 2) and identities.tolist() == [1, 2]
 
     def test_each_frame_labeled_by_itself(self):
         # frame 0 is fully labeled but its first label disagrees with the
@@ -95,8 +104,8 @@ class TestTrainingBatches:
         dets["gt_id"][0] = 9
         a = FrameRecord(0, 0, dets, a.gt_boxes)
         b = _unlabeled(_frame(1, [0, 1, 2]))
-        (batch,) = training_batches([a, b], neighbor_frames([a, b]))
-        assert batch.identities.tolist() == [9, 1, 2, 0, 1, 2]
+        ((_, identities),) = _batches([a, b], neighbor_frames([a, b]))
+        assert identities.tolist() == [9, 1, 2, 0, 1, 2]
         assert labeled_rows([a])[1].tolist() == [9, 1, 2]
         assert labeled_rows([a, b])[1].tolist() == [9, 1, 2, 0, 1, 2]
 
@@ -105,8 +114,8 @@ class TestMtmcPairs:
     def test_identity_in_two_cameras_yields_one_sample(self):
         frames = [_frame(0, [7], camera=1), _frame(0, [7], camera=2)]
         assert cross_camera_frames(frames) == [(0, 1)]
-        (batch,) = training_batches(frames, cross_camera_frames(frames))
-        assert batch.identities.tolist() == [7, 7]
+        ((_, identities),) = _batches(frames, cross_camera_frames(frames))
+        assert identities.tolist() == [7, 7]
 
     def test_single_camera_identity_contributes_nothing(self):
         frames = [_frame(0, [7], camera=1), _frame(1, [7], camera=1)]
@@ -130,7 +139,7 @@ class TestMtmcPairs:
             _frame(0, [1, 2], camera=2),
         ]
         assert cross_camera_frames(frames) == [(1, 2), (0, 1), (0, 2)]
-        assert len(training_batches(frames, cross_camera_frames(frames))) == 3
+        assert len(_batches(frames, cross_camera_frames(frames))) == 3
 
     def test_uses_earliest_frame_per_camera(self):
         frames = [_frame(9, [7], camera=1), _frame(3, [7], camera=1), _frame(0, [7], camera=2)]
@@ -202,6 +211,19 @@ class TestLabeledRows:
         features, ids, counts = labeled_rows(_one_frame(dets, gt_boxes([])))
         assert features.shape == (0, 2) and ids.shape == (0,) and counts.tolist() == [0]
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("iou_min", [0.0, 5.0, float("nan")])
+    def test_rejects_iou_min_whether_or_not_a_frame_needs_assignment(self, labeled, iou_min):
+        frames = [_frame(0, [1, 2])]
+        with pytest.raises(ValueError, match="iou_min must lie in"):
+            labeled_rows(frames if labeled else [_unlabeled(frames[0])], iou_min=iou_min)
+
+    @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
+    def test_rejects_score_threshold_outside_unit_interval(self, score_threshold):
+        # NaN once dropped every row
+        with pytest.raises(ValueError, match="score_threshold must lie in"):
+            labeled_rows([_frame(0, [1, 2])], score_threshold=score_threshold)
+
     def test_assigns_once_and_only_the_frames_that_need_it(self, monkeypatch):
         calls = []
         original = embedtrack.datasets.assign_predictions
@@ -248,12 +270,12 @@ class TestNeighborFrames:
     def test_no_pair_across_index_gap(self):
         frames = [_frame(0, [1]), _frame(2, [1])]
         assert neighbor_frames(frames) == []
-        assert training_batches(frames, neighbor_frames(frames)) == []
+        assert _batches(frames, neighbor_frames(frames)) == []
 
     def test_no_pair_across_cameras(self):
         frames = [_frame(0, [1]), _frame(1, [1], camera=1)]
         assert neighbor_frames(frames) == []
-        assert training_batches(frames, neighbor_frames(frames)) == []
+        assert _batches(frames, neighbor_frames(frames)) == []
 
     def test_distances_skip_index_gap(self):
         frames = [_frame(0, [1, 2]), _frame(1, [1, 2]), _frame(3, [1, 2])]

@@ -114,6 +114,12 @@ class TestAssignPredictions:
         with pytest.raises(ValueError):
             _assign([], [], iou_min=0.0)
 
+    @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
+    def test_rejects_score_threshold_outside_unit_interval(self, score_threshold):
+        # NaN once left every detection unlabeled
+        with pytest.raises(ValueError, match="score_threshold must lie in"):
+            _assign([(_box(0), 0.9)], [(_box(0), 7)], score_threshold=score_threshold)
+
 
 detections = st.lists(
     st.tuples(st.integers(0, 2), any_boxes, st.sampled_from([0.3, 0.6, 0.6, 0.9])), max_size=10
@@ -549,6 +555,13 @@ class TestTrackCounts:
         frames = [records.frame(1, camera=1), records.frame(0)]
         with pytest.raises(ValueError, match="iou_min"):
             track_counts(tracks, frames, iou_min=iou_min)
+
+    @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
+    def test_rejects_score_threshold_before_any_work(self, score_threshold):
+        tracks = records.tracks([(_box(0), 0.9, 3)], frame_index=5)
+        frames = [records.frame(1, camera=1), records.frame(0)]
+        with pytest.raises(ValueError, match="score_threshold must lie in"):
+            track_counts(tracks, frames, score_threshold=score_threshold)
 
     def test_rejects_multi_camera_frames(self):
         frames = [records.frame(0), records.frame(1, camera=1)]

@@ -18,7 +18,7 @@ IMPORTS = {
     "cli": {"__init__", "association", "calibration", "core", "datasets", "embedding",
             "evaluation", "training"},
     "core": set(),
-    "datasets": {"core", "embedding", "evaluation", "training"},
+    "datasets": {"core", "embedding", "evaluation"},
     "embedding": set(),
     "evaluation": {"core"},
     "training": {"embedding"},

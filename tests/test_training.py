@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from embedtrack import (
     EmbeddingHeadParams,
-    LabeledBatch,
     LossConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -33,28 +32,17 @@ def _two_cluster_batch(rng, n_per=3, sep=4.0, noise=0.05, dim=3):
         + [f1 + noise * rng.normal(size=dim) for _ in range(n_per)]
     )
     ids = np.array([0] * n_per + [1] * n_per)
-    return LabeledBatch(features=feats, identities=ids)
+    return feats, ids
 
 
-class TestLabeledBatch:
-    def test_rejects_single_row(self):
-        with pytest.raises(ValueError):
-            LabeledBatch(features=np.ones((1, 3)), identities=np.array([0]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LabeledBatch(features=np.ones((3, 2)), identities=np.array([0, 1]))
-
-    def test_rejects_non_finite(self):
-        feats = np.ones((2, 2))
-        feats[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            LabeledBatch(features=feats, identities=np.array([0, 1]))
-
-    def test_arrays_are_readonly(self):
-        b = LabeledBatch(features=np.ones((2, 2)), identities=np.array([0, 1]))
-        with pytest.raises(ValueError):
-            b.features[0, 0] = 5.0
+def _stacked(*batches):
+    """The (features, identities, counts) triple that `train` takes, from
+    (features, identities) batches in order."""
+    return (
+        np.vstack([features for features, _ in batches]),
+        np.concatenate([ids for _, ids in batches]),
+        np.array([len(ids) for _, ids in batches]),
+    )
 
 
 class TestCosineLr:
@@ -79,25 +67,21 @@ class TestGradient:
         # all identities distinct: no valid triplet anchor, no multi-member identity
         rng = np.random.default_rng(0)
         params = init_params(3, 4, 2, rng)
-        batch = LabeledBatch(
-            features=rng.normal(size=(4, 3)), identities=np.array([0, 1, 2, 3])
-        )
+        batch = rng.normal(size=(4, 3)), np.array([0, 1, 2, 3])
         cfg = LossConfig()
-        assert batch_loss(params, batch, cfg) == 0.0
-        g = gradient(params, batch, cfg)
+        assert batch_loss(params, *batch, cfg) == 0.0
+        g = gradient(params, *batch, cfg)
         assert np.array_equal(g.to_flat(), np.zeros(g.to_flat().size))
-        fd = finite_diff_gradient(params, batch, cfg)
+        fd = finite_diff_gradient(params, *batch, cfg)
         assert np.array_equal(fd.to_flat(), np.zeros(fd.to_flat().size))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         cfg = LossConfig()
         params = init_params(4, 6, 3, rng)
-        batch = LabeledBatch(
-            features=rng.normal(size=(6, 4)), identities=np.array([0, 0, 1, 1, 2, 2])
-        )
-        g = gradient(params, batch, cfg).to_flat()
-        fd = finite_diff_gradient(params, batch, cfg).to_flat()
+        batch = rng.normal(size=(6, 4)), np.array([0, 0, 1, 1, 2, 2])
+        g = gradient(params, *batch, cfg).to_flat()
+        fd = finite_diff_gradient(params, *batch, cfg).to_flat()
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-8)
 
     def test_duplicating_batch_preserves_direction(self):
@@ -108,13 +92,9 @@ class TestGradient:
         params = init_params(4, 6, 3, rng)
         feats = rng.normal(size=(6, 4))
         ids = np.array([0, 0, 1, 1, 2, 2])
-        g = gradient(params, LabeledBatch(features=feats, identities=ids), cfg).to_flat()
+        g = gradient(params, feats, ids, cfg).to_flat()
         gd = gradient(
-            params,
-            LabeledBatch(
-                features=np.vstack([feats, feats]), identities=np.concatenate([ids, ids])
-            ),
-            cfg,
+            params, np.vstack([feats, feats]), np.concatenate([ids, ids]), cfg
         ).to_flat()
         n = g / np.linalg.norm(g)
         nd = gd / np.linalg.norm(gd)
@@ -124,11 +104,9 @@ class TestGradient:
         rng = np.random.default_rng(11)
         cfg = LossConfig()
         params = init_params(4, 6, 3, rng)
-        batch = LabeledBatch(
-            features=rng.normal(size=(5, 4)), identities=np.array([0, 0, 1, 1, 2])
-        )
-        fd_coarse = finite_diff_gradient(params, batch, cfg, eps=1e-4).to_flat()
-        fd_fine = finite_diff_gradient(params, batch, cfg, eps=1e-5).to_flat()
+        batch = rng.normal(size=(5, 4)), np.array([0, 0, 1, 1, 2])
+        fd_coarse = finite_diff_gradient(params, *batch, cfg, eps=1e-4).to_flat()
+        fd_fine = finite_diff_gradient(params, *batch, cfg, eps=1e-5).to_flat()
         assert np.abs(fd_coarse - fd_fine).max() < 1e-6
 
 
@@ -144,28 +122,29 @@ def _integer_params(rng, dims=(3, 5, 2)):
     )
 
 
-def _assert_fused_step_matches_references(params, batch, cfg):
+def _assert_fused_step_matches_references(params, features, ids, cfg):
     """The training step's loss equals the reference `batch_loss` and its
     gradient equals the loop oracle, bit for bit."""
     dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
     grad = np.full(params.to_flat().size, np.nan)  # the step must write every entry
     loss = _loss_and_gradient(
         _flat_views(params.to_flat(), dims),
-        batch.features,
-        _batch_index(batch.identities),
+        features,
+        _batch_index(ids),
         cfg,
         _flat_views(grad, dims),
     )
-    reference = loop_gradient(params, batch, cfg)
-    assert loss == oracles.batch_loss(params, batch, cfg)
+    reference = loop_gradient(params, features, ids, cfg)
+    assert loss == oracles.batch_loss(params, features, ids, cfg)
     assert np.array_equal(grad, reference.to_flat())
-    assert gradient(params, batch, cfg) == reference
+    assert gradient(params, features, ids, cfg) == reference
 
 
 @st.composite
 def step_cases(draw):
-    """(params, batch, cfg) covering exact distance ties, duplicated rows,
-    single-identity and all-singleton batches, and zero loss weights."""
+    """(params, features, identities, cfg) covering exact distance ties,
+    duplicated rows, single-identity and all-singleton batches, and zero
+    loss weights."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 8))
     whole = draw(st.booleans())
@@ -191,7 +170,7 @@ def step_cases(draw):
         w_triplet=draw(st.sampled_from([0.0, 0.2, 1.0])),
         w_pull=draw(st.sampled_from([0.0, 0.2, 1.0])),
     )
-    return params, LabeledBatch(features=feats, identities=ids), cfg
+    return params, feats, ids, cfg
 
 
 class TestFusedStep:
@@ -205,9 +184,9 @@ class TestFusedStep:
     def test_entry_points_match_references(self, case):
         """The library's `batch_loss` and `gradient`, which run the fused
         step, equal the reference loss and the loop gradient bit for bit."""
-        params, batch, cfg = case
-        assert batch_loss(params, batch, cfg) == oracles.batch_loss(params, batch, cfg)
-        assert gradient(params, batch, cfg) == loop_gradient(params, batch, cfg)
+        params, feats, ids, cfg = case
+        assert batch_loss(params, feats, ids, cfg) == oracles.batch_loss(params, feats, ids, cfg)
+        assert gradient(params, feats, ids, cfg) == loop_gradient(params, feats, ids, cfg)
 
     @pytest.mark.parametrize(
         "ids, whole, cfg",
@@ -230,9 +209,7 @@ class TestFusedStep:
         else:
             params = init_params(3, 5, 2, rng)
             feats = rng.normal(size=(n, 3))
-        _assert_fused_step_matches_references(
-            params, LabeledBatch(features=feats, identities=np.array(ids)), cfg
-        )
+        _assert_fused_step_matches_references(params, feats, np.array(ids), cfg)
 
 
 @st.composite
@@ -277,7 +254,7 @@ def train_cases(draw):
             "single": np.zeros(n, dtype=np.int64),
             "singletons": np.arange(n),
         }[labels]
-        batches.append(LabeledBatch(features=scale * rng.normal(size=(n, 3)), identities=ids))
+        batches.append((scale * rng.normal(size=(n, 3)), ids))
     cfg = LossConfig(
         margin=draw(st.sampled_from([0.5, 5.0])),
         pull_margin=draw(st.sampled_from([0.0, 1.0])),
@@ -291,7 +268,7 @@ def train_cases(draw):
         embed_dim=2,
         seed=draw(st.integers(0, 100)),
     )
-    return batches, cfg, tc
+    return _stacked(*batches), cfg, tc
 
 
 def _assert_train_matches_loop_train(batches, cfg, tc):
@@ -322,22 +299,22 @@ class TestTrainMatchesLoopTrain:
         ],
     )
     def test_divergence_names_the_same_step(self, lr, scale, message):
-        batch = _two_cluster_batch(np.random.default_rng(9))
-        batch = LabeledBatch(features=scale * batch.features, identities=batch.identities)
+        feats, ids = _two_cluster_batch(np.random.default_rng(9))
+        batches = _stacked((scale * feats, ids))
         tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, initial_lr=lr, seed=1)
         with pytest.raises(TrainingDivergedError, match=f"^{message}$"):
-            loop_train([batch], LossConfig(), tc)
-        _assert_train_matches_loop_train([batch], LossConfig(), tc)
+            loop_train(batches, LossConfig(), tc)
+        _assert_train_matches_loop_train(batches, LossConfig(), tc)
 
     def test_corner_batches_over_epochs(self):
         """A batch with no valid anchor, a single-identity batch and a mixed
         one, under each zero loss weight."""
         rng = np.random.default_rng(3)
-        batches = [
-            LabeledBatch(features=rng.normal(size=(4, 3)), identities=np.arange(4)),
-            LabeledBatch(features=rng.normal(size=(3, 3)), identities=np.zeros(3, dtype=int)),
+        batches = _stacked(
+            (rng.normal(size=(4, 3)), np.arange(4)),
+            (rng.normal(size=(3, 3)), np.zeros(3, dtype=np.int64)),
             _two_cluster_batch(rng),
-        ]
+        )
         tc = TrainConfig(initial_lr=1e-1, epochs=4, hidden_dim=6, embed_dim=3, seed=2)
         for cfg in (LossConfig(), LossConfig(w_triplet=0.0), LossConfig(w_pull=0.0)):
             _assert_train_matches_loop_train(batches, cfg, tc)
@@ -346,45 +323,43 @@ class TestTrainMatchesLoopTrain:
 class TestTrain:
     def test_zero_loss_dataset_leaves_params_at_init(self):
         rng = np.random.default_rng(1)
-        batch = LabeledBatch(
-            features=rng.normal(size=(3, 3)), identities=np.array([0, 1, 2])
-        )
+        batches = _stacked((rng.normal(size=(3, 3)), np.array([0, 1, 2])))
         tc = TrainConfig(epochs=5, hidden_dim=4, embed_dim=2, seed=3)
-        params, trace = train([batch], LossConfig(), tc)
+        params, trace = train(batches, LossConfig(), tc)
         assert trace == [0.0] * 5
         assert params == init_params(3, tc.hidden_dim, tc.embed_dim, np.random.default_rng(3))
 
     def test_descends_on_easy_data(self):
         rng = np.random.default_rng(5)
-        batch = _two_cluster_batch(rng)
+        batches = _stacked(_two_cluster_batch(rng))
         tc = TrainConfig(epochs=50, hidden_dim=8, embed_dim=4, initial_lr=1e-2, seed=1)
-        _, trace = train([batch], LossConfig(), tc)
+        _, trace = train(batches, LossConfig(), tc)
         assert trace[-1] < 0.5 * trace[0]
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(6)
-        batch = _two_cluster_batch(rng)
+        batches = _stacked(_two_cluster_batch(rng))
         tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, seed=2)
-        p1, t1 = train([batch], LossConfig(), tc)
-        p2, t2 = train([batch], LossConfig(), tc)
+        p1, t1 = train(batches, LossConfig(), tc)
+        p2, t2 = train(batches, LossConfig(), tc)
         assert t1 == t2
         assert p1 == p2
 
     def test_loss_recorded_before_update(self):
         # first epoch's mean must equal the loss at the initial parameters
         rng = np.random.default_rng(8)
-        batch = _two_cluster_batch(rng)
+        feats, ids = _two_cluster_batch(rng)
         tc = TrainConfig(epochs=3, hidden_dim=8, embed_dim=4, initial_lr=1e-2, seed=4)
-        init = init_params(batch.feature_dim, 8, 4, np.random.default_rng(4))
-        _, trace = train([batch], LossConfig(), tc)
-        assert trace[0] == oracles.batch_loss(init, batch, LossConfig())
+        init = init_params(feats.shape[1], 8, 4, np.random.default_rng(4))
+        _, trace = train(_stacked((feats, ids)), LossConfig(), tc)
+        assert trace[0] == oracles.batch_loss(init, feats, ids, LossConfig())
 
     def test_raises_on_divergence(self):
         rng = np.random.default_rng(9)
-        batch = _two_cluster_batch(rng)
+        batches = _stacked(_two_cluster_batch(rng))
         tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, initial_lr=1e80, seed=1)
         with pytest.raises(TrainingDivergedError, match="loss became non-finite at step 1$"):
-            train([batch], LossConfig(), tc)
+            train(batches, LossConfig(), tc)
 
     @pytest.mark.parametrize(
         "lr, scale, message",
@@ -395,21 +370,31 @@ class TestTrain:
         ],
     )
     def test_divergence_names_its_step(self, lr, scale, message):
-        batch = _two_cluster_batch(np.random.default_rng(9))
-        batch = LabeledBatch(features=scale * batch.features, identities=batch.identities)
+        feats, ids = _two_cluster_batch(np.random.default_rng(9))
         tc = TrainConfig(epochs=10, hidden_dim=8, embed_dim=4, initial_lr=lr, seed=1)
         with pytest.raises(TrainingDivergedError, match=f"{message}$"):
-            train([batch], LossConfig(), tc)
+            train(_stacked((scale * feats, ids)), LossConfig(), tc)
 
     def test_rejects_empty_dataset(self):
-        with pytest.raises(ValueError):
-            train([], LossConfig(), TrainConfig())
+        empty = np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="at least one batch is required"):
+            train(empty, LossConfig(), TrainConfig())
 
-    def test_rejects_mixed_feature_dims(self):
-        b1 = LabeledBatch(features=np.ones((2, 3)), identities=np.array([0, 1]))
-        b2 = LabeledBatch(features=np.ones((2, 4)), identities=np.array([0, 1]))
-        with pytest.raises(ValueError):
-            train([b1, b2], LossConfig(), TrainConfig())
+    @pytest.mark.parametrize(
+        "features, identities, counts, message",
+        [
+            (np.ones(4), np.arange(4), [4], "features must be 2-D"),
+            (np.array([[1.0, np.inf], [1.0, 1.0]]), np.arange(2), [2], "non-finite"),
+            (np.ones((3, 2)), np.arange(2), [3], "identities shape"),
+            (np.ones((3, 2)), np.arange(3), [2, 2], "batch counts sum to 4, not 3 rows"),
+            (np.ones((3, 2)), np.arange(3), [1, 2], "at least two rows"),
+        ],
+        ids=["1-d-features", "non-finite-features", "identities-wrong-length",
+             "counts-not-summing-to-rows", "one-row-batch"],
+    )
+    def test_rejects_invalid_batches(self, features, identities, counts, message):
+        with pytest.raises(ValueError, match=message):
+            train((features, identities, np.array(counts)), LossConfig(), TrainConfig())
 
 
 class TestTrainConfig:
