@@ -159,18 +159,24 @@ _SWEEP_CHUNK_ROWS = 4096
 
 
 def write_sweep_csv(path: Union[str, Path], sweep: ThresholdSweep) -> None:
-    """One row per candidate threshold: h, fp, fn, tp, tn, objective.
+    """The descent of the sweep: h, fp, fn, tp, tn, objective for each
+    candidate whose objective is strictly below that of every smaller
+    candidate, in increasing h. The last row is the chosen threshold;
+    `sweep.rows` holds every candidate.
 
-    Writes the bytes `csv.writer(fh).writerows(sweep.rows.tolist())` would
+    Writes the bytes `csv.writer(fh).writerows(...)` would over those rows
     (floats as `repr`, CRLF line ends), one formatted string per chunk of
     rows, so that only one chunk's Python values and text are alive at a
     time."""
-    rows = sweep.rows
-    names = rows.dtype.names
+    objective = sweep.rows.objective
+    descent = np.ones(len(objective), dtype=bool)
+    descent[1:] = objective[1:] < np.minimum.accumulate(objective)[:-1]
+    keep = np.flatnonzero(descent)
+    names = sweep.rows.dtype.names
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\r\n")
-        for start in range(0, len(rows), _SWEEP_CHUNK_ROWS):
-            part = rows[start : start + _SWEEP_CHUNK_ROWS]
+        for start in range(0, len(keep), _SWEEP_CHUNK_ROWS):
+            part = sweep.rows[keep[start : start + _SWEEP_CHUNK_ROWS]]
             # The `%` exhausts `cells`, so no chunk's values outlive its write.
             cells = chain.from_iterable(zip(*[part[name].tolist() for name in names]))
             fh.write("%r,%d,%d,%d,%d,%r\r\n" * len(part) % tuple(cells))

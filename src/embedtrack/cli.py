@@ -4,7 +4,8 @@ Five subcommands wire the library into file-based workflows:
 
     simulate  config -> frames.jsonl
     train     frames.jsonl -> params.json + loss_trace.csv
-    calibrate frames.jsonl + params.json -> threshold.json + sweep.csv + histogram.csv
+    calibrate frames.jsonl + params.json -> threshold.json + sweep.npy (every
+              candidate) + sweep.csv (the descent to the threshold) + histogram.csv
     track     frames.jsonl + params.json + threshold -> tracks.jsonl
     eval      tracks.jsonl + frames.jsonl (or a counts fixture) -> report.json
 
@@ -189,6 +190,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         # inf when the best cut lies above a pair at the largest float
         raise ValueError(f"calibrated threshold {sweep.threshold} is not finite")
     out = _out_dir(args)
+    np.save(out / "sweep.npy", sweep.rows)
     write_sweep_csv(out / "sweep.csv", sweep)
     write_histogram_csv(out / "histogram.csv", distance_histogram(distances, is_same, args.bins))
     same = int(is_same.sum())
@@ -214,6 +216,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         outputs={
             "threshold": "threshold.json",
             "sweep": "sweep.csv",
+            "sweep_rows": "sweep.npy",
             "histogram": "histogram.csv",
         },
         config={

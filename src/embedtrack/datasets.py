@@ -110,10 +110,15 @@ def training_batches(
     once, by itself; pairs with fewer than two rows (no pair to learn from)
     give no batch. Features are every batch's rows in batch order, (N, F),
     identities (N,) int64, and counts[b] is the row count of batch b; all
-    three are empty when no pair has two rows.
+    three are empty when no pair has two rows. A pair index outside
+    [0, len(frames)) raises ValueError.
     """
-    features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    outside = ((pairs < 0) | (pairs >= len(frames))).any(axis=1)
+    if outside.any():
+        i, j = pairs[outside][0].tolist()
+        raise ValueError(f"frame pair ({i}, {j}) lies outside the {len(frames)} frames")
+    features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
     pairs = pairs[counts[pairs].sum(axis=1) >= 2]
     # Every batch's rows in one gather: frame i's rows, then frame j's, per pair.
     lengths = counts[pairs].ravel()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
@@ -30,6 +30,11 @@ pair_sets = st.tuples(
     st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=30),
     st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=30),
 )
+
+# Distances from a few values, so that pairs tie within and across the two
+# kinds and one objective value recurs at several candidates.
+_tied = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=20)
+tied_pair_sets = st.tuples(_tied, _tied)
 
 
 class TestPairCounts:
@@ -235,6 +240,24 @@ class TestPairCheck:
             sweep_threshold([[1.0, 2.0]], [[True, False]])
 
 
+def _descent(rows):
+    """The rows whose objective is strictly below that of every earlier row."""
+    kept, best = [], math.inf
+    for k, objective in enumerate(rows.objective.tolist()):
+        if objective < best:
+            kept.append(k)
+            best = objective
+    return rows[kept]
+
+
+def _csv_writer_bytes(rows):
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(rows.dtype.names)
+    writer.writerows(rows.tolist())
+    return expected.getvalue().encode("utf-8")
+
+
 class TestCsvExport:
     def test_sweep_csv_round_trip(self, tmp_path):
         sweep = sweep_threshold(*_pairs(same=[1.0, 2.0], diff=[10.0, 12.0]))
@@ -242,10 +265,10 @@ class TestCsvExport:
         write_sweep_csv(path, sweep)
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(sweep.rows)
-        best = min(rows, key=lambda r: float(r["objective"]))
-        assert float(best["h"]) == sweep.threshold
-        assert float(best["objective"]) == sweep.objective
+        # objectives 1, 0.5, 0, 0.5, 1: the descent stops at the threshold
+        assert [float(r["objective"]) for r in rows] == [1.0, 0.5, 0.0]
+        assert float(rows[-1]["h"]) == sweep.threshold
+        assert float(rows[-1]["objective"]) == sweep.objective
 
     def test_sweep_csv_matches_rows(self, tmp_path):
         sweep = sweep_threshold(*_pairs(same=[0.1, 1.0 / 3.0], diff=[0.7, 2.0]))
@@ -255,7 +278,7 @@ class TestCsvExport:
         assert lines[0] == "h,fp,fn,tp,tn,objective"
         assert lines[1:] == [
             f"{float(r.h)!r},{r.fp},{r.fn},{r.tp},{r.tn},{float(r.objective)!r}"
-            for r in sweep.rows
+            for r in _descent(sweep.rows)
         ]
 
     def test_sweep_csv_bytes_equal_csv_writer(self, tmp_path):
@@ -268,11 +291,7 @@ class TestCsvExport:
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, ThresholdSweep(threshold=2.0, objective=2.0, rows=rows))
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(rows.dtype.names)
-        writer.writerows(rows.tolist())
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes() == _csv_writer_bytes(_descent(rows))
 
     @pytest.mark.parametrize("count", [2, 4095, 4096, 4097, 8193])
     def test_sweep_csv_bytes_equal_csv_writer_across_chunks(self, tmp_path, count):
@@ -284,29 +303,52 @@ class TestCsvExport:
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, ThresholdSweep(threshold=0.1, objective=0.1, rows=rows))
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(rows.dtype.names)
-        writer.writerows(rows.tolist())
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes() == _csv_writer_bytes(_descent(rows))
+
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+    def test_sweep_csv_bytes_equal_csv_writer_when_every_row_descends(self, tmp_path, count):
+        k = np.arange(count)
+        rows = np.rec.fromarrays(
+            [k * 0.1 + 5e-324, k, count - k, k * 2**40, k % 7, 1e16 / (k + 3)],
+            names="h,fp,fn,tp,tn,objective",
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, ThresholdSweep(threshold=0.1, objective=0.1, rows=rows))
+        assert len(_descent(rows)) == count
+        assert path.read_bytes() == _csv_writer_bytes(rows)
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tied_pair_sets)
+    def test_sweep_csv_holds_the_descent_to_the_threshold(self, tmp_path, sets):
+        sweep = sweep_threshold(*_pairs(*sets))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, sweep)
+        with path.open(newline="") as fh:
+            rows = [(float(r["h"]), float(r["objective"])) for r in csv.DictReader(fh)]
+        assert rows == [(float(r.h), float(r.objective)) for r in _descent(sweep.rows)]
+        assert rows[-1] == (sweep.threshold, sweep.objective)
 
     def test_sweep_csv_peak_memory_stays_at_one_chunk(self, tmp_path):
         # A crowd-sized sweep: 56 700 rows are about 3.2 MB of text and
-        # 15 MB of Python values when formatted all at once.
+        # 15 MB of Python values when formatted all at once. The objective
+        # falls at every row, so every row is in the descent and written.
         count = 56_700
         rng = np.random.default_rng(0)
         rows = np.rec.fromarrays(
             [np.sort(rng.random(count)) * 100.0, *rng.integers(0, 60_000, (4, count)),
-             rng.random(count)],
+             1.0 / (np.arange(count) + 1)],
             names="h,fp,fn,tp,tn,objective",
         )
         sweep = ThresholdSweep(threshold=1.0, objective=1.0, rows=rows)
+        path = tmp_path / "sweep.csv"
         tracemalloc.start()
         try:
-            write_sweep_csv(tmp_path / "sweep.csv", sweep)
+            write_sweep_csv(path, sweep)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(path.read_bytes().splitlines()) == count + 1
         assert peak < 3_000_000
 
     def test_histogram_csv_round_trip(self, tmp_path):

@@ -16,6 +16,8 @@ from embedtrack import (
     load_frames,
     load_params,
     load_track_records,
+    neighbor_pair_distances,
+    sweep_threshold,
 )
 from embedtrack import cli
 from embedtrack.cli import main
@@ -288,6 +290,21 @@ class TestCalibrate:
         same = sum(int(r["same_count"]) for r in hist_rows)
         diff = sum(int(r["diff_count"]) for r in hist_rows)
         assert (same, diff) == (doc["same_count"], doc["diff_count"])
+
+    def test_sweep_npy_holds_every_candidate(self, tmp_path, sim_dir, trained_dir):
+        out = tmp_path / "calib"
+        params_path = trained_dir / "params.json"
+        assert main(["calibrate", "--frames", str(sim_dir / "frames.jsonl"),
+                     "--params", str(params_path), "--out", str(out)]) == 0
+        params, _, loss_cfg = load_params(params_path)
+        sweep = sweep_threshold(*neighbor_pair_distances(
+            load_frames(sim_dir / "frames.jsonl"), params, loss_cfg.score_threshold
+        ))
+        saved = np.load(out / "sweep.npy")
+        assert saved.dtype.names == sweep.rows.dtype.names
+        assert saved.dtype == sweep.rows.dtype
+        assert saved.tolist() == sweep.rows.tolist()
+        assert _manifest(out)["outputs"]["sweep_rows"] == "sweep.npy"
 
     def test_pairs_only_consecutive_frames(self, tmp_path, sim_dir, trained_dir):
         lines = (sim_dir / "frames.jsonl").read_text().splitlines()

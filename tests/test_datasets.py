@@ -94,6 +94,13 @@ class TestTrainingBatches:
         ((features, identities),) = _batches(frames, [(1, 3)])
         assert features.shape == (2, 2) and identities.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (2, 3)], ids=["negative", "past_end"])
+    def test_rejects_pair_outside_the_frames(self, pair):
+        # (-1, 0) would wrap round to frames 2 and 0; (2, 3) runs past the end
+        frames = simulate(SimConfig(frame_count=3, seed=1))
+        with pytest.raises(ValueError, match=rf"frame pair \({pair[0]}, {pair[1]}\)"):
+            training_batches(frames, [(0, 1), pair])
+
     def test_each_frame_labeled_by_itself(self):
         # frame 0 is fully labeled but its first label disagrees with the
         # ground-truth box it sits on; frame 1 carries no labels. Labels of

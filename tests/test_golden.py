@@ -8,17 +8,27 @@ new digests together with the reason.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
+
+import pytest
 
 from embedtrack.cli import main
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 # Every head/params.json digest below was re-recorded when `loss_config`
 # lost the detector weights `w_cls` and `w_reg`; nothing else in it changed.
+# Both calib/sweep.csv digests were re-recorded when sweep.csv came to hold
+# only the descent rows (each objective strictly below all earlier ones);
+# calib/sweep.npy, added then, holds every candidate.
 GOLDEN = {
     "head/params.json": "c8a8d87f9d700bedcb0272e3175c2521288a1d4da4fd4e484b2d0b3ad9fe726c",
     "head/loss_trace.csv": "c7ce20e086cc693476804286a8bf9f4cfbc2d1376a763abd65c3d36026d427e4",
     "calib/threshold.json": "88351275fccf9170ac94b40abfd9eee89f5815d2073bec0eb6eda0edca402a42",
-    "calib/sweep.csv": "4bbb47f59ff74e14ac1995e7ed2f3da779687ede4dd8feee80bd228f8dfd4200",
+    "calib/sweep.csv": "d4683f7a115774d21c0db5b9c1b36efbab2c8d5d9509a5d1a8b3bae1ba635363",
+    "calib/sweep.npy": "9731221b2ba1c5e1f39466c16f4699ed5687cd4d7fe24addd0c58e465642e7d3",
     "calib/histogram.csv": "e307d0e18bc8f45d6ce2a0842ce2ef23a883a2d3fe896716e7176f6b6acf18ad",
     "tracks/tracks.jsonl": "9f9569234a50838c6c471854f4e21ed156352bb0121d1b7b4eef1b7dff1db717",
     "report/report.json": "7c175c33d2ade3746bf7c1aa3035c0ebbdc3b05849a76b97e7a708a8e1963dd8",
@@ -42,7 +52,10 @@ def _digests(root, names):
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_walkthrough_outputs_are_unchanged(tmp_path):
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The README walkthrough at test size: the directory of its outputs."""
+    tmp_path = tmp_path_factory.mktemp("walkthrough")
     _run("simulate", "--out", tmp_path / "train_data", "--frame-count", 50,
          "--dropout", 0.05, "--seed", 11, *SIM)
     _run("simulate", "--out", tmp_path / "holdout", "--frame-count", 20, "--seed", 77, *SIM)
@@ -56,7 +69,11 @@ def test_walkthrough_outputs_are_unchanged(tmp_path):
          "--threshold", repr(threshold), "--out", tmp_path / "tracks")
     _run("eval", "--tracks", tmp_path / "tracks/tracks.jsonl",
          "--frames", tmp_path / "holdout/frames.jsonl", "--out", tmp_path / "report")
-    assert _digests(tmp_path, GOLDEN) == GOLDEN
+    return tmp_path
+
+
+def test_walkthrough_outputs_are_unchanged(walkthrough):
+    assert _digests(walkthrough, GOLDEN) == GOLDEN
 
 
 def test_crowded_head_is_unchanged(tmp_path):
@@ -119,7 +136,8 @@ GOLDEN_EDGE_CASES = {
     "head/params.json": "6f649657c9f581bf9bcbed1023c91f78be476c94a91664e9e84c00c5e12c3437",
     "head/loss_trace.csv": "344c3a2e91c5717c3e7fc84d6c664487baa8ab3605ac93b73452cf758d5adedc",
     "calib/threshold.json": "cf9920952aec7f9951c06a13448ad68933569f56bc3e8b71f6c3a468f3ae9a6c",
-    "calib/sweep.csv": "4c34f6919d125dfeb8bf659993caa3234d6ce4ecf58fa22c7de251406f6cc667",
+    "calib/sweep.csv": "21756db3856a60c87022c8dad2b70f42aecec2417c77901e30ac023296e5155d",
+    "calib/sweep.npy": "0158dc5d2ad61cdcdd63aa25b8fb3b70b2d9058a4895a16d178febc64f7dff0d",
     "calib/histogram.csv": "49f43f53256b843177063807129ca5641d351395b5912b8710c884258ab7e27f",
     "tracks/tracks.jsonl": "17eb7471870e0de1be2d95059bf2342df59f52433047e44268f7891b07e99509",
     "report/report.json": "28388984a720e7c70a4582659d033d30e4f51fd465be81a9abb92aded5c77fc4",
@@ -143,7 +161,10 @@ def _edge_case_frames(path):
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs.values()))
 
 
-def test_edge_cases_are_unchanged(tmp_path):
+@pytest.fixture(scope="module")
+def edge_cases(tmp_path_factory):
+    """Every stage over the edited file: the directory of its outputs."""
+    tmp_path = tmp_path_factory.mktemp("edge_cases")
     _run("simulate", "--out", tmp_path / "data", "--frame-count", 12, "--dropout", 0.1,
          "--seed", 11, *SIM)
     frames = tmp_path / "data/frames.jsonl"
@@ -157,4 +178,30 @@ def test_edge_cases_are_unchanged(tmp_path):
          "--out", tmp_path / "tracks")
     _run("eval", "--tracks", tmp_path / "tracks/tracks.jsonl", "--frames", frames,
          "--out", tmp_path / "report")
-    assert _digests(tmp_path, GOLDEN_EDGE_CASES) == GOLDEN_EDGE_CASES
+    return tmp_path
+
+
+def test_edge_cases_are_unchanged(edge_cases):
+    assert _digests(edge_cases, GOLDEN_EDGE_CASES) == GOLDEN_EDGE_CASES
+
+
+def _benchmark_worker(monkeypatch):
+    """perfbench/worker.py as a module; it imports `workloads` by its plain
+    name, so perfbench/ goes first on sys.path."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("run", ["walkthrough", "edge_cases"])
+def test_benchmark_finds_the_threshold_in_sweep_csv(run, request, monkeypatch):
+    """The benchmark checks each calibrate pass by reading the first row of
+    least objective from sweep.csv; it must be threshold.json's."""
+    calib = request.getfixturevalue(run) / "calib"
+    worker = _benchmark_worker(monkeypatch)
+    doc = json.loads((calib / "threshold.json").read_text())
+    assert worker.first_min_objective_row(calib / "sweep.csv") == (
+        doc["threshold"], doc["objective"]
+    )
