@@ -21,6 +21,7 @@ from .core import (
     GT_DTYPE,
     TRACK_DTYPE,
     FrameRecord,
+    Frames,
     detection_dtype,
     iou,
     neighbor_frames,
@@ -76,6 +77,7 @@ __all__ = [
     "EmbeddingHeadParams",
     "FrameParseError",
     "FrameRecord",
+    "Frames",
     "GT_DTYPE",
     "LossConfig",
     "MotCounts",

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TRACK_DTYPE, FrameRecord, _check_score_threshold, _check_sequence
+from .core import TRACK_DTYPE, Frames, _check_score_threshold, _check_sequence, _follows
 from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 
 __all__ = [
@@ -70,7 +70,7 @@ def update_tracks(
 
 
 def track_sequence(
-    frames: Sequence[FrameRecord],
+    frames: Frames,
     params: EmbeddingHeadParams,
     threshold: float,
     score_threshold: float = 0.5,
@@ -78,40 +78,34 @@ def track_sequence(
     """Run the tracker over one single-camera sequence.
 
     Detections below `score_threshold` are ignored. A frame that does not
-    directly follow the previous one (`FrameRecord.follows`) has nothing to
-    match against, so after an index gap every detection gets a fresh id.
-    Returns the tracks array (`TRACK_DTYPE`): one row per kept detection, in
-    frame order, then detection order.
+    directly follow the previous one (`core.neighbor_frames`' rule) has
+    nothing to match against, so after an index gap every detection gets a
+    fresh id. Returns the tracks array (`TRACK_DTYPE`): one row per kept
+    detection, in frame order, then detection order.
     """
     _check_score_threshold(score_threshold)
     _check_sequence(frames)
 
+    det = frames.detections
+    kept = det["confidence"] >= score_threshold
+    offsets = frames.det_offsets.tolist()
+    follows = [False] + _follows(frames.frame_index, frames.camera_id).tolist()
     former_emb = np.zeros((0, params.embed_dim))
     former_ids = np.zeros(0, dtype=np.int64)
     next_id = 0
-    kept_masks, track_ids = [], []
-    for k, frame in enumerate(frames):
-        kept = frame.detections["confidence"] >= score_threshold
-        if kept.any():
-            emb = embed_batch(params, frame.detections["feature"][kept])
-        else:
-            emb = np.zeros((0, params.embed_dim))
-        if k > 0 and not frame.follows(frames[k - 1]):
+    track_ids = []
+    for a, b, step in zip(offsets, offsets[1:], follows):
+        rows = det["feature"][a:b][kept[a:b]]
+        emb = embed_batch(params, rows) if len(rows) else np.zeros((0, params.embed_dim))
+        if not step:
             former_emb, former_ids = former_emb[:0], former_ids[:0]
         matches = match_frames(distance_matrix(emb, former_emb), threshold)
         former_ids, next_id = update_tracks(former_ids, matches, next_id)
         former_emb = emb
-        kept_masks.append(kept)
         track_ids.append(former_ids)
 
-    # Whole-file columns: concatenating per-frame record arrays costs a
-    # dtype promotion per frame.
-    counts = [ids.size for ids in track_ids]
-    tracks = np.empty(sum(counts), dtype=TRACK_DTYPE)
-    if frames:
-        kept = np.concatenate(kept_masks)
-        tracks["frame_index"] = np.repeat([f.frame_index for f in frames], counts)
-        tracks["track_id"] = np.concatenate(track_ids)
-        for name in ("box", "confidence"):
-            tracks[name] = np.concatenate([f.detections[name] for f in frames])[kept]
+    tracks = np.empty(np.count_nonzero(kept), dtype=TRACK_DTYPE)
+    tracks["frame_index"] = np.repeat(frames.frame_index, [ids.size for ids in track_ids])
+    tracks["track_id"] = np.concatenate([np.zeros(0, dtype=np.int64)] + track_ids)
+    tracks["box"], tracks["confidence"] = det["box"][kept], det["confidence"][kept]
     return tracks

@@ -1,4 +1,4 @@
-"""Geometric primitives and per-frame detection records."""
+"""Geometric primitives and the frames table."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ __all__ = [
     "GT_DTYPE",
     "TRACK_DTYPE",
     "FrameRecord",
+    "Frames",
     "detection_dtype",
     "iou",
     "neighbor_frames",
@@ -59,61 +60,91 @@ TRACK_DTYPE = np.dtype(
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:
-    """All detections (a `detection_dtype` record array) and ground-truth
-    boxes (a `GT_DTYPE` one) of one video frame. `datasets.load_frames` and
-    `datasets.simulate` give read-only slices of one array per file."""
+    """One video frame of a `Frames` table: read-only views of its
+    detections (a `detection_dtype` record array) and ground-truth boxes
+    (a `GT_DTYPE` one)."""
 
     frame_index: int
     camera_id: int
     detections: np.ndarray
     gt_boxes: np.ndarray
 
-    def follows(self, other: "FrameRecord") -> bool:
-        """True when this frame is the next one after `other`: same camera,
-        frame_index one higher. Training and calibration pairs and eval's
-        pair counts take their frame pairs from `neighbor_frames`, and the
-        tracker keeps its one-frame memory only across such a step, so all
-        four stages share this rule."""
-        return self.camera_id == other.camera_id and self.frame_index == other.frame_index + 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FrameRecord):
-            return NotImplemented
-        return (
-            self.frame_index == other.frame_index
-            and self.camera_id == other.camera_id
-            and self.detections.dtype == other.detections.dtype
-            and np.array_equal(self.detections, other.detections)
-            and np.array_equal(self.gt_boxes, other.gt_boxes)
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """One frames file as a table of read-only arrays, as `load_frames` and
+    `simulate` give it. Frame k has int64 `frame_index[k]` and
+    `camera_id[k]`, and its rows of the file's `detections` and `gt_boxes`
+    run from `det_offsets[k]` and `gt_offsets[k]` to the next offset (each
+    offsets column has one entry more than there are frames). `frames[k]`,
+    and so iteration, gives a `FrameRecord` view."""
+
+    frame_index: np.ndarray
+    camera_id: np.ndarray
+    detections: np.ndarray
+    gt_boxes: np.ndarray
+    det_offsets: np.ndarray
+    gt_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.frame_index.size
+
+    def __getitem__(self, k: int) -> FrameRecord:
+        k = range(len(self))[k]  # IndexError past the end, which ends iteration
+        d, g = self.det_offsets, self.gt_offsets
+        return FrameRecord(
+            int(self.frame_index[k]), int(self.camera_id[k]),
+            self.detections[d[k] : d[k + 1]], self.gt_boxes[g[k] : g[k + 1]],
         )
 
 
-def neighbor_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
-    """Index pairs (i, j) where frames[j] directly follows frames[i]
-    (`FrameRecord.follows`): cameras in increasing id, input order within
-    a camera."""
-    by_camera: dict[int, list[int]] = {}
-    for k, frame in enumerate(frames):
-        by_camera.setdefault(frame.camera_id, []).append(k)
-    return [
-        (i, j)
-        for camera in sorted(by_camera)
-        for i, j in zip(by_camera[camera], by_camera[camera][1:])
-        if frames[j].follows(frames[i])
-    ]
+def _frames_table(heads: list[tuple], detections: np.ndarray, gt_boxes: np.ndarray) -> Frames:
+    """The `Frames` of one (frame_index, camera_id, detection count, gt
+    count) per frame of `heads` over the file's record arrays."""
+    heads = np.array(heads, dtype=np.int64).reshape(-1, 4)
+    offsets = np.zeros((len(heads) + 1, 2), dtype=np.int64)
+    np.cumsum(heads[:, 2:], axis=0, out=offsets[1:])
+    columns = (heads[:, 0], heads[:, 1], detections, gt_boxes, offsets[:, 0], offsets[:, 1])
+    for column in columns:
+        column.flags.writeable = False
+    return Frames(*columns)
 
 
-def _check_sequence(frames: Sequence[FrameRecord]) -> None:
+def _row_frames(offsets: np.ndarray) -> np.ndarray:
+    """The frame position of every row, from a `Frames` offsets column."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def _follows(frame_index: np.ndarray, camera_id: np.ndarray) -> np.ndarray:
+    """(K-1,) bool: whether frame k+1 directly follows frame k (same camera,
+    frame_index one higher), the next-frame rule of every stage. Exact up
+    to the int64 maximum, where `index + 1` would wrap."""
+    prev, cur = frame_index[:-1], frame_index[1:]
+    return (camera_id[1:] == camera_id[:-1]) & (prev < cur) & (cur - 1 == prev)
+
+
+def neighbor_frames(frames: Frames) -> list[tuple[int, int]]:
+    """Index pairs (i, j) where frame j directly follows frame i
+    (`_follows`): cameras in increasing id, input order within a camera.
+    Training and calibration pairs and eval's pair counts take their frame
+    pairs from here, and the tracker keeps its one-frame memory only across
+    such a step, so all four stages share this rule."""
+    order = np.argsort(frames.camera_id, kind="stable")
+    step = _follows(frames.frame_index[order], frames.camera_id[order])
+    return list(zip(order[:-1][step].tolist(), order[1:][step].tolist()))
+
+
+def _check_sequence(frames: Frames) -> None:
     """Refuse frames that are not one camera's sequence: a single camera,
     frame indices increasing."""
-    cameras = {f.camera_id for f in frames}
-    if len(cameras) > 1:
-        raise ValueError(f"expected a single camera, got {sorted(cameras)}")
-    for prev, cur in zip(frames, frames[1:]):
-        if cur.frame_index <= prev.frame_index:
-            raise ValueError(
-                f"frame indices must increase: {prev.frame_index} then {cur.frame_index}"
-            )
+    cameras = np.unique(frames.camera_id)
+    if cameras.size > 1:
+        raise ValueError(f"expected a single camera, got {cameras.tolist()}")
+    index = frames.frame_index
+    stalled = np.flatnonzero(index[1:] <= index[:-1])
+    if stalled.size:
+        prev, cur = index[stalled[0] : stalled[0] + 2].tolist()
+        raise ValueError(f"frame indices must increase: {prev} then {cur}")
 
 
 def _check_score_threshold(score_threshold: float) -> None:

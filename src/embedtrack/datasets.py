@@ -16,18 +16,17 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
-    GT_DTYPE, TRACK_DTYPE, FrameRecord, _check_iou_min, _check_score_threshold, detection_dtype,
-    neighbor_frames,
+    GT_DTYPE, TRACK_DTYPE, Frames, _check_iou_min, _check_score_threshold, _frames_table,
+    _row_frames, detection_dtype, neighbor_frames,
 )
 from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
-from .evaluation import _column, _within_group, assign_predictions
+from .evaluation import _within_group, assign_predictions
 
 __all__ = [
     "SimConfig",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 
-def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
+def cross_camera_frames(frames: Frames) -> list[tuple[int, int]]:
     """Index pairs (i, j) of frames from two cameras that saw one identity.
 
     For every identity in increasing order and every pair of cameras whose
@@ -54,58 +53,59 @@ def cross_camera_frames(frames: Sequence[FrameRecord]) -> list[tuple[int, int]]:
     camera contribute nothing; a frame pair shared by several identities
     appears once, where its first identity puts it.
     """
-    earliest: dict[int, dict[int, int]] = {}
-    for k, frame in enumerate(frames):
-        for ident in frame.gt_boxes["id"].tolist():
-            cams = earliest.setdefault(ident, {})
-            prev = cams.get(frame.camera_id)
-            if prev is None or frame.frame_index < frames[prev].frame_index:
-                cams[frame.camera_id] = k
-    pairs = (
-        (earliest[ident][a], earliest[ident][b])
-        for ident in sorted(earliest)
-        for a, b in combinations(sorted(earliest[ident]), 2)
-    )
-    return list(dict.fromkeys(pairs))
+    frame = _row_frames(frames.gt_offsets)
+    ident, camera = frames.gt_boxes["id"], frames.camera_id[frame]
+    order = np.lexsort((frames.frame_index[frame], camera, ident))
+    ident, camera, frame = ident[order], camera[order], frame[order]
+    # lexsort is stable, so the first row of each (identity, camera) run is
+    # that camera's earliest, ties to the earlier frame of the table.
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ident[1:] != ident[:-1]) | (camera[1:] != camera[:-1])
+    ident, frame = ident[first], frame[first]
+    # Each earliest frame pairs with every later one of its identity.
+    later = np.searchsorted(ident, ident, side="right") - np.arange(ident.size) - 1
+    a = np.repeat(np.arange(ident.size), later)
+    pairs = np.stack([frame[a], frame[a + 1 + _within_group(later)]], axis=1)
+    first = np.sort(np.unique(pairs, axis=0, return_index=True)[1])
+    return list(map(tuple, pairs[first].tolist()))
 
 
 def labeled_rows(
-    frames: Sequence[FrameRecord], score_threshold: float = 0.5, iou_min: float = 0.5
+    frames: Frames, score_threshold: float = 0.5, iou_min: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, identities, counts) of the detections of `frames` that
     survive labeling, frames in order.
 
     Detections below `score_threshold` are dropped. The rule is per frame:
     when every kept detection of a frame carries a `gt_id` >= 0 its labels
-    pass through; the other frames are labeled by one `assign_predictions`
-    call, and their unassigned detections are dropped. Features are (N, F),
-    identities (N,) int64, and counts[k] is the row count of frames[k].
+    pass through; the other frames take the labels of one
+    `assign_predictions` call over the table, and their unassigned
+    detections are dropped. Features are (N, F), identities (N,) int64, and
+    counts[k] is the row count of frame k.
     """
     _check_score_threshold(score_threshold)
     _check_iou_min(iou_min)
-    frame = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
-    identities = _column(frames, "detections", "gt_id")
-    kept = _column(frames, "detections", "confidence") >= score_threshold
-    assigned = np.zeros(len(frames), dtype=bool)
-    assigned[frame[kept & (identities < 0)]] = True
-    if assigned.any():
-        chosen = [f for f, a in zip(frames, assigned.tolist()) if a]
-        identities[assigned[frame]] = assign_predictions(chosen, score_threshold, iou_min)
+    frame = _row_frames(frames.det_offsets)
+    identities = frames.detections["gt_id"].copy()
+    kept = frames.detections["confidence"] >= score_threshold
+    to_label = np.isin(frame, frame[kept & (identities < 0)])
+    if to_label.any():
+        identities[to_label] = assign_predictions(frames, score_threshold, iou_min)[to_label]
     kept &= identities >= 0
-    features = _column(frames, "detections", "feature")[kept]
+    features = frames.detections["feature"][kept]
     return features, identities[kept], np.bincount(frame[kept], minlength=len(frames))
 
 
 def training_batches(
-    frames: Sequence[FrameRecord],
+    frames: Frames,
     pairs: Sequence[tuple[int, int]],
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The batches `training.train` takes, as (features, identities, counts).
 
-    One batch per frame pair: frames[i]'s `labeled_rows` stacked above
-    frames[j]'s, for every (i, j) of `pairs` in order (`neighbor_frames`,
+    One batch per frame pair: frame i's `labeled_rows` stacked above
+    frame j's, for every (i, j) of `pairs` in order (`neighbor_frames`,
     optionally followed by `cross_camera_frames`). Each frame is labeled
     once, by itself; pairs with fewer than two rows (no pair to learn from)
     give no batch. Features are every batch's rows in batch order, (N, F),
@@ -127,7 +127,7 @@ def training_batches(
 
 
 def neighbor_pair_distances(
-    frames: Sequence[FrameRecord],
+    frames: Frames,
     params: EmbeddingHeadParams,
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
@@ -221,7 +221,7 @@ def default_archetypes(cfg: SimConfig) -> np.ndarray:
     return arch
 
 
-def simulate(cfg: SimConfig) -> list[FrameRecord]:
+def simulate(cfg: SimConfig) -> Frames:
     """Generate one camera's sequence of frames with full ground truth.
 
     Every frame lists all identities as ground truth; each identity
@@ -256,23 +256,7 @@ def simulate(cfg: SimConfig) -> list[FrameRecord]:
     gt["box"] = np.concatenate(gt_boxes)
     gt["id"] = np.tile(np.arange(cfg.identity_count), cfg.frame_count)
     detections = np.array(detections, dtype=detection_dtype(cfg.feature_dim))
-    return _frames(heads, detections, gt)
-
-
-def _frames(heads: list[tuple], detections: np.ndarray, gt_boxes: np.ndarray) -> list[FrameRecord]:
-    """One frame per (frame_index, camera_id, detection count, gt count) of
-    `heads`, holding consecutive read-only slices of the file's arrays."""
-    detections.flags.writeable = False
-    gt_boxes.flags.writeable = False
-    frames = []
-    d = g = 0
-    for frame_index, camera_id, n, m in heads:
-        frames.append(
-            FrameRecord(frame_index, camera_id, detections[d : d + n], gt_boxes[g : g + m])
-        )
-        d += n
-        g += m
-    return frames
+    return _frames_table(heads, detections, gt)
 
 
 class FrameParseError(ValueError):
@@ -285,10 +269,11 @@ class FrameParseError(ValueError):
         self.field = field
 
 
-def save_frames(path: Union[str, Path], frames: Sequence[FrameRecord]) -> None:
-    """Write frames as JSON lines. Field set is fixed; floats round-trip; a
-    detection's gt_id is omitted when it is -1 (unlabeled). A non-finite
-    float raises ValueError: JSON has no NaN or Infinity."""
+def save_frames(path: Union[str, Path], frames: Frames) -> None:
+    """Write frames as JSON lines, one frame's `FrameRecord` view at a time.
+    Field set is fixed; floats round-trip; a detection's gt_id is omitted
+    when it is -1 (unlabeled). A non-finite float raises ValueError: JSON
+    has no NaN or Infinity."""
     encode = json.JSONEncoder(allow_nan=False).encode
     with Path(path).open("w", encoding="utf-8") as fh:
         for frame in frames:
@@ -437,15 +422,14 @@ def _first_error(*errors: Optional[FrameParseError]) -> Optional[FrameParseError
 BOX_RULE = "box must be finite with x1 < x2 and y1 < y2"
 
 
-def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
-    """Read frames written by `save_frames` into read-only slices of one
-    detection and one gt record array per file.
+def load_frames(path: Union[str, Path]) -> Frames:
+    """Read frames written by `save_frames` into one `Frames` table.
 
     Types and structure are checked line by line as the file streams in.
     The numbers of all lines become arrays once per file, where their values
     (boxes, confidences, features) are checked; README.md lists the checks.
     A rejected file raises FrameParseError at its earliest bad line. An
-    empty file gives [].
+    empty file gives a table of no frames.
     """
     heads: list[tuple[int, int, int, int]] = []
     lines: list[int] = []
@@ -561,7 +545,7 @@ def load_frames(path: Union[str, Path]) -> list[FrameRecord]:
     )
     if error is not None:
         raise error
-    return _frames(heads, det, gt)
+    return _frames_table(heads, det, gt)
 
 
 # One tracks.jsonl line: `json.dumps` of the row's dict, whose floats are

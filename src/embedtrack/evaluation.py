@@ -15,13 +15,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
-    GT_DTYPE,
-    FrameRecord,
+    Frames,
     _broadcast_iou,
     _check_iou_min,
     _check_score_threshold,
     _check_sequence,
-    detection_dtype,
+    _row_frames,
     neighbor_frames,
 )
 
@@ -119,21 +118,21 @@ def _claims(
 
 
 def _overlaps(
-    boxes: np.ndarray, frame: np.ndarray, frames: Sequence[FrameRecord]
+    boxes: np.ndarray, frame: np.ndarray, frames: Frames
 ) -> tuple[np.ndarray, np.ndarray]:
     """(overlaps, gt_offset) of boxes at frame positions `frame`: each box's
     IoU with every (padded) ground truth of its frame of `frames`, and the
     flat index of that frame's first ground truth, for all frames at once."""
-    n_gt = np.array([len(f.gt_boxes) for f in frames], dtype=np.int64)
-    overlaps = _grouped_iou(boxes, frame, _column(frames, "gt_boxes", "box"), n_gt)
-    return overlaps, (np.cumsum(n_gt) - n_gt)[frame]
+    offsets = frames.gt_offsets
+    overlaps = _grouped_iou(boxes, frame, frames.gt_boxes["box"], np.diff(offsets))
+    return overlaps, offsets[frame]
 
 
 def assign_predictions(
-    frames: Sequence[FrameRecord], score_threshold: float = 0.5, iou_min: float = 0.5
+    frames: Frames, score_threshold: float = 0.5, iou_min: float = 0.5
 ) -> np.ndarray:
-    """The int64 ground-truth identity of every detection of `frames`, frames
-    in order and detections in order within a frame, or -1 where it has none.
+    """The int64 ground-truth identity of every detection of `frames`, in
+    table order, or -1 where it has none.
 
     Detections below `score_threshold` stay unlabeled. Every other one takes
     the highest-IoU ground truth of its frame when that IoU exceeds
@@ -143,12 +142,12 @@ def assign_predictions(
     """
     _check_score_threshold(score_threshold)
     _check_iou_min(iou_min)
-    frame = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
-    overlaps, gt_offset = _overlaps(_column(frames, "detections", "box"), frame, frames)
-    live = _column(frames, "detections", "confidence") >= score_threshold
+    frame = _row_frames(frames.det_offsets)
+    overlaps, gt_offset = _overlaps(frames.detections["box"], frame, frames)
+    live = frames.detections["confidence"] >= score_threshold
     rows, gt_rows = _claims(frame, overlaps, gt_offset, iou_min, live)
     identities = np.full(frame.size, -1, dtype=np.int64)
-    identities[rows] = _column(frames, "gt_boxes", "id")[gt_rows]
+    identities[rows] = frames.gt_boxes["id"][gt_rows]
     return identities
 
 
@@ -227,14 +226,13 @@ def _integrate(recall: np.ndarray, precision: np.ndarray) -> float:
     return float(np.sum((mrec[change + 1] - mrec[change]) * mpre[change + 1]))
 
 
-def ground_truth_records(frames: Sequence[FrameRecord]) -> np.ndarray:
-    """Every ground-truth box of `frames`, frames in order, as one record
+def ground_truth_records(frames: Frames) -> np.ndarray:
+    """Every ground-truth box of `frames`, in table order, as one record
     array with fields `frame_index` and `box`: the ground truths `mean_ap`
     takes."""
-    n_gt = [len(f.gt_boxes) for f in frames]
-    records = np.zeros(sum(n_gt), dtype=[("frame_index", "i8"), ("box", "f8", (4,))])
-    records["frame_index"] = np.repeat([f.frame_index for f in frames], n_gt)
-    records["box"] = _column(frames, "gt_boxes", "box")
+    records = np.zeros(len(frames.gt_boxes), dtype=[("frame_index", "i8"), ("box", "f8", (4,))])
+    records["frame_index"] = frames.frame_index[_row_frames(frames.gt_offsets)]
+    records["box"] = frames.gt_boxes["box"]
     return records
 
 
@@ -292,11 +290,11 @@ class _FrameOverlaps(NamedTuple):
     gt_identity: np.ndarray  # (M,) dense code of every ground-truth identity, flat
 
 
-def _frame_overlaps(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> _FrameOverlaps:
+def _frame_overlaps(tracks: np.ndarray, frames: Frames) -> _FrameOverlaps:
     """One IoU per (tracks row, ground truth of its frame), for every frame at
     once. Rows are sorted by frame and keep their order within a frame."""
     frame_index, track_id = tracks["frame_index"], tracks["track_id"]
-    index = np.array([f.frame_index for f in frames], dtype=np.int64)
+    index = frames.frame_index
     known = np.isin(frame_index, index)
     if not known.all():
         unknown = np.unique(frame_index[~known])[:5].tolist()
@@ -317,20 +315,8 @@ def _frame_overlaps(tracks: np.ndarray, frames: Sequence[FrameRecord]) -> _Frame
         track=track_id[order],
         overlaps=overlaps,
         gt_offset=gt_offset,
-        gt_identity=_codes(_column(frames, "gt_boxes", "id")),
+        gt_identity=_codes(frames.gt_boxes["id"]),
     )
-
-
-_NO_ROWS = {"detections": np.zeros(0, detection_dtype(0)), "gt_boxes": np.zeros(0, GT_DTYPE)}
-
-
-def _column(frames: Sequence[FrameRecord], records: str, field: str) -> np.ndarray:
-    """One field of the `detections` or `gt_boxes` of every frame that has
-    any, concatenated into a new array; with no rows, an empty one (whose
-    detection feature has width 0). A field per call: joining whole records
-    would promote their dtype once per frame."""
-    columns = [rows[field] for rows in (getattr(f, records) for f in frames) if len(rows)]
-    return np.concatenate(columns or [_NO_ROWS[records][field]])
 
 
 def _codes(values: np.ndarray) -> np.ndarray:
@@ -399,7 +385,7 @@ def _same_key_pairs(frame: np.ndarray, key: np.ndarray, pairs: np.ndarray) -> in
 
 def track_counts(
     tracks: np.ndarray,
-    frames: Sequence[FrameRecord],
+    frames: Frames,
     score_threshold: float = 0.5,
     iou_min: float = 0.5,
 ) -> tuple[MotCounts, PairCounts]:

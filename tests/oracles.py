@@ -1,5 +1,6 @@
 """Independent test oracles shared by the unit and acceptance suites."""
 
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,61 @@ def match_oracle(d, h):
     return out
 
 
+def follows(frame, other):
+    """Whether `frame` is the next one after `other`: same camera,
+    frame_index one higher, in Python integers, which do not wrap."""
+    return frame.camera_id == other.camera_id and frame.frame_index == other.frame_index + 1
+
+
+def loop_neighbor_frames(frames):
+    """`neighbor_frames` as a loop over `FrameRecord`s: cameras in
+    increasing id, each camera's consecutive frames in input order, kept
+    where the second `follows` the first."""
+    by_camera = {}
+    for k, frame in enumerate(frames):
+        by_camera.setdefault(frame.camera_id, []).append(k)
+    return [
+        (i, j)
+        for camera in sorted(by_camera)
+        for i, j in zip(by_camera[camera], by_camera[camera][1:])
+        if follows(frames[j], frames[i])
+    ]
+
+
+def loop_cross_camera_frames(frames):
+    """`cross_camera_frames` as a loop over `FrameRecord`s: each identity's
+    earliest frame per camera (the first such frame on ties), then for each
+    identity in increasing order every pair of its cameras in increasing
+    order, each distinct frame pair once."""
+    earliest = {}
+    for k, frame in enumerate(frames):
+        for ident in frame.gt_boxes["id"].tolist():
+            cams = earliest.setdefault(ident, {})
+            prev = cams.get(frame.camera_id)
+            if prev is None or frame.frame_index < frames[prev].frame_index:
+                cams[frame.camera_id] = k
+    pairs = (
+        (earliest[ident][a], earliest[ident][b])
+        for ident in sorted(earliest)
+        for a, b in combinations(sorted(earliest[ident]), 2)
+    )
+    return list(dict.fromkeys(pairs))
+
+
+def loop_check_sequence(frames):
+    """`core._check_sequence` as a loop over `FrameRecord`s: one camera,
+    then frame indices increasing."""
+    cameras = {f.camera_id for f in frames}
+    if len(cameras) > 1:
+        raise ValueError(f"expected a single camera, got {sorted(cameras)}")
+    frames = list(frames)
+    for prev, cur in zip(frames, frames[1:]):
+        if cur.frame_index <= prev.frame_index:
+            raise ValueError(
+                f"frame indices must increase: {prev.frame_index} then {cur.frame_index}"
+            )
+
+
 def loop_tracker(frames, params, threshold, score_threshold=0.5):
     """The tracks array of a frame-by-frame loop: kept rows are matched to
     the previous frame's kept rows by `match_oracle`, a matched row takes
@@ -78,7 +134,7 @@ def loop_tracker(frames, params, threshold, score_threshold=0.5):
     for k, frame in enumerate(frames):
         kept = frame.detections["confidence"] >= score_threshold
         emb = embed_batch(params, frame.detections["feature"][kept])
-        if k == 0 or not frame.follows(frames[k - 1]):
+        if k == 0 or not follows(frame, frames[k - 1]):
             former, former_ids = former[:0], []
         ids = []
         for j in match_oracle(distance_matrix(emb, former), threshold):

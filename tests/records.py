@@ -1,11 +1,16 @@
 """Record arrays for tests, built from plain rows: detections, ground
 truths and tracker output in the layouts `FrameRecord` and the tracks
-array use, and the two record arrays `mean_ap` takes. A box is four
-numbers [x1, y1, x2, y2]."""
+array use, the `Frames` table of a list of frames, and the two record
+arrays `mean_ap` takes. A box is four numbers [x1, y1, x2, y2]."""
+
+import dataclasses
 
 import numpy as np
 
-from embedtrack import GT_DTYPE, TRACK_DTYPE, FrameRecord, detection_dtype, ground_truth_records
+from embedtrack import (
+    GT_DTYPE, TRACK_DTYPE, FrameRecord, Frames, detection_dtype, ground_truth_records,
+)
+from embedtrack.core import _frames_table
 
 
 def detections(rows, feature_dim=None):
@@ -34,6 +39,29 @@ def frame(index, dets=(), gts=(), camera=0, feature_dim=None):
     )
 
 
+def table(records):
+    """The `Frames` table of `FrameRecord`s (from `frame`, or views of
+    another table), in order. Its detection dtype is that of the first
+    frame with detections, else of the first frame."""
+    records = list(records)
+    dets = [f.detections for f in records if len(f.detections)] or [
+        f.detections for f in records[:1]
+    ]
+    return _frames_table(
+        [(f.frame_index, f.camera_id, len(f.detections), len(f.gt_boxes)) for f in records],
+        np.concatenate(dets or [np.zeros(0, detection_dtype(0))]),
+        np.concatenate([f.gt_boxes for f in records] or [np.zeros(0, GT_DTYPE)]),
+    )
+
+
+def assert_same_frames(got, want):
+    """Two `Frames` tables hold the same columns: equal dtypes, shapes and
+    bytes."""
+    for field in dataclasses.fields(Frames):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
 def tracks(rows, frame_index=0):
     """Tracker output rows (box, confidence, track_id), or (box, track_id)
     with confidence 1.0."""
@@ -51,5 +79,5 @@ def ap_inputs(predictions, ground_truths):
     gts = [(i, list(b)) for i, b in ground_truths]
     return (
         np.array(rows, dtype=TRACK_DTYPE)[["frame_index", "box", "confidence"]],
-        np.array(gts, dtype=ground_truth_records([]).dtype),
+        np.array(gts, dtype=ground_truth_records(table([])).dtype),
     )

@@ -12,7 +12,7 @@ from embedtrack import (
     update_tracks,
 )
 from oracles import loop_tracker, match_oracle
-from records import frame
+from records import frame, table
 
 
 class TestDistanceMatrix:
@@ -158,57 +158,57 @@ def _tracked(tracks, frames):
 
 class TestTrackSequence:
     def test_single_frame_issues_distinct_ids(self):
-        frames = [_frame(0, [[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])]
+        frames = table([_frame(0, [[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])])
         out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0), (1, 1), (2, 2)]]
 
     def test_ids_persist_across_identical_embeddings(self):
         feats = [[0.0, 0.0], [5.0, 5.0]]
-        frames = [_frame(0, feats), _frame(1, feats), _frame(2, feats)]
+        frames = table([_frame(0, feats), _frame(1, feats), _frame(2, feats)])
         out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0), (1, 1)]] * 3
 
     def test_confidence_filter_drops_detections(self):
-        frames = [_frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3])]
+        frames = table([_frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3])])
         tracks = track_sequence(frames, _identity_params(2), threshold=1.0)
         assert _tracked(tracks, frames) == [[(0, 0)]]
 
     def test_gap_breaks_track(self):
         # one frame without the detection: the track id is not revived
         feats = [[0.0, 0.0]]
-        frames = [_frame(0, feats), _frame(1, []), _frame(2, feats)]
+        frames = table([_frame(0, feats), _frame(1, []), _frame(2, feats)])
         out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0)], [], [(0, 1)]]
 
     def test_index_gap_issues_fresh_ids(self):
         # frames 0, 1, 3: frame 3 does not follow frame 1, so nothing matches
         feats = [[0.0, 0.0], [5.0, 5.0]]
-        frames = [_frame(0, feats), _frame(1, feats), _frame(3, feats)]
+        frames = table([_frame(0, feats), _frame(1, feats), _frame(3, feats)])
         out = _tracked(track_sequence(frames, _identity_params(2), threshold=1.0), frames)
         assert out == [[(0, 0), (1, 1)], [(0, 0), (1, 1)], [(0, 2), (1, 3)]]
 
     def test_rejects_multiple_cameras(self):
-        frames = [_frame(0, [[0.0, 0.0]], camera=0), _frame(1, [[0.0, 0.0]], camera=1)]
+        frames = table([_frame(0, [[0.0, 0.0]], camera=0), _frame(1, [[0.0, 0.0]], camera=1)])
         with pytest.raises(ValueError):
             track_sequence(frames, _identity_params(2), threshold=1.0)
 
     def test_rejects_non_increasing_frame_index(self):
-        frames = [_frame(1, [[0.0, 0.0]]), _frame(1, [[0.0, 0.0]])]
+        frames = table([_frame(1, [[0.0, 0.0]]), _frame(1, [[0.0, 0.0]])])
         with pytest.raises(ValueError):
             track_sequence(frames, _identity_params(2), threshold=1.0)
 
     @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
     def test_rejects_score_threshold_outside_unit_interval(self, score_threshold):
         # NaN once dropped every detection and gave an empty tracks array
-        frames = [_frame(0, [[0.0, 0.0]])]
+        frames = table([_frame(0, [[0.0, 0.0]])])
         with pytest.raises(ValueError, match="score_threshold must lie in"):
             track_sequence(frames, _identity_params(2), 1.0, score_threshold)
 
     def test_tracks_keep_tracked_rows_in_order(self):
-        frames = [
+        frames = table([
             _frame(0, [[0.0, 0.0], [5.0, 5.0]], confidences=[0.9, 0.3]),
             _frame(2, [[1.0, 1.0]]),
-        ]
+        ])
         tracks = track_sequence(frames, _identity_params(2), threshold=1.0)
         assert tracks.dtype == TRACK_DTYPE
         assert tracks["frame_index"].tolist() == [0, 2]
@@ -216,7 +216,7 @@ class TestTrackSequence:
         assert tracks["box"].tolist() == [frames[0].detections["box"][0].tolist(),
                                          frames[1].detections["box"][0].tolist()]
         assert tracks["confidence"].tolist() == [0.9, 0.9]
-        empty = track_sequence([], _identity_params(2), threshold=1.0)
+        empty = track_sequence(table([]), _identity_params(2), threshold=1.0)
         assert empty.dtype == TRACK_DTYPE and empty.size == 0
 
 
@@ -232,7 +232,7 @@ def tracker_cases(draw):
                                     max_size=len(feats)))
         frames.append(_frame(index, [[float(x) for x in f] for f in feats], confidences))
         index += draw(st.sampled_from([1, 1, 1, 2, 3]))
-    return frames, draw(st.sampled_from([0.5, 1.0, 2.0, 5.0, 100.0]))
+    return table(frames), draw(st.sampled_from([0.5, 1.0, 2.0, 5.0, 100.0]))
 
 
 class TestReferenceTracker:

@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from embedtrack import FrameParseError, iou, load_frames, load_track_records
-from embedtrack.core import _broadcast_iou
+from embedtrack import (
+    FrameParseError, cross_camera_frames, iou, load_frames, load_track_records, neighbor_frames,
+)
+from embedtrack.core import _broadcast_iou, _check_sequence
 from embedtrack.datasets import BOX_RULE
-from records import frame
+from oracles import loop_check_sequence, loop_cross_camera_frames, loop_neighbor_frames
+from records import assert_same_frames, frame, table
 from strategies import any_boxes, boxes
 
 
@@ -161,9 +164,12 @@ class TestDetectionRecord:
 
     def test_equality_compares_feature_values(self):
         dets = [((0, 0, 10, 10), 0.9, [1.0, 2.0], 1)]
-        assert frame(0, dets) == frame(0, dets)
-        assert frame(0, dets) != frame(0, [((0, 0, 10, 10), 0.9, [1.0, 3.0], 1)])
-        assert frame(0, dets) != frame(0, [((0, 0, 10, 10), 0.9, [1.0, 2.0, 0.0], 1)])
+        assert_same_frames(table([frame(0, dets)]), table([frame(0, dets)]))
+        for other in ([1.0, 3.0], [1.0, 2.0, 0.0]):
+            with pytest.raises(AssertionError, match="detections"):
+                assert_same_frames(
+                    table([frame(0, dets)]), table([frame(0, [((0, 0, 10, 10), 0.9, other, 1)])])
+                )
 
 
 class TestFrameRecord:
@@ -175,9 +181,9 @@ class TestFrameRecord:
         assert f.gt_boxes["id"].tolist() == [7]
 
     def test_follows_needs_same_camera_and_next_index(self):
-        assert frame(4).follows(frame(3))
-        assert not frame(5).follows(frame(3))
-        assert not frame(4, camera=1).follows(frame(3))
+        assert neighbor_frames(table([frame(3), frame(4)])) == [(0, 1)]
+        assert neighbor_frames(table([frame(3), frame(5)])) == []
+        assert neighbor_frames(table([frame(3), frame(4, camera=1)])) == []
 
     def test_rejects_negative_frame_index(self, tmp_path):
         _rejected(tmp_path, "frame", frame_index=-2)
@@ -188,3 +194,52 @@ class TestFrameRecord:
     def test_rejects_mixed_feature_dims(self, tmp_path):
         dets = [_det(feature=[1.0]), _det(feature=[1.0, 2.0])]
         _rejected(tmp_path, "detections.feature", detections=dets)
+
+
+INT64_MAX = 2**63 - 1
+# Frame indices near zero, near the int64 maximum (where index + 1 wraps to
+# the minimum) and at the minimum, so that consecutive indices are common.
+_frame_indices = st.one_of(
+    st.integers(0, 4), st.integers(INT64_MAX - 2, INT64_MAX), st.just(-(2**63))
+)
+
+
+@st.composite
+def _camera_frames(draw):
+    """`FrameRecord`s of up to three interleaved cameras, with index gaps,
+    repeated and decreasing indices, empty frames, and identities that
+    several cameras see."""
+    box = (0.0, 0.0, 1.0, 1.0)
+    return [
+        frame(
+            draw(_frame_indices),
+            [(box, 0.9, [1.0])] * draw(st.integers(0, 1)),
+            [(box, i) for i in draw(st.lists(st.integers(0, 3), max_size=3, unique=True))],
+            camera=draw(st.integers(0, 2)),
+            feature_dim=1,
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+def _refusal(check, frames):
+    try:
+        check(frames)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestFrameRules:
+    """The array forms of the frame rules against their loops over
+    `FrameRecord` views (tests/oracles.py)."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_camera_frames())
+    # INT64_MAX + 1 wraps to the minimum; the rule must not pair them.
+    @example([frame(INT64_MAX - 1), frame(0, camera=1), frame(INT64_MAX), frame(-(2**63))])
+    def test_array_rules_equal_loops(self, records):
+        frames = table(records)
+        assert neighbor_frames(frames) == loop_neighbor_frames(frames)
+        assert cross_camera_frames(frames) == loop_cross_camera_frames(frames)
+        assert _refusal(_check_sequence, frames) == _refusal(loop_check_sequence, frames)

@@ -26,8 +26,11 @@ from embedtrack import (
     training_batches,
 )
 import embedtrack.datasets
-from oracles import frame_labeled_rows, line_load_frames, line_load_track_records
-from records import detections, frame, gt_boxes, tracks
+from oracles import (
+    frame_labeled_rows, line_load_frames, line_load_track_records, loop_check_sequence,
+    loop_cross_camera_frames, loop_neighbor_frames,
+)
+from records import assert_same_frames, detections, frame, gt_boxes, table, tracks
 from strategies import grid_boxes, row_boxes
 
 
@@ -57,36 +60,36 @@ class TestTrainingBatches:
     def test_stacks_first_frame_above_second(self):
         a = frame(0, [_det(0.0, ident=1, feature=(1.0, 0.0)), _det(50.0, ident=2)])
         b = _frame(1, [3, 4])
-        features, identities, counts = training_batches([a, b], [(0, 1), (1, 0)])
+        features, identities, counts = training_batches(table([a, b]), [(0, 1), (1, 0)])
         assert counts.tolist() == [4, 4]
         assert identities.dtype == np.int64
         assert identities.tolist() == [1, 2, 3, 4, 3, 4, 1, 2]
         assert features[:4].tolist() == [[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
 
     def test_positive_pair_only_when_identity_shared(self):
-        ((_, shared),) = _batches([_frame(0, [1]), _frame(1, [1])], [(0, 1)])
-        ((_, apart),) = _batches([_frame(0, [1]), _frame(1, [2])], [(0, 1)])
+        ((_, shared),) = _batches(table([_frame(0, [1]), _frame(1, [1])]), [(0, 1)])
+        ((_, apart),) = _batches(table([_frame(0, [1]), _frame(1, [2])]), [(0, 1)])
         assert shared.tolist() == [1, 1]
         assert apart.tolist() == [1, 2]
 
     def test_overlapping_boxes_label_as_in_their_own_frame(self):
-        frames = [_unlabeled(_frame(t, [1, 2], x_step=6.0)) for t in range(2)]  # iou 0.25
+        frames = table(_unlabeled(_frame(t, [1, 2], x_step=6.0)) for t in range(2))  # iou 0.25
         ((features, identities),) = _batches(frames, [(0, 1)])
-        rows = [labeled_rows([f]) for f in frames]
+        rows = [labeled_rows(table([f])) for f in frames]
         assert np.array_equal(features, np.vstack([r[0] for r in rows]))
         assert identities.tolist() == [1, 2, 1, 2]
 
     def test_passthrough_when_all_labeled(self):
-        ((_, identities),) = _batches([_frame(0, [1, 2]), _frame(1, [1, 2])], [(0, 1)])
+        ((_, identities),) = _batches(table([_frame(0, [1, 2]), _frame(1, [1, 2])]), [(0, 1)])
         assert identities.tolist() == [1, 2, 1, 2]
 
     def test_assignment_path_for_unlabeled_detections(self):
-        frames = [_unlabeled(_frame(0, [1, 2])), _frame(1, [1, 2])]
+        frames = table([_unlabeled(_frame(0, [1, 2])), _frame(1, [1, 2])])
         ((_, identities),) = _batches(frames, [(0, 1)])
         assert identities.tolist() == [1, 2, 1, 2]
 
     def test_skips_pairs_below_two_rows(self):
-        frames = [_frame(0, [1]), _frame(1, []), _frame(2, [1]), _frame(3, [1, 2])]
+        frames = table([_frame(0, [1]), _frame(1, []), _frame(2, [1]), _frame(3, [1, 2])])
         features, identities, counts = training_batches(frames, [(0, 1)], score_threshold=0.95)
         assert features.shape == (0, 2) and identities.shape == (0,) and counts.shape == (0,)
         assert len(_batches(frames, [(0, 1), (1, 2), (0, 2)])) == 1
@@ -111,50 +114,52 @@ class TestTrainingBatches:
         dets["gt_id"][0] = 9
         a = FrameRecord(0, 0, dets, a.gt_boxes)
         b = _unlabeled(_frame(1, [0, 1, 2]))
-        ((_, identities),) = _batches([a, b], neighbor_frames([a, b]))
+        ((_, identities),) = _batches(table([a, b]), neighbor_frames(table([a, b])))
         assert identities.tolist() == [9, 1, 2, 0, 1, 2]
-        assert labeled_rows([a])[1].tolist() == [9, 1, 2]
-        assert labeled_rows([a, b])[1].tolist() == [9, 1, 2, 0, 1, 2]
+        assert labeled_rows(table([a]))[1].tolist() == [9, 1, 2]
+        assert labeled_rows(table([a, b]))[1].tolist() == [9, 1, 2, 0, 1, 2]
 
 
 class TestMtmcPairs:
     def test_identity_in_two_cameras_yields_one_sample(self):
-        frames = [_frame(0, [7], camera=1), _frame(0, [7], camera=2)]
+        frames = table([_frame(0, [7], camera=1), _frame(0, [7], camera=2)])
         assert cross_camera_frames(frames) == [(0, 1)]
         ((_, identities),) = _batches(frames, cross_camera_frames(frames))
         assert identities.tolist() == [7, 7]
 
     def test_single_camera_identity_contributes_nothing(self):
-        frames = [_frame(0, [7], camera=1), _frame(1, [7], camera=1)]
+        frames = table([_frame(0, [7], camera=1), _frame(1, [7], camera=1)])
         assert cross_camera_frames(frames) == []
 
     def test_sample_count_matches_pair_enumeration(self):
         # identity 1 in 3 cameras (3 pairs), identity 2 in 2 cameras (1 pair,
         # already given by identity 1): each distinct frame pair once
-        frames = [
+        frames = table([
             _frame(0, [1, 2], camera=0),
             _frame(0, [1, 2], camera=1),
             _frame(0, [1], camera=2),
-        ]
+        ])
         assert cross_camera_frames(frames) == [(0, 1), (0, 2), (1, 2)]
 
     def test_repeated_pair_keeps_first_occurrence_order(self):
         # identity 1 gives (1, 2); identity 2 gives (0, 1), (0, 2) and (1, 2) again
-        frames = [
+        frames = table([
             _frame(0, [2], camera=0),
             _frame(0, [1, 2], camera=1),
             _frame(0, [1, 2], camera=2),
-        ]
+        ])
         assert cross_camera_frames(frames) == [(1, 2), (0, 1), (0, 2)]
         assert len(_batches(frames, cross_camera_frames(frames))) == 3
 
     def test_uses_earliest_frame_per_camera(self):
-        frames = [_frame(9, [7], camera=1), _frame(3, [7], camera=1), _frame(0, [7], camera=2)]
+        frames = table(
+            [_frame(9, [7], camera=1), _frame(3, [7], camera=1), _frame(0, [7], camera=2)]
+        )
         assert cross_camera_frames(frames) == [(1, 2)]
 
 
 def _one_frame(dets, gts):
-    return [FrameRecord(0, 0, dets, gts)]
+    return table([FrameRecord(0, 0, dets, gts)])
 
 
 def _spec_frame(index, dets, gts):
@@ -221,38 +226,41 @@ class TestLabeledRows:
     @pytest.mark.parametrize("labeled", [True, False])
     @pytest.mark.parametrize("iou_min", [0.0, 5.0, float("nan")])
     def test_rejects_iou_min_whether_or_not_a_frame_needs_assignment(self, labeled, iou_min):
-        frames = [_frame(0, [1, 2])]
+        first = _frame(0, [1, 2])
         with pytest.raises(ValueError, match="iou_min must lie in"):
-            labeled_rows(frames if labeled else [_unlabeled(frames[0])], iou_min=iou_min)
+            labeled_rows(table([first if labeled else _unlabeled(first)]), iou_min=iou_min)
 
     @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
     def test_rejects_score_threshold_outside_unit_interval(self, score_threshold):
         # NaN once dropped every row
         with pytest.raises(ValueError, match="score_threshold must lie in"):
-            labeled_rows([_frame(0, [1, 2])], score_threshold=score_threshold)
+            labeled_rows(table([_frame(0, [1, 2])]), score_threshold=score_threshold)
 
     def test_assigns_once_and_only_the_frames_that_need_it(self, monkeypatch):
         calls = []
         original = embedtrack.datasets.assign_predictions
 
         def assign(frames, *args):
-            calls.append([f.frame_index for f in frames])
+            calls.append(frames.frame_index.tolist())
             return original(frames, *args)
 
         monkeypatch.setattr(embedtrack.datasets, "assign_predictions", assign)
-        frames = [_frame(0, [1, 2]), _unlabeled(_frame(1, [1, 2])), _frame(2, [1]),
-                  _unlabeled(_frame(3, [2]))]
-        assert labeled_rows(frames)[1].tolist() == [1, 2, 1, 2, 1, 2]
-        assert calls == [[1, 3]]
+        # Frame 2's label disagrees with its box; frames 1 and 3 need labels.
+        labeled = _frame(2, [1]).detections.copy()
+        labeled["gt_id"] = 5
+        frames = [_frame(0, [1, 2]), _unlabeled(_frame(1, [1, 2])),
+                  FrameRecord(2, 0, labeled, _frame(2, [1]).gt_boxes), _unlabeled(_frame(3, [2]))]
+        assert labeled_rows(table(frames))[1].tolist() == [1, 2, 1, 2, 5, 2]
+        assert calls == [[0, 1, 2, 3]]
         calls.clear()
-        labeled_rows(frames[::2])
+        labeled_rows(table(frames[::2]))
         assert calls == []
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(_spec_frames(), st.sampled_from([0.5, 0.7]), st.sampled_from([0.1, 0.5, 0.9]))
     @example(_NINE_ONE_TWO, 0.5, 0.5)
     def test_file_equals_per_frame_rule(self, spec, score_threshold, iou_min):
-        frames = [_spec_frame(k, dets, gts) for k, (dets, gts) in enumerate(spec)]
+        frames = table(_spec_frame(k, dets, gts) for k, (dets, gts) in enumerate(spec))
         expected = [frame_labeled_rows(f.detections, f.gt_boxes, score_threshold, iou_min)
                     for f in frames]
         features, ids, counts = labeled_rows(frames, score_threshold, iou_min)
@@ -265,27 +273,27 @@ class TestLabeledRows:
 
 class TestNeighborFrames:
     def test_pairs_only_direct_successors_per_camera(self):
-        frames = [
+        frames = table([
             _frame(0, [1]),
             _frame(0, [1], camera=1),
             _frame(1, [1]),
             _frame(3, [1]),
             _frame(1, [1], camera=1),
-        ]
+        ])
         assert neighbor_frames(frames) == [(0, 2), (1, 4)]
 
     def test_no_pair_across_index_gap(self):
-        frames = [_frame(0, [1]), _frame(2, [1])]
+        frames = table([_frame(0, [1]), _frame(2, [1])])
         assert neighbor_frames(frames) == []
         assert _batches(frames, neighbor_frames(frames)) == []
 
     def test_no_pair_across_cameras(self):
-        frames = [_frame(0, [1]), _frame(1, [1], camera=1)]
+        frames = table([_frame(0, [1]), _frame(1, [1], camera=1)])
         assert neighbor_frames(frames) == []
         assert _batches(frames, neighbor_frames(frames)) == []
 
     def test_distances_skip_index_gap(self):
-        frames = [_frame(0, [1, 2]), _frame(1, [1, 2]), _frame(3, [1, 2])]
+        frames = table([_frame(0, [1, 2]), _frame(1, [1, 2]), _frame(3, [1, 2])])
         params = init_params(2, 4, 3, np.random.default_rng(0))
         distances, is_same = neighbor_pair_distances(frames, params)
         emb = [embed_batch(params, f.detections["feature"]) for f in frames]
@@ -294,7 +302,8 @@ class TestNeighborFrames:
 
     def test_no_pairs_gives_empty_arrays(self):
         params = init_params(2, 4, 3, np.random.default_rng(0))
-        distances, is_same = neighbor_pair_distances([_frame(0, [1]), _frame(2, [1])], params)
+        frames = table([_frame(0, [1]), _frame(2, [1])])
+        distances, is_same = neighbor_pair_distances(frames, params)
         assert distances.shape == (0,) and is_same.dtype == bool
 
 
@@ -313,7 +322,7 @@ class TestSimulate:
 
     def test_same_seed_reproduces_sequence(self):
         cfg = SimConfig(identity_count=3, frame_count=5, feature_dim=4, seed=12)
-        assert simulate(cfg) == simulate(cfg)
+        assert_same_frames(simulate(cfg), simulate(cfg))
 
     def test_archetypes_equidistant_and_seed_independent(self):
         cfg_a = SimConfig(identity_count=4, frame_count=2, feature_dim=6, seed=0)
@@ -339,7 +348,7 @@ class TestSimulate:
         frames = simulate(cfg)
         max_same, min_diff = -np.inf, np.inf
         for t, ft in enumerate(frames):
-            for fs in frames[t + 1 :]:
+            for fs in list(frames)[t + 1 :]:
                 d = distance_matrix(ft.detections["feature"], fs.detections["feature"])
                 same = np.equal.outer(ft.detections["gt_id"], fs.detections["gt_id"])
                 max_same = max(max_same, d[same].max())
@@ -388,21 +397,21 @@ class TestFrameIo:
         frames = simulate(cfg)
         path = tmp_path / "frames.jsonl"
         save_frames(path, frames)
-        assert load_frames(path) == frames
+        assert_same_frames(load_frames(path), frames)
 
     def test_round_trip_without_identities(self, tmp_path):
         unlabeled = frame(0, [((0, 0, 5, 5), 0.75, [0.25, -1.5])], camera=2)
         path = tmp_path / "frames.jsonl"
-        save_frames(path, [unlabeled])
+        save_frames(path, table([unlabeled]))
         assert "gt_id" not in path.read_text()
         loaded = load_frames(path)
-        assert loaded == [unlabeled]
+        assert_same_frames(loaded, table([unlabeled]))
         assert loaded[0].detections["gt_id"].tolist() == [-1]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         path.write_text("")
-        assert load_frames(path) == []
+        assert_same_frames(load_frames(path), table([]))
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -419,12 +428,12 @@ class TestFrameIo:
         assert exc.value.field == "gt_boxes"
 
     def test_inconsistent_feature_dim_rejected(self, tmp_path):
-        frames = [
-            _frame(0, [1], camera=0),
-            frame(1, [_det(0.0, feature=(1.0, 2.0, 3.0))]),
-        ]
+        frames = [_frame(0, [1], camera=0), frame(1, [_det(0.0, feature=(1.0, 2.0, 3.0))])]
         path = tmp_path / "frames.jsonl"
-        save_frames(path, frames)
+        for f in frames:  # a table holds one feature length, so each line is saved alone
+            save_frames(tmp_path / "line.jsonl", table([f]))
+            with path.open("a") as fh:
+                fh.write((tmp_path / "line.jsonl").read_text())
         with pytest.raises(FrameParseError) as exc:
             load_frames(path)
         assert exc.value.field == "detections.feature"
@@ -442,7 +451,7 @@ class TestFrameIo:
 
     def test_non_increasing_frame_index_rejected(self, tmp_path):
         path = tmp_path / "frames.jsonl"
-        save_frames(path, [_frame(3, [1])])
+        save_frames(path, table([_frame(3, [1])]))
         line = path.read_text()
         path.write_text(line + line)  # same frame_index twice
         with pytest.raises(FrameParseError) as exc:
@@ -450,14 +459,14 @@ class TestFrameIo:
         assert exc.value.field == "frame_index"
 
     def test_interleaved_cameras_allowed(self, tmp_path):
-        frames = [
+        frames = table([
             _frame(0, [1], camera=0),
             _frame(0, [1], camera=1),
             _frame(1, [1], camera=0),
-        ]
+        ])
         path = tmp_path / "frames.jsonl"
         save_frames(path, frames)
-        assert load_frames(path) == frames
+        assert_same_frames(load_frames(path), frames)
 
     def test_bad_box_named(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -472,7 +481,7 @@ class TestFrameIo:
 
     def test_rejects_identity_twice_in_frame(self, tmp_path):
         path = tmp_path / "frames.jsonl"
-        save_frames(path, [_frame(0, [3, 4]), _frame(1, [3, 4])])
+        save_frames(path, table([_frame(0, [3, 4]), _frame(1, [3, 4])]))
         doc = json.loads(path.read_text().splitlines()[1])
         doc["gt_boxes"][1]["id"] = 3
         path.write_text(path.read_text().splitlines()[0] + "\n" + json.dumps(doc) + "\n")
@@ -933,12 +942,7 @@ class TestLineParserOracle:
         if isinstance(want, tuple):
             assert got == want
             return
-        assert [(f.frame_index, f.camera_id) for f in got] == [
-            (f.frame_index, f.camera_id) for f in want]
-        for g, w in zip(got, want):
-            assert g.detections.dtype == w.detections.dtype
-            assert g.detections.tobytes() == w.detections.tobytes()
-            assert g.gt_boxes.tobytes() == w.gt_boxes.tobytes()
+        assert_same_frames(got, table(want))
 
     @given(text=_corrupted_lines(_track_docs()))
     @settings(max_examples=100, derandomize=True, deadline=None,

@@ -37,7 +37,7 @@ def _mean_ap(preds, gts, *thresholds):
 def _assign(preds, gts, **kw):
     """assign_predictions of a one-frame file of (box, confidence) rows
     against (box, identity) rows, as a list."""
-    ids = assign_predictions([_assign_frame(0, preds, gts)], **kw)
+    ids = assign_predictions(records.table([_assign_frame(0, preds, gts)]), **kw)
     assert ids.dtype == np.int64
     return ids.tolist()
 
@@ -47,14 +47,14 @@ def _assign_frame(index, preds, gts):
 
 
 def _frames(pred_frames, gt_frames, indices=None):
-    """The tracks array and `FrameRecord`s of per-frame prediction and gt
+    """The tracks array and `Frames` table of per-frame prediction and gt
     rows; frame k gets frame index `indices[k]`, by default k."""
     assert len(pred_frames) == len(gt_frames)
     indices = range(len(gt_frames)) if indices is None else indices
     tracks = np.concatenate(
         [records.tracks([])] + [records.tracks(f, i) for f, i in zip(pred_frames, indices)]
     )
-    return tracks, [records.frame(i, gts=g) for i, g in zip(indices, gt_frames)]
+    return tracks, records.table(records.frame(i, gts=g) for i, g in zip(indices, gt_frames))
 
 
 def _track_counts(pred_frames, gt_frames, indices=None, **kw):
@@ -163,7 +163,7 @@ class TestScalarOracles:
                 [box if conf >= 0.5 else None for box, conf in preds], [b for b, _ in gts], iou_min
             )
             expected += [-1 if j is None else gts[j][1] for j in claims]
-        frames = [_assign_frame(k, preds, gts) for k, (preds, gts) in enumerate(spec)]
+        frames = records.table(_assign_frame(k, preds, gts) for k, (preds, gts) in enumerate(spec))
         assert assign_predictions(frames, iou_min=iou_min).tolist() == expected
 
     @given(
@@ -233,7 +233,7 @@ def scored_frames(draw):
         rows += [(index, k, b, c) for k, (b, c) in enumerate(preds)]
     rows = draw(st.permutations(rows))
     tracks = np.array(rows, dtype=TRACK_DTYPE)
-    return tracks, frames, [(i, b, c) for i, _, b, c in rows], gts
+    return tracks, records.table(frames), [(i, b, c) for i, _, b, c in rows], gts
 
 
 class TestTracksAgainstFrames:
@@ -256,16 +256,16 @@ class TestTracksAgainstFrames:
         assert mean_ap(predictions, ground_truths) == expected
 
     def test_ground_truth_records_keep_frame_order(self):
-        frames = [
+        frames = records.table([
             records.frame(4, gts=[(_box(0), 1), (_box(30), 2)]),
             records.frame(6),
             records.frame(7, gts=[(_box(5), 1)]),
-        ]
+        ])
         gts = ground_truth_records(frames)
         assert gts.dtype.names == ("frame_index", "box")
         assert gts["frame_index"].tolist() == [4, 4, 7]
         assert gts["box"].tolist() == [_box(0), _box(30), _box(5)]
-        assert len(ground_truth_records([records.frame(0)])) == 0
+        assert len(ground_truth_records(records.table([records.frame(0)]))) == 0
 
 
 class TestAveragePrecision:
@@ -522,9 +522,9 @@ class TestTrackCounts:
     )
     def test_equals_loop_oracles(self, frames, iou_min):
         preds, gts, indices, row_frames = frames
-        sequence = [records.frame(i, gts=g) for i, g in zip(indices, gts)]
+        sequence = records.table(records.frame(i, gts=g) for i, g in zip(indices, gts))
         neighbors = [
-            (t, t + 1) for t in range(len(sequence) - 1) if sequence[t + 1].follows(sequence[t])
+            (t, t + 1) for t in range(len(indices) - 1) if indices[t + 1] == indices[t] + 1
         ]
         mot_preds = [[(b, t) for b, _, t in f] for f in preds]
         expected_mot = loop_mot_counts(mot_preds, gts, iou_min)
@@ -538,7 +538,9 @@ class TestTrackCounts:
         # frame 3's two rows tie for identity 7: the first, track 4, keeps
         # it, so identity 7 stays on track 4 and track 2 is a false positive
         box = (0, 0, 1, 1)
-        frames = [records.frame(k, gts=g) for k, g in ((0, [(box, 7)]), (1, []), (3, [(box, 7)]))]
+        frames = records.table(
+            records.frame(k, gts=g) for k, g in ((0, [(box, 7)]), (1, []), (3, [(box, 7)]))
+        )
         rows = np.concatenate(
             [records.tracks([(box, 0.9, t)], k) for k, t in ((3, 4), (0, 4), (3, 2))]
         )
@@ -546,39 +548,40 @@ class TestTrackCounts:
         assert mot == MotCounts(fp=1, miss=0, mismatch=0, gt_total=2)
         in_order = rows[np.argsort(rows["frame_index"], kind="stable")]
         assert (mot, pairs) == track_counts(in_order, frames)
-        assert track_counts(rows[:0], []) == (MotCounts(0, 0, 0, 0), PairCounts(0, 0, 0, 0))
+        empty = records.table([])
+        assert track_counts(rows[:0], empty) == (MotCounts(0, 0, 0, 0), PairCounts(0, 0, 0, 0))
 
     @pytest.mark.parametrize("iou_min", [-0.1, 1.0, float("nan")])
     def test_rejects_iou_min_before_any_work(self, iou_min):
         # the frames would be refused too; the iou_min check comes first
         tracks = records.tracks([(_box(0), 0.9, 3)], frame_index=5)
-        frames = [records.frame(1, camera=1), records.frame(0)]
+        frames = records.table([records.frame(1, camera=1), records.frame(0)])
         with pytest.raises(ValueError, match="iou_min"):
             track_counts(tracks, frames, iou_min=iou_min)
 
     @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan")])
     def test_rejects_score_threshold_before_any_work(self, score_threshold):
         tracks = records.tracks([(_box(0), 0.9, 3)], frame_index=5)
-        frames = [records.frame(1, camera=1), records.frame(0)]
+        frames = records.table([records.frame(1, camera=1), records.frame(0)])
         with pytest.raises(ValueError, match="score_threshold must lie in"):
             track_counts(tracks, frames, score_threshold=score_threshold)
 
     def test_rejects_multi_camera_frames(self):
-        frames = [records.frame(0), records.frame(1, camera=1)]
+        frames = records.table([records.frame(0), records.frame(1, camera=1)])
         with pytest.raises(ValueError, match=r"single camera, got \[0, 1\]"):
             track_counts(records.tracks([]), frames)
 
     @pytest.mark.parametrize("indices", [[1, 0], [0, 2, 2]])
     def test_rejects_non_increasing_frames(self, indices):
         with pytest.raises(ValueError, match="frame indices must increase"):
-            track_counts(records.tracks([]), [records.frame(i) for i in indices])
+            track_counts(records.tracks([]), records.table(records.frame(i) for i in indices))
 
     def test_rejects_unknown_frames(self):
         rows = np.concatenate([records.tracks([((0, 0, 1, 1), 0.9, 4)], k) for k in (2, 0, 9)])
         with pytest.raises(ValueError, match=r"unknown frames \[2, 9\]"):
-            track_counts(rows, [records.frame(0), records.frame(1)])
+            track_counts(rows, records.table([records.frame(0), records.frame(1)]))
         with pytest.raises(ValueError, match=r"unknown frames \[0\]"):
-            track_counts(rows[1:2], [])
+            track_counts(rows[1:2], records.table([]))
 
     def test_equals_separate_counts(self):
         gt = [[(_box(0), 1), (_box(50), 2)]] * 3

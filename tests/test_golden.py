@@ -115,16 +115,55 @@ def test_unlabeled_head_is_unchanged(tmp_path):
     assert _digests(tmp_path, GOLDEN_UNLABELED_HEAD) == GOLDEN_UNLABELED_HEAD
 
 
-def test_mtmc_head_is_unchanged(tmp_path):
+# Calibrate on more than one camera: on both.jsonl with the head above
+# (calib), and train --mtmc then calibrate on a copy whose lines alternate
+# between the cameras (interleaved/). Pairs stay within a camera, so the
+# interleaved copy learns from and calibrates on the same frame pairs, and
+# its digests equal the plain copy's. Recorded while the library still held
+# frames as one record per frame.
+GOLDEN_MTMC_CALIBRATE = {
+    "calib/threshold.json": "0aab46c2205d24fa60a672fe68e04bdf1823887516c669006d59123c7a7c5a94",
+    "calib/sweep.csv": "b8c67f590d7051538a80564305a2c0da0a827b6e22ffa6a20e5416efc3abce9f",
+    "calib/sweep.npy": "b3316a45c4f6b6921da4c63e7e80ca55d26b932f19f50060146e862c2984f334",
+    "calib/histogram.csv": "527e88d5373408582d222f4f42879dc3df3b26e12beac04e6c4f74cdfc7c5c4b",
+    "interleaved/head/params.json": "b6bdcc475e8192a882cabb9d7f0b6aa4f1ca1fb51579c08bb713f8a525e2cc4f",
+    "interleaved/head/loss_trace.csv": "769db789f053649de4352bc6907c0ab82f5ccb1a3b182cd208f487e70237073c",
+    "interleaved/calib/threshold.json": "0aab46c2205d24fa60a672fe68e04bdf1823887516c669006d59123c7a7c5a94",
+    "interleaved/calib/sweep.csv": "b8c67f590d7051538a80564305a2c0da0a827b6e22ffa6a20e5416efc3abce9f",
+    "interleaved/calib/sweep.npy": "b3316a45c4f6b6921da4c63e7e80ca55d26b932f19f50060146e862c2984f334",
+    "interleaved/calib/histogram.csv": "527e88d5373408582d222f4f42879dc3df3b26e12beac04e6c4f74cdfc7c5c4b",
+}
+
+
+@pytest.fixture(scope="module")
+def mtmc(tmp_path_factory):
+    """Two cameras in one file, trained with --mtmc and calibrated, as
+    written and with the cameras' lines interleaved: the directory of the
+    outputs."""
+    tmp_path = tmp_path_factory.mktemp("mtmc")
     for camera, seed in ((0, 21), (1, 22)):
         _run("simulate", "--out", tmp_path / f"cam{camera}", "--frame-count", 10,
              "--camera-id", camera, "--dropout", 0.1, "--seed", seed, *SIM)
-    both = tmp_path / "both.jsonl"
-    both.write_text((tmp_path / "cam0/frames.jsonl").read_text()
-                    + (tmp_path / "cam1/frames.jsonl").read_text())
-    _run("train", "--frames", both, "--out", tmp_path / "head", "--mtmc",
-         "--epochs", 3, "--hidden-dim", 16, "--embed-dim", 8)
-    assert _digests(tmp_path, GOLDEN_MTMC_HEAD) == GOLDEN_MTMC_HEAD
+    cameras = [(tmp_path / f"cam{c}/frames.jsonl").read_text().splitlines(True) for c in (0, 1)]
+    (tmp_path / "interleaved").mkdir()
+    for root, lines in (
+        (tmp_path, cameras[0] + cameras[1]),
+        (tmp_path / "interleaved", [line for pair in zip(*cameras) for line in pair]),
+    ):
+        (root / "both.jsonl").write_text("".join(lines))
+        _run("train", "--frames", root / "both.jsonl", "--out", root / "head", "--mtmc",
+             "--epochs", 3, "--hidden-dim", 16, "--embed-dim", 8)
+        _run("calibrate", "--frames", root / "both.jsonl", "--params", root / "head/params.json",
+             "--out", root / "calib")
+    return tmp_path
+
+
+def test_mtmc_head_is_unchanged(mtmc):
+    assert _digests(mtmc, GOLDEN_MTMC_HEAD) == GOLDEN_MTMC_HEAD
+
+
+def test_mtmc_calibrate_is_unchanged(mtmc):
+    assert _digests(mtmc, GOLDEN_MTMC_CALIBRATE) == GOLDEN_MTMC_CALIBRATE
 
 
 # One simulated file edited so that every stage meets the edges where the
