@@ -308,21 +308,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="embedtrack",
-        description="Train, calibrate, run, and evaluate an embedding-based tracker.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic labeled sequence")
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with config values")
     p.add_argument("--out", required=True, help="output directory")
     _add_config_flags(p, SimConfig)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", help="train the embedding head on labeled frames")
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frames", required=True, help="training frames (JSONL)")
     p.add_argument("--config", help="JSON file with config values")
     p.add_argument("--out", required=True, help="output directory")
@@ -333,33 +325,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_flags(p, LossConfig)
     _add_config_flags(p, TrainConfig)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("calibrate", help="sweep the association distance threshold")
+
+def _calibrate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frames", required=True, help="labeled dev frames (JSONL)")
     p.add_argument("--params", required=True, help="trained head parameters (JSON)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--score-threshold", type=float, help="default: the head's value, or 0.5")
     p.add_argument("--iou-min", type=float, default=0.5)
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("track", help="run the tracker over one camera's frames")
+
+def _track_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--frames", required=True, help="input frames (JSONL)")
     p.add_argument("--params", required=True, help="trained head parameters (JSON)")
     p.add_argument("--threshold", type=float, required=True, help="association gate")
     p.add_argument("--score-threshold", type=float, help="default: the head's value, or 0.5")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("eval", help="score a track output against ground truth")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tracks", help="tracker output (JSONL)")
     p.add_argument("--frames", help="ground-truth frames (JSONL)")
     p.add_argument("--counts", help="JSON fixture with precomputed mot/pair counts")
     p.add_argument("--score-threshold", type=float, default=0.5)
     p.add_argument("--iou-min", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_eval)
+
+
+# name: (help, flag-adding function, handler), in help order
+_SUBCOMMANDS = {
+    "simulate": ("generate a synthetic labeled sequence", _simulate_flags, cmd_simulate),
+    "train": ("train the embedding head on labeled frames", _train_flags, cmd_train),
+    "calibrate": ("sweep the association distance threshold", _calibrate_flags, cmd_calibrate),
+    "track": ("run the tracker over one camera's frames", _track_flags, cmd_track),
+    "eval": ("score a track output against ground truth", _eval_flags, cmd_eval),
+}
+
+
+def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand and its help; flags only for
+    `subcommand`, or for every subcommand when it names none of them."""
+    parser = argparse.ArgumentParser(
+        prog="embedtrack",
+        description="Train, calibrate, run, and evaluate an embedding-based tracker.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    every = subcommand not in _SUBCOMMANDS
+    for name, (help_text, add_flags, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if every or name == subcommand:
+            add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -381,8 +399,8 @@ def _check_thresholds(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_thresholds(args)
         return args.func(args)

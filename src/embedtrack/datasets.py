@@ -294,16 +294,30 @@ def save_frames(path: Union[str, Path], frames: Frames) -> None:
             fh.write(encode(doc) + "\n")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _json_lines(path: Union[str, Path]):
-    """(line number, JSON object) of every non-blank line of a file."""
+    """(line number, JSON object) of every non-blank line of a file.
+
+    A line is one `raw_decode` of the line stripped of JSON whitespace,
+    accepted when the document ends where the stripped line does; that is
+    the set of lines `json.loads` takes. Any other line is handed to
+    `json.loads` only for its error message."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            text = line.strip(" \t\n\r")
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FrameParseError(line_number, "<line>", f"invalid JSON: {exc}") from exc
+                doc, end = _raw_decode(text)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(text):
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FrameParseError(line_number, "<line>", f"invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise FrameParseError(line_number, "<line>", "expected a JSON object")
             yield line_number, doc

@@ -1,5 +1,6 @@
 """Independent test oracles shared by the unit and acceptance suites."""
 
+import json
 from itertools import combinations
 from typing import Sequence
 
@@ -28,7 +29,6 @@ from embedtrack.datasets import (
     BOX_RULE,
     _bad_boxes,
     _check_values,
-    _json_lines,
     _objects,
     _parse_int,
 )
@@ -541,6 +541,22 @@ def _parse_detections(dets, feature_dim, line_number):
     return det
 
 
+def loads_lines(path):
+    """(line number, JSON object) of every non-blank line, one `json.loads`
+    per line: the stdlib reference for `datasets._json_lines`."""
+    with open(path, encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FrameParseError(line_number, "<line>", f"invalid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise FrameParseError(line_number, "<line>", "expected a JSON object")
+            yield line_number, doc
+
+
 def line_load_frames(path):
     """`load_frames` one line at a time: each line becomes its own arrays as
     it is read (types and structure), values are checked on the joined
@@ -550,7 +566,7 @@ def line_load_frames(path):
     last_index = {}
     error = None
     try:
-        for line_number, doc in _json_lines(path):
+        for line_number, doc in loads_lines(path):
             for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
                 if key not in doc:
                     raise FrameParseError(line_number, key, "missing")
@@ -616,7 +632,7 @@ def line_load_track_records(path):
     seen = set()
     error = None
     try:
-        for line_number, doc in _json_lines(path):
+        for line_number, doc in loads_lines(path):
             box = _parse_floats(doc.get("box"), (4,), line_number, "box")
             key = (
                 _parse_int(doc.get("frame_index"), line_number, "frame_index"),

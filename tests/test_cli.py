@@ -954,6 +954,56 @@ class TestOutsideValues:
         assert not out.exists()
 
 
+SUBCOMMAND_NAMES = ["simulate", "train", "calibrate", "track", "eval"]
+# argv whose exit prints the top-level usage, which lists every subcommand
+TOP_USAGE_ARGV = [[], ["--help"], ["bogus"], ["eval", "--out", "x", "--bogus"]]
+PARSER_ARGV = [
+    *TOP_USAGE_ARGV,
+    ["--version"],
+    *([name, "--help"] for name in SUBCOMMAND_NAMES),
+    *([name, "--bogus"] for name in SUBCOMMAND_NAMES),
+]
+
+
+def _exit_texts(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+class TestParser:
+    """`main` adds flags only to the subcommand it runs, but its help, usage
+    and error texts are those of the parser with every subcommand's flags."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "none")
+    def test_texts_equal_the_full_parser(self, argv, capsys):
+        want = _exit_texts(cli.build_parser().parse_args, argv, capsys)
+        assert _exit_texts(main, argv, capsys) == want
+        if argv in TOP_USAGE_ARGV:
+            assert "{simulate,train,calibrate,track,eval}" in want[0] + want[1]
+
+    def test_eval_adds_no_config_flags(self, tmp_path, monkeypatch):
+        built = []
+        add_config_flags = cli._add_config_flags
+
+        def spy(parser, cls):
+            built.append(cls)
+            add_config_flags(parser, cls)
+
+        monkeypatch.setattr(cli, "_add_config_flags", spy)
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps({"pair": {"tp": 3, "tn": 4, "fp": 1, "fn": 2}}))
+        argv = ["eval", "--counts", str(fixture), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        monkeypatch.setattr(sys, "argv", ["embedtrack", *argv])
+        assert main() == 0
+        assert built == []
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        assert built == [LossConfig, TrainConfig]
+
+
 class TestEntryPoints:
     def test_missing_subcommand_exits_with_usage(self):
         with pytest.raises(SystemExit) as exc:

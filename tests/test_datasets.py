@@ -901,21 +901,44 @@ def _corrupt(draw, docs):
             del target[draw(st.sampled_from(sorted(target)))]
 
 
+# Whole lines to insert: blank, not JSON, not an object, trailing data after
+# a document, and objects with NaN and Infinity in number fields.
+_EXTRA_LINES = [
+    "", "  ", "\f", "{not json", "[1, 2]", "7", "{} {}", '{"a": 1} x', "{}x", "{}",
+    '{"frame_index": 0, "track_id": 7, "box": [0, 0, NaN, 1], "confidence": Infinity}',
+    '{"frame_index": 90, "camera_id": 0, "detections": [], '
+    '"gt_boxes": [{"box": [0, 0, -Infinity, 1], "id": 0}]}',
+]
+# (before, after) a document's line: JSON whitespace, which both readers
+# take, then characters that only Python counts as whitespace, trailing
+# data, and a UTF-8 BOM, which both refuse.
+_PADS = [
+    (" ", ""), ("\t", " \t"), ("", "  "), ("\f", ""), ("\v", ""),
+    ("\u00a0", ""), ("", "\u00a0"), ("", "\f"), ("", " {}"), ("", " x"), ("\ufeff", ""),
+]
+
+
 @st.composite
 def _corrupted_lines(draw, docs_strategy):
     """JSON lines of valid docs after 0-3 corruptions: edits of the docs,
-    then invalid JSON or blank lines."""
+    then inserted lines from `_EXTRA_LINES` or a document's line padded from
+    `_PADS` (a BOM goes before line 1)."""
     docs = draw(docs_strategy)
     count = draw(st.integers(0, 3))
-    kinds = sorted(draw(st.sampled_from(["doc"] * 4 + ["line"])) for _ in range(count))
+    kinds = sorted(draw(st.sampled_from(["doc"] * 4 + ["line", "pad"])) for _ in range(count))
     lines = []
     for kind in kinds:
         if kind == "doc" and docs:
             _corrupt(draw, docs)
-        elif kind == "line":
-            lines = lines or [json.dumps(doc) for doc in docs]
+            continue
+        lines = lines or [json.dumps(doc) for doc in docs]
+        if kind == "line":
             at = draw(st.integers(0, len(lines)))
-            lines.insert(at, draw(st.sampled_from(["", "  ", "{not json", "[1, 2]", "7"])))
+            lines.insert(at, draw(st.sampled_from(_EXTRA_LINES)))
+        elif lines:
+            before, after = draw(st.sampled_from(_PADS))
+            at = 0 if before == "\ufeff" else draw(st.integers(0, len(lines) - 1))
+            lines[at] = before + lines[at] + after
     lines = lines or [json.dumps(doc) for doc in docs]
     return "".join(line + "\n" for line in lines)
 
@@ -937,7 +960,7 @@ class TestLineParserOracle:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_load_frames_equals_line_parser(self, tmp_path, text):
         path = tmp_path / "frames.jsonl"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         got, want = _outcome(load_frames, path), _outcome(line_load_frames, path)
         if isinstance(want, tuple):
             assert got == want
@@ -949,10 +972,30 @@ class TestLineParserOracle:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_load_track_records_equals_line_parser(self, tmp_path, text):
         path = tmp_path / "tracks.jsonl"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         got = _outcome(load_track_records, path)
         want = _outcome(line_load_track_records, path)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_well_formed_lines_never_reach_json_loads(self, tmp_path, monkeypatch):
+        """Every line json.loads takes, padded with JSON whitespace or not,
+        is read by the one raw_decode; json.loads only names a bad line."""
+        frames = simulate(SimConfig(identity_count=3, frame_count=5, feature_dim=4, seed=2))
+        records = tracks([((0, 0, 5, 5), 0.7, 4), ((1, 0, 6, 5), 0.8, 5)])
+        frames_path, tracks_path = tmp_path / "frames.jsonl", tmp_path / "tracks.jsonl"
+        save_frames(frames_path, frames)
+        save_track_records(tracks_path, records)
+        for path in (frames_path, tracks_path):
+            lines = path.read_text().splitlines()
+            lines[0] = " \t" + lines[0] + "\t "
+            path.write_text("\n".join(["", *lines, " \f "]), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called on a well-formed line")
+
+        monkeypatch.setattr(embedtrack.datasets.json, "loads", refuse)
+        assert_same_frames(load_frames(frames_path), frames)
+        assert load_track_records(tracks_path).tobytes() == records.tobytes()
