@@ -248,6 +248,53 @@ def _squared_distances(cur: np.ndarray, fmr: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, second, slots) for n rows: the rows i < j of each pair,
+    ordered by j and then i, and the (n, n) table of where
+    `_pair_squared_distances` keeps each cell, slot 1 + p for the p-th pair
+    and slot 0 on the diagonal. In that order the layout of m <= n rows is
+    the first m(m-1)/2 pairs and `slots[:m, :m]`."""
+    second, first = np.tril_indices(n, -1)
+    slots = np.zeros((n, n), dtype=np.intp)
+    slots[first, second] = slots[second, first] = np.arange(1, first.size + 1)
+    return first, second, slots
+
+
+def _pair_squared_distances(
+    emb: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    slots: np.ndarray,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """`distance_matrix(emb, emb)` of a float64 (n, E) array, with each pair
+    of its rows reduced once; (first, second, slots) is `_pair_layout(n)` or
+    the layout of n rows cut from a larger one.
+
+    The bits equal the full tensor's: e_j - e_i is exactly -(e_i - e_j), so
+    both triangles square the same values, and the same einsum reduction
+    sums them in the same order over the contiguous last axis. The diagonal
+    is the 0 of slot 0. The two gathered (P, E) operands of the P pairs'
+    differences are written into `work`, a flat float64 buffer of at least
+    2 * P * E values, or a new one: a caller that reuses one buffer keeps
+    the allocator from returning those pages to the system and faulting
+    them in again on every call.
+    """
+    shape = (first.size, emb.shape[1])
+    size = shape[0] * shape[1]
+    if work is None:
+        work = np.empty(2 * size)
+    diff = work[:size].reshape(shape)
+    other = work[size : 2 * size].reshape(shape)
+    # mode="clip" writes straight into `out`; "raise" would gather into a copy.
+    emb.take(first, axis=0, out=diff, mode="clip")
+    emb.take(second, axis=0, out=other, mode="clip")
+    diff -= other
+    cells = np.zeros(first.size + 1)
+    np.einsum("ij,ij->i", diff, diff, out=cells[1:])
+    return cells.take(slots)
+
+
 def save_params(
     path: Union[str, Path],
     params: EmbeddingHeadParams,

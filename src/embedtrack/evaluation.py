@@ -210,11 +210,14 @@ def _grouped_iou(
     Box p belongs to group `group[p]`; `gt_boxes` are sorted by group, with
     `gt_counts[g]` of them in group g. Each group's ground truths are padded
     to the largest per-group count (at least one) with all-zero boxes, whose
-    IoU is 0 and so never a match.
+    IoU is 0 and so never a match. The gathered ground truths are laid out
+    coordinate-major, so that each coordinate `_broadcast_iou` reads of them
+    is one contiguous (P, G) array.
     """
-    padded = np.zeros((gt_counts.size, max(int(gt_counts.max(initial=0)), 1), 4))
-    padded[np.repeat(np.arange(gt_counts.size), gt_counts), _within_group(gt_counts)] = gt_boxes
-    return _broadcast_iou(boxes[:, None], padded[group])
+    padded = np.zeros((4, gt_counts.size, max(int(gt_counts.max(initial=0)), 1)))
+    rows = np.repeat(np.arange(gt_counts.size), gt_counts)
+    padded[:, rows, _within_group(gt_counts)] = gt_boxes.T
+    return _broadcast_iou(boxes[:, None], padded.take(group, axis=1).transpose(1, 2, 0))
 
 
 def _integrate(recall: np.ndarray, precision: np.ndarray) -> float:

@@ -11,15 +11,23 @@ pass for both the loss and the gradient, reads label-only masks computed
 once per batch, writes the gradient into one preallocated buffer and
 updates one flat parameter vector in place.
 
+The step's distance matrix is exactly symmetric, so it reduces each row
+pair i < j once (`embedding._pair_squared_distances`) and reads the (n, n)
+matrix through a slot table, with the same bits as the full difference
+tensor. Each `train` call builds one pair layout and one scratch buffer for
+the pairs' differences, both sized for the largest batch; a smaller batch
+uses a prefix of each.
+
 The loss is computed only inside that step. `batch_loss` and `gradient`
-run it once on a fresh buffer and return its loss or its gradient.
+check their rows as `train` does, run the step once on fresh buffers and
+return its loss or its gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +35,8 @@ from .embedding import (
     EmbeddingHeadParams,
     _check_finite,
     _flat_views,
-    _squared_distances,
+    _pair_layout,
+    _pair_squared_distances,
     LossConfig,
     init_params,
 )
@@ -80,16 +89,23 @@ def cosine_lr(step: int, total_steps: int, initial_lr: float) -> float:
 class _BatchIndex(NamedTuple):
     """A batch's label-only constants: the positive (same identity, off the
     diagonal) and negative masks, the valid anchors (rows with both), one row
-    mask per identity of two or more rows (ascending), and the row numbers."""
+    mask per identity of two or more rows (ascending), and the row numbers;
+    then the pair layout of the batch's rows (`embedding._pair_layout`),
+    views into one layout that all batches of a `train` call share."""
 
     pos: np.ndarray
     neg: np.ndarray
     anchors: np.ndarray
     groups: np.ndarray
     rows: np.ndarray
+    pair_first: np.ndarray
+    pair_second: np.ndarray
+    pair_slots: np.ndarray
 
 
-def _batch_index(identities: np.ndarray) -> _BatchIndex:
+def _batch_index(identities: np.ndarray, pairs: Optional[tuple] = None) -> _BatchIndex:
+    """The `_BatchIndex` of int64 `identities`, its pair layout cut from
+    `pairs`, the layout of at least as many rows, or from a new one."""
     ids = np.sort(identities)
     run = ids[1:] == ids[:-1]  # ids[k] and ids[k + 1] share a run
     multi = ids[:-1][run & np.concatenate(([True], ~run[:-1]))]  # each run of two or more
@@ -98,7 +114,11 @@ def _batch_index(identities: np.ndarray) -> _BatchIndex:
     neg = ~same
     anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
     groups = multi[:, None] == identities[None, :]
-    return _BatchIndex(pos, neg, anchors, groups, np.arange(identities.size))
+    n = identities.size
+    first, second, slots = _pair_layout(n) if pairs is None else pairs
+    cut = n * (n - 1) // 2
+    rows = np.arange(n)
+    return _BatchIndex(pos, neg, anchors, groups, rows, first[:cut], second[:cut], slots[:n, :n])
 
 
 def _loss_and_gradient(
@@ -107,10 +127,12 @@ def _loss_and_gradient(
     index: _BatchIndex,
     cfg: LossConfig,
     grad: Sequence[np.ndarray],
+    work: Optional[np.ndarray] = None,
 ) -> float:
     """The loss of one batch from one forward pass of the head `params`
     (w1, b1, w2, b2), with its analytic gradient written into the
-    same-shaped `grad`.
+    same-shaped `grad`. `work` is the scratch buffer of the pair
+    differences, as `_pair_squared_distances` takes it.
 
     With d the squared distances between the batch's embeddings, the loss is
     w_triplet * triplet + w_pull * pull, where
@@ -139,7 +161,7 @@ def _loss_and_gradient(
     z = features @ w1.T + b1
     a = np.maximum(z, 0.0)
     e = a @ w2.T + b2
-    d = _squared_distances(e, e)
+    d = _pair_squared_distances(e, index.pair_first, index.pair_second, index.pair_slots, work)
 
     masked_pos = np.where(index.pos, d, -np.inf)
     masked_neg = np.where(index.neg, d, np.inf)
@@ -176,10 +198,39 @@ def _loss_and_gradient(
     return loss
 
 
+def _checked_rows(
+    features, identities, width: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """`features` as float64 and `identities` as int64, once the features
+    are a 2-D array of at least one row, finite and, given `width`, that
+    wide, and the identities an integer array of one entry per row."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    if features.shape[0] == 0:
+        raise ValueError("features must hold at least one row")
+    if width is not None and features.shape[1] != width:
+        raise ValueError(
+            f"features must have {width} columns, as the head, not {features.shape[1]}"
+        )
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
+    identities = np.asarray(identities)
+    if identities.dtype.kind not in "iu":
+        raise ValueError(f"identities must be integers, got dtype {identities.dtype}")
+    if identities.shape != (features.shape[0],):
+        raise ValueError(
+            f"identities shape {identities.shape} does not match {features.shape[0]} feature rows"
+        )
+    return features, identities.astype(np.int64, copy=False)
+
+
 def _step(
     params: EmbeddingHeadParams, features: np.ndarray, identities: np.ndarray, cfg: LossConfig
 ) -> tuple[float, list[np.ndarray]]:
-    """The training step's loss and gradient arrays at `params`."""
+    """The training step's loss and gradient arrays at `params`, on checked
+    rows."""
+    features, identities = _checked_rows(features, identities, params.feature_dim)
     head = (params.w1, params.b1, params.w2, params.b2)
     grad = [np.empty_like(p) for p in head]
     return _loss_and_gradient(head, features, _batch_index(identities), cfg, grad), grad
@@ -188,9 +239,9 @@ def _step(
 def batch_loss(
     params: EmbeddingHeadParams, features: np.ndarray, identities: np.ndarray, cfg: LossConfig
 ) -> float:
-    """Weighted triplet + pull loss of one batch, (N, F) features with (N,)
-    int64 identities, under the head `params`, as the training step
-    computes it."""
+    """Weighted triplet + pull loss of one batch, (N, F) finite features as
+    wide as the head with (N,) integer identities, N >= 1, under the head
+    `params`, as the training step computes it."""
     return _step(params, features, identities, cfg)[0]
 
 
@@ -211,26 +262,18 @@ def train(
     for the configured epochs.
 
     `batches` is (features, identities, counts) as `training_batches` gives
-    it: (N, F) finite features, (N,) identities, and the row count of each
-    batch, batches stacked in order; every batch needs at least two rows.
+    it: (N, F) finite features, (N,) integer identities, and the row count
+    of each batch, batches stacked in order; every batch needs at least two
+    rows.
     Returns the final parameters and the per-epoch mean loss, where each
     batch's loss is recorded before its update is applied. Fully
     deterministic for a fixed seed and batch order.
     """
     features, identities, counts = batches
-    features = np.asarray(features, dtype=np.float64)
-    identities = np.asarray(identities, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
         raise ValueError("at least one batch is required")
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {features.shape}")
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite entries")
-    if identities.shape != (features.shape[0],):
-        raise ValueError(
-            f"identities shape {identities.shape} does not match {features.shape[0]} feature rows"
-        )
+    features, identities = _checked_rows(features, identities)
     if counts.sum() != features.shape[0]:
         raise ValueError(f"batch counts sum to {counts.sum()}, not {features.shape[0]} rows")
     if counts.min() < 2:
@@ -239,9 +282,15 @@ def train(
     dims = (features.shape[1], train_config.hidden_dim, train_config.embed_dim)
     flat = init_params(*dims, np.random.default_rng(train_config.seed)).to_flat()
     grad, update = np.empty(flat.size), np.empty(flat.size)
+    # Both gathered operands of the largest batch's n(n-1)/2 pair differences.
+    largest = int(counts.max())
+    pairs = _pair_layout(largest)
+    work = np.empty(largest * (largest - 1) * train_config.embed_dim)
     params, grads = _flat_views(flat, dims), _flat_views(grad, dims)
     ends = np.cumsum(counts).tolist()
-    prepared = [(features[a:b], _batch_index(identities[a:b])) for a, b in zip([0] + ends, ends)]
+    prepared = [
+        (features[a:b], _batch_index(identities[a:b], pairs)) for a, b in zip([0] + ends, ends)
+    ]
     total_steps = train_config.epochs * len(prepared)
     trace: list[float] = []
     # Divergence shows up as overflow in the forward pass before the loss
@@ -251,7 +300,7 @@ def train(
         for epoch in range(train_config.epochs):
             epoch_losses = []
             for step, (rows, index) in enumerate(prepared, epoch * len(prepared)):
-                loss = _loss_and_gradient(params, rows, index, loss_config, grads)
+                loss = _loss_and_gradient(params, rows, index, loss_config, grads, work)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {step}")
                 epoch_losses.append(loss)

@@ -344,15 +344,24 @@ def loop_train(batches, loss_config, train_config):
 
 
 def unique_batch_index(identities):
-    """`training._batch_index` from `np.unique`: the fields (pos, neg,
-    anchors, groups, rows) in order, identity groups in ascending order."""
+    """`training._batch_index` from `np.unique` and a loop over row pairs:
+    the fields (pos, neg, anchors, groups, rows, pair_first, pair_second,
+    pair_slots) in order, identity groups in ascending order, pairs i < j
+    numbered from 1 in order of j and then i, and slot 0 on the diagonal."""
     _, inverse, counts = np.unique(identities, return_inverse=True, return_counts=True)
     same = inverse[:, None] == inverse[None, :]
     pos = same & ~np.eye(inverse.size, dtype=bool)
     neg = ~same
     anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
     groups = np.flatnonzero(counts >= 2)[:, None] == inverse[None, :]
-    return pos, neg, anchors, groups, np.arange(inverse.size)
+    n = inverse.size
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    slots = np.zeros((n, n), dtype=np.int64)
+    for slot, (i, j) in enumerate(pairs, 1):
+        slots[i, j] = slots[j, i] = slot
+    first = np.array([i for i, _ in pairs], dtype=np.int64)
+    second = np.array([j for _, j in pairs], dtype=np.int64)
+    return pos, neg, anchors, groups, np.arange(n), first, second, slots
 
 
 def scalar_claims(pred_boxes, gt_boxes, iou_min):

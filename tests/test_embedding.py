@@ -16,6 +16,7 @@ from embedtrack import (
     load_params,
     save_params,
 )
+from embedtrack.embedding import _pair_layout, _pair_squared_distances
 from oracles import broadcast_distance_matrix
 
 
@@ -152,6 +153,48 @@ class TestBroadcastOracle:
         got = distance_matrix(cur, fmr)
         assert got.shape == (cur.shape[0], fmr.shape[0])
         assert np.array_equal(got, broadcast_distance_matrix(cur, fmr))
+
+
+@st.composite
+def self_pair_embeddings(draw):
+    """(n, E) embeddings, n in [2, 96] and E in {1, 2, 3, 8, 31, 32, 33,
+    64}, at a drawn magnitude up to 1e155, where squares and their sums
+    overflow; with zeros of both signs, and rows copied from other rows or
+    all rows equal."""
+    n = draw(st.integers(2, 96))
+    e = draw(st.sampled_from([1, 2, 3, 8, 31, 32, 33, 64]))
+    scale = 10.0 ** draw(st.sampled_from([-150, -3, 0, 3, 150, 154, 155]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    emb = rng.normal(size=(n, e)) * scale
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    emb = np.where(rng.random((n, e)) < zeros, 0.0 * emb, emb)
+    rows = draw(st.sampled_from(["distinct", "duplicated", "equal"]))
+    if rows == "duplicated":
+        emb[rng.integers(0, n, n // 2)] = emb[rng.integers(0, n, n // 2)]
+    elif rows == "equal":
+        emb[:] = emb[0]
+    return emb
+
+
+class TestPairKernel:
+    """The training step's pair kernel reduces each row pair i < j once;
+    its bits must equal `distance_matrix(e, e)`'s."""
+
+    @given(self_pair_embeddings(), st.integers(0, 40))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_distance_matrix(self, emb, extra):
+        """With its own layout and a fresh buffer, and with the layout cut
+        from one of more rows and a larger buffer of stale values, as
+        `train` runs each batch with its largest batch's."""
+        n, e = emb.shape
+        first, second, slots = _pair_layout(n + extra)
+        cut = n * (n - 1) // 2
+        work = np.full(2 * (n + extra) * (n + extra - 1) * e + 1, np.nan)
+        with np.errstate(over="ignore"):
+            expected = distance_matrix(emb, emb).tobytes()
+            assert _pair_squared_distances(emb, *_pair_layout(n)).tobytes() == expected
+            got = _pair_squared_distances(emb, first[:cut], second[:cut], slots[:n, :n], work)
+            assert got.tobytes() == expected
 
 
 class TestPairwiseDistances:

@@ -84,6 +84,23 @@ def test_crowded_head_is_unchanged(tmp_path):
     assert _digests(tmp_path, GOLDEN_CROWDED_HEAD) == GOLDEN_CROWDED_HEAD
 
 
+# The benchmark's crowd shape at test size: 40 identities of 40 features,
+# about 76 rows per batch, the default head (hidden 64, embed 32). Recorded
+# while the step still built the full (n, n, E) difference tensor.
+GOLDEN_CROWD_HEAD = {
+    "head/params.json": "7f80b48f20a1b23a85104641911968d3a4c4248072684f9d65f68e3d90aebafe",
+    "head/loss_trace.csv": "557ab566a6003931b40564b7a9aa827665867ba968bd3085a32d24a3b14e5b20",
+}
+
+
+def test_crowd_head_is_unchanged(tmp_path):
+    _run("simulate", "--out", tmp_path / "data", "--identity-count", 40, "--frame-count", 6,
+         "--feature-dim", 40, "--noise-sigma", 0.25, "--dropout", 0.05, "--seed", 9)
+    _run("train", "--frames", tmp_path / "data/frames.jsonl", "--out", tmp_path / "head",
+         "--epochs", 2)
+    assert _digests(tmp_path, GOLDEN_CROWD_HEAD) == GOLDEN_CROWD_HEAD
+
+
 # No gt_id anywhere: train labels every detection by IoU assignment.
 GOLDEN_UNLABELED_HEAD = {
     "head/params.json": "9410372d2b057890c262572a9826c35d6d6639b5e179b2a9e0839c84ee8bfac2",

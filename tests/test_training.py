@@ -110,6 +110,41 @@ class TestGradient:
         assert np.abs(fd_coarse - fd_fine).max() < 1e-6
 
 
+class TestStepInputs:
+    """`batch_loss` and `gradient` refuse what `train` refuses, before the
+    step runs."""
+
+    @pytest.mark.parametrize("entry", [batch_loss, gradient])
+    @pytest.mark.parametrize(
+        "features, identities, message",
+        [
+            (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), "at least one row"),
+            (np.ones((4, 3)), np.arange(3), r"identities shape \(3,\) does not match 4"),
+            (np.ones((3, 3)), np.array([0.0, 0.5, 1.0]), "identities must be integers"),
+            (np.ones((2, 3)), np.array([True, False]), "identities must be integers"),
+            (np.ones((2, 3)), np.arange(4).reshape(2, 2), "identities shape"),
+            (np.ones(3), np.arange(3), "features must be 2-D"),
+            (np.ones((2, 4)), np.arange(2), "features must have 3 columns"),
+            (np.array([[1.0, np.nan, 0.0], [0.0, 0.0, 0.0]]), np.arange(2), "non-finite"),
+        ],
+        ids=["no-rows", "identities-wrong-length", "float-identities", "bool-identities",
+             "2-d-identities", "1-d-features", "features-wider-than-head",
+             "non-finite-features"],
+    )
+    def test_refuses(self, entry, features, identities, message):
+        params = init_params(3, 5, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            entry(params, features, identities, LossConfig())
+
+    def test_accepts_lists_and_unsigned_identities(self):
+        params = init_params(3, 5, 2, np.random.default_rng(0))
+        feats = np.random.default_rng(1).normal(size=(4, 3))
+        ids = np.array([0, 0, 1, 1])
+        expected = oracles.batch_loss(params, feats, ids, LossConfig())
+        assert batch_loss(params, feats.tolist(), ids.tolist(), LossConfig()) == expected
+        assert batch_loss(params, feats, ids.astype(np.uint8), LossConfig()) == expected
+
+
 def _integer_params(rng, dims=(3, 5, 2)):
     """Small whole-number weights: with whole-number features every
     embedding and distance is a whole number, so hardest pairs tie."""
@@ -173,7 +208,36 @@ def step_cases(draw):
     return params, feats, ids, cfg
 
 
+@st.composite
+def crowd_step_cases(draw):
+    """(params, features, identities, cfg) at the benchmark's crowd shape:
+    12 to 80 rows of 40 features, a head of hidden 64 and embed 32, about
+    two rows per identity, and whole numbers in half the cases, which gives
+    exact distance ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 80))
+    if draw(st.booleans()):
+        feats = rng.integers(-3, 4, size=(n, 40)).astype(float)
+        params = _integer_params(rng, (40, 64, 32))
+    else:
+        feats = rng.normal(size=(n, 40))
+        params = init_params(40, 64, 32, rng)
+    ids = rng.integers(0, max(n // 2, 1), size=n)
+    cfg = LossConfig(
+        margin=draw(st.sampled_from([0.5, 5.0])),
+        pull_margin=draw(st.sampled_from([0.0, 1.0])),
+        w_triplet=draw(st.sampled_from([0.0, 0.2])),
+        w_pull=draw(st.sampled_from([0.0, 0.2])),
+    )
+    return params, feats, ids, cfg
+
+
 class TestFusedStep:
+    @given(crowd_step_cases())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_crowd_sized_batches_match_references(self, case):
+        _assert_fused_step_matches_references(*case)
+
     @given(step_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_batch_loss_and_loop_gradient(self, case):
@@ -306,6 +370,18 @@ class TestTrainMatchesLoopTrain:
             loop_train(batches, LossConfig(), tc)
         _assert_train_matches_loop_train(batches, LossConfig(), tc)
 
+    def test_batches_of_mixed_sizes_share_the_scratch_buffer(self):
+        """Batches smaller than the largest use the front of its pair
+        layout and scratch buffer, and the steps still equal the
+        references."""
+        rng = np.random.default_rng(12)
+        batches = _stacked(*(
+            (rng.normal(size=(n, 6)), rng.integers(0, n // 2, size=n))
+            for n in (40, 9, 40, 2, 23, 9)
+        ))
+        tc = TrainConfig(initial_lr=1e-2, epochs=2, hidden_dim=16, embed_dim=32, seed=5)
+        _assert_train_matches_loop_train(batches, LossConfig(), tc)
+
     def test_corner_batches_over_epochs(self):
         """A batch with no valid anchor, a single-identity batch and a mixed
         one, under each zero loss weight."""
@@ -386,10 +462,11 @@ class TestTrain:
             (np.ones(4), np.arange(4), [4], "features must be 2-D"),
             (np.array([[1.0, np.inf], [1.0, 1.0]]), np.arange(2), [2], "non-finite"),
             (np.ones((3, 2)), np.arange(2), [3], "identities shape"),
+            (np.ones((3, 2)), np.array([0.0, 0.5, 1.0]), [3], "identities must be integers"),
             (np.ones((3, 2)), np.arange(3), [2, 2], "batch counts sum to 4, not 3 rows"),
             (np.ones((3, 2)), np.arange(3), [1, 2], "at least two rows"),
         ],
-        ids=["1-d-features", "non-finite-features", "identities-wrong-length",
+        ids=["1-d-features", "non-finite-features", "identities-wrong-length", "float-identities",
              "counts-not-summing-to-rows", "one-row-batch"],
     )
     def test_rejects_invalid_batches(self, features, identities, counts, message):
