@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .association import match_frames, track_sequence, update_tracks
 from .calibration import (
     DegenerateDevSetError,
-    DistanceHistogram,
     ThresholdSweep,
     distance_histogram,
     sweep_threshold,
@@ -20,7 +19,6 @@ from .calibration import (
 from .core import (
     GT_DTYPE,
     TRACK_DTYPE,
-    FrameRecord,
     Frames,
     detection_dtype,
     iou,
@@ -73,10 +71,8 @@ __all__ = [
     "__version__",
     "AP_IOU_THRESHOLDS",
     "DegenerateDevSetError",
-    "DistanceHistogram",
     "EmbeddingHeadParams",
     "FrameParseError",
-    "FrameRecord",
     "Frames",
     "GT_DTYPE",
     "LossConfig",

@@ -10,11 +10,14 @@ The objective is piecewise constant in h, so an exact sweep over one
 candidate per plateau finds the global minimum. `sweep_threshold` is the
 one place the counts and the objective are computed: its rows hold them
 for every candidate.
+
+Each table is one read-only record array (the sweep's rows, the distance
+histogram's bins), and one writer turns any record array into CSV, the
+sweep's, the histogram's and the training loss trace's.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -24,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "ThresholdSweep",
-    "DistanceHistogram",
     "DegenerateDevSetError",
     "sweep_threshold",
     "distance_histogram",
@@ -127,18 +129,11 @@ def sweep_threshold(distances, is_same) -> ThresholdSweep:
     )
 
 
-@dataclass(frozen=True)
-class DistanceHistogram:
-    """Same and different pair counts over shared bins on [0, max distance]."""
-
-    bin_edges: tuple[float, ...]
-    same_counts: tuple[int, ...]
-    diff_counts: tuple[int, ...]
-
-
-def distance_histogram(distances, is_same, bin_count: int = 50) -> DistanceHistogram:
-    """Histogram both pair populations over identical bins, for eyeballing the
-    separation that the swept threshold exploits."""
+def distance_histogram(distances, is_same, bin_count: int = 50) -> np.recarray:
+    """Same and different pair counts over shared bins on [0, max distance],
+    for eyeballing the separation that the swept threshold exploits: one
+    read-only record array with a row per bin and fields bin_lo, bin_hi,
+    same_count, diff_count."""
     dist, same = _check_pairs(distances, is_same)
     if bin_count < 1:
         raise ValueError(f"bin_count must be positive, got {bin_count}")
@@ -148,51 +143,48 @@ def distance_histogram(distances, is_same, bin_count: int = 50) -> DistanceHisto
     edges = np.histogram_bin_edges(dist, bins=bin_count, range=(0.0, hi))
     same_counts, _ = np.histogram(dist[same], bins=edges)
     diff_counts, _ = np.histogram(dist[~same], bins=edges)
-    return DistanceHistogram(
-        bin_edges=tuple(float(e) for e in edges),
-        same_counts=tuple(int(c) for c in same_counts),
-        diff_counts=tuple(int(c) for c in diff_counts),
+    rows = np.rec.fromarrays(
+        [edges[:-1], edges[1:], same_counts, diff_counts],
+        names="bin_lo,bin_hi,same_count,diff_count",
     )
+    rows.flags.writeable = False
+    return rows
 
 
-_SWEEP_CHUNK_ROWS = 4096
+_CSV_CHUNK_ROWS = 4096
+
+
+def _write_csv(path: Union[str, Path], rows: np.ndarray, index=None) -> None:
+    """Write the record array `rows`, or its rows at `index`, as the bytes
+    `csv.writer(fh).writerows(...)` would: a header of the field names,
+    floats as `repr`, integers as `%d`, CRLF line ends.
+
+    One formatted string per chunk of rows, so that only one chunk's Python
+    values and text are alive at a time."""
+    names = rows.dtype.names
+    line = ",".join("%r" if rows.dtype[name].kind == "f" else "%d" for name in names) + "\r\n"
+    index = np.arange(len(rows)) if index is None else index
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, len(index), _CSV_CHUNK_ROWS):
+            part = rows[index[start : start + _CSV_CHUNK_ROWS]]
+            # The `%` exhausts `cells`, so no chunk's values outlive its write.
+            cells = chain.from_iterable(zip(*[part[name].tolist() for name in names]))
+            fh.write(line * len(part) % tuple(cells))
 
 
 def write_sweep_csv(path: Union[str, Path], sweep: ThresholdSweep) -> None:
     """The descent of the sweep: h, fp, fn, tp, tn, objective for each
     candidate whose objective is strictly below that of every smaller
     candidate, in increasing h. The last row is the chosen threshold;
-    `sweep.rows` holds every candidate.
-
-    Writes the bytes `csv.writer(fh).writerows(...)` would over those rows
-    (floats as `repr`, CRLF line ends), one formatted string per chunk of
-    rows, so that only one chunk's Python values and text are alive at a
-    time."""
+    `sweep.rows` holds every candidate."""
     objective = sweep.rows.objective
     descent = np.ones(len(objective), dtype=bool)
     descent[1:] = objective[1:] < np.minimum.accumulate(objective)[:-1]
-    keep = np.flatnonzero(descent)
-    names = sweep.rows.dtype.names
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
-        for start in range(0, len(keep), _SWEEP_CHUNK_ROWS):
-            part = sweep.rows[keep[start : start + _SWEEP_CHUNK_ROWS]]
-            # The `%` exhausts `cells`, so no chunk's values outlive its write.
-            cells = chain.from_iterable(zip(*[part[name].tolist() for name in names]))
-            fh.write("%r,%d,%d,%d,%d,%r\r\n" * len(part) % tuple(cells))
+    _write_csv(path, sweep.rows, np.flatnonzero(descent))
 
 
-def write_histogram_csv(path: Union[str, Path], hist: DistanceHistogram) -> None:
-    """One row per bin: bin_lo, bin_hi, same_count, diff_count."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "same_count", "diff_count"])
-        for k in range(len(hist.same_counts)):
-            writer.writerow(
-                [
-                    repr(float(hist.bin_edges[k])),
-                    repr(float(hist.bin_edges[k + 1])),
-                    hist.same_counts[k],
-                    hist.diff_counts[k],
-                ]
-            )
+def write_histogram_csv(path: Union[str, Path], hist: np.recarray) -> None:
+    """One row per bin of `distance_histogram`: bin_lo, bin_hi, same_count,
+    diff_count."""
+    _write_csv(path, hist)

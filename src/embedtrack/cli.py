@@ -18,7 +18,6 @@ dataclass defaults, then --config file entries, then explicit flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -30,7 +29,9 @@ import numpy as np
 
 from . import __version__
 from .association import track_sequence
-from .calibration import distance_histogram, sweep_threshold, write_histogram_csv, write_sweep_csv
+from .calibration import (
+    _write_csv, distance_histogram, sweep_threshold, write_histogram_csv, write_sweep_csv
+)
 from .core import neighbor_frames
 from .datasets import (
     SimConfig,
@@ -92,6 +93,12 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_json(path: Path, doc: dict, indent: Optional[int] = None) -> None:
+    """`doc` as one JSON document and a newline; a non-finite float raises
+    ValueError, as JSON has no NaN or Infinity."""
+    path.write_text(json.dumps(doc, indent=indent, allow_nan=False) + "\n", encoding="utf-8")
+
+
 def _write_manifest(
     out: Path,
     subcommand: str,
@@ -108,9 +115,7 @@ def _write_manifest(
         "outputs": outputs,
         "config": config,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "manifest.json", doc, indent=2)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -151,10 +156,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, trace = train(batches, loss_cfg, train_cfg)
     out = _out_dir(args)
     save_params(out / "params.json", params, seed=train_cfg.seed, loss_config=loss_cfg)
-    with (out / "loss_trace.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        writer.writerows([epoch, repr(float(loss))] for epoch, loss in enumerate(trace))
+    _write_csv(
+        out / "loss_trace.csv",
+        np.rec.fromarrays([np.arange(len(trace)), trace], names="epoch,mean_loss"),
+    )
     _write_manifest(
         out,
         "train",
@@ -194,19 +199,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     write_sweep_csv(out / "sweep.csv", sweep)
     write_histogram_csv(out / "histogram.csv", distance_histogram(distances, is_same, args.bins))
     same = int(is_same.sum())
-    (out / "threshold.json").write_text(
-        json.dumps(
-            {
-                "threshold": sweep.threshold,
-                "objective": sweep.objective,
-                "pair_count": distances.size,
-                "same_count": same,
-                "diff_count": distances.size - same,
-            },
-            allow_nan=False,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "threshold.json",
+        {
+            "threshold": sweep.threshold,
+            "objective": sweep.objective,
+            "pair_count": distances.size,
+            "same_count": same,
+            "diff_count": distances.size - same,
+        },
     )
     _write_manifest(
         out,
@@ -301,9 +302,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         config = {"iou_min": args.iou_min, "score_threshold": args.score_threshold}
     report["config"] = config
     out = _out_dir(args)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", report, indent=2)
     _write_manifest(out, "eval", None, inputs=inputs, outputs={"report": "report.json"}, config=config)
     return 0
 

@@ -1,8 +1,13 @@
-"""Geometric primitives and the frames table."""
+"""Geometric primitives and the frames table.
+
+A frames file is one `Frames` table of columns; a single frame is the
+one-frame table that `frames[k]` gives, so there is no second form of a
+frame."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -10,7 +15,6 @@ import numpy as np
 __all__ = [
     "GT_DTYPE",
     "TRACK_DTYPE",
-    "FrameRecord",
     "Frames",
     "detection_dtype",
     "iou",
@@ -59,25 +63,14 @@ TRACK_DTYPE = np.dtype(
 
 
 @dataclass(frozen=True, eq=False)
-class FrameRecord:
-    """One video frame of a `Frames` table: read-only views of its
-    detections (a `detection_dtype` record array) and ground-truth boxes
-    (a `GT_DTYPE` one)."""
-
-    frame_index: int
-    camera_id: int
-    detections: np.ndarray
-    gt_boxes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Frames:
     """One frames file as a table of read-only arrays, as `load_frames` and
     `simulate` give it. Frame k has int64 `frame_index[k]` and
     `camera_id[k]`, and its rows of the file's `detections` and `gt_boxes`
     run from `det_offsets[k]` and `gt_offsets[k]` to the next offset (each
     offsets column has one entry more than there are frames). `frames[k]`,
-    and so iteration, gives a `FrameRecord` view."""
+    and so iteration, gives frame k as a one-frame `Frames` of read-only
+    views, with offsets [0, n], which every function of a table takes."""
 
     frame_index: np.ndarray
     camera_id: np.ndarray
@@ -89,13 +82,22 @@ class Frames:
     def __len__(self) -> int:
         return self.frame_index.size
 
-    def __getitem__(self, k: int) -> FrameRecord:
+    def __getitem__(self, k: int) -> Frames:
         k = range(len(self))[k]  # IndexError past the end, which ends iteration
-        d, g = self.det_offsets, self.gt_offsets
-        return FrameRecord(
-            int(self.frame_index[k]), int(self.camera_id[k]),
-            self.detections[d[k] : d[k + 1]], self.gt_boxes[g[k] : g[k + 1]],
+        (d, e), (g, h) = self.det_offsets[k : k + 2].tolist(), self.gt_offsets[k : k + 2].tolist()
+        return Frames(
+            self.frame_index[k : k + 1], self.camera_id[k : k + 1],
+            self.detections[d:e], self.gt_boxes[g:h], _span(e - d), _span(h - g),
         )
+
+
+@lru_cache(maxsize=1024)
+def _span(n: int) -> np.ndarray:
+    """The offsets [0, n] of a one-frame table, read-only and so shared by
+    every frame of n rows."""
+    span = np.array([0, n], dtype=np.int64)
+    span.flags.writeable = False
+    return span
 
 
 def _frames_table(heads: list[tuple], detections: np.ndarray, gt_boxes: np.ndarray) -> Frames:

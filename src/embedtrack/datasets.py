@@ -8,6 +8,10 @@ identity give cross-camera batches.
 The simulator stands in for a real detection dataset: identities carry
 fixed feature archetypes, observed features add Gaussian noise, boxes move
 linearly with clamping at the image border.
+
+A frames file is one `Frames` table and a tracks file one `TRACK_DTYPE`
+array. Both readers check each line's types as it streams in, then build
+the file's number columns in one stage that picks the earliest bad line.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import pairwise, repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -270,18 +275,23 @@ class FrameParseError(ValueError):
 
 
 def save_frames(path: Union[str, Path], frames: Frames) -> None:
-    """Write frames as JSON lines, one frame's `FrameRecord` view at a time.
-    Field set is fixed; floats round-trip; a detection's gt_id is omitted
-    when it is -1 (unlabeled). A non-finite float raises ValueError: JSON
-    has no NaN or Infinity."""
+    """Write frames as JSON lines, each from its frame's slices of the
+    columns, so that one frame's Python values are alive at a time. Field
+    set is fixed; floats round-trip; a detection's gt_id is omitted when it
+    is -1 (unlabeled). A non-finite float raises ValueError: JSON has no NaN
+    or Infinity."""
     encode = json.JSONEncoder(allow_nan=False).encode
+    heads = zip(
+        frames.frame_index.tolist(), frames.camera_id.tolist(),
+        pairwise(frames.det_offsets.tolist()), pairwise(frames.gt_offsets.tolist()),
+    )
     with Path(path).open("w", encoding="utf-8") as fh:
-        for frame in frames:
-            det, gt = frame.detections, frame.gt_boxes
+        for frame_index, camera_id, (d, e), (g, h) in heads:
+            det, gt = frames.detections[d:e], frames.gt_boxes[g:h]
             columns = (det[name].tolist() for name in ("box", "confidence", "feature", "gt_id"))
             doc = {
-                "frame_index": frame.frame_index,
-                "camera_id": frame.camera_id,
+                "frame_index": frame_index,
+                "camera_id": camera_id,
                 "detections": [
                     {"box": b, "confidence": c, "feature": f, **({"gt_id": g} if g >= 0 else {})}
                     for b, c, f, g in zip(*columns)
@@ -362,49 +372,52 @@ def _hides_bool(values: list, column: np.ndarray) -> bool:
     return any(type(values[i][j]) is bool for i, j in zip(*(c.tolist() for c in cells)))
 
 
-def _float_array(values: list, tail: tuple) -> np.ndarray:
-    return np.array(values, dtype=np.float64).reshape(len(values), *tail)
+def _number_columns(lines: list[int], columns: list[tuple], error: Optional[FrameParseError]):
+    """(arrays, kept line count, error) of a file's number columns.
 
+    `lines` are the line numbers of the lines read before `error`, the
+    reader's own error or None. A column is (values, tail, field, counts):
+    the file's raw values, one row each, become one float64 array of shape
+    (rows, *tail), where line i holds counts[i] rows; counts None means one
+    row per line, whose values keep the line's own shape `tail`.
 
-def _float_column(values: list, tail: tuple, field: str, line_values) -> tuple:
-    """(column, error) for a file's raw values, one row per value, as a
-    float64 array of shape (len(values), *tail).
-
-    One NumPy call builds the whole column. Only when that call fails, gives
-    a dtype that is not a number's (a string, a null, an integer past 64
-    bits) or hides a bool are the lines checked one by one: `line_values`
-    yields each line's (line number, row count, values, shape). Then the
-    error is the first line's that `_check_floats` rejects, and the column
-    holds the rows before it.
+    One NumPy call builds a column. Only when that call fails, gives a dtype
+    that is not a number's (a string, a null, an integer past 64 bits) or
+    hides a bool are its lines checked one by one; the column then stops
+    before the first line that `_check_floats` rejects. The error is the one
+    on the earliest line, on one line the earlier column's, then the
+    reader's, and the kept lines are those before it.
     """
-    try:
-        column = np.array(values)
-    except (TypeError, ValueError, OverflowError):
-        column = None
-    if (
-        column is not None
-        and column.dtype.kind in "fiu"
-        and column.shape == (len(values), *tail)
-        and not _hides_bool(values, column)
-    ):
-        return column.astype(np.float64, copy=False), None
-    start = 0
-    for line_number, count, line, shape in line_values:
+    arrays, errors = [], []
+    for values, tail, field, counts in columns:
         try:
-            _check_floats(line, shape, line_number, field)
-        except FrameParseError as exc:
-            return _float_array(values[:start], tail), exc
-        start += count
-    return _float_array(values, tail), None  # a null reads as NaN, for the value checks
-
-
-def _line_slices(values: list, lines: list[int], counts: list[int], tail: tuple):
-    """(line number, row count, values, shape) of every line with rows."""
-    start = 0
-    for line_number, count in zip(lines, counts):
-        if count:
-            yield line_number, count, values[start : start + count], (count, *tail)
-        start += count
+            column = np.array(values)
+        except (TypeError, ValueError, OverflowError):
+            column = None
+        if (
+            column is None
+            or column.dtype.kind not in "fiu"
+            or column.shape != (len(values), *tail)
+            or _hides_bool(values, column)
+        ):
+            per_line = counts is None
+            start = 0
+            for line_number, count in zip(lines, repeat(1) if per_line else counts):
+                line = values[start] if per_line else values[start : start + count]
+                try:
+                    if count:
+                        _check_floats(line, tail if per_line else (count, *tail), line_number, field)
+                except FrameParseError as exc:
+                    errors.append(exc)
+                    break
+                start += count
+            # a null reads as NaN, for the value checks
+            column = np.array(values[:start], dtype=np.float64).reshape(start, *tail)
+        arrays.append(column.astype(np.float64, copy=False))
+    error = min(
+        (e for e in errors + [error] if e is not None), key=lambda e: e.line_number, default=None
+    )
+    return arrays, len(lines) if error is None else bisect_left(lines, error.line_number), error
 
 
 def _objects(items, line_number: int, field: str) -> list[dict]:
@@ -426,11 +439,6 @@ def _check_values(*checks: tuple) -> None:
         line, k = min(found)
         bad, _, field, rule, values = checks[k]
         raise FrameParseError(int(line), field, f"{rule}, got {values[bad][0].tolist()}")
-
-
-def _first_error(*errors: Optional[FrameParseError]) -> Optional[FrameParseError]:
-    """The error on the earliest line; on one line the earlier argument."""
-    return min((e for e in errors if e is not None), key=lambda e: e.line_number, default=None)
 
 
 BOX_RULE = "box must be finite with x1 < x2 and y1 < y2"
@@ -532,17 +540,12 @@ def load_frames(path: Union[str, Path]) -> Frames:
     det_counts = [h[2] for h in heads]
     gt_counts = [h[3] for h in heads]
     feature_tail = (feature_dim or 0,)
-    (box, box_error), (conf, conf_error), (feature, feature_error), (gt_box, gt_box_error) = (
-        _float_column(values, tail, field, _line_slices(values, lines, counts, tail))
-        for values, tail, field, counts in (
-            (boxes, (4,), "detections.box", det_counts),
-            (confidences, (), "detections", det_counts),
-            (features, feature_tail, "detections", det_counts),
-            (gt_box_values, (4,), "gt_boxes.box", gt_counts),
-        )
-    )
-    error = _first_error(box_error, conf_error, feature_error, gt_box_error, error)
-    kept = len(lines) if error is None else bisect_left(lines, error.line_number)
+    (box, conf, feature, gt_box), kept, error = _number_columns(lines, [
+        (boxes, (4,), "detections.box", det_counts),
+        (confidences, (), "detections", det_counts),
+        (features, feature_tail, "detections", det_counts),
+        (gt_box_values, (4,), "gt_boxes.box", gt_counts),
+    ], error)
     det_lines = np.repeat(lines[:kept], det_counts[:kept])
     gt_lines = np.repeat(lines[:kept], gt_counts[:kept])
     det = np.empty(det_lines.size, detection_dtype(feature_tail[0]))
@@ -615,12 +618,9 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
     except FrameParseError as exc:
         error = exc  # raised after any bad number or value on an earlier line
 
-    (box, box_error), (conf, conf_error) = (
-        _float_column(values, tail, field, ((n, 1, v, tail) for n, v in zip(lines, values)))
-        for values, tail, field in ((boxes, (4,), "box"), (confidences, (), "record"))
+    (box, conf), kept, error = _number_columns(
+        lines, [(boxes, (4,), "box", None), (confidences, (), "record", None)], error
     )
-    error = _first_error(box_error, conf_error, error)
-    kept = len(lines) if error is None else bisect_left(lines, error.line_number)
     tracks = np.empty(kept, TRACK_DTYPE)
     tracks["frame_index"] = [k[0] for k in keys[:kept]]
     tracks["track_id"] = [k[1] for k in keys[:kept]]

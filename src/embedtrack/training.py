@@ -262,17 +262,21 @@ def train(
     for the configured epochs.
 
     `batches` is (features, identities, counts) as `training_batches` gives
-    it: (N, F) finite features, (N,) integer identities, and the row count
-    of each batch, batches stacked in order; every batch needs at least two
-    rows.
+    it: (N, F) finite features, (N,) integer identities, and the 1-D
+    integer array of each batch's row count, batches stacked in order; every
+    batch needs at least two rows.
     Returns the final parameters and the per-epoch mean loss, where each
     batch's loss is recorded before its update is applied. Fully
     deterministic for a fixed seed and batch order.
     """
     features, identities, counts = batches
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
     if counts.size == 0:
         raise ValueError("at least one batch is required")
+    if counts.ndim != 1 or counts.dtype.kind not in "iu":
+        raise ValueError(
+            f"counts must be a 1-D integer array, got shape {counts.shape} of {counts.dtype}"
+        )
     features, identities = _checked_rows(features, identities)
     if counts.sum() != features.shape[0]:
         raise ValueError(f"batch counts sum to {counts.sum()}, not {features.shape[0]} rows")

@@ -12,7 +12,6 @@ from embedtrack import (
     DegenerateDevSetError,
     EmbeddingHeadParams,
     FrameParseError,
-    FrameRecord,
     LossConfig,
     MotCounts,
     PairCounts,
@@ -32,6 +31,7 @@ from embedtrack.datasets import (
     _objects,
     _parse_int,
 )
+from records import Frame, views
 
 
 def broadcast_distance_matrix(current, former):
@@ -75,9 +75,10 @@ def follows(frame, other):
 
 
 def loop_neighbor_frames(frames):
-    """`neighbor_frames` as a loop over `FrameRecord`s: cameras in
-    increasing id, each camera's consecutive frames in input order, kept
-    where the second `follows` the first."""
+    """`neighbor_frames` as a loop over the `records.views` of a table:
+    cameras in increasing id, each camera's consecutive frames in input
+    order, kept where the second `follows` the first."""
+    frames = views(frames)
     by_camera = {}
     for k, frame in enumerate(frames):
         by_camera.setdefault(frame.camera_id, []).append(k)
@@ -90,10 +91,11 @@ def loop_neighbor_frames(frames):
 
 
 def loop_cross_camera_frames(frames):
-    """`cross_camera_frames` as a loop over `FrameRecord`s: each identity's
-    earliest frame per camera (the first such frame on ties), then for each
-    identity in increasing order every pair of its cameras in increasing
-    order, each distinct frame pair once."""
+    """`cross_camera_frames` as a loop over the `records.views` of a table:
+    each identity's earliest frame per camera (the first such frame on
+    ties), then for each identity in increasing order every pair of its
+    cameras in increasing order, each distinct frame pair once."""
+    frames = views(frames)
     earliest = {}
     for k, frame in enumerate(frames):
         for ident in frame.gt_boxes["id"].tolist():
@@ -110,12 +112,12 @@ def loop_cross_camera_frames(frames):
 
 
 def loop_check_sequence(frames):
-    """`core._check_sequence` as a loop over `FrameRecord`s: one camera,
-    then frame indices increasing."""
+    """`core._check_sequence` as a loop over the `records.views` of a
+    table: one camera, then frame indices increasing."""
+    frames = views(frames)
     cameras = {f.camera_id for f in frames}
     if len(cameras) > 1:
         raise ValueError(f"expected a single camera, got {sorted(cameras)}")
-    frames = list(frames)
     for prev, cur in zip(frames, frames[1:]):
         if cur.frame_index <= prev.frame_index:
             raise ValueError(
@@ -128,6 +130,7 @@ def loop_tracker(frames, params, threshold, score_threshold=0.5):
     the previous frame's kept rows by `match_oracle`, a matched row takes
     its partner's id, any other row the next value of a plain counter, and
     no row of a frame that does not `follows` the one before is matched."""
+    frames = views(frames)
     rows = []
     former, former_ids = np.zeros((0, params.embed_dim)), []
     next_id = 0
@@ -631,7 +634,7 @@ def line_load_frames(path):
     ends = np.cumsum(np.array([h[2:] for h in heads], dtype=np.int64).reshape(-1, 2), axis=0)
     dets = np.split(det, ends[:-1, 0])
     gts = np.split(gt, ends[:-1, 1])
-    return [FrameRecord(h[0], h[1], d, g) for h, d, g in zip(heads, dets, gts)]
+    return [Frame(h[0], h[1], d, g) for h, d, g in zip(heads, dets, gts)]
 
 
 def line_load_track_records(path):

@@ -1,16 +1,26 @@
 """Record arrays for tests, built from plain rows: detections, ground
-truths and tracker output in the layouts `FrameRecord` and the tracks
-array use, the `Frames` table of a list of frames, and the two record
-arrays `mean_ap` takes. A box is four numbers [x1, y1, x2, y2]."""
+truths and tracker output in the layouts a `Frames` table and the tracks
+array use, a plain `Frame` tuple, the `Frames` table of a list of frames,
+and the two record arrays `mean_ap` takes. A box is four numbers
+[x1, y1, x2, y2]."""
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
-from embedtrack import (
-    GT_DTYPE, TRACK_DTYPE, FrameRecord, Frames, detection_dtype, ground_truth_records,
-)
+from embedtrack import GT_DTYPE, TRACK_DTYPE, Frames, detection_dtype, ground_truth_records
 from embedtrack.core import _frames_table
+
+
+class Frame(NamedTuple):
+    """One frame in plain values: int frame_index and camera_id, and its
+    detection and ground-truth record arrays."""
+
+    frame_index: int
+    camera_id: int
+    detections: np.ndarray
+    gt_boxes: np.ndarray
 
 
 def detections(rows, feature_dim=None):
@@ -31,18 +41,24 @@ def gt_boxes(rows):
 
 
 def frame(index, dets=(), gts=(), camera=0, feature_dim=None):
-    return FrameRecord(
-        frame_index=index,
-        camera_id=camera,
-        detections=detections(dets, feature_dim),
-        gt_boxes=gt_boxes(gts),
-    )
+    return Frame(index, camera, detections(dets, feature_dim), gt_boxes(gts))
+
+
+def views(frames):
+    """The `Frame`s of a `Frames` table, in order: int heads and the slices
+    of the columns between the offsets, read without `frames[k]`."""
+    d, g = frames.det_offsets.tolist(), frames.gt_offsets.tolist()
+    heads = zip(frames.frame_index.tolist(), frames.camera_id.tolist())
+    return [
+        Frame(index, camera, frames.detections[d[k] : d[k + 1]], frames.gt_boxes[g[k] : g[k + 1]])
+        for k, (index, camera) in enumerate(heads)
+    ]
 
 
 def table(records):
-    """The `Frames` table of `FrameRecord`s (from `frame`, or views of
-    another table), in order. Its detection dtype is that of the first
-    frame with detections, else of the first frame."""
+    """The `Frames` table of `Frame`s (from `frame` or `views`), in order.
+    Its detection dtype is that of the first frame with detections, else of
+    the first frame."""
     records = list(records)
     dets = [f.detections for f in records if len(f.detections)] or [
         f.detections for f in records[:1]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from embedtrack import (
     DegenerateDevSetError,
-    DistanceHistogram,
     PairCounts,
     ThresholdSweep,
     distance_histogram,
@@ -188,25 +187,26 @@ class TestSweepThreshold:
 class TestDistanceHistogram:
     def test_single_pair(self):
         hist = distance_histogram([0.3], [True], bin_count=4)
-        assert sum(hist.same_counts) == 1
-        assert sum(hist.diff_counts) == 0
+        assert hist.same_count.sum() == 1
+        assert hist.diff_count.sum() == 0
 
     def test_totals_match_inputs(self):
         pairs = _pairs(same=[0.1, 0.5, 2.0], diff=[1.0, 3.0])
         hist = distance_histogram(*pairs, bin_count=7)
-        assert sum(hist.same_counts) == 3
-        assert sum(hist.diff_counts) == 2
+        assert hist.same_count.sum() == 3
+        assert hist.diff_count.sum() == 2
 
     def test_two_bin_arithmetic(self):
         hist = distance_histogram(*_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)
-        assert hist.same_counts == (2, 0)
-        assert hist.diff_counts == (0, 1)
-        assert hist.bin_edges == (0.0, 0.45, 0.9)
+        assert hist.dtype.names == ("bin_lo", "bin_hi", "same_count", "diff_count")
+        assert hist.same_count.tolist() == [2, 0]
+        assert hist.diff_count.tolist() == [0, 1]
+        assert hist.bin_lo.tolist() == [0.0, 0.45] and hist.bin_hi.tolist() == [0.45, 0.9]
 
     def test_all_zero_distances_use_unit_range(self):
         hist = distance_histogram([0.0], [True], bin_count=2)
-        assert hist.bin_edges[-1] == 1.0
-        assert sum(hist.same_counts) == 1
+        assert hist.bin_hi[-1] == 1.0
+        assert hist.same_count.sum() == 1
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
@@ -362,7 +362,15 @@ class TestCsvExport:
         assert float(rows[0]["bin_lo"]) == 0.0
         assert float(rows[-1]["bin_hi"]) == 0.9
 
-    def test_histogram_dataclass_is_frozen(self):
-        hist = DistanceHistogram(bin_edges=(0.0, 1.0), same_counts=(1,), diff_counts=(0,))
-        with pytest.raises(AttributeError):
-            hist.same_counts = (2,)
+    def test_histogram_rows_are_read_only(self):
+        hist = distance_histogram(*_pairs(same=[0.1, 0.2], diff=[0.9]), bin_count=2)
+        with pytest.raises(ValueError):
+            hist.same_count[0] = 2
+
+    @pytest.mark.parametrize("bin_count", [1, 3, 50])
+    def test_histogram_csv_bytes_equal_csv_writer(self, tmp_path, bin_count):
+        distances = [5e-324, 1e-05, 0.1, 1.0 / 3.0, 2.0, 1e16]
+        hist = distance_histogram(distances, np.arange(6) % 2 == 0, bin_count=bin_count)
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(path, hist)
+        assert path.read_bytes() == _csv_writer_bytes(hist)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -181,6 +182,14 @@ class TestTrain:
         manifest = _manifest(trained_dir)
         assert manifest["config"]["train"]["epochs"] == 3
         assert manifest["config"]["batch_count"] == 9
+
+    def test_loss_trace_bytes_equal_csv_writer(self, trained_dir):
+        data = (trained_dir / "loss_trace.csv").read_bytes()
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([header] + [[int(e), float(m)] for e, m in rows])
+        assert header == ["epoch", "mean_loss"] and len(rows) == 3
+        assert data == expected.getvalue().encode("utf-8")
 
     def test_config_file_covers_both_configs(self, tmp_path, sim_dir):
         cfg_path = tmp_path / "cfg.json"

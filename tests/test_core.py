@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedtrack import (
-    FrameParseError, cross_camera_frames, iou, load_frames, load_track_records, neighbor_frames,
+    FrameParseError, Frames, cross_camera_frames, iou, labeled_rows, load_frames,
+    load_track_records, neighbor_frames,
 )
 from embedtrack.core import _broadcast_iou, _check_sequence
 from embedtrack.datasets import BOX_RULE
 from oracles import loop_check_sequence, loop_cross_camera_frames, loop_neighbor_frames
-from records import assert_same_frames, frame, table
+from records import assert_same_frames, frame, table, views
 from strategies import any_boxes, boxes
 
 
@@ -140,8 +142,8 @@ class TestBoxRule:
 
 
 class TestDetectionRecord:
-    """The rules each row of `FrameRecord.detections` obeys, enforced once
-    by `load_frames`."""
+    """The rules each row of a table's `detections` obeys, enforced once by
+    `load_frames`."""
 
     def test_feature_is_readonly_float64(self, tmp_path):
         _, loaded = _load_one(tmp_path, detections=[_det(feature=[1, 2])])
@@ -172,13 +174,55 @@ class TestDetectionRecord:
                 )
 
 
+def _frames_of_three():
+    """A table of three frames: two detections and one ground truth, none
+    of either, one detection and two ground truths."""
+    return table([
+        frame(3, [((0, 0, 10, 10), 0.9, [1.0, 2.0], 7), ((5, 0, 9, 9), 0.4, [0.0, 1.0])],
+              [((0, 0, 10, 10), 7)], camera=2),
+        frame(4, camera=2, feature_dim=2),
+        frame(0, [((1, 1, 4, 4), 0.6, [3.0, 4.0])], [((1, 1, 4, 4), 1), ((6, 6, 9, 9), 2)]),
+    ])
+
+
 class TestFrameRecord:
+    """One frame: `frames[k]`, a one-frame `Frames`, and the rules of a
+    frames line."""
+
     def test_fields(self):
-        dets = [((0, 0, 10, 10), 0.9, [1.0, 2.0], 7), ((5, 0, 9, 9), 0.4, [0.0, 1.0])]
-        f = frame(3, dets, [((0, 0, 10, 10), 7)], camera=2)
+        f = _frames_of_three()[0]
+        assert f.frame_index.tolist() == [3] and f.camera_id.tolist() == [2]
         assert f.detections["box"].shape == (2, 4) and f.detections["feature"].shape == (2, 2)
         assert f.detections["gt_id"].tolist() == [7, -1]
         assert f.gt_boxes["id"].tolist() == [7]
+
+    def test_indexing_gives_the_frame_slices(self):
+        frames = _frames_of_three()
+        for k, want in enumerate(views(frames)):
+            got = frames[k]
+            n, m = len(want.detections), len(want.gt_boxes)
+            assert len(got) == 1
+            assert_same_frames(got, table([want]))
+            assert got.det_offsets.tolist() == [0, n] and got.gt_offsets.tolist() == [0, m]
+            for field in dataclasses.fields(Frames):
+                assert not getattr(got, field.name).flags.writeable, field.name
+        assert_same_frames(frames[-1], frames[2])
+        assert_same_frames(frames[-3], frames[0])
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                frames[k]
+        assert len(list(frames)) == 3
+
+    def test_labeled_rows_of_one_frame(self):
+        frames = _frames_of_three()
+        features, identities, counts = labeled_rows(frames)
+        ends = np.cumsum(counts)
+        for k in range(len(frames)):
+            one = labeled_rows(frames[k])
+            rows = slice(ends[k] - counts[k], ends[k])
+            assert one[0].tolist() == features[rows].tolist()
+            assert one[1].tolist() == identities[rows].tolist()
+            assert one[2].tolist() == [counts[k]]
 
     def test_follows_needs_same_camera_and_next_index(self):
         assert neighbor_frames(table([frame(3), frame(4)])) == [(0, 1)]
@@ -206,7 +250,7 @@ _frame_indices = st.one_of(
 
 @st.composite
 def _camera_frames(draw):
-    """`FrameRecord`s of up to three interleaved cameras, with index gaps,
+    """`Frame`s of up to three interleaved cameras, with index gaps,
     repeated and decreasing indices, empty frames, and identities that
     several cameras see."""
     box = (0.0, 0.0, 1.0, 1.0)
@@ -232,7 +276,7 @@ def _refusal(check, frames):
 
 class TestFrameRules:
     """The array forms of the frame rules against their loops over
-    `FrameRecord` views (tests/oracles.py)."""
+    `records.views` (tests/oracles.py)."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_camera_frames())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from embedtrack import (
     TRACK_DTYPE,
     FrameParseError,
-    FrameRecord,
     SimConfig,
     cross_camera_frames,
     default_archetypes,
@@ -30,7 +29,9 @@ from oracles import (
     frame_labeled_rows, line_load_frames, line_load_track_records, loop_check_sequence,
     loop_cross_camera_frames, loop_neighbor_frames,
 )
-from records import assert_same_frames, detections, frame, gt_boxes, table, tracks
+from records import (
+    Frame, assert_same_frames, detections, frame, gt_boxes, table, tracks, views,
+)
 from strategies import grid_boxes, row_boxes
 
 
@@ -46,7 +47,7 @@ def _frame(index, idents, camera=0, x_step=50.0):
 def _unlabeled(f):
     dets = f.detections.copy()
     dets["gt_id"] = -1
-    return FrameRecord(f.frame_index, f.camera_id, dets, f.gt_boxes)
+    return f._replace(detections=dets)
 
 
 def _batches(frames, pairs, **kwargs):
@@ -75,7 +76,7 @@ class TestTrainingBatches:
     def test_overlapping_boxes_label_as_in_their_own_frame(self):
         frames = table(_unlabeled(_frame(t, [1, 2], x_step=6.0)) for t in range(2))  # iou 0.25
         ((features, identities),) = _batches(frames, [(0, 1)])
-        rows = [labeled_rows(table([f])) for f in frames]
+        rows = [labeled_rows(f) for f in frames]
         assert np.array_equal(features, np.vstack([r[0] for r in rows]))
         assert identities.tolist() == [1, 2, 1, 2]
 
@@ -112,7 +113,7 @@ class TestTrainingBatches:
         a = _frame(0, [0, 1, 2])
         dets = a.detections.copy()
         dets["gt_id"][0] = 9
-        a = FrameRecord(0, 0, dets, a.gt_boxes)
+        a = a._replace(detections=dets)
         b = _unlabeled(_frame(1, [0, 1, 2]))
         ((_, identities),) = _batches(table([a, b]), neighbor_frames(table([a, b])))
         assert identities.tolist() == [9, 1, 2, 0, 1, 2]
@@ -159,7 +160,7 @@ class TestMtmcPairs:
 
 
 def _one_frame(dets, gts):
-    return table([FrameRecord(0, 0, dets, gts)])
+    return table([Frame(0, 0, dets, gts)])
 
 
 def _spec_frame(index, dets, gts):
@@ -249,7 +250,7 @@ class TestLabeledRows:
         labeled = _frame(2, [1]).detections.copy()
         labeled["gt_id"] = 5
         frames = [_frame(0, [1, 2]), _unlabeled(_frame(1, [1, 2])),
-                  FrameRecord(2, 0, labeled, _frame(2, [1]).gt_boxes), _unlabeled(_frame(3, [2]))]
+                  _frame(2, [1])._replace(detections=labeled), _unlabeled(_frame(3, [2]))]
         assert labeled_rows(table(frames))[1].tolist() == [1, 2, 1, 2, 5, 2]
         assert calls == [[0, 1, 2, 3]]
         calls.clear()
@@ -391,7 +392,55 @@ class TestSimulate:
             SimConfig(**kw)
 
 
+_int64s = st.integers(-(2**63), 2**63 - 1)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _written_frames(draw):
+    """Tables of up to five frames from up to three cameras: empty frames,
+    files with no detection at all, labeled and unlabeled rows mixed,
+    frames without ground truth, and any finite float or int64."""
+    feature_dim = draw(st.integers(0, 3))
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        dets = draw(st.lists(st.tuples(
+            st.lists(_finite, min_size=4, max_size=4), _finite,
+            st.lists(_finite, min_size=feature_dim, max_size=feature_dim),
+            st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+        ), max_size=3))
+        gts = draw(st.lists(st.tuples(st.lists(_finite, min_size=4, max_size=4), _int64s),
+                            max_size=3))
+        records.append(frame(draw(_int64s), dets, gts, draw(st.integers(0, 2)), feature_dim))
+    return table(records)
+
+
+def _frame_line(f):
+    """One frames line as `json.dumps` of its dict; gt_id only when labeled."""
+    det, gt = f.detections, f.gt_boxes
+    dets = [
+        {"box": box, "confidence": confidence, "feature": feature,
+         **({"gt_id": gt_id} if gt_id >= 0 else {})}
+        for box, confidence, feature, gt_id in zip(
+            det["box"].tolist(), det["confidence"].tolist(), det["feature"].tolist(),
+            det["gt_id"].tolist(),
+        )
+    ]
+    gts = [{"box": box, "id": ident} for box, ident in zip(gt["box"].tolist(), gt["id"].tolist())]
+    doc = {"frame_index": f.frame_index, "camera_id": f.camera_id, "detections": dets,
+           "gt_boxes": gts}
+    return json.dumps(doc) + "\n"
+
+
 class TestFrameIo:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_written_frames())
+    def test_bytes_equal_json_dumps(self, tmp_path, frames):
+        path = tmp_path / "frames.jsonl"
+        save_frames(path, frames)
+        assert path.read_bytes() == "".join(map(_frame_line, views(frames))).encode()
+
     def test_round_trip(self, tmp_path):
         cfg = SimConfig(identity_count=3, frame_count=5, feature_dim=4, dropout=0.2, seed=4)
         frames = simulate(cfg)

@@ -465,9 +465,14 @@ class TestTrain:
             (np.ones((3, 2)), np.array([0.0, 0.5, 1.0]), [3], "identities must be integers"),
             (np.ones((3, 2)), np.arange(3), [2, 2], "batch counts sum to 4, not 3 rows"),
             (np.ones((3, 2)), np.arange(3), [1, 2], "at least two rows"),
+            (np.ones((4, 2)), np.arange(4), [2.7, 2.2], "counts must be a 1-D integer array"),
+            (np.ones((4, 2)), np.arange(4), [2.0, 2.0], "counts must be a 1-D integer array"),
+            (np.ones((4, 2)), np.arange(4), [[2, 2]], "counts must be a 1-D integer array"),
+            (np.ones((4, 2)), np.arange(4), [True, True], "counts must be a 1-D integer array"),
         ],
         ids=["1-d-features", "non-finite-features", "identities-wrong-length", "float-identities",
-             "counts-not-summing-to-rows", "one-row-batch"],
+             "counts-not-summing-to-rows", "one-row-batch", "float-counts", "integral-float-counts",
+             "2-d-counts", "bool-counts"],
     )
     def test_rejects_invalid_batches(self, features, identities, counts, message):
         with pytest.raises(ValueError, match=message):
