@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TRACK_DTYPE, Frames, _check_score_threshold, _check_sequence, _follows
-from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
+from .embedding import EmbeddingHeadParams, _real_array, distance_matrix, embed_batch
 
 __all__ = [
     "match_frames",
@@ -28,9 +28,10 @@ def match_frames(distances: np.ndarray, threshold: float) -> list[Optional[int]]
     Row i is matched to column j only when j is the argmin of row i, i is the
     argmin of column j, and d[i, j] < threshold. Ties resolve to the first
     occurrence (argmin semantics), which keeps the result deterministic.
-    Returns one entry per row: the matched column index or None.
+    Returns one entry per row: the matched column index or None. The
+    distances must be integers or floats.
     """
-    d = np.asarray(distances, dtype=np.float64)
+    d = _real_array(distances, "distances")
     if d.ndim != 2:
         raise ValueError(f"distance matrix must be 2-D, got shape {d.shape}")
     if not threshold > 0:
@@ -51,8 +52,14 @@ def update_tracks(
 
     `matches[i]` is the previous-frame column matched to current row i (or
     None). Matched rows keep the column's id in `former_ids`; unmatched rows
-    get fresh ids from `next_id` on, in row order.
+    get fresh ids from `next_id` on, in row order. `former_ids` must be an
+    integer array and `next_id` an integer.
     """
+    ids_dtype = np.asarray(former_ids).dtype
+    if ids_dtype.kind not in "iu":
+        raise ValueError(f"former_ids must be an integer array, got dtype {ids_dtype}")
+    if type(next_id) is not int and not isinstance(next_id, np.integer):  # bool is refused
+        raise ValueError(f"next_id must be an integer, got {next_id!r}")
     n_former = len(former_ids)
     cols = [j for j in matches if j is not None]
     outside = [j for j in cols if not 0 <= j < n_former]
@@ -88,15 +95,16 @@ def track_sequence(
 
     det = frames.detections
     kept = det["confidence"] >= score_threshold
-    offsets = frames.det_offsets.tolist()
+    # Each frame's kept rows are one slice of the kept features.
+    features = det["feature"][kept]
+    offsets = np.concatenate(([0], np.cumsum(kept)))[frames.det_offsets].tolist()
     follows = [False] + _follows(frames.frame_index, frames.camera_id).tolist()
     former_emb = np.zeros((0, params.embed_dim))
     former_ids = np.zeros(0, dtype=np.int64)
     next_id = 0
     track_ids = []
     for a, b, step in zip(offsets, offsets[1:], follows):
-        rows = det["feature"][a:b][kept[a:b]]
-        emb = embed_batch(params, rows) if len(rows) else np.zeros((0, params.embed_dim))
+        emb = embed_batch(params, features[a:b]) if b > a else np.zeros((0, params.embed_dim))
         if not step:
             former_emb, former_ids = former_emb[:0], former_ids[:0]
         matches = match_frames(distance_matrix(emb, former_emb), threshold)

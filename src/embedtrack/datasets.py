@@ -30,7 +30,9 @@ from .core import (
     GT_DTYPE, TRACK_DTYPE, Frames, _check_iou_min, _check_score_threshold, _frames_table,
     _row_frames, detection_dtype, neighbor_frames,
 )
-from .embedding import EmbeddingHeadParams, _check_finite, distance_matrix, embed_batch
+from .embedding import (
+    EmbeddingHeadParams, _check_finite, _gathered_squared_distances, embed_batch,
+)
 from .evaluation import _within_group, assign_predictions
 
 __all__ = [
@@ -131,6 +133,11 @@ def training_batches(
     return features[take], identities[take], lengths[::2] + lengths[1::2]
 
 
+# Cells per call of the gather kernel: its scratch buffer holds two (cells,
+# E) operands, 512 KB at E = 32.
+_PAIR_CHUNK = 1024
+
+
 def neighbor_pair_distances(
     frames: Frames,
     params: EmbeddingHeadParams,
@@ -141,20 +148,45 @@ def neighbor_pair_distances(
     frames: for every (a, b) of `neighbor_frames`, every `labeled_rows` row
     of a against every row of b, row-major. Distances are squared Euclidean
     between head embeddings; is_same says the two identities are equal.
+
+    Each frame's rows are embedded in one head pass, as the tracker embeds
+    them. The cells are then computed `_PAIR_CHUNK` at a time by the gather
+    kernel the training step uses, with the bits of `distance_matrix`.
     """
     features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
-    cuts = np.cumsum(counts)[:-1]
-    embedded = [
-        embed_batch(params, rows) if len(rows) else np.zeros((0, params.embed_dim))
-        for rows in np.split(features, cuts)
-    ]
-    identities = np.split(identities, cuts)
-    distances = [np.zeros(0)]
-    is_same = [np.zeros(0, dtype=bool)]
-    for i, j in neighbor_frames(frames):
-        distances.append(distance_matrix(embedded[i], embedded[j]).ravel())
-        is_same.append((identities[i][:, None] == identities[j][None, :]).ravel())
-    return np.concatenate(distances), np.concatenate(is_same)
+    starts = np.cumsum(counts) - counts
+    embedded = np.empty((features.shape[0], params.embed_dim))
+    for a, n in zip(starts.tolist(), counts.tolist()):
+        if n:
+            embedded[a : a + n] = embed_batch(params, features[a : a + n])
+    del features  # not needed while the cells are computed
+    # One block per row of a pair's first frame: row block_row[k] against
+    # the width[k] consecutive rows of the second frame, in cells
+    # [ends[k] - width[k], ends[k]), where cell c has column c - shift[k].
+    pairs = np.array(neighbor_frames(frames), dtype=np.intp).reshape(-1, 2)
+    height = counts[pairs[:, 0]]
+    block_row = np.repeat(starts[pairs[:, 0]], height) + _within_group(height)
+    width = np.repeat(counts[pairs[:, 1]], height)
+    ends = np.cumsum(width)
+    shift = ends - width - np.repeat(starts[pairs[:, 1]], height)
+    total = int(ends[-1]) if ends.size else 0
+    distances = np.empty(total)
+    is_same = np.empty(total, dtype=bool)
+    work = np.empty(2 * min(total, _PAIR_CHUNK) * params.embed_dim)
+    # The first and last block of each chunk of cells [lo, hi).
+    los = np.arange(0, total, _PAIR_CHUNK)
+    his = np.minimum(los + _PAIR_CHUNK, total)
+    firsts = np.searchsorted(ends, los, side="right").tolist()
+    lasts = np.searchsorted(ends, his - 1, side="right").tolist()
+    for lo, hi, a, b in zip(los.tolist(), his.tolist(), firsts, lasts):
+        reps = width[a : b + 1].copy()
+        reps[-1] = hi - ends[b] + width[b]
+        reps[0] -= lo - ends[a] + width[a]
+        row = block_row[a : b + 1].repeat(reps)
+        col = np.arange(lo, hi) - shift[a : b + 1].repeat(reps)
+        _gathered_squared_distances(embedded, row, col, work, distances[lo:hi])
+        np.equal(identities.take(row), identities.take(col), out=is_same[lo:hi])
+    return distances, is_same
 
 
 @dataclass(frozen=True)

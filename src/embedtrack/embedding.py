@@ -201,9 +201,21 @@ def init_params(
     )
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """`value` as a float64 array. Integer and float cells convert; any
+    other kind (bool, string, object) raises ValueError naming `name`."""
+    arr = np.asarray(value)
+    if arr.dtype != np.float64:
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64)
+    return arr
+
+
 def embed_batch(params: EmbeddingHeadParams, features: np.ndarray) -> np.ndarray:
-    """Map an (n, F) feature matrix to (n, E) embeddings."""
-    feats = np.asarray(features, dtype=np.float64)
+    """Map an (n, F) feature matrix of integers or floats to (n, E)
+    embeddings."""
+    feats = _real_array(features, "features")
     if feats.ndim != 2 or feats.shape[1] != params.feature_dim:
         raise ValueError(
             f"features must have shape (n, {params.feature_dim}), got {feats.shape}"
@@ -217,10 +229,10 @@ def distance_matrix(current: np.ndarray, former: np.ndarray) -> np.ndarray:
 
     Computed from coordinate differences, not the dot-product identity, to
     avoid cancellation: `distance_matrix(e, e)` is exactly symmetric with a
-    zero diagonal.
+    zero diagonal. Both inputs must hold integers or floats.
     """
-    cur = np.atleast_2d(np.asarray(current, dtype=np.float64))
-    fmr = np.atleast_2d(np.asarray(former, dtype=np.float64))
+    cur = np.atleast_2d(_real_array(current, "current"))
+    fmr = np.atleast_2d(_real_array(former, "former"))
     if cur.size == 0:
         cur = cur.reshape(0, fmr.shape[1] if fmr.size else 0)
     if fmr.size == 0:
@@ -260,6 +272,29 @@ def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, slots
 
 
+def _gathered_squared_distances(
+    emb: np.ndarray, first: np.ndarray, second: np.ndarray, work: np.ndarray, out: np.ndarray
+) -> None:
+    """Write |emb[first[p]] - emb[second[p]]|^2 into out[p] for every p, for
+    a float64 (n, E) array and in-range row indices.
+
+    Each cell is the row difference reduced by einsum over the contiguous
+    last axis, as `distance_matrix` reduces it, so a cell has the bits of
+    `distance_matrix`'s cell of the same two rows. The two gathered (P, E)
+    operands are written into `work`, a flat float64 buffer of at least
+    2 * P * E values.
+    """
+    shape = (first.size, emb.shape[1])
+    size = shape[0] * shape[1]
+    diff = work[:size].reshape(shape)
+    other = work[size : 2 * size].reshape(shape)
+    # mode="clip" gathers straight into `work`; "raise" would gather into a copy.
+    emb.take(first, axis=0, out=diff, mode="clip")
+    emb.take(second, axis=0, out=other, mode="clip")
+    diff -= other
+    np.einsum("ij,ij->i", diff, diff, out=out)
+
+
 def _pair_squared_distances(
     emb: np.ndarray,
     first: np.ndarray,
@@ -268,30 +303,21 @@ def _pair_squared_distances(
     work: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """`distance_matrix(emb, emb)` of a float64 (n, E) array, with each pair
-    of its rows reduced once; (first, second, slots) is `_pair_layout(n)` or
-    the layout of n rows cut from a larger one.
+    of its rows reduced once by `_gathered_squared_distances`; (first,
+    second, slots) is `_pair_layout(n)` or the layout of n rows cut from a
+    larger one.
 
-    The bits equal the full tensor's: e_j - e_i is exactly -(e_i - e_j), so
-    both triangles square the same values, and the same einsum reduction
-    sums them in the same order over the contiguous last axis. The diagonal
-    is the 0 of slot 0. The two gathered (P, E) operands of the P pairs'
-    differences are written into `work`, a flat float64 buffer of at least
-    2 * P * E values, or a new one: a caller that reuses one buffer keeps
-    the allocator from returning those pages to the system and faulting
-    them in again on every call.
+    e_j - e_i is exactly -(e_i - e_j), so both triangles square the same
+    values, in the same order. The diagonal is the 0 of slot 0. `work` is
+    the kernel's scratch buffer, of at least 2 * P * E values for the P
+    pairs, or None for a new one: a caller that reuses one buffer keeps the
+    allocator from returning those pages to the system and faulting them in
+    again on every call.
     """
-    shape = (first.size, emb.shape[1])
-    size = shape[0] * shape[1]
     if work is None:
-        work = np.empty(2 * size)
-    diff = work[:size].reshape(shape)
-    other = work[size : 2 * size].reshape(shape)
-    # mode="clip" writes straight into `out`; "raise" would gather into a copy.
-    emb.take(first, axis=0, out=diff, mode="clip")
-    emb.take(second, axis=0, out=other, mode="clip")
-    diff -= other
+        work = np.empty(2 * first.size * emb.shape[1])
     cells = np.zeros(first.size + 1)
-    np.einsum("ij,ij->i", diff, diff, out=cells[1:])
+    _gathered_squared_distances(emb, first, second, work, cells[1:])
     return cells.take(slots)
 
 

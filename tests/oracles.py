@@ -22,6 +22,8 @@ from embedtrack import (
     embed_batch,
     init_params,
     iou,
+    labeled_rows,
+    neighbor_frames,
 )
 from embedtrack.calibration import _check_pairs
 from embedtrack.datasets import (
@@ -88,6 +90,26 @@ def loop_neighbor_frames(frames):
         for i, j in zip(by_camera[camera], by_camera[camera][1:])
         if follows(frames[j], frames[i])
     ]
+
+
+def loop_neighbor_pair_distances(frames, params, score_threshold=0.5, iou_min=0.5):
+    """`neighbor_pair_distances` as a loop over the `neighbor_frames` pairs:
+    each frame's `labeled_rows` embedded in one `embed_batch` call, then per
+    pair the raveled `distance_matrix` and identity comparison of its two
+    frames, concatenated in pair order."""
+    features, identities, counts = labeled_rows(frames, score_threshold, iou_min)
+    cuts = np.cumsum(counts)[:-1]
+    embedded = [
+        embed_batch(params, rows) if len(rows) else np.zeros((0, params.embed_dim))
+        for rows in np.split(features, cuts)
+    ]
+    identities = np.split(identities, cuts)
+    distances = [np.zeros(0)]
+    is_same = [np.zeros(0, dtype=bool)]
+    for i, j in neighbor_frames(frames):
+        distances.append(distance_matrix(embedded[i], embedded[j]).ravel())
+        is_same.append((identities[i][:, None] == identities[j][None, :]).ravel())
+    return np.concatenate(distances), np.concatenate(is_same)
 
 
 def loop_cross_camera_frames(frames):

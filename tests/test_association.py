@@ -40,6 +40,13 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             distance_matrix(np.ones((1, 3)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("cells", [[["1", "2"]], [[True, False]]])
+    def test_refuses_non_numeric_cells(self, cells):
+        with pytest.raises(ValueError, match="current must hold integers or floats"):
+            distance_matrix(cells, [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="former must hold integers or floats"):
+            distance_matrix([[0.0, 0.0]], cells)
+
 
 class TestMatchFrames:
     def test_single_below_threshold(self):
@@ -56,6 +63,10 @@ class TestMatchFrames:
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ValueError):
             match_frames(np.array([[1.0]]), 0.0)
+
+    def test_refuses_bool_matrix(self):
+        with pytest.raises(ValueError, match="distances must hold integers or floats"):
+            match_frames(np.array([[True, False]]), 1.0)
 
     def test_equals_oracle_on_random_matrices(self):
         rng = np.random.default_rng(1)
@@ -130,6 +141,16 @@ class TestUpdateTracks:
     def test_rejects_duplicate_columns(self):
         with pytest.raises(ValueError, match="column 0 matched twice"):
             update_tracks(np.array([0]), [0, 0], 1)
+
+    def test_refuses_non_integer_former_ids(self):
+        for former_ids in (np.array([1.7, 2.2]), np.array([True, False])):
+            with pytest.raises(ValueError, match="former_ids must be an integer array"):
+                update_tracks(former_ids, [0, None], 5)
+
+    @pytest.mark.parametrize("next_id", [5.5, 5.0, True])
+    def test_refuses_non_integer_next_id(self, next_id):
+        with pytest.raises(ValueError, match="next_id must be an integer"):
+            update_tracks(np.array([1, 2]), [0, None], next_id)
 
 
 def _identity_params(dim):

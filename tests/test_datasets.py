@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from embedtrack import (
 import embedtrack.datasets
 from oracles import (
     frame_labeled_rows, line_load_frames, line_load_track_records, loop_check_sequence,
-    loop_cross_camera_frames, loop_neighbor_frames,
+    loop_cross_camera_frames, loop_neighbor_frames, loop_neighbor_pair_distances,
 )
 from records import (
     Frame, assert_same_frames, detections, frame, gt_boxes, table, tracks, views,
@@ -306,6 +308,82 @@ class TestNeighborFrames:
         frames = table([_frame(0, [1]), _frame(2, [1])])
         distances, is_same = neighbor_pair_distances(frames, params)
         assert distances.shape == (0,) and is_same.dtype == bool
+
+
+@st.composite
+def _pair_tables(draw):
+    """Tables of up to eight frames from two cameras, interleaved, with index
+    gaps and empty frames; each frame is fully labeled, partly labeled or
+    unlabeled, and holds rows below the score threshold, one row or none."""
+    next_index = {0: 0, 1: 0}
+    frames = []
+    for _ in range(draw(st.integers(0, 8))):
+        camera = draw(st.sampled_from([0, 0, 1]))
+        next_index[camera] += draw(st.sampled_from([1, 1, 1, 2]))
+        ident = draw(st.sampled_from([
+            st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4)), st.none(),
+        ]))
+        feature = st.tuples(*[st.floats(-4, 4, width=32)] * 2)
+        dets = draw(st.lists(
+            st.tuples(_spec_boxes, st.sampled_from([0.3, 0.6, 0.9]), feature, ident),
+            max_size=draw(st.sampled_from([0, 1, 6])),
+        ))
+        frames.append(frame(next_index[camera], dets, draw(_spec_gts), camera, feature_dim=2))
+    return table(frames)
+
+
+def _same_arrays(got, want):
+    return [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (a.dtype, a.shape, a.tobytes()) for a in want
+    ]
+
+
+class TestNeighborPairDistances:
+    """The chunked gather kernel must give the per-pair loop's bytes."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        _pair_tables(),
+        st.sampled_from([1, 3, 32]),
+        st.sampled_from([1, 2, 5, embedtrack.datasets._PAIR_CHUNK]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_pair_loop(self, frames, embed_dim, chunk, seed):
+        """Cell chunks of one cell up to the module's size, so that pairs
+        straddle chunk edges and chunks hold several pairs."""
+        params = init_params(2, 4, embed_dim, np.random.default_rng(seed))
+        with mock.patch.object(embedtrack.datasets, "_PAIR_CHUNK", chunk):
+            got = neighbor_pair_distances(frames, params)
+        assert _same_arrays(got, loop_neighbor_pair_distances(frames, params))
+
+    def test_crowd_table_equals_per_pair_loop(self):
+        """Three pairs of 1 600 cells, each straddling an edge of the
+        module's chunks."""
+        frames = simulate(SimConfig(identity_count=40, frame_count=4, feature_dim=40))
+        params = init_params(40, 64, 32, np.random.default_rng(0))
+        got = neighbor_pair_distances(frames, params)
+        assert got[0].size > 2 * embedtrack.datasets._PAIR_CHUNK
+        assert _same_arrays(got, loop_neighbor_pair_distances(frames, params))
+
+    def test_peak_memory_stays_below_the_per_pair_loop(self):
+        # A crowd-shaped table: 40 ids over 40 frames give about 55 600
+        # cells, 0.5 MB of output. The per-pair loop peaks at 1.9 MB: its
+        # per-pair pieces and their concatenation are alive together. One
+        # chunk's scratch is 0.5 MB at E = 32, beside the output and the
+        # (N, E) embeddings.
+        frames = simulate(
+            SimConfig(identity_count=40, frame_count=40, feature_dim=40, dropout=0.05)
+        )
+        params = init_params(40, 64, 32, np.random.default_rng(0))
+        neighbor_pair_distances(frames, params)
+        tracemalloc.start()
+        try:
+            distances, _ = neighbor_pair_distances(frames, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert distances.size > 50_000
+        assert peak < 1_700_000
 
 
 class TestSimulate:

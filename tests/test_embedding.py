@@ -90,6 +90,11 @@ class TestForward:
         with pytest.raises(ValueError):
             embed_batch(params, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("cells", [[["1", "2", "3", "4"]], np.ones((1, 4), dtype=bool)])
+    def test_refuses_non_numeric_features(self, cells):
+        with pytest.raises(ValueError, match="features must hold integers or floats"):
+            embed_batch(_zero_params(4, 6, 3), cells)
+
     @given(st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=25)
     def test_scaling_w2_scales_embedding_when_b2_zero(self, c):
