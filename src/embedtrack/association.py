@@ -12,8 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TRACK_DTYPE, Frames, _check_score_threshold, _check_sequence, _follows
-from .embedding import EmbeddingHeadParams, _real_array, distance_matrix, embed_batch
+from .core import (
+    TRACK_DTYPE, Frames, _check_score_threshold, _check_sequence, _checked_array, _follows,
+)
+from .embedding import EmbeddingHeadParams, distance_matrix, embed_batch
 
 __all__ = [
     "match_frames",
@@ -29,11 +31,9 @@ def match_frames(distances: np.ndarray, threshold: float) -> list[Optional[int]]
     argmin of column j, and d[i, j] < threshold. Ties resolve to the first
     occurrence (argmin semantics), which keeps the result deterministic.
     Returns one entry per row: the matched column index or None. The
-    distances must be integers or floats.
+    distances are a 2-D array of integers or floats.
     """
-    d = _real_array(distances, "distances")
-    if d.ndim != 2:
-        raise ValueError(f"distance matrix must be 2-D, got shape {d.shape}")
+    d = _checked_array(distances, "distances", "f", ndim=2)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     n_cur, n_fmr = d.shape
@@ -52,16 +52,18 @@ def update_tracks(
 
     `matches[i]` is the previous-frame column matched to current row i (or
     None). Matched rows keep the column's id in `former_ids`; unmatched rows
-    get fresh ids from `next_id` on, in row order. `former_ids` must be an
-    integer array and `next_id` an integer.
+    get fresh ids from `next_id` on, in row order. `former_ids` must be a
+    1-D integer array, each entry of `matches` an integer or None, and
+    `next_id` an integer.
     """
-    ids_dtype = np.asarray(former_ids).dtype
-    if ids_dtype.kind not in "iu":
-        raise ValueError(f"former_ids must be an integer array, got dtype {ids_dtype}")
+    former_ids = _checked_array(former_ids, "former_ids", "i", ndim=1)
     if type(next_id) is not int and not isinstance(next_id, np.integer):  # bool is refused
         raise ValueError(f"next_id must be an integer, got {next_id!r}")
     n_former = len(former_ids)
     cols = [j for j in matches if j is not None]
+    odd = [j for j in cols if type(j) is not int and not isinstance(j, np.integer)]
+    if odd:  # `type`, as a bool is an int
+        raise ValueError(f"matches must hold integers or None, got {odd[0]!r}")
     outside = [j for j in cols if not 0 <= j < n_former]
     if outside:
         raise ValueError(f"match column {outside[0]} outside previous frame of {n_former}")

@@ -25,6 +25,8 @@ from typing import Union
 
 import numpy as np
 
+from .core import _checked_array
+
 __all__ = [
     "ThresholdSweep",
     "DegenerateDevSetError",
@@ -42,18 +44,16 @@ class DegenerateDevSetError(ValueError):
 def _check_pairs(distances, is_same) -> tuple[np.ndarray, np.ndarray]:
     """Validate parallel pair arrays: one distance and one same-identity flag
     per cross-frame detection pair; distances finite and non-negative."""
-    dist = np.asarray(distances, dtype=np.float64)
-    same = np.asarray(is_same)
-    if dist.ndim != 1 or same.shape != dist.shape:
+    dist = _checked_array(distances, "distances", "f", ndim=1, finite=True)
+    same = _checked_array(is_same, "is_same", "b")
+    if same.shape != dist.shape:
         raise ValueError(
-            f"distances and is_same must be 1-D of equal length, got {dist.shape} and {same.shape}"
+            f"is_same must match distances, of shape {dist.shape}, got shape {same.shape}"
         )
     if dist.size == 0:
         raise DegenerateDevSetError("no pairs")
-    if same.dtype != bool:
-        raise ValueError(f"is_same must be boolean, got dtype {same.dtype}")
-    if not np.all(np.isfinite(dist)) or dist.min() < 0:
-        raise ValueError("distances must be finite and non-negative")
+    if dist.min() < 0:
+        raise ValueError("distances must be non-negative")
     return dist, same
 
 

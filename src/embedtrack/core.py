@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -147,6 +147,43 @@ def _check_sequence(frames: Frames) -> None:
     if stalled.size:
         prev, cur = index[stalled[0] : stalled[0] + 2].tolist()
         raise ValueError(f"frame indices must increase: {prev} then {cur}")
+
+
+# kind -> (the dtype kinds accepted, the dtype returned, the cells named in
+# the refusal).
+_ARRAY_KINDS = {
+    "f": ("iuf", np.dtype(np.float64), "integers or floats"),
+    "i": ("iu", np.dtype(np.int64), "integers"),
+    "b": ("b", np.dtype(np.bool_), "booleans"),
+}
+
+
+def _checked_array(value, name: str, kind: str, ndim: Optional[int] = None,
+                   finite: bool = False) -> np.ndarray:
+    """`value` as a float64 (kind "f"), int64 ("i") or bool ("b") array: the
+    one input rule of every plain array argument of the public functions.
+
+    A float argument takes integer and float cells, an integer argument
+    integer cells and a bool argument bool cells; any other kind (string,
+    object, bool for a number, float for an integer) is refused rather than
+    converted. An empty array holds no cells, so any dtype of it converts.
+    Given `ndim`, the array must have that many dimensions; given `finite`,
+    no NaN or ±inf. Every refusal is a ValueError that names `name`.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as err:  # ragged nesting
+        raise ValueError(f"{name} must be a rectangular array: {err}") from None
+    accepted, dtype, cells = _ARRAY_KINDS[kind]
+    if arr.dtype != dtype:
+        if arr.dtype.kind not in accepted and arr.size:
+            raise ValueError(f"{name} must hold {cells}, got dtype {arr.dtype}")
+        arr = arr.astype(dtype)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds non-finite entries")
+    return arr
 
 
 def _check_score_threshold(score_threshold: float) -> None:

@@ -27,8 +27,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (
-    GT_DTYPE, TRACK_DTYPE, Frames, _check_iou_min, _check_score_threshold, _frames_table,
-    _row_frames, detection_dtype, neighbor_frames,
+    GT_DTYPE, TRACK_DTYPE, Frames, _check_iou_min, _check_score_threshold, _checked_array,
+    _frames_table, _row_frames, detection_dtype, neighbor_frames,
 )
 from .embedding import (
     EmbeddingHeadParams, _check_finite, _gathered_squared_distances, embed_batch,
@@ -117,10 +117,14 @@ def training_batches(
     once, by itself; pairs with fewer than two rows (no pair to learn from)
     give no batch. Features are every batch's rows in batch order, (N, F),
     identities (N,) int64, and counts[b] is the row count of batch b; all
-    three are empty when no pair has two rows. A pair index outside
-    [0, len(frames)) raises ValueError.
+    three are empty when no pair has two rows. `pairs` must be integer
+    (i, j) pairs, and an index outside [0, len(frames)) raises ValueError.
     """
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _checked_array(pairs, "pairs", "i")
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must be (i, j) pairs, of shape (P, 2), got shape {pairs.shape}")
     outside = ((pairs < 0) | (pairs >= len(frames))).any(axis=1)
     if outside.any():
         i, j = pairs[outside][0].tolist()

@@ -19,6 +19,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .core import _checked_array
+
 __all__ = [
     "EmbeddingHeadParams",
     "LossConfig",
@@ -99,16 +101,6 @@ def _check_config_values(values: dict, classes: Sequence[type], source: str) -> 
     return coerced
 
 
-def _as_param_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64, copy=True)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.flags.writeable = False
-    return arr
-
-
 def _flat_views(vec: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Views (w1, b1, w2, b2) into a flat vector laid out as `to_flat`, for
     dims (feature, hidden, embed)."""
@@ -133,18 +125,19 @@ class EmbeddingHeadParams:
     b2: np.ndarray
 
     def __post_init__(self) -> None:
-        w1 = np.array(self.w1, dtype=np.float64, copy=True)
-        if w1.ndim != 2:
-            raise ValueError(f"w1 must be 2-D, got shape {w1.shape}")
-        hidden, feature = w1.shape
-        w2 = np.array(self.w2, dtype=np.float64, copy=True)
-        if w2.ndim != 2:
-            raise ValueError(f"w2 must be 2-D, got shape {w2.shape}")
-        embed_dim = w2.shape[0]
-        object.__setattr__(self, "w1", _as_param_array(w1, (hidden, feature), "w1"))
-        object.__setattr__(self, "b1", _as_param_array(self.b1, (hidden,), "b1"))
-        object.__setattr__(self, "w2", _as_param_array(w2, (embed_dim, hidden), "w2"))
-        object.__setattr__(self, "b2", _as_param_array(self.b2, (embed_dim,), "b2"))
+        names = ("w1", "b1", "w2", "b2")
+        arrays = [
+            _checked_array(getattr(self, name), name, "f", ndim, finite=True)
+            for name, ndim in zip(names, (2, 1, 2, 1))
+        ]
+        (hidden, feature), embed_dim = arrays[0].shape, arrays[2].shape[0]
+        shapes = ((hidden, feature), (hidden,), (embed_dim, hidden), (embed_dim,))
+        for name, arr, shape in zip(names, arrays, shapes):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            arr = arr.copy()  # the caller's array may change; the head may not
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def feature_dim(self) -> int:
@@ -164,10 +157,10 @@ class EmbeddingHeadParams:
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, feature_dim: int, hidden_dim: int, embed_dim: int) -> "EmbeddingHeadParams":
-        vec = np.asarray(vec, dtype=np.float64)
+        vec = _checked_array(vec, "vec", "f", ndim=1, finite=True)
         size = hidden_dim * feature_dim + hidden_dim + embed_dim * hidden_dim + embed_dim
-        if vec.shape != (size,):
-            raise ValueError(f"expected flat vector of length {size}, got shape {vec.shape}")
+        if vec.size != size:
+            raise ValueError(f"vec must hold {size} values, got {vec.size}")
         return cls(*_flat_views(vec, (feature_dim, hidden_dim, embed_dim)))
 
     def __eq__(self, other: object) -> bool:
@@ -201,22 +194,11 @@ def init_params(
     )
 
 
-def _real_array(value, name: str) -> np.ndarray:
-    """`value` as a float64 array. Integer and float cells convert; any
-    other kind (bool, string, object) raises ValueError naming `name`."""
-    arr = np.asarray(value)
-    if arr.dtype != np.float64:
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
-        arr = arr.astype(np.float64)
-    return arr
-
-
 def embed_batch(params: EmbeddingHeadParams, features: np.ndarray) -> np.ndarray:
     """Map an (n, F) feature matrix of integers or floats to (n, E)
     embeddings."""
-    feats = _real_array(features, "features")
-    if feats.ndim != 2 or feats.shape[1] != params.feature_dim:
+    feats = _checked_array(features, "features", "f", ndim=2)
+    if feats.shape[1] != params.feature_dim:
         raise ValueError(
             f"features must have shape (n, {params.feature_dim}), got {feats.shape}"
         )
@@ -229,10 +211,10 @@ def distance_matrix(current: np.ndarray, former: np.ndarray) -> np.ndarray:
 
     Computed from coordinate differences, not the dot-product identity, to
     avoid cancellation: `distance_matrix(e, e)` is exactly symmetric with a
-    zero diagonal. Both inputs must hold integers or floats.
+    zero diagonal. Both inputs are 2-D arrays of integers or floats.
     """
-    cur = np.atleast_2d(_real_array(current, "current"))
-    fmr = np.atleast_2d(_real_array(former, "former"))
+    cur = _checked_array(current, "current", "f", ndim=2)
+    fmr = _checked_array(former, "former", "f", ndim=2)
     if cur.size == 0:
         cur = cur.reshape(0, fmr.shape[1] if fmr.size else 0)
     if fmr.size == 0:

@@ -20,6 +20,7 @@ from .core import (
     _check_iou_min,
     _check_score_threshold,
     _check_sequence,
+    _checked_array,
     _row_frames,
     neighbor_frames,
 )
@@ -258,11 +259,9 @@ def mean_ap(
     precision/recall curve is integrated exactly (all-point interpolation).
     Every threshold is matched in one greedy pass over within-image ranks.
     """
-    thresholds = np.array(iou_thresholds, dtype=np.float64).reshape(-1)
+    thresholds = _checked_array(iou_thresholds, "iou_thresholds", "f", ndim=1, finite=True)
     if thresholds.size == 0:
         raise ValueError("at least one IoU threshold is required")
-    if not np.isfinite(thresholds).all():
-        raise ValueError(f"IoU thresholds must be finite, got {thresholds.tolist()}")
     if len(ground_truths) == 0:
         raise ValueError("average precision is undefined without ground truths")
     if len(predictions) == 0:

@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .core import _checked_array
 from .embedding import (
     EmbeddingHeadParams,
     _check_finite,
@@ -204,25 +205,19 @@ def _checked_rows(
     """`features` as float64 and `identities` as int64, once the features
     are a 2-D array of at least one row, finite and, given `width`, that
     wide, and the identities an integer array of one entry per row."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    features = _checked_array(features, "features", "f", ndim=2, finite=True)
     if features.shape[0] == 0:
         raise ValueError("features must hold at least one row")
     if width is not None and features.shape[1] != width:
         raise ValueError(
             f"features must have {width} columns, as the head, not {features.shape[1]}"
         )
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite entries")
-    identities = np.asarray(identities)
-    if identities.dtype.kind not in "iu":
-        raise ValueError(f"identities must be integers, got dtype {identities.dtype}")
+    identities = _checked_array(identities, "identities", "i")
     if identities.shape != (features.shape[0],):
         raise ValueError(
             f"identities shape {identities.shape} does not match {features.shape[0]} feature rows"
         )
-    return features, identities.astype(np.int64, copy=False)
+    return features, identities
 
 
 def _step(
@@ -270,13 +265,9 @@ def train(
     deterministic for a fixed seed and batch order.
     """
     features, identities, counts = batches
-    counts = np.asarray(counts)
+    counts = _checked_array(counts, "counts", "i", ndim=1)
     if counts.size == 0:
         raise ValueError("at least one batch is required")
-    if counts.ndim != 1 or counts.dtype.kind not in "iu":
-        raise ValueError(
-            f"counts must be a 1-D integer array, got shape {counts.shape} of {counts.dtype}"
-        )
     features, identities = _checked_rows(features, identities)
     if counts.sum() != features.shape[0]:
         raise ValueError(f"batch counts sum to {counts.sum()}, not {features.shape[0]} rows")

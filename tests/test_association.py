@@ -144,7 +144,7 @@ class TestUpdateTracks:
 
     def test_refuses_non_integer_former_ids(self):
         for former_ids in (np.array([1.7, 2.2]), np.array([True, False])):
-            with pytest.raises(ValueError, match="former_ids must be an integer array"):
+            with pytest.raises(ValueError, match="former_ids must hold integers"):
                 update_tracks(former_ids, [0, None], 5)
 
     @pytest.mark.parametrize("next_id", [5.5, 5.0, True])

@@ -14,14 +14,14 @@ IMPORTS = {
                  "training"},
     "__main__": {"cli"},
     "association": {"core", "embedding"},
-    "calibration": set(),
+    "calibration": {"core"},
     "cli": {"__init__", "association", "calibration", "core", "datasets", "embedding",
             "evaluation", "training"},
     "core": set(),
     "datasets": {"core", "embedding", "evaluation"},
-    "embedding": set(),
+    "embedding": {"core"},
     "evaluation": {"core"},
-    "training": {"embedding"},
+    "training": {"core", "embedding"},
 }
 
 

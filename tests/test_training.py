@@ -120,8 +120,8 @@ class TestStepInputs:
         [
             (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), "at least one row"),
             (np.ones((4, 3)), np.arange(3), r"identities shape \(3,\) does not match 4"),
-            (np.ones((3, 3)), np.array([0.0, 0.5, 1.0]), "identities must be integers"),
-            (np.ones((2, 3)), np.array([True, False]), "identities must be integers"),
+            (np.ones((3, 3)), np.array([0.0, 0.5, 1.0]), "identities must hold integers"),
+            (np.ones((2, 3)), np.array([True, False]), "identities must hold integers"),
             (np.ones((2, 3)), np.arange(4).reshape(2, 2), "identities shape"),
             (np.ones(3), np.arange(3), "features must be 2-D"),
             (np.ones((2, 4)), np.arange(2), "features must have 3 columns"),
@@ -462,13 +462,13 @@ class TestTrain:
             (np.ones(4), np.arange(4), [4], "features must be 2-D"),
             (np.array([[1.0, np.inf], [1.0, 1.0]]), np.arange(2), [2], "non-finite"),
             (np.ones((3, 2)), np.arange(2), [3], "identities shape"),
-            (np.ones((3, 2)), np.array([0.0, 0.5, 1.0]), [3], "identities must be integers"),
+            (np.ones((3, 2)), np.array([0.0, 0.5, 1.0]), [3], "identities must hold integers"),
             (np.ones((3, 2)), np.arange(3), [2, 2], "batch counts sum to 4, not 3 rows"),
             (np.ones((3, 2)), np.arange(3), [1, 2], "at least two rows"),
-            (np.ones((4, 2)), np.arange(4), [2.7, 2.2], "counts must be a 1-D integer array"),
-            (np.ones((4, 2)), np.arange(4), [2.0, 2.0], "counts must be a 1-D integer array"),
-            (np.ones((4, 2)), np.arange(4), [[2, 2]], "counts must be a 1-D integer array"),
-            (np.ones((4, 2)), np.arange(4), [True, True], "counts must be a 1-D integer array"),
+            (np.ones((4, 2)), np.arange(4), [2.7, 2.2], "counts must hold integers"),
+            (np.ones((4, 2)), np.arange(4), [2.0, 2.0], "counts must hold integers"),
+            (np.ones((4, 2)), np.arange(4), [[2, 2]], "counts must be 1-D"),
+            (np.ones((4, 2)), np.arange(4), [True, True], "counts must hold integers"),
         ],
         ids=["1-d-features", "non-finite-features", "identities-wrong-length", "float-identities",
              "counts-not-summing-to-rows", "one-row-batch", "float-counts", "integral-float-counts",
