@@ -156,6 +156,7 @@ _ARRAY_KINDS = {
     "i": ("iu", np.dtype(np.int64), "integers"),
     "b": ("b", np.dtype(np.bool_), "booleans"),
 }
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _checked_array(value, name: str, kind: str, ndim: Optional[int] = None,
@@ -166,7 +167,9 @@ def _checked_array(value, name: str, kind: str, ndim: Optional[int] = None,
     A float argument takes integer and float cells, an integer argument
     integer cells and a bool argument bool cells; any other kind (string,
     object, bool for a number, float for an integer) is refused rather than
-    converted. An empty array holds no cells, so any dtype of it converts.
+    converted, and so is an unsigned integer above the int64 maximum, which
+    the conversion would wrap. An empty array holds no cells, so any dtype
+    of it converts.
     Given `ndim`, the array must have that many dimensions; given `finite`,
     no NaN or ±inf. Every refusal is a ValueError that names `name`.
     """
@@ -178,6 +181,8 @@ def _checked_array(value, name: str, kind: str, ndim: Optional[int] = None,
     if arr.dtype != dtype:
         if arr.dtype.kind not in accepted and arr.size:
             raise ValueError(f"{name} must hold {cells}, got dtype {arr.dtype}")
+        if kind == "i" and arr.dtype.kind == "u" and arr.size and arr.max() > _INT64_MAX:
+            raise ValueError(f"{name} holds integers above the int64 maximum {_INT64_MAX}")
         arr = arr.astype(dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")

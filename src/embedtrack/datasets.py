@@ -31,7 +31,7 @@ from .core import (
     _frames_table, _row_frames, detection_dtype, neighbor_frames,
 )
 from .embedding import (
-    EmbeddingHeadParams, _check_finite, _gathered_squared_distances, embed_batch,
+    EmbeddingHeadParams, _check_fields, _gathered_squared_distances, embed_batch,
 )
 from .evaluation import _within_group, assign_predictions
 
@@ -176,7 +176,7 @@ def neighbor_pair_distances(
     total = int(ends[-1]) if ends.size else 0
     distances = np.empty(total)
     is_same = np.empty(total, dtype=bool)
-    work = np.empty(2 * min(total, _PAIR_CHUNK) * params.embed_dim)
+    diff, other = np.empty((2, min(total, _PAIR_CHUNK), params.embed_dim))
     # The first and last block of each chunk of cells [lo, hi).
     los = np.arange(0, total, _PAIR_CHUNK)
     his = np.minimum(los + _PAIR_CHUNK, total)
@@ -188,7 +188,8 @@ def neighbor_pair_distances(
         reps[0] -= lo - ends[a] + width[a]
         row = block_row[a : b + 1].repeat(reps)
         col = np.arange(lo, hi) - shift[a : b + 1].repeat(reps)
-        _gathered_squared_distances(embedded, row, col, work, distances[lo:hi])
+        m = hi - lo
+        _gathered_squared_distances(embedded, row, col, diff[:m], other[:m], distances[lo:hi])
         np.equal(identities.take(row), identities.take(col), out=is_same[lo:hi])
     return distances, is_same
 
@@ -218,7 +219,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         if self.identity_count < 1:
             raise ValueError(f"identity_count must be positive, got {self.identity_count}")
         if self.frame_count < 1:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,11 +34,16 @@ __all__ = [
 PARAMS_FORMAT_VERSION = 1
 
 
-def _check_finite(cfg) -> None:
-    """Every float field of the config dataclass instance `cfg` must be
-    finite; an integer given for one must fit in a float."""
+def _check_fields(cfg) -> None:
+    """Every int field of the config dataclass instance `cfg` must hold an
+    integer, not a float or a bool; every float field must be finite, and an
+    integer given for one must fit in a float."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        if type(f.default) is int:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            continue
         if type(f.default) is not float:
             continue
         try:
@@ -66,7 +71,7 @@ class LossConfig:
     score_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
         for name in ("pull_margin", "w_triplet", "w_pull"):
@@ -255,26 +260,55 @@ def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _gathered_squared_distances(
-    emb: np.ndarray, first: np.ndarray, second: np.ndarray, work: np.ndarray, out: np.ndarray
+    emb: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    diff: np.ndarray,
+    other: np.ndarray,
+    out: np.ndarray,
 ) -> None:
     """Write |emb[first[p]] - emb[second[p]]|^2 into out[p] for every p, for
     a float64 (n, E) array and in-range row indices.
 
     Each cell is the row difference reduced by einsum over the contiguous
     last axis, as `distance_matrix` reduces it, so a cell has the bits of
-    `distance_matrix`'s cell of the same two rows. The two gathered (P, E)
-    operands are written into `work`, a flat float64 buffer of at least
-    2 * P * E values.
+    `distance_matrix`'s cell of the same two rows. The two gathered
+    operands are written into `diff` and `other`, C-contiguous float64
+    (P, E) arrays for the P pairs.
     """
-    shape = (first.size, emb.shape[1])
-    size = shape[0] * shape[1]
-    diff = work[:size].reshape(shape)
-    other = work[size : 2 * size].reshape(shape)
-    # mode="clip" gathers straight into `work`; "raise" would gather into a copy.
+    # mode="clip" gathers straight into `diff`; "raise" would gather into a copy.
     emb.take(first, axis=0, out=diff, mode="clip")
     emb.take(second, axis=0, out=other, mode="clip")
     diff -= other
     np.einsum("ij,ij->i", diff, diff, out=out)
+
+
+class _PairBuffers(NamedTuple):
+    """Where `_pair_squared_distances` works for the P pairs of n rows:
+    the two gathered (P, E) operands, and the cells it reads the (n, n)
+    matrix from, whose slot 0 holds the diagonal's 0 and whose view `pairs`
+    is slots 1 to P."""
+
+    diff: np.ndarray
+    other: np.ndarray
+    cells: np.ndarray
+    pairs: np.ndarray
+
+
+def _pair_buffers(sizes: Iterable[int], embed_dim: int) -> dict[int, _PairBuffers]:
+    """The `_PairBuffers` of E = `embed_dim` wide rows for each row count of
+    `sizes`, all views into one set of buffers sized for the largest. A
+    caller that reuses one set over many calls keeps the allocator from
+    returning those pages to the system and faulting them in again on every
+    call."""
+    pair_counts = {n: n * (n - 1) // 2 for n in sizes}
+    most = max(pair_counts.values())
+    work = np.empty((2, most, embed_dim))
+    cells = np.zeros(most + 1)
+    return {
+        n: _PairBuffers(work[0, :p], work[1, :p], cells, cells[1 : p + 1])
+        for n, p in pair_counts.items()
+    }
 
 
 def _pair_squared_distances(
@@ -282,24 +316,18 @@ def _pair_squared_distances(
     first: np.ndarray,
     second: np.ndarray,
     slots: np.ndarray,
-    work: Optional[np.ndarray] = None,
+    buffers: _PairBuffers,
 ) -> np.ndarray:
     """`distance_matrix(emb, emb)` of a float64 (n, E) array, with each pair
     of its rows reduced once by `_gathered_squared_distances`; (first,
     second, slots) is `_pair_layout(n)` or the layout of n rows cut from a
-    larger one.
+    larger one, and `buffers` the `_PairBuffers` of n rows.
 
     e_j - e_i is exactly -(e_i - e_j), so both triangles square the same
-    values, in the same order. The diagonal is the 0 of slot 0. `work` is
-    the kernel's scratch buffer, of at least 2 * P * E values for the P
-    pairs, or None for a new one: a caller that reuses one buffer keeps the
-    allocator from returning those pages to the system and faulting them in
-    again on every call.
+    values, in the same order. The diagonal is the 0 of slot 0.
     """
-    if work is None:
-        work = np.empty(2 * first.size * emb.shape[1])
-    cells = np.zeros(first.size + 1)
-    _gathered_squared_distances(emb, first, second, work, cells[1:])
+    diff, other, cells, pairs = buffers
+    _gathered_squared_distances(emb, first, second, diff, other, pairs)
     return cells.take(slots)
 
 

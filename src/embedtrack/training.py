@@ -14,9 +14,12 @@ updates one flat parameter vector in place.
 The step's distance matrix is exactly symmetric, so it reduces each row
 pair i < j once (`embedding._pair_squared_distances`) and reads the (n, n)
 matrix through a slot table, with the same bits as the full difference
-tensor. Each `train` call builds one pair layout and one scratch buffer for
-the pairs' differences, both sized for the largest batch; a smaller batch
-uses a prefix of each.
+tensor. Everything a step reads besides the parameters is made once per
+`train` call: one pair layout and one set of kernel buffers, both sized for
+the largest batch and cut once per batch size (a smaller batch uses a
+prefix of each); one read-only label index per distinct identity pattern,
+shared by the batches that have it; and the learning rate of every step,
+from one `cosine_lr` call.
 
 The loss is computed only inside that step. `batch_loss` and `gradient`
 check their rows as `train` does, run the step once on fresh buffers and
@@ -27,15 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import _checked_array
 from .embedding import (
     EmbeddingHeadParams,
-    _check_finite,
+    _check_fields,
     _flat_views,
+    _PairBuffers,
+    _pair_buffers,
     _pair_layout,
     _pair_squared_distances,
     LossConfig,
@@ -67,7 +72,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         if not self.initial_lr > 0:
             raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
         if self.epochs < 1:
@@ -78,13 +83,20 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def cosine_lr(step: int, total_steps: int, initial_lr: float) -> float:
-    """Cosine decay from initial_lr at step 0 towards 0 at step == total_steps."""
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"step {step} outside schedule of {total_steps} steps")
+def cosine_lr(
+    step: Union[int, np.ndarray], total_steps: int, initial_lr: float
+) -> Union[float, np.ndarray]:
+    """Cosine decay from initial_lr at step 0 towards 0 at step == total_steps,
+    for an integer step or elementwise for a 1-D integer array of steps."""
+    steps = _checked_array(step, "step", "i")
+    if steps.ndim > 1:
+        raise ValueError(f"step must be an integer or a 1-D array, got shape {steps.shape}")
+    outside = np.flatnonzero((steps < 0) | (steps > total_steps))
+    if outside.size:
+        raise ValueError(f"step {steps.flat[outside[0]]} outside schedule of {total_steps} steps")
     if total_steps < 1:
         raise ValueError("total_steps must be at least 1")
-    return 0.5 * initial_lr * (1.0 + np.cos(np.pi * step / total_steps))
+    return 0.5 * initial_lr * (1.0 + np.cos(np.pi * steps / total_steps))
 
 
 class _BatchIndex(NamedTuple):
@@ -92,7 +104,9 @@ class _BatchIndex(NamedTuple):
     diagonal) and negative masks, the valid anchors (rows with both), one row
     mask per identity of two or more rows (ascending), and the row numbers;
     then the pair layout of the batch's rows (`embedding._pair_layout`),
-    views into one layout that all batches of a `train` call share."""
+    views into one layout that all batches of a `train` call share. Every
+    array is read-only, since batches of one identity pattern share one
+    index."""
 
     pos: np.ndarray
     neg: np.ndarray
@@ -119,7 +133,10 @@ def _batch_index(identities: np.ndarray, pairs: Optional[tuple] = None) -> _Batc
     first, second, slots = _pair_layout(n) if pairs is None else pairs
     cut = n * (n - 1) // 2
     rows = np.arange(n)
-    return _BatchIndex(pos, neg, anchors, groups, rows, first[:cut], second[:cut], slots[:n, :n])
+    index = _BatchIndex(pos, neg, anchors, groups, rows, first[:cut], second[:cut], slots[:n, :n])
+    for array in index:
+        array.flags.writeable = False
+    return index
 
 
 def _loss_and_gradient(
@@ -128,12 +145,12 @@ def _loss_and_gradient(
     index: _BatchIndex,
     cfg: LossConfig,
     grad: Sequence[np.ndarray],
-    work: Optional[np.ndarray] = None,
+    buffers: _PairBuffers,
 ) -> float:
     """The loss of one batch from one forward pass of the head `params`
     (w1, b1, w2, b2), with its analytic gradient written into the
-    same-shaped `grad`. `work` is the scratch buffer of the pair
-    differences, as `_pair_squared_distances` takes it.
+    same-shaped `grad`. `buffers` are the `_PairBuffers` of the batch's row
+    count, where `_pair_squared_distances` works.
 
     With d the squared distances between the batch's embeddings, the loss is
     w_triplet * triplet + w_pull * pull, where
@@ -162,7 +179,7 @@ def _loss_and_gradient(
     z = features @ w1.T + b1
     a = np.maximum(z, 0.0)
     e = a @ w2.T + b2
-    d = _pair_squared_distances(e, index.pair_first, index.pair_second, index.pair_slots, work)
+    d = _pair_squared_distances(e, index.pair_first, index.pair_second, index.pair_slots, buffers)
 
     masked_pos = np.where(index.pos, d, -np.inf)
     masked_neg = np.where(index.neg, d, np.inf)
@@ -228,7 +245,9 @@ def _step(
     features, identities = _checked_rows(features, identities, params.feature_dim)
     head = (params.w1, params.b1, params.w2, params.b2)
     grad = [np.empty_like(p) for p in head]
-    return _loss_and_gradient(head, features, _batch_index(identities), cfg, grad), grad
+    n = identities.size
+    buffers = _pair_buffers([n], params.embed_dim)[n]
+    return _loss_and_gradient(head, features, _batch_index(identities), cfg, grad, buffers), grad
 
 
 def batch_loss(
@@ -277,16 +296,25 @@ def train(
     dims = (features.shape[1], train_config.hidden_dim, train_config.embed_dim)
     flat = init_params(*dims, np.random.default_rng(train_config.seed)).to_flat()
     grad, update = np.empty(flat.size), np.empty(flat.size)
-    # Both gathered operands of the largest batch's n(n-1)/2 pair differences.
-    largest = int(counts.max())
-    pairs = _pair_layout(largest)
-    work = np.empty(largest * (largest - 1) * train_config.embed_dim)
+    finite = np.empty(flat.size, dtype=bool)
     params, grads = _flat_views(flat, dims), _flat_views(grad, dims)
+    # One index per identity pattern, shared by the batches that have it,
+    # and one set of pair buffers per row count, all made before the first
+    # step.
+    sizes = counts.tolist()
+    pairs = _pair_layout(max(sizes))
+    buffers = _pair_buffers(sizes, train_config.embed_dim)
+    indexes: dict[bytes, _BatchIndex] = {}
+    prepared = []
     ends = np.cumsum(counts).tolist()
-    prepared = [
-        (features[a:b], _batch_index(identities[a:b], pairs)) for a, b in zip([0] + ends, ends)
-    ]
+    for a, b in zip([0] + ends, ends):
+        key = identities[a:b].tobytes()
+        if key not in indexes:
+            indexes[key] = _batch_index(identities[a:b], pairs)
+        prepared.append((features[a:b], indexes[key], buffers[b - a]))
     total_steps = train_config.epochs * len(prepared)
+    # The update of each step is flat += (-lr) * grad.
+    descent = (-cosine_lr(np.arange(total_steps), total_steps, train_config.initial_lr)).tolist()
     trace: list[float] = []
     # Divergence shows up as overflow in the forward pass before the loss
     # check catches it; keep numpy quiet about the transient non-finite
@@ -294,15 +322,14 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_config.epochs):
             epoch_losses = []
-            for step, (rows, index) in enumerate(prepared, epoch * len(prepared)):
+            for step, (rows, index, work) in enumerate(prepared, epoch * len(prepared)):
                 loss = _loss_and_gradient(params, rows, index, loss_config, grads, work)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became non-finite at step {step}")
                 epoch_losses.append(loss)
-                lr = cosine_lr(step, total_steps, train_config.initial_lr)
-                np.multiply(-lr, grad, out=update)
+                np.multiply(descent[step], grad, out=update)
                 flat += update
-                if not np.isfinite(flat).all():
+                if not np.logical_and.reduce(np.isfinite(flat, out=finite)):
                     raise TrainingDivergedError(f"parameters became non-finite at step {step}")
             trace.append(float(np.mean(epoch_losses)))
     return EmbeddingHeadParams.from_flat(flat, *dims), trace

@@ -463,10 +463,12 @@ class TestSimulate:
             {"min_box_size": 0.0},
             {"max_box_size": 2000.0},
             {"max_speed": -1.0},
+            {"frame_count": 2.5},
+            {"frame_count": True},
         ],
     )
     def test_config_validation(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             SimConfig(**kw)
 
 

@@ -16,7 +16,7 @@ from embedtrack import (
     load_params,
     save_params,
 )
-from embedtrack.embedding import _pair_layout, _pair_squared_distances
+from embedtrack.embedding import _pair_buffers, _pair_layout, _pair_squared_distances
 from oracles import broadcast_distance_matrix
 
 
@@ -188,18 +188,29 @@ class TestPairKernel:
     @given(self_pair_embeddings(), st.integers(0, 40))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_equals_distance_matrix(self, emb, extra):
-        """With its own layout and a fresh buffer, and with the layout cut
-        from one of more rows and a larger buffer of stale values, as
-        `train` runs each batch with its largest batch's."""
+        """With its own layout and fresh buffers, and with the layout cut
+        from one of more rows and buffers cut from a larger set that holds
+        stale values, as `train` runs each batch with its largest batch's."""
         n, e = emb.shape
         first, second, slots = _pair_layout(n + extra)
         cut = n * (n - 1) // 2
-        work = np.full(2 * (n + extra) * (n + extra - 1) * e + 1, np.nan)
+        buffers = _pair_buffers([n, n + extra], e)
+        larger = buffers[n + extra]
+        for stale in (larger.diff, larger.other, larger.pairs):
+            stale.fill(np.nan)
         with np.errstate(over="ignore"):
             expected = distance_matrix(emb, emb).tobytes()
-            assert _pair_squared_distances(emb, *_pair_layout(n)).tobytes() == expected
-            got = _pair_squared_distances(emb, first[:cut], second[:cut], slots[:n, :n], work)
+            fresh = _pair_buffers([n], e)[n]
+            assert _pair_squared_distances(emb, *_pair_layout(n), fresh).tobytes() == expected
+            got = _pair_squared_distances(
+                emb, first[:cut], second[:cut], slots[:n, :n], buffers[n]
+            )
             assert got.tobytes() == expected
+            # a second call on the same buffers, as every later step makes
+            again = _pair_squared_distances(
+                emb, first[:cut], second[:cut], slots[:n, :n], buffers[n]
+            )
+            assert again.tobytes() == expected
 
 
 class TestPairwiseDistances:
@@ -337,6 +348,19 @@ def test_config_float_fields_refuse_non_finite(cls, field, value):
     """Every float field refuses NaN and +-inf when the config is built,
     naming the field, whichever other check the value would slip past."""
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, np.float64(2.0), np.bool_(True), "2"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, f.name) for cls in (SimConfig, TrainConfig) for f in fields(cls) if type(f.default) is int],
+)
+def test_config_int_fields_refuse_what_is_not_an_integer(cls, field, value):
+    """Every int field refuses floats, bools and strings when the config is
+    built, naming the field, instead of failing later in the stage or
+    taking True as 1."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         cls(**{field: value})
 
 

@@ -27,6 +27,7 @@ from embedtrack import (
     SimConfig,
     TrainConfig,
     batch_loss,
+    cosine_lr,
     distance_histogram,
     distance_matrix,
     embed_batch,
@@ -107,6 +108,7 @@ ARGUMENTS = [
       for fn in (sweep_threshold, distance_histogram)
       for name, kind in (("distances", "f"), ("is_same", "b"))),
     _argument(training_batches, "pairs", "i", np.array([[0, 1], [1, 2]]), frames=FRAMES),
+    _argument(cosine_lr, "step", "i", np.array([0, 3, 10]), total_steps=10, initial_lr=1e-3),
     _argument(mean_ap, "iou_thresholds", "f", np.array([0.5, 0.75]), finite=True,
               predictions=TRACKS, ground_truths=ground_truth_records(FRAMES)),
 ]
@@ -243,3 +245,21 @@ def test_broken_value_is_refused_by_name(argument, data):
     value, _ = data.draw(_variant(argument), label="variant (value, what breaks the rule)")
     with pytest.raises(ValueError, match=rf"\b{argument.name}\b"):
         argument.call(value)
+
+
+INTEGER_ARGUMENTS = [a for a in ARGUMENTS if a.kind == "i"]
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS, ids=lambda a: f"{a.owner}-{a.name}")
+def test_unsigned_integers_are_taken_up_to_the_int64_maximum(argument):
+    argument.call(np.asarray(argument.valid).astype(np.uint64))
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS, ids=lambda a: f"{a.owner}-{a.name}")
+@pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+def test_unsigned_integers_above_the_int64_maximum_are_refused(argument, value):
+    """Converting them to int64 would wrap them to negative values."""
+    wide = np.asarray(argument.valid).astype(np.uint64)
+    wide.flat[-1] = value
+    with pytest.raises(ValueError, match=rf"^{argument.name} holds integers above the int64"):
+        argument.call(wide)

@@ -16,7 +16,7 @@ from embedtrack import (
     init_params,
     train,
 )
-from embedtrack.embedding import _flat_views
+from embedtrack.embedding import _flat_views, _pair_buffers
 from embedtrack.training import _batch_index, _loss_and_gradient
 import oracles
 from oracles import finite_diff_gradient, loop_gradient, loop_train, unique_batch_index
@@ -60,6 +60,22 @@ class TestCosineLr:
             cosine_lr(11, 10, 1e-3)
         with pytest.raises(ValueError):
             cosine_lr(-1, 10, 1e-3)
+        with pytest.raises(ValueError, match="^step 11 outside schedule of 10 steps$"):
+            cosine_lr(np.array([0, 11, -1]), 10, 1e-3)
+
+    @pytest.mark.parametrize("step", [2.5, 2.0, True, np.float64(3.0), "3"])
+    def test_rejects_a_step_that_is_not_an_integer(self, step):
+        with pytest.raises(ValueError, match="^step must hold integers"):
+            cosine_lr(step, 10, 1e-3)
+
+    @pytest.mark.parametrize("total", [1, 7, 195, 395, 1000, 2495])
+    @pytest.mark.parametrize("initial_lr", [1e-3, 1.0, 1e200])
+    def test_array_of_steps_equals_each_step_bit_for_bit(self, total, initial_lr):
+        """`train` takes its whole schedule from one call over every step."""
+        schedule = cosine_lr(np.arange(total + 1), total, initial_lr)
+        assert schedule.shape == (total + 1,)
+        for k in range(total + 1):
+            assert schedule[k].tobytes() == np.float64(cosine_lr(k, total, initial_lr)).tobytes()
 
 
 class TestGradient:
@@ -162,12 +178,14 @@ def _assert_fused_step_matches_references(params, features, ids, cfg):
     gradient equals the loop oracle, bit for bit."""
     dims = (params.feature_dim, params.hidden_dim, params.embed_dim)
     grad = np.full(params.to_flat().size, np.nan)  # the step must write every entry
+    n = ids.size
     loss = _loss_and_gradient(
         _flat_views(params.to_flat(), dims),
         features,
         _batch_index(ids),
         cfg,
         _flat_views(grad, dims),
+        _pair_buffers([n], params.embed_dim)[n],
     )
     reference = loop_gradient(params, features, ids, cfg)
     assert loss == oracles.batch_loss(params, features, ids, cfg)
@@ -300,25 +318,32 @@ class TestBatchIndex:
         index = _batch_index(ids)
         for name, expected in zip(index._fields, unique_batch_index(ids), strict=True):
             assert np.array_equal(getattr(index, name), expected), name
+            # batches of one identity pattern share the index
+            assert not getattr(index, name).flags.writeable, name
 
 
 @st.composite
 def train_cases(draw):
-    """(batches, loss config, train config) over one to three batches of
+    """(batches, loss config, train config) over one to four batches of
     mixed, single-identity or all-singleton labels (the last two have no
-    valid anchor), zero loss weights, and learning rates that diverge."""
+    valid anchor), or the labels of an earlier batch with new features, so
+    that batches share one identity pattern; zero loss weights, and
+    learning rates that diverge."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1.0, 1e3]))
     batches = []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(2, 8))
-        labels = draw(st.sampled_from(["mixed", "single", "singletons"]))
-        ids = {
-            "mixed": rng.integers(0, 4, size=n),
-            "single": np.zeros(n, dtype=np.int64),
-            "singletons": np.arange(n),
-        }[labels]
-        batches.append((scale * rng.normal(size=(n, 3)), ids))
+    for _ in range(draw(st.integers(1, 4))):
+        labels = draw(st.sampled_from(["mixed", "single", "singletons", "repeat"]))
+        if labels == "repeat" and batches:
+            ids = draw(st.sampled_from([ids for _, ids in batches]))
+        else:
+            n = draw(st.integers(2, 8))
+            mixed = rng.integers(0, 4, size=n)  # also the first batch's "repeat"
+            ids = {
+                "single": np.zeros(n, dtype=np.int64),
+                "singletons": np.arange(n),
+            }.get(labels, mixed)
+        batches.append((scale * rng.normal(size=(ids.size, 3)), ids))
     cfg = LossConfig(
         margin=draw(st.sampled_from([0.5, 5.0])),
         pull_margin=draw(st.sampled_from([0.0, 1.0])),
@@ -381,6 +406,19 @@ class TestTrainMatchesLoopTrain:
         ))
         tc = TrainConfig(initial_lr=1e-2, epochs=2, hidden_dim=16, embed_dim=32, seed=5)
         _assert_train_matches_loop_train(batches, LossConfig(), tc)
+
+    def test_batches_of_one_identity_pattern_share_its_index(self):
+        """Batches that repeat one identity pattern with other features,
+        interleaved with other patterns of the same size and with smaller
+        batches, share one index, and the steps still equal the
+        references."""
+        rng = np.random.default_rng(21)
+        a, b = np.array([3, 3, 7, 7, 7, 9]), np.array([3, 7, 3, 7, 9, 9])
+        patterns = [a, b, a, a[:4], b, a, np.array([-1, 2**40, -1]), a[:4], b]
+        batches = _stacked(*((rng.normal(size=(ids.size, 4)), ids) for ids in patterns))
+        tc = TrainConfig(initial_lr=5e-2, epochs=3, hidden_dim=7, embed_dim=5, seed=8)
+        for cfg in (LossConfig(), LossConfig(margin=0.5, pull_margin=0.0, w_pull=1.0)):
+            _assert_train_matches_loop_train(batches, cfg, tc)
 
     def test_corner_batches_over_epochs(self):
         """A batch with no valid anchor, a single-identity batch and a mixed
@@ -481,8 +519,15 @@ class TestTrain:
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
-        "kw", [{"initial_lr": 0.0}, {"epochs": 0}, {"hidden_dim": 0}, {"embed_dim": -1}]
+        "kw",
+        [
+            {"initial_lr": 0.0}, {"epochs": 0}, {"hidden_dim": 0}, {"embed_dim": -1},
+            {"epochs": 2.5}, {"hidden_dim": 8.0}, {"seed": 1.5}, {"epochs": True},
+        ],
     )
     def test_rejects_invalid(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             TrainConfig(**kw)
+
+    def test_takes_numpy_integers(self):
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
