@@ -4,16 +4,32 @@ Simulates a labeled training sequence, trains the embedding head, calibrates
 the association threshold, then tracks a held-out sequence generated with a
 different seed. Archetypes depend only on the identity layout, not the seed,
 so the two sequences share an identity space like two recordings of the same
-scene.
+scene. Each step is printed as its `$ embedtrack ...` line once it has run,
+with how much it raised the process's peak resident memory (`ru_maxrss`),
+so that the stage that sets the peak stands out.
 
     python3 scripts/run_pipeline.py --out runs/demo --epochs 50
 """
 
 import argparse
 import json
+import resource
+import sys
 from pathlib import Path
 
 from embedtrack.cli import main as cli
+
+# ru_maxrss counts bytes on macOS and kilobytes elsewhere.
+RSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
+
+def run_step(step: list[str]) -> int:
+    """Run one CLI step, then print it with its growth of the peak RSS."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    code = cli(step)
+    grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * RSS_UNIT / 2**20
+    print(f"$ embedtrack {' '.join(step)}  # peak RSS +{grown:.1f} MB")
+    return code
 
 
 def run(args: argparse.Namespace) -> int:
@@ -36,8 +52,7 @@ def run(args: argparse.Namespace) -> int:
          "--seed", str(args.holdout_seed)] + sim_flags,
     ]
     for step in steps:
-        print(f"$ embedtrack {' '.join(step)}")
-        code = cli(step)
+        code = run_step(step)
         if code != 0:
             return code
 
@@ -54,8 +69,7 @@ def run(args: argparse.Namespace) -> int:
         ["eval", "--tracks", str(out / "tracks" / "tracks.jsonl"),
          "--frames", str(out / "holdout" / "frames.jsonl"), "--out", str(out / "report")],
     ]:
-        print(f"$ embedtrack {' '.join(step)}")
-        code = cli(step)
+        code = run_step(step)
         if code != 0:
             return code
 

@@ -68,8 +68,19 @@ class ThresholdSweep:
     rows: np.recarray
 
 
-def _candidate_thresholds(distances: np.ndarray) -> np.ndarray:
-    """One representative threshold per plateau of the objective.
+# Rows per step of a pass over a table (the sweep's counts, a CSV write), so
+# that a step's temporaries stay small beside the table.
+_CHUNK_ROWS = 4096
+
+# One row of a sweep: a candidate threshold, its counts and its objective.
+_SWEEP_DTYPE = np.dtype(
+    [("h", "f8"), ("fp", "i8"), ("fn", "i8"), ("tp", "i8"), ("tn", "i8"), ("objective", "f8")]
+)
+
+
+def _candidate_thresholds(distances: np.ndarray) -> np.recarray:
+    """Sweep rows with one representative threshold h per plateau of the
+    objective, in increasing order; the other fields are left unset.
 
     Prediction flips happen only when h crosses an observed distance, so the
     plateaus are 0 < h <= d_min ("call everything different"), a < h <= b
@@ -81,14 +92,31 @@ def _candidate_thresholds(distances: np.ndarray) -> np.ndarray:
     first plateau is empty: thresholds are positive, so a 0 distance is
     predicted same under any h.
     """
-    uniq = np.unique(distances)
-    lower = np.concatenate([[0.0], uniq])
-    upper = np.concatenate([uniq, [np.inf]])
+    edges = np.concatenate([[0.0], np.unique(distances), [np.inf]])
+    empty = int(edges[1] == 0.0)
+    lower, upper = edges[empty:-1], edges[1 + empty :]
+    rows = np.recarray(lower.size, _SWEEP_DTYPE)
+    h = rows.h
     with np.errstate(over="ignore"):
-        mid = np.concatenate([uniq[:1] / 2.0, (uniq[:-1] + uniq[1:]) / 2.0, uniq[-1:] + 1.0])
-        above = np.nextafter(lower, np.inf)
-    inside = (lower < mid) & (mid <= upper)
-    return np.where(inside, mid, above)[lower < upper]
+        # d_min / 2 is (0 + d_min) / 2, bit for bit
+        np.add(lower, upper, out=h)
+        h /= 2.0
+        h[-1] = lower[-1] + 1.0
+        outside = lower >= h
+        outside |= h > upper
+        h[outside] = np.nextafter(lower[outside], np.inf)
+    return rows
+
+
+def _count_below(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
+    """Write the number of `values` strictly below h[i] to out[i]. `values`
+    is sorted in place; the search runs one chunk of h at a time, so that
+    its counts and its contiguous copy of h stay a chunk long."""
+    values.sort()
+    for start in range(0, h.size, _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        # side="left" counts exactly the strictly smaller entries
+        out[part] = np.searchsorted(values, h[part], side="left")
 
 
 def sweep_threshold(distances, is_same) -> ThresholdSweep:
@@ -112,20 +140,19 @@ def sweep_threshold(distances, is_same) -> ThresholdSweep:
             f"sweep needs both pair kinds, got {gp} same and {gn} different"
         )
 
-    cands = _candidate_thresholds(dist)
-    # Pairs with distance < h are predicted same; side="left" counts exactly
-    # the strictly smaller entries.
-    tp = np.searchsorted(np.sort(dist[same]), cands, side="left")
-    fp = np.searchsorted(np.sort(dist[~same]), cands, side="left")
-    fn = gp - tp
-    tn = gn - fp
-    objective = fp / gn + fn / gp
-    rows = np.rec.fromarrays([cands, fp, fn, tp, tn, objective], names="h,fp,fn,tp,tn,objective")
+    rows = _candidate_thresholds(dist)
+    # Pairs with distance < h are predicted same.
+    _count_below(dist[same], rows.h, out=rows.tp)
+    _count_below(dist[~same], rows.h, out=rows.fp)
+    np.subtract(gp, rows.tp, out=rows.fn)
+    np.subtract(gn, rows.fp, out=rows.tn)
+    objective = np.divide(rows.fp, gn, out=rows.objective)
+    objective += rows.fn / gp
     rows.flags.writeable = False
 
     best = int(np.argmin(objective))
     return ThresholdSweep(
-        threshold=float(cands[best]), objective=float(objective[best]), rows=rows
+        threshold=float(rows.h[best]), objective=float(objective[best]), rows=rows
     )
 
 
@@ -151,9 +178,6 @@ def distance_histogram(distances, is_same, bin_count: int = 50) -> np.recarray:
     return rows
 
 
-_CSV_CHUNK_ROWS = 4096
-
-
 def _write_csv(path: Union[str, Path], rows: np.ndarray, index=None) -> None:
     """Write the record array `rows`, or its rows at `index`, as the bytes
     `csv.writer(fh).writerows(...)` would: a header of the field names,
@@ -166,8 +190,8 @@ def _write_csv(path: Union[str, Path], rows: np.ndarray, index=None) -> None:
     index = np.arange(len(rows)) if index is None else index
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\r\n")
-        for start in range(0, len(index), _CSV_CHUNK_ROWS):
-            part = rows[index[start : start + _CSV_CHUNK_ROWS]]
+        for start in range(0, len(index), _CHUNK_ROWS):
+            part = rows[index[start : start + _CHUNK_ROWS]]
             # The `%` exhausts `cells`, so no chunk's values outlive its write.
             cells = chain.from_iterable(zip(*[part[name].tolist() for name in names]))
             fh.write(line * len(part) % tuple(cells))

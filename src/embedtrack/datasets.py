@@ -10,8 +10,10 @@ fixed feature archetypes, observed features add Gaussian noise, boxes move
 linearly with clamping at the image border.
 
 A frames file is one `Frames` table and a tracks file one `TRACK_DTYPE`
-array. Both readers check each line's types as it streams in, then build
-the file's number columns in one stage that picks the earliest bad line.
+array. Both readers check each line's types as it streams in and build the
+number columns one chunk of lines at a time, each chunk in one stage that
+picks its earliest bad line, so that only one chunk's Python floats are
+alive at a time.
 """
 
 from __future__ import annotations
@@ -410,13 +412,15 @@ def _hides_bool(values: list, column: np.ndarray) -> bool:
 
 
 def _number_columns(lines: list[int], columns: list[tuple], error: Optional[FrameParseError]):
-    """(arrays, kept line count, error) of a file's number columns.
+    """(arrays, kept line count, error) of one chunk of a file's number
+    columns.
 
-    `lines` are the line numbers of the lines read before `error`, the
-    reader's own error or None. A column is (values, tail, field, counts):
-    the file's raw values, one row each, become one float64 array of shape
-    (rows, *tail), where line i holds counts[i] rows; counts None means one
-    row per line, whose values keep the line's own shape `tail`.
+    `lines` are the line numbers of the chunk's lines, all read before
+    `error`, the reader's own error or None. A column is (values, tail,
+    field, counts): the chunk's raw values, one row each, become one float64
+    array of shape (rows, *tail), where line i holds counts[i] rows; counts
+    None means one row per line, whose values keep the line's own shape
+    `tail`.
 
     One NumPy call builds a column. Only when that call fails, gives a dtype
     that is not a number's (a string, a null, an integer past 64 bits) or
@@ -457,6 +461,62 @@ def _number_columns(lines: list[int], columns: list[tuple], error: Optional[Fram
     return arrays, len(lines) if error is None else bisect_left(lines, error.line_number), error
 
 
+# Raw numbers a loader holds before it builds them into arrays, so that only
+# about one chunk's Python floats (some 32 bytes each) are alive at a time.
+_NUMBER_CHUNK = 8192
+
+
+class _NumberChunks:
+    """A file's number columns, built by `_number_columns` one chunk of
+    lines at a time.
+
+    A reader appends each line's number to `lines` and its raw values to
+    `values`, one pending list per column of `fields` whose rows have the
+    shapes `tails`. A column with a list in `counts` takes a list of rows
+    per line, the list holding every line's row count; the others take one
+    row per line, in the line's own shape. When the pending lines hold
+    `_NUMBER_CHUNK` numbers, and after the last line, the reader calls
+    `build`, which turns them into arrays and returns the error that
+    `_number_columns` picks; the reader stops at the first one.
+    `lines[:kept]` are the lines before any error, and `fill` writes their
+    rows.
+    """
+
+    def __init__(self, fields: tuple, tails: tuple, counts: Optional[tuple] = None):
+        self.fields, self.tails = fields, tails
+        self.counts = counts or (None,) * len(fields)
+        self.lines: list[int] = []
+        self.built = 0  # lines handed to `build`
+        self.kept = 0
+        self.values: list[list] = [[] for _ in fields]
+        self.parts: list[list[np.ndarray]] = [[] for _ in fields]
+
+    def build(self, error: Optional[FrameParseError] = None) -> Optional[FrameParseError]:
+        """Build the pending lines and return the error of the file so far;
+        `error` is the reader's own."""
+        lines = self.lines[self.built :]
+        if not lines:
+            return error
+        counts = [None if c is None else c[self.built :] for c in self.counts]
+        columns = list(zip(self.values, self.tails, self.fields, counts))
+        arrays, kept, error = _number_columns(lines, columns, error)
+        for parts, array, column_counts in zip(self.parts, arrays, counts):
+            rows = kept if column_counts is None else sum(column_counts[:kept])
+            if rows:
+                parts.append(array[:rows])
+        for values in self.values:
+            values.clear()
+        self.kept = self.built + kept
+        self.built = len(self.lines)
+        return error
+
+    def fill(self, *outs: np.ndarray) -> None:
+        """Write each column's kept rows into its array of `outs`."""
+        for parts, out in zip(self.parts, outs):
+            if parts:
+                np.concatenate(parts, out=out)
+
+
 def _objects(items, line_number: int, field: str) -> list[dict]:
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise FrameParseError(line_number, field, "expected a list of objects")
@@ -485,18 +545,24 @@ def load_frames(path: Union[str, Path]) -> Frames:
     """Read frames written by `save_frames` into one `Frames` table.
 
     Types and structure are checked line by line as the file streams in.
-    The numbers of all lines become arrays once per file, where their values
-    (boxes, confidences, features) are checked; README.md lists the checks.
+    The numbers of the lines become arrays per chunk of lines
+    (`_NUMBER_CHUNK` numbers), and their values (boxes, confidences,
+    features) are checked on the joined arrays; README.md lists the checks.
     A rejected file raises FrameParseError at its earliest bad line. An
     empty file gives a table of no frames.
     """
     heads: list[tuple[int, int, int, int]] = []
-    lines: list[int] = []
-    boxes: list = []
-    confidences: list = []
-    features: list = []
+    det_counts: list[int] = []
+    gt_counts: list[int] = []
+    numbers = _NumberChunks(
+        ("detections.box", "detections", "detections", "gt_boxes.box"),
+        ((4,), (), (0,), (4,)),
+        (det_counts, det_counts, det_counts, gt_counts),
+    )
+    lines = numbers.lines
+    boxes, confidences, features, gt_box_values = numbers.values
+    pending = 0  # numbers not yet built
     gt_ids: list[int] = []
-    gt_box_values: list = []
     ids: list[int] = []
     feature_dim: Optional[int] = None
     last_index: dict[int, int] = {}
@@ -519,6 +585,7 @@ def load_frames(path: Union[str, Path]) -> Frames:
                 if dets:
                     if feature_dim is None and isinstance(feature[0], list):
                         feature_dim = len(feature[0])
+                        numbers.tails = ((4,), (), (feature_dim,), (4,))
                     floats.append((box, (n, 4), "detections.box"))
                     bad = [
                         f for f in feature if not (isinstance(f, list) and len(f) == feature_dim)
@@ -563,33 +630,32 @@ def load_frames(path: Union[str, Path]) -> Frames:
                     _check_floats(values, shape, line_number, field)
                 raise
             last_index[camera_id] = frame_index
-            boxes += box
-            confidences += confidence
-            features += feature
             gt_ids += [-1 if g is None else g for g in gt_id]
-            gt_box_values += gt_box
             ids += line_ids
             heads.append((frame_index, camera_id, n, m))
             lines.append(line_number)
+            boxes += box
+            confidences += confidence
+            features += feature
+            gt_box_values += gt_box
+            det_counts.append(n)
+            gt_counts.append(m)
+            pending += n * (5 + (feature_dim or 0)) + 4 * m
+            if pending >= _NUMBER_CHUNK:
+                pending, error = 0, numbers.build()
+                if error is not None:
+                    break
     except FrameParseError as exc:
         error = exc  # raised after any bad number or value on an earlier line
 
-    det_counts = [h[2] for h in heads]
-    gt_counts = [h[3] for h in heads]
-    feature_tail = (feature_dim or 0,)
-    (box, conf, feature, gt_box), kept, error = _number_columns(lines, [
-        (boxes, (4,), "detections.box", det_counts),
-        (confidences, (), "detections", det_counts),
-        (features, feature_tail, "detections", det_counts),
-        (gt_box_values, (4,), "gt_boxes.box", gt_counts),
-    ], error)
+    error = numbers.build(error)
+    kept = numbers.kept
     det_lines = np.repeat(lines[:kept], det_counts[:kept])
     gt_lines = np.repeat(lines[:kept], gt_counts[:kept])
-    det = np.empty(det_lines.size, detection_dtype(feature_tail[0]))
-    det["box"], det["confidence"] = box[: det.size], conf[: det.size]
-    det["feature"], det["gt_id"] = feature[: det.size], gt_ids[: det.size]
+    det = np.empty(det_lines.size, detection_dtype(feature_dim or 0))
     gt = np.empty(gt_lines.size, GT_DTYPE)
-    gt["box"], gt["id"] = gt_box[: gt.size], ids[: gt.size]
+    numbers.fill(det["box"], det["confidence"], det["feature"], gt["box"])
+    det["gt_id"], gt["id"] = gt_ids[: det.size], ids[: gt.size]
     conf, feature = det["confidence"], det["feature"]
     _check_values(
         (_bad_boxes(det["box"]), det_lines, "detections.box", BOX_RULE, det["box"]),
@@ -627,9 +693,9 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
     array (`TRACK_DTYPE`), checked as `load_frames` checks frames; a track
     id may occur only once per frame."""
     keys: list[tuple[int, int]] = []
-    boxes: list = []
-    confidences: list = []
-    lines: list[int] = []
+    numbers = _NumberChunks(("box", "record"), ((4,), ()))
+    lines = numbers.lines
+    boxes, confidences = numbers.values
     seen: set[tuple[int, int]] = set()
     error: Optional[FrameParseError] = None
     try:
@@ -649,19 +715,22 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
                 raise
             seen.add(key)
             keys.append(key)
+            lines.append(line_number)
             boxes.append(box)
             confidences.append(doc.get("confidence"))
-            lines.append(line_number)
+            if len(boxes) * 5 >= _NUMBER_CHUNK:  # five numbers a line
+                error = numbers.build()
+                if error is not None:
+                    break
     except FrameParseError as exc:
         error = exc  # raised after any bad number or value on an earlier line
 
-    (box, conf), kept, error = _number_columns(
-        lines, [(boxes, (4,), "box", None), (confidences, (), "record", None)], error
-    )
+    error = numbers.build(error)
+    kept = numbers.kept
     tracks = np.empty(kept, TRACK_DTYPE)
     tracks["frame_index"] = [k[0] for k in keys[:kept]]
     tracks["track_id"] = [k[1] for k in keys[:kept]]
-    tracks["box"], tracks["confidence"] = box[:kept], conf[:kept]
+    numbers.fill(tracks["box"], tracks["confidence"])
     lines = np.array(lines[:kept], dtype=np.int64)
     conf = tracks["confidence"]
     _check_values(

@@ -203,6 +203,11 @@ def _within_group(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+# Cells per step of `_grouped_iou`: its gathered ground truths and IoU
+# temporaries are arrays of about this many float64 cells (32 KB).
+_IOU_CELLS = 4096
+
+
 def _grouped_iou(
     boxes: np.ndarray, group: np.ndarray, gt_boxes: np.ndarray, gt_counts: np.ndarray
 ) -> np.ndarray:
@@ -211,14 +216,22 @@ def _grouped_iou(
     Box p belongs to group `group[p]`; `gt_boxes` are sorted by group, with
     `gt_counts[g]` of them in group g. Each group's ground truths are padded
     to the largest per-group count (at least one) with all-zero boxes, whose
-    IoU is 0 and so never a match. The gathered ground truths are laid out
-    coordinate-major, so that each coordinate `_broadcast_iou` reads of them
-    is one contiguous (P, G) array.
+    IoU is 0 and so never a match. The output is built a chunk of
+    `_IOU_CELLS // G` boxes (at least one) at a time. A chunk's gathered
+    ground truths are laid out coordinate-major, so that each coordinate
+    `_broadcast_iou` reads of them is one contiguous (chunk, G) array.
     """
-    padded = np.zeros((4, gt_counts.size, max(int(gt_counts.max(initial=0)), 1)))
+    width = max(int(gt_counts.max(initial=0)), 1)
+    padded = np.zeros((4, gt_counts.size, width))
     rows = np.repeat(np.arange(gt_counts.size), gt_counts)
     padded[:, rows, _within_group(gt_counts)] = gt_boxes.T
-    return _broadcast_iou(boxes[:, None], padded.take(group, axis=1).transpose(1, 2, 0))
+    overlaps = np.empty((len(boxes), width))
+    chunk = max(_IOU_CELLS // width, 1)
+    for start in range(0, len(boxes), chunk):
+        part = slice(start, start + chunk)
+        gathered = padded.take(group[part], axis=1).transpose(1, 2, 0)
+        overlaps[part] = _broadcast_iou(boxes[part, None], gathered)
+    return overlaps
 
 
 def _integrate(recall: np.ndarray, precision: np.ndarray) -> float:

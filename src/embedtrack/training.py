@@ -87,15 +87,26 @@ def cosine_lr(
     step: Union[int, np.ndarray], total_steps: int, initial_lr: float
 ) -> Union[float, np.ndarray]:
     """Cosine decay from initial_lr at step 0 towards 0 at step == total_steps,
-    for an integer step or elementwise for a 1-D integer array of steps."""
+    for an integer step or elementwise for a 1-D integer array of steps.
+    `total_steps` must be a positive integer and `initial_lr` a finite
+    positive number, neither a bool."""
+    if isinstance(total_steps, bool) or not isinstance(total_steps, (int, np.integer)):
+        raise ValueError(f"total_steps must be an integer, got {total_steps!r}")
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be at least 1, got {total_steps}")
+    real = isinstance(initial_lr, (int, float, np.integer, np.floating))
+    try:
+        finite = real and math.isfinite(initial_lr)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if isinstance(initial_lr, bool) or not (finite and initial_lr > 0):
+        raise ValueError(f"initial_lr must be a finite positive number, got {initial_lr!r}")
     steps = _checked_array(step, "step", "i")
     if steps.ndim > 1:
         raise ValueError(f"step must be an integer or a 1-D array, got shape {steps.shape}")
     outside = np.flatnonzero((steps < 0) | (steps > total_steps))
     if outside.size:
         raise ValueError(f"step {steps.flat[outside[0]]} outside schedule of {total_steps} steps")
-    if total_steps < 1:
-        raise ValueError("total_steps must be at least 1")
     return 0.5 * initial_lr * (1.0 + np.cos(np.pi * steps / total_steps))
 
 

@@ -618,6 +618,24 @@ class TestFrameIo:
             load_frames(path)
         assert (exc.value.line_number, exc.value.field) == (2, "gt_boxes.id")
 
+    def test_load_peak_memory_stays_near_one_chunk(self, tmp_path):
+        # A crowd-shaped file: 40 ids over 40 frames of 40-wide features,
+        # about 1 500 detections and 0.56 MB of table. Holding every line's
+        # Python floats until one whole-file build peaked at 4.2 MB; one
+        # chunk's floats, the built chunks and the joined table stay under
+        # 2 MB.
+        path = tmp_path / "frames.jsonl"
+        save_frames(path, simulate(SimConfig(identity_count=40, frame_count=40, feature_dim=40)))
+        load_frames(path)
+        tracemalloc.start()
+        try:
+            frames = load_frames(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frames.detections.nbytes > 500_000
+        assert peak < 2_000_000
+
 
 class TestStringsAndBools:
     """JSON strings and bools are not numbers, though NumPy converts both."""
@@ -1128,3 +1146,13 @@ class TestLineParserOracle:
         monkeypatch.setattr(embedtrack.datasets.json, "loads", refuse)
         assert_same_frames(load_frames(frames_path), frames)
         assert load_track_records(tracks_path).tobytes() == records.tobytes()
+
+
+class TestLineParserOracleAcrossChunks(TestLineParserOracle):
+    """The same comparisons with chunks of a few numbers, so that the
+    readers build most files in several chunks and an error can fall in any
+    of them."""
+
+    @pytest.fixture(autouse=True, params=[1, 5, 13])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(embedtrack.datasets, "_NUMBER_CHUNK", request.param)

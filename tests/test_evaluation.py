@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,14 +10,19 @@ from embedtrack import (
     TRACK_DTYPE,
     MotCounts,
     PairCounts,
+    SimConfig,
     assign_predictions,
     ground_truth_records,
     iou,
     mean_ap,
     mota,
     pair_accuracy,
+    simulate,
     track_counts,
 )
+import embedtrack.evaluation
+from embedtrack.core import _row_frames
+from embedtrack.evaluation import _grouped_iou
 from oracles import loop_mot_counts, loop_pair_counts, scalar_average_precision, scalar_claims
 import records
 from strategies import any_boxes, row_boxes
@@ -214,6 +221,29 @@ class TestScalarOracles:
             np.mean([scalar_average_precision(preds, gts, t) for t in thresholds])
         )
         assert _mean_ap(preds, gts, thresholds) == expected
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_grouped_iou_equals_scalar_iou_at_chunk_edges(self, offset):
+        """One box short of, exactly at and one past a whole chunk of
+        `_IOU_CELLS // G` boxes."""
+        rng = np.random.default_rng(5)
+        gt_counts = np.array([3, 0, 5, 1])
+        chunk = embedtrack.evaluation._IOU_CELLS // 5
+        group = rng.integers(0, gt_counts.size, chunk + offset)
+        boxes, gt_boxes = (_random_boxes(rng, n) for n in (group.size, gt_counts.sum()))
+        got = _grouped_iou(boxes, group, gt_boxes, gt_counts)
+        starts = np.cumsum(gt_counts) - gt_counts
+        want = np.zeros((group.size, 5))
+        for p, g in enumerate(group.tolist()):
+            for j in range(gt_counts[g]):
+                want[p, j] = iou(boxes[p].tolist(), gt_boxes[starts[g] + j].tolist())
+        assert got.tobytes() == want.tobytes()
+
+
+def _random_boxes(rng, n):
+    """n boxes inside a 30 x 30 square, so that many overlap."""
+    corner = rng.uniform(0.0, 20.0, (n, 2))
+    return np.hstack([corner, corner + rng.uniform(0.5, 10.0, (n, 2))])
 
 
 @st.composite
@@ -592,6 +622,29 @@ class TestTrackCounts:
         assert (mot.fp, mot.miss) == (0, 3)  # MOT counting keeps the 0.4 box
         _, gapped = _track_counts(preds, gt, [0, 1, 3], score_threshold=0.5)
         assert gapped == _pair_counts(preds[:2], gt[:2], score_threshold=0.5)
+
+    def test_peak_memory_stays_below_one_whole_gather(self):
+        # A crowd-shaped table: about 1 500 rows against up to 40 ground
+        # truths per frame. Gathering every row's ground truths at once, with
+        # the IoU temporaries beside them, peaked at 5.1 MB; one chunk of
+        # rows at a time stays under 2 MB.
+        frames = simulate(
+            SimConfig(identity_count=40, frame_count=40, feature_dim=40, dropout=0.05)
+        )
+        det = frames.detections
+        tracks = np.zeros(len(det), TRACK_DTYPE)
+        tracks["frame_index"] = frames.frame_index[_row_frames(frames.det_offsets)]
+        tracks["track_id"] = det["gt_id"]
+        tracks["box"], tracks["confidence"] = det["box"], det["confidence"]
+        track_counts(tracks, frames)
+        tracemalloc.start()
+        try:
+            mot, _ = track_counts(tracks, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mot.gt_total > 1_400
+        assert peak < 2_000_000
 
 
 class TestPairAccuracy:

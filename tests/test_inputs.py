@@ -263,3 +263,28 @@ def test_unsigned_integers_above_the_int64_maximum_are_refused(argument, value):
     wide.flat[-1] = value
     with pytest.raises(ValueError, match=rf"^{argument.name} holds integers above the int64"):
         argument.call(wide)
+
+
+# Scalar arguments of `cosine_lr` beside its `step` array: `total_steps` is
+# a positive integer and `initial_lr` a finite positive number, neither a
+# bool.
+COSINE_LR_SCALARS = {"total_steps": 10, "initial_lr": 1e-3}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("total_steps", 10.5), ("total_steps", 10.0), ("total_steps", True), ("total_steps", "10"),
+    ("total_steps", 0), ("total_steps", -3),
+    ("initial_lr", np.nan), ("initial_lr", np.inf), ("initial_lr", -np.inf),
+    ("initial_lr", 0.0), ("initial_lr", -1.0), ("initial_lr", True), ("initial_lr", "1e-3"),
+    ("initial_lr", 10**400),
+])
+def test_cosine_lr_scalars_are_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        cosine_lr(**{**COSINE_LR_SCALARS, name: value}, step=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("total_steps", np.int64(10)), ("initial_lr", 1), ("initial_lr", np.float32(1e-3)),
+])
+def test_cosine_lr_scalars_take_numpy_and_integer_numbers(name, value):
+    cosine_lr(**{**COSINE_LR_SCALARS, name: value}, step=1)

@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts: each exits 0 on small arguments."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,9 @@ def test_run_pipeline_runs(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "MOTA" in result.stdout
     assert (tmp_path / "run/report/report.json").exists()
+    steps = [line for line in result.stdout.splitlines() if line.startswith("$ embedtrack ")]
+    assert [line.split()[2] for line in steps] == [
+        "simulate", "train", "calibrate", "simulate", "track", "eval",
+    ]
+    for line in steps:
+        assert re.search(r"\S  # peak RSS \+\d+\.\d MB$", line), line
