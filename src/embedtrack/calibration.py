@@ -68,8 +68,8 @@ class ThresholdSweep:
     rows: np.recarray
 
 
-# Rows per step of a pass over a table (the sweep's counts, a CSV write), so
-# that a step's temporaries stay small beside the table.
+# Rows per step of a pass over a table (the sweep's count gather, a CSV
+# write), so that a step's temporaries stay small beside the table.
 _CHUNK_ROWS = 4096
 
 # One row of a sweep: a candidate threshold, its counts and its objective.
@@ -78,9 +78,11 @@ _SWEEP_DTYPE = np.dtype(
 )
 
 
-def _candidate_thresholds(distances: np.ndarray) -> np.recarray:
+def _candidate_thresholds(distances: np.ndarray, is_same: np.ndarray) -> np.recarray:
     """Sweep rows with one representative threshold h per plateau of the
-    objective, in increasing order; the other fields are left unset.
+    objective, in increasing order, and the counts tp and fp of the same
+    and different pairs predicted same under it; fn, tn and the objective
+    are left unset.
 
     Prediction flips happen only when h crosses an observed distance, so the
     plateaus are 0 < h <= d_min ("call everything different"), a < h <= b
@@ -91,32 +93,57 @@ def _candidate_thresholds(distances: np.ndarray) -> np.recarray:
     next float above the plateau's lower end stands in. When d_min is 0 the
     first plateau is empty: thresholds are positive, so a 0 distance is
     predicted same under any h.
+
+    The distinct distances and the counts come from one merge: each pair
+    class is sorted, and a stable argsort of the two sorted runs merges
+    them. The pairs below a plateau's h are those at or below its lower
+    end, so a plateau's tp is the running count of "same" flags at the last
+    index of its lower end, and fp that index plus one minus tp. Only the
+    distinct distances and two flag arrays outlive the merge once the rows
+    exist, and the counts are gathered `_CHUNK_ROWS` at a time.
     """
-    edges = np.concatenate([[0.0], np.unique(distances), [np.inf]])
-    empty = int(edges[1] == 0.0)
-    lower, upper = edges[empty:-1], edges[1 + empty :]
-    rows = np.recarray(lower.size, _SWEEP_DTYPE)
-    h = rows.h
+    gp = int(is_same.sum())
+    merged = np.empty(distances.size)
+    merged[:gp] = distances[is_same]
+    merged[:gp].sort()
+    merged[gp:] = distances[~is_same]
+    merged[gp:].sort()
+    order = merged.argsort(kind="stable")  # a linear merge of the two runs
+    merged = merged[order]
+    same = order < gp
+    del order
+    last = np.empty(merged.size, dtype=bool)  # the last index of each distinct distance
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[-1] = True
+    merged = merged[last]
+    empty = int(merged[0] == 0.0)
+    rows = np.recarray(merged.size + 1 - empty, _SWEEP_DTYPE)
+    # The objective column holds the plateaus' lower ends until it is computed.
+    lower, h = rows.objective, rows.h
+    lower[0] = 0.0
+    lower[1 - empty :] = merged
+    del merged
     with np.errstate(over="ignore"):
         # d_min / 2 is (0 + d_min) / 2, bit for bit
-        np.add(lower, upper, out=h)
+        np.add(lower[:-1], lower[1:], out=h[:-1])
         h /= 2.0
         h[-1] = lower[-1] + 1.0
         outside = lower >= h
-        outside |= h > upper
+        outside[:-1] |= h[:-1] > lower[1:]
         h[outside] = np.nextafter(lower[outside], np.inf)
-    return rows
-
-
-def _count_below(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
-    """Write the number of `values` strictly below h[i] to out[i]. `values`
-    is sorted in place; the search runs one chunk of h at a time, so that
-    its counts and its contiguous copy of h stay a chunk long."""
-    values.sort()
-    for start in range(0, h.size, _CHUNK_ROWS):
+    rows.tp[0] = rows.fp[0] = 0  # the plateau below d_min, unless d_min is 0
+    tp, fp = rows.tp[1 - empty :], rows.fp[1 - empty :]
+    fp[:] = np.flatnonzero(last)
+    del last
+    running = same.astype(np.int64)
+    del same
+    np.cumsum(running, out=running)
+    for start in range(0, tp.size, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        # side="left" counts exactly the strictly smaller entries
-        out[part] = np.searchsorted(values, h[part], side="left")
+        tp[part] = running[fp[part]]
+    fp += 1
+    fp -= tp
+    return rows
 
 
 def sweep_threshold(distances, is_same) -> ThresholdSweep:
@@ -140,10 +167,8 @@ def sweep_threshold(distances, is_same) -> ThresholdSweep:
             f"sweep needs both pair kinds, got {gp} same and {gn} different"
         )
 
-    rows = _candidate_thresholds(dist)
     # Pairs with distance < h are predicted same.
-    _count_below(dist[same], rows.h, out=rows.tp)
-    _count_below(dist[~same], rows.h, out=rows.fp)
+    rows = _candidate_thresholds(dist, same)
     np.subtract(gp, rows.tp, out=rows.fn)
     np.subtract(gn, rows.fp, out=rows.tn)
     objective = np.divide(rows.fp, gn, out=rows.objective)

@@ -289,7 +289,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         if args.tracks is None or args.frames is None:
             raise ValueError("eval needs either --counts or both --tracks and --frames")
-        frames = load_frames(args.frames)
+        frames = load_frames(args.frames, features=False)  # scoring reads no feature
         tracks = load_track_records(args.tracks)
         mc, pc = track_counts(
             tracks, frames, score_threshold=args.score_threshold, iou_min=args.iou_min
@@ -345,7 +345,11 @@ def _track_flags(p: argparse.ArgumentParser) -> None:
 
 def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tracks", help="tracker output (JSONL)")
-    p.add_argument("--frames", help="ground-truth frames (JSONL)")
+    p.add_argument(
+        "--frames",
+        help="ground-truth frames (JSONL); each detection's feature must be a list, "
+        "whose values eval does not read",
+    )
     p.add_argument("--counts", help="JSON fixture with precomputed mot/pair counts")
     p.add_argument("--score-threshold", type=float, default=0.5)
     p.add_argument("--iou-min", type=float, default=0.5)

@@ -13,13 +13,15 @@ A frames file is one `Frames` table and a tracks file one `TRACK_DTYPE`
 array. Both readers check each line's types as it streams in and build the
 number columns one chunk of lines at a time, each chunk in one stage that
 picks its earliest bad line, so that only one chunk's Python floats are
-alive at a time.
+alive at a time. Each chunk is written into the table, which grows in
+place, so a load holds one copy of the table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise, repeat
@@ -345,19 +347,48 @@ def save_frames(path: Union[str, Path], frames: Frames) -> None:
 
 _raw_decode = json.JSONDecoder().raw_decode
 
+# A detection's feature list, cut unread by `_json_lines(path, features=False)`.
+_FEATURE_LIST = re.compile(r'"feature"[ \t\r]*:[ \t\r]*\[[^\[\]{}"\n]*\]')
 
-def _json_lines(path: Union[str, Path]):
+
+def _cut_feature(match: re.Match) -> str:
+    """`"feature":[]` in place of a `_FEATURE_LIST` match, unless a
+    backslash escapes its first quote (a lookbehind in the pattern would
+    double the cost of the search)."""
+    return match[0] if match.string[match.start() - 1] == "\\" else '"feature":[]'
+
+
+def _json_lines(path: Union[str, Path], features: bool = True):
     """(line number, JSON object) of every non-blank line of a file.
 
     A line is one `raw_decode` of the line stripped of JSON whitespace,
     accepted when the document ends where the stripped line does; that is
     the set of lines `json.loads` takes. Any other line is handed to
-    `json.loads` only for its error message."""
+    `json.loads` only for its error message.
+
+    With `features` False, every `"feature": [...]` whose list holds no
+    bracket, brace or quote is first replaced by `"feature":[]`, so its
+    numbers are never decoded. The cut never changes what a line means
+    outside such a list:
+    - The cut text holds no `"`, `[`, `]`, `{`, `}` or newline, so it never
+      crosses a string or a structural bracket.
+    - Neither quote of a cut `"feature"` is escaped: a match with a
+      backslash before its first quote is left whole, and `e` precedes the
+      second. Where the decode reaches it, it is therefore the key
+      `feature`; else its first quote closes a string, and the bare
+      `feature` after it fails the line before the cut, as it does uncut.
+      So the matched `[` lies outside any string, and the list ends at the
+      first `]`.
+    - A line that is broken anywhere else still fails, with the message of
+      the uncut line. An unbalanced or nested feature list, or one that
+      holds a string, is not cut, so it is decoded as before."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             text = line.strip(" \t\n\r")
+            if not features:
+                text = _FEATURE_LIST.sub(_cut_feature, text)
             try:
                 doc, end = _raw_decode(text)
             except json.JSONDecodeError:
@@ -468,53 +499,54 @@ _NUMBER_CHUNK = 8192
 
 class _NumberChunks:
     """A file's number columns, built by `_number_columns` one chunk of
-    lines at a time.
+    lines at a time and written straight into the file's record arrays.
 
-    A reader appends each line's number to `lines` and its raw values to
-    `values`, one pending list per column of `fields` whose rows have the
-    shapes `tails`. A column with a list in `counts` takes a list of rows
-    per line, the list holding every line's row count; the others take one
-    row per line, in the line's own shape. When the pending lines hold
-    `_NUMBER_CHUNK` numbers, and after the last line, the reader calls
-    `build`, which turns them into arrays and returns the error that
-    `_number_columns` picks; the reader stops at the first one.
-    `lines[:kept]` are the lines before any error, and `fill` writes their
-    rows.
+    `tables` are those record arrays, empty to begin with. A column is
+    (table position, field name, error field, counts), and its rows have
+    the shape of the table's field. A reader appends each line's number to
+    `lines` and its raw values to `values`, one pending list per column. A
+    column with a list in `counts` takes a list of rows per line, the list
+    holding every line's row count; the others take one row per line. When
+    the pending lines hold `_NUMBER_CHUNK` numbers, and after the last line,
+    the reader calls `build`, which turns them into arrays and returns the
+    error that `_number_columns` picks; the reader stops at the first one.
+    The tables then hold the rows of `lines[:kept]`, the lines before any
+    error: each build grows them in place by its kept rows, so that a load
+    holds one copy of the table beside one chunk.
     """
 
-    def __init__(self, fields: tuple, tails: tuple, counts: Optional[tuple] = None):
-        self.fields, self.tails = fields, tails
-        self.counts = counts or (None,) * len(fields)
+    def __init__(self, tables: list[np.ndarray], columns: list[tuple]):
+        self.tables, self.columns = tables, columns
         self.lines: list[int] = []
         self.built = 0  # lines handed to `build`
         self.kept = 0
-        self.values: list[list] = [[] for _ in fields]
-        self.parts: list[list[np.ndarray]] = [[] for _ in fields]
+        self.values: list[list] = [[] for _ in columns]
 
     def build(self, error: Optional[FrameParseError] = None) -> Optional[FrameParseError]:
-        """Build the pending lines and return the error of the file so far;
-        `error` is the reader's own."""
+        """Build the pending lines into the tables and return the error of
+        the file so far; `error` is the reader's own."""
         lines = self.lines[self.built :]
         if not lines:
             return error
-        counts = [None if c is None else c[self.built :] for c in self.counts]
-        columns = list(zip(self.values, self.tails, self.fields, counts))
-        arrays, kept, error = _number_columns(lines, columns, error)
-        for parts, array, column_counts in zip(self.parts, arrays, counts):
-            rows = kept if column_counts is None else sum(column_counts[:kept])
-            if rows:
-                parts.append(array[:rows])
-        for values in self.values:
+        counts = [None if c is None else c[self.built :] for *_, c in self.columns]
+        specs = [
+            (values, self.tables[t].dtype[name].shape, field, c)
+            for values, (t, name, field, _), c in zip(self.values, self.columns, counts)
+        ]
+        arrays, kept, error = _number_columns(lines, specs, error)
+        for values in self.values:  # the chunk's Python floats go before the tables grow
             values.clear()
+        starts: dict[int, int] = {}
+        for (t, name, *_), array, column_counts in zip(self.columns, arrays, counts):
+            rows = kept if column_counts is None else sum(column_counts[:kept])
+            if t not in starts:  # the table's first column: every column has its rows
+                starts[t] = len(self.tables[t])
+                # No view of a table outlives its statement, so it may grow in place.
+                self.tables[t].resize(starts[t] + rows, refcheck=False)
+            self.tables[t][name][starts[t] : starts[t] + rows] = array[:rows]
         self.kept = self.built + kept
         self.built = len(self.lines)
         return error
-
-    def fill(self, *outs: np.ndarray) -> None:
-        """Write each column's kept rows into its array of `outs`."""
-        for parts, out in zip(self.parts, outs):
-            if parts:
-                np.concatenate(parts, out=out)
 
 
 def _objects(items, line_number: int, field: str) -> list[dict]:
@@ -541,34 +573,44 @@ def _check_values(*checks: tuple) -> None:
 BOX_RULE = "box must be finite with x1 < x2 and y1 < y2"
 
 
-def load_frames(path: Union[str, Path]) -> Frames:
+def load_frames(path: Union[str, Path], features: bool = True) -> Frames:
     """Read frames written by `save_frames` into one `Frames` table.
 
     Types and structure are checked line by line as the file streams in.
     The numbers of the lines become arrays per chunk of lines
-    (`_NUMBER_CHUNK` numbers), and their values (boxes, confidences,
-    features) are checked on the joined arrays; README.md lists the checks.
-    A rejected file raises FrameParseError at its earliest bad line. An
-    empty file gives a table of no frames.
+    (`_NUMBER_CHUNK` numbers), written straight into the table, and their
+    values (boxes, confidences, features) are checked on the table;
+    README.md lists the checks. A rejected file raises FrameParseError at
+    its earliest bad line. An empty file gives a table of no frames.
+
+    With `features` False the feature values are never decoded
+    (`_json_lines`), and the table's features are zero-wide. Each
+    detection's `feature` must still be a list, but neither its length nor
+    its contents are checked. Eval reads frames so: it scores boxes alone,
+    and every stage that reads features refuses a file whose feature
+    values are bad.
     """
     heads: list[tuple[int, int, int, int]] = []
     det_counts: list[int] = []
     gt_counts: list[int] = []
+    det_columns = [("box", "detections.box"), ("confidence", "detections")]
+    if features:
+        det_columns.append(("feature", "detections"))
     numbers = _NumberChunks(
-        ("detections.box", "detections", "detections", "gt_boxes.box"),
-        ((4,), (), (0,), (4,)),
-        (det_counts, det_counts, det_counts, gt_counts),
+        [np.empty(0, detection_dtype(0)), np.empty(0, GT_DTYPE)],
+        [(0, name, field, det_counts) for name, field in det_columns]
+        + [(1, "box", "gt_boxes.box", gt_counts)],
     )
-    lines = numbers.lines
-    boxes, confidences, features, gt_box_values = numbers.values
+    lines, values = numbers.lines, numbers.values
+    boxes, confidences, gt_box_values = values[0], values[1], values[-1]
     pending = 0  # numbers not yet built
     gt_ids: list[int] = []
     ids: list[int] = []
-    feature_dim: Optional[int] = None
+    feature_dim: Optional[int] = None if features else 0
     last_index: dict[int, int] = {}
     error: Optional[FrameParseError] = None
     try:
-        for line_number, doc in _json_lines(path):
+        for line_number, doc in _json_lines(path, features):
             floats: list[tuple] = []  # the line's number fields, in the order they are checked
             try:
                 for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
@@ -585,16 +627,16 @@ def load_frames(path: Union[str, Path]) -> Frames:
                 if dets:
                     if feature_dim is None and isinstance(feature[0], list):
                         feature_dim = len(feature[0])
-                        numbers.tails = ((4,), (), (feature_dim,), (4,))
+                        numbers.tables[0] = np.empty(0, detection_dtype(feature_dim))
                     floats.append((box, (n, 4), "detections.box"))
                     bad = [
-                        f for f in feature if not (isinstance(f, list) and len(f) == feature_dim)
+                        f for f in feature
+                        if not isinstance(f, list) or features and len(f) != feature_dim
                     ]
                     if bad:
+                        rule = "a list as long as the file's first" if features else "a list"
                         raise FrameParseError(
-                            line_number,
-                            "detections.feature",
-                            f"expected a list as long as the file's first, got {bad[0]!r}",
+                            line_number, "detections.feature", f"expected {rule}, got {bad[0]!r}"
                         )
                     for g in gt_id:
                         if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
@@ -602,7 +644,8 @@ def load_frames(path: Union[str, Path]) -> Frames:
                                 line_number, "detections", f"gt_id must be non-negative, got {g}"
                             )
                     floats.append((confidence, (n,), "detections"))
-                    floats.append((feature, (n, feature_dim), "detections"))
+                    if features:
+                        floats.append((feature, (n, feature_dim), "detections"))
                 if gts:
                     floats.append((gt_box, (m, 4), "gt_boxes.box"))
                 line_ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
@@ -626,8 +669,8 @@ def load_frames(path: Union[str, Path]) -> Frames:
                         f"{frame_index} does not increase over {prev} for camera {camera_id}",
                     )
             except FrameParseError:
-                for values, shape, field in floats:  # a number field checked earlier wins
-                    _check_floats(values, shape, line_number, field)
+                for field_values, shape, field in floats:  # a number field checked earlier wins
+                    _check_floats(field_values, shape, line_number, field)
                 raise
             last_index[camera_id] = frame_index
             gt_ids += [-1 if g is None else g for g in gt_id]
@@ -636,7 +679,8 @@ def load_frames(path: Union[str, Path]) -> Frames:
             lines.append(line_number)
             boxes += box
             confidences += confidence
-            features += feature
+            if features:
+                values[2] += feature
             gt_box_values += gt_box
             det_counts.append(n)
             gt_counts.append(m)
@@ -650,11 +694,9 @@ def load_frames(path: Union[str, Path]) -> Frames:
 
     error = numbers.build(error)
     kept = numbers.kept
+    det, gt = numbers.tables
     det_lines = np.repeat(lines[:kept], det_counts[:kept])
     gt_lines = np.repeat(lines[:kept], gt_counts[:kept])
-    det = np.empty(det_lines.size, detection_dtype(feature_dim or 0))
-    gt = np.empty(gt_lines.size, GT_DTYPE)
-    numbers.fill(det["box"], det["confidence"], det["feature"], gt["box"])
     det["gt_id"], gt["id"] = gt_ids[: det.size], ids[: gt.size]
     conf, feature = det["confidence"], det["feature"]
     _check_values(
@@ -693,7 +735,9 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
     array (`TRACK_DTYPE`), checked as `load_frames` checks frames; a track
     id may occur only once per frame."""
     keys: list[tuple[int, int]] = []
-    numbers = _NumberChunks(("box", "record"), ((4,), ()))
+    numbers = _NumberChunks(
+        [np.empty(0, TRACK_DTYPE)], [(0, "box", "box", None), (0, "confidence", "record", None)]
+    )
     lines = numbers.lines
     boxes, confidences = numbers.values
     seen: set[tuple[int, int]] = set()
@@ -727,10 +771,9 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
 
     error = numbers.build(error)
     kept = numbers.kept
-    tracks = np.empty(kept, TRACK_DTYPE)
+    (tracks,) = numbers.tables
     tracks["frame_index"] = [k[0] for k in keys[:kept]]
     tracks["track_id"] = [k[1] for k in keys[:kept]]
-    numbers.fill(tracks["box"], tracks["confidence"])
     lines = np.array(lines[:kept], dtype=np.int64)
     conf = tracks["confidence"]
     _check_values(

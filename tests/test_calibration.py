@@ -187,6 +187,21 @@ class TestSweepThreshold:
         for h in rng.uniform(0.0, 120.0, size=50):
             assert sweep.objective <= threshold_objective(counts_at(*pairs, float(h)))
 
+    @given(tied_pair_sets, st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @example(([0.0, 0.0], [0.0]), 0)  # one distinct distance, and it is 0
+    @example(([2.0], [1.0, 2.0, 2.0]), 0)  # a tie across the two kinds at d_max
+    def test_every_row_counts_as_direct_counting(self, sets, seed):
+        # Pairs in shuffled order, so that the merge sees the kinds interleave.
+        distances, is_same = _pairs(*sets)
+        order = np.random.default_rng(seed).permutation(distances.size)
+        distances, is_same = distances[order], is_same[order]
+        rows = sweep_threshold(distances, is_same).rows
+        for row in rows:
+            counts = counts_at(distances, is_same, float(row.h))
+            assert (row.tp, row.fp, row.fn, row.tn) == (counts.tp, counts.fp, counts.fn, counts.tn)
+        assert rows.h.tolist() == sorted(set(rows.h.tolist()))
+
     def test_peak_memory_stays_near_its_rows(self):
         # About 55 600 crowd-shaped pairs, nearly all distances distinct:
         # the rows are 2.7 MB. Building them from whole-length candidate,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -553,6 +554,38 @@ class TestTrackAndEval:
         )
         assert code == 1
         assert "single camera" in capsys.readouterr().err
+
+
+class TestBadFeatureValues:
+    """Eval reads no feature value, so it scores a frames file whose feature
+    values are bad as it scores the clean file. Train, calibrate and track
+    read features and refuse that file at its line and field."""
+
+    @pytest.mark.parametrize("feature, field", [
+        ("[NaN, 1.0, 1.0, 1.0]", "'detections'"),
+        ("[1e999, 1.0, 1.0, 1.0]", "'detections'"),
+        ("[1.0, 1.0, 1.0]", "'detections.feature'"),
+        ('["a", 1.0, 1.0, 1.0]', "'detections'"),
+    ])
+    def test_only_eval_accepts(self, tmp_path, sim_dir, trained_dir, capsys, feature, field):
+        clean, params = sim_dir / "frames.jsonl", str(trained_dir / "params.json")
+        lines = clean.read_text().splitlines(keepends=True)
+        lines[2] = re.sub(r'"feature": \[[^\]]*\]', lambda _: f'"feature": {feature}', lines[2],
+                          count=1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines))
+        assert main(["track", "--frames", str(clean), "--params", params, "--threshold", "1e9",
+                     "--out", str(tmp_path / "tracks")]) == 0
+        for frames in (clean, bad):
+            assert main(["eval", "--tracks", str(tmp_path / "tracks/tracks.jsonl"),
+                         "--frames", str(frames), "--out", str(tmp_path / frames.stem)]) == 0
+        assert (tmp_path / "bad/report.json").read_bytes() == (
+            tmp_path / "frames/report.json"
+        ).read_bytes()
+        for argv in (["train"], ["calibrate", "--params", params],
+                     ["track", "--params", params, "--threshold", "1e9"]):
+            _fails_cleanly([*argv, "--frames", bad, "--out", tmp_path / "refused"], capsys,
+                           "line 3", field)
 
 
 class TestThresholdFlags:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +15,7 @@ from embedtrack import (
     SimConfig,
     cross_camera_frames,
     default_archetypes,
+    detection_dtype,
     distance_matrix,
     embed_batch,
     init_params,
@@ -636,6 +639,30 @@ class TestFrameIo:
         assert frames.detections.nbytes > 500_000
         assert peak < 2_000_000
 
+    def test_load_holds_one_copy_of_the_table(self, tmp_path):
+        # The same file. Holding every chunk's arrays until one join after
+        # the last line peaked at 1.58 MB for a 0.65 MB table. Writing each
+        # chunk into the growing table keeps the peak under the table plus
+        # the peak of loading the lines of one chunk alone.
+        path, first_chunk = tmp_path / "frames.jsonl", tmp_path / "chunk.jsonl"
+        save_frames(path, simulate(SimConfig(identity_count=40, frame_count=40, feature_dim=40)))
+        numbers_per_line = 40 * (4 + 1 + 40) + 40 * 4
+        chunk_lines = -(-embedtrack.datasets._NUMBER_CHUNK // numbers_per_line)
+        first_chunk.write_text("".join(path.read_text().splitlines(True)[:chunk_lines]))
+
+        def traced_load(path):
+            load_frames(path)
+            tracemalloc.start()
+            try:
+                frames = load_frames(path)
+                return frames, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        frames, peak = traced_load(path)
+        _, chunk_peak = traced_load(first_chunk)
+        assert peak < frames.detections.nbytes + frames.gt_boxes.nbytes + chunk_peak
+
 
 class TestStringsAndBools:
     """JSON strings and bools are not numbers, though NumPy converts both."""
@@ -1152,6 +1179,162 @@ class TestLineParserOracleAcrossChunks(TestLineParserOracle):
     """The same comparisons with chunks of a few numbers, so that the
     readers build most files in several chunks and an error can fall in any
     of them."""
+
+    @pytest.fixture(autouse=True, params=[1, 5, 13])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(embedtrack.datasets, "_NUMBER_CHUNK", request.param)
+
+
+def _featureless(frames):
+    """`frames` with zero-wide features, as `load_frames(path, features=False)`
+    reads the file of `frames`."""
+    det = np.empty(len(frames.detections), detection_dtype(0))
+    for name in ("box", "confidence", "gt_id"):
+        det[name] = frames.detections[name]
+    return dataclasses.replace(frames, detections=det)
+
+
+def _good_features(text):
+    """`text` with every detection's feature list made `[0.0]`, on each line
+    that `json.loads` takes; the other lines are kept as they are. Only the
+    faults inside feature values are gone."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError:
+            lines.append(line)
+            continue
+        dets = doc.get("detections") if isinstance(doc, dict) else None
+        for det in dets if isinstance(dets, list) else []:
+            if isinstance(det, dict) and isinstance(det.get("feature"), list):
+                det["feature"] = [0.0]
+        lines.append(json.dumps(doc) + "\n")
+    return "".join(lines)
+
+
+def _load_featureless(path):
+    return load_frames(path, features=False)
+
+
+@st.composite
+def _spoilt_features(draw, docs_strategy):
+    """Docs of `docs_strategy` with up to three feature lists spoilt: a value
+    made one of `bad_numbers`, or the list made shorter or longer. Few
+    corruptions of `_corrupt` land in a feature list."""
+    docs = draw(docs_strategy)
+    features = [det["feature"] for doc in docs for det in doc["detections"]]
+    for _ in range(draw(st.integers(1, 3)) if features else 0):
+        values = draw(st.sampled_from(features))
+        kind = draw(st.sampled_from(["value", "pop", "append"]))
+        if kind == "value" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(bad_numbers)
+        elif kind == "pop" and values:
+            values.pop()
+        else:
+            values.append(1.0)
+    return docs
+
+
+class TestFeaturelessLoad:
+    """`load_frames(path, features=False)` against the per-line parser. On the
+    same file with every feature list made good, the two agree on every
+    column but the features and on where they refuse; so the mode refuses
+    where the parser does unless the parser's fault lies only inside
+    feature values, and there it accepts the line."""
+
+    @given(text=_corrupted_lines(_frame_docs()) | _corrupted_lines(_spoilt_features(_frame_docs())))
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_line_parser_but_for_feature_values(self, tmp_path, text):
+        path, good_path = tmp_path / "frames.jsonl", tmp_path / "good.jsonl"
+        path.write_text(text, encoding="utf-8")
+        good_path.write_text(_good_features(text), encoding="utf-8")
+        got = _outcome(_load_featureless, path)
+        want = _outcome(line_load_frames, path)
+        good = _outcome(line_load_frames, good_path)
+        if isinstance(good, tuple):
+            assert isinstance(got, tuple) and got[:2] == good[:2]
+        else:
+            assert_same_frames(got, _featureless(table(good)))
+        if not isinstance(want, tuple):
+            assert_same_frames(got, _featureless(table(want)))
+        elif isinstance(good, tuple) and good[:2] == want[:2]:  # a fault outside feature values
+            assert got[:2] == want[:2]
+        elif not isinstance(good, tuple) or good[0] > want[0]:
+            # the parser's line is bad only inside feature values
+            assert not isinstance(got, tuple) or got[0] > want[0]
+
+    def _lines(self, tmp_path, *features):
+        """A frames file of one frame per feature text, each with one
+        detection; line 2 keeps its feature as saved."""
+        frames = simulate(SimConfig(identity_count=1, frame_count=len(features) + 1,
+                                    feature_dim=2, seed=3))
+        path = tmp_path / "frames.jsonl"
+        save_frames(path, frames)
+        lines = path.read_text().splitlines(keepends=True)
+        for k, feature in enumerate(features):
+            k += k >= 1  # skip line 2
+            lines[k] = re.sub(r'"feature": \[[^\]]*\]', lambda _: feature, lines[k])
+        path.write_text("".join(lines))
+        return path, frames
+
+    @pytest.mark.parametrize("feature", [
+        '"feature": [NaN, 1]', '"feature": [1e999, 1]', '"feature": [1, 2, 3]',
+        '"feature": [1, x]', '"feature": [1,, 2]', '"feature": []', '"feature": [[1], 2]',
+        '"feature": ["a", 1]', '"feature": [true, null]', '"feature" :\t[ 1 ,2 ]',
+    ])
+    def test_feature_values_are_not_read(self, tmp_path, feature):
+        path, frames = self._lines(tmp_path, feature, '"feature": [0.5, 0.5]')
+        assert_same_frames(load_frames(path, features=False), _featureless(frames))
+
+    @pytest.mark.parametrize("feature", ['"feature": 3', '"feature": null', '"feature": {}',
+                                         '"feature": "[1, 2]"', '"other": [1, 2]'])
+    def test_feature_that_is_not_a_list_refused_on_its_line(self, tmp_path, feature):
+        path, _ = self._lines(tmp_path, '"feature": [0.5, 0.5]', feature)
+        for features in (True, False):
+            with pytest.raises(FrameParseError) as exc:
+                load_frames(path, features=features)
+            assert (exc.value.line_number, exc.value.field) == (3, "detections.feature")
+
+    @pytest.mark.parametrize("feature", [
+        '"feature": [1, 2',  # no closing bracket
+        '"feature": [1, 2}, "x": [3]',  # the list ends in a brace: never cut past it
+        '"feature": [1, 2], "x": [',  # broken after a good list
+        '"feature\\": [1, 2]',  # "feature" inside a string, then bare text
+    ])
+    def test_broken_line_refused_as_when_features_are_read(self, tmp_path, feature):
+        path, _ = self._lines(tmp_path, '"feature": [0.5, 0.5]', feature)
+        with pytest.raises(FrameParseError) as want:
+            load_frames(path)
+        with pytest.raises(FrameParseError) as got:
+            load_frames(path, features=False)
+        assert (got.value.line_number, got.value.field, str(got.value)) == (
+            3, "<line>", str(want.value)
+        )
+
+    def test_cut_stays_outside_strings(self, tmp_path):
+        # A string that holds `"feature": [...]`, a key that ends in an
+        # escaped `"feature`, and one that is the string "feature", all keep
+        # their text; only the detection's own feature list is cut.
+        line = {"frame_index": 0, "camera_id": 0, "gt_boxes": [],
+                "note": '"feature": [1, 2]', 'x"feature': [3, 4], "label": "feature",
+                "detections": [{"box": [0, 0, 1, 1], "confidence": 0.5,
+                                "feature": [5, 6], "tag": "feature"}]}
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        (_, doc), = embedtrack.datasets._json_lines(path, features=False)
+        assert doc == {**line, "detections": [{**line["detections"][0], "feature": []}]}
+
+    def test_equals_the_full_load_on_a_saved_file(self, tmp_path):
+        frames = simulate(SimConfig(identity_count=4, frame_count=6, feature_dim=5, seed=2))
+        path = tmp_path / "frames.jsonl"
+        save_frames(path, frames)
+        assert_same_frames(load_frames(path, features=False), _featureless(frames))
+
+
+class TestFeaturelessLoadAcrossChunks(TestFeaturelessLoad):
+    """The same comparisons with chunks of a few numbers."""
 
     @pytest.fixture(autouse=True, params=[1, 5, 13])
     def small_chunks(self, request, monkeypatch):
