@@ -351,13 +351,6 @@ _raw_decode = json.JSONDecoder().raw_decode
 _FEATURE_LIST = re.compile(r'"feature"[ \t\r]*:[ \t\r]*\[[^\[\]{}"\n]*\]')
 
 
-def _cut_feature(match: re.Match) -> str:
-    """`"feature":[]` in place of a `_FEATURE_LIST` match, unless a
-    backslash escapes its first quote (a lookbehind in the pattern would
-    double the cost of the search)."""
-    return match[0] if match.string[match.start() - 1] == "\\" else '"feature":[]'
-
-
 def _json_lines(path: Union[str, Path], features: bool = True):
     """(line number, JSON object) of every non-blank line of a file.
 
@@ -372,13 +365,10 @@ def _json_lines(path: Union[str, Path], features: bool = True):
     outside such a list:
     - The cut text holds no `"`, `[`, `]`, `{`, `}` or newline, so it never
       crosses a string or a structural bracket.
-    - Neither quote of a cut `"feature"` is escaped: a match with a
-      backslash before its first quote is left whole, and `e` precedes the
-      second. Where the decode reaches it, it is therefore the key
-      `feature`; else its first quote closes a string, and the bare
-      `feature` after it fails the line before the cut, as it does uncut.
-      So the matched `[` lies outside any string, and the list ends at the
-      first `]`.
+    - A `"` directly after `feature` cannot be escaped, so it closes a string
+      (after a closing quote, the bare `feature` fails the line before the
+      cut). The matched `[` therefore lies outside any string, and the list
+      ends at the first `]`.
     - A line that is broken anywhere else still fails, with the message of
       the uncut line. An unbalanced or nested feature list, or one that
       holds a string, is not cut, so it is decoded as before."""
@@ -388,7 +378,7 @@ def _json_lines(path: Union[str, Path], features: bool = True):
                 continue
             text = line.strip(" \t\n\r")
             if not features:
-                text = _FEATURE_LIST.sub(_cut_feature, text)
+                text = _FEATURE_LIST.sub('"feature":[]', text)
             try:
                 doc, end = _raw_decode(text)
             except json.JSONDecodeError:
@@ -510,9 +500,13 @@ class _NumberChunks:
     the pending lines hold `_NUMBER_CHUNK` numbers, and after the last line,
     the reader calls `build`, which turns them into arrays and returns the
     error that `_number_columns` picks; the reader stops at the first one.
-    The tables then hold the rows of `lines[:kept]`, the lines before any
-    error: each build grows them in place by its kept rows, so that a load
-    holds one copy of the table beside one chunk.
+    Each build writes its kept rows into the tables after the rows before
+    them. A table whose rows do not fit grows in place by them, and by at
+    least an eighth of its length (as CPython's lists grow), so that the
+    copies of a growing table stay linear in its size. `finish` builds the
+    last lines and trims the tables to `rows`, the rows of `lines[:kept]`,
+    the lines before any error. So a load holds one copy of the table,
+    with at most an eighth of spare rows, beside one chunk.
     """
 
     def __init__(self, tables: list[np.ndarray], columns: list[tuple]):
@@ -520,6 +514,7 @@ class _NumberChunks:
         self.lines: list[int] = []
         self.built = 0  # lines handed to `build`
         self.kept = 0
+        self.rows = [0] * len(tables)  # the rows written into each table
         self.values: list[list] = [[] for _ in columns]
 
     def build(self, error: Optional[FrameParseError] = None) -> Optional[FrameParseError]:
@@ -540,12 +535,22 @@ class _NumberChunks:
         for (t, name, *_), array, column_counts in zip(self.columns, arrays, counts):
             rows = kept if column_counts is None else sum(column_counts[:kept])
             if t not in starts:  # the table's first column: every column has its rows
-                starts[t] = len(self.tables[t])
-                # No view of a table outlives its statement, so it may grow in place.
-                self.tables[t].resize(starts[t] + rows, refcheck=False)
+                starts[t] = self.rows[t]
+                self.rows[t] += rows
+                if self.rows[t] > len(self.tables[t]):
+                    # `resize` checks references: a view held elsewhere raises, not goes stale.
+                    self.tables[t].resize(max(self.rows[t], len(self.tables[t]) * 9 // 8))
             self.tables[t][name][starts[t] : starts[t] + rows] = array[:rows]
         self.kept = self.built + kept
         self.built = len(self.lines)
+        return error
+
+    def finish(self, error: Optional[FrameParseError] = None) -> Optional[FrameParseError]:
+        """`build` the last lines, trim each table to its rows and return
+        the error of the file."""
+        error = self.build(error)
+        for t, rows in enumerate(self.rows):
+            self.tables[t].resize(rows)
         return error
 
 
@@ -692,7 +697,7 @@ def load_frames(path: Union[str, Path], features: bool = True) -> Frames:
     except FrameParseError as exc:
         error = exc  # raised after any bad number or value on an earlier line
 
-    error = numbers.build(error)
+    error = numbers.finish(error)
     kept = numbers.kept
     det, gt = numbers.tables
     det_lines = np.repeat(lines[:kept], det_counts[:kept])
@@ -769,7 +774,7 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
     except FrameParseError as exc:
         error = exc  # raised after any bad number or value on an earlier line
 
-    error = numbers.build(error)
+    error = numbers.finish(error)
     kept = numbers.kept
     (tracks,) = numbers.tables
     tracks["frame_index"] = [k[0] for k in keys[:kept]]
