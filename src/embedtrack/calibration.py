@@ -187,8 +187,8 @@ def distance_histogram(distances, is_same, bin_count: int = 50) -> np.recarray:
     read-only record array with a row per bin and fields bin_lo, bin_hi,
     same_count, diff_count."""
     dist, same = _check_pairs(distances, is_same)
-    if bin_count < 1:
-        raise ValueError(f"bin_count must be positive, got {bin_count}")
+    if isinstance(bin_count, bool) or not isinstance(bin_count, (int, np.integer)) or bin_count < 1:
+        raise ValueError(f"bin_count must be a positive integer, got {bin_count!r}")
     hi = float(dist.max())
     if hi == 0.0:
         hi = 1.0

@@ -44,7 +44,7 @@ from .datasets import (
     simulate,
     training_batches,
 )
-from .embedding import LossConfig, _check_config_values, load_params, save_params
+from .embedding import LossConfig, _check_config_keys, load_params, save_params
 from .evaluation import (
     MotCounts, PairCounts, ground_truth_records, mean_ap, mota, pair_accuracy, track_counts
 )
@@ -71,11 +71,18 @@ def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
 
 
 def _resolve_config(cls, file_values: dict, args: argparse.Namespace):
-    """defaults < config file < flags, validated by the dataclass itself."""
+    """defaults < config file < flags, validated by the dataclass itself; an
+    error whose message starts with a field the file set names the file."""
     names = [f.name for f in dataclasses.fields(cls)]
     values = {name: file_values[name] for name in names if name in file_values}
     values.update((name, getattr(args, name)) for name in names if getattr(args, name) is not None)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        field = str(exc).split(" ", 1)[0]
+        if field in file_values and getattr(args, field) is None:
+            raise ValueError(f"config file {args.config}: {exc}") from None
+        raise
 
 
 def _load_config_file(path: Optional[str], *classes) -> dict:
@@ -84,7 +91,8 @@ def _load_config_file(path: Optional[str], *classes) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return _check_config_values(doc, classes, f"config file {path}")
+    _check_config_keys(doc, classes, f"config file {path}")
+    return doc
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -10,11 +10,11 @@ fixed feature archetypes, observed features add Gaussian noise, boxes move
 linearly with clamping at the image border.
 
 A frames file is one `Frames` table and a tracks file one `TRACK_DTYPE`
-array. Both readers check each line's types as it streams in and build the
-number columns one chunk of lines at a time, each chunk in one stage that
-picks its earliest bad line, so that only one chunk's Python floats are
-alive at a time. Each chunk is written into the table, which grows in
-place, so a load holds one copy of the table.
+array. Both readers check each line's structure as it streams in and build
+the number columns one chunk of lines at a time, each chunk in one stage
+that picks its earliest bad line, so that only one chunk's Python floats
+are alive at a time. Each chunk's rows are appended to one growing buffer
+per table, so a load holds one copy of the table.
 """
 
 from __future__ import annotations
@@ -432,23 +432,22 @@ def _hides_bool(values: list, column: np.ndarray) -> bool:
     return any(type(values[i][j]) is bool for i, j in zip(*(c.tolist() for c in cells)))
 
 
-def _number_columns(lines: list[int], columns: list[tuple], error: Optional[FrameParseError]):
+def _number_columns(lines: list[int], columns: list[tuple]):
     """(arrays, kept line count, error) of one chunk of a file's number
     columns.
 
-    `lines` are the line numbers of the chunk's lines, all read before
-    `error`, the reader's own error or None. A column is (values, tail,
-    field, counts): the chunk's raw values, one row each, become one float64
-    array of shape (rows, *tail), where line i holds counts[i] rows; counts
-    None means one row per line, whose values keep the line's own shape
-    `tail`.
+    `lines` are the line numbers of the chunk's lines. A column is (values,
+    tail, field, counts): the chunk's raw values, one row each, become one
+    float64 array of shape (rows, *tail), where line i holds counts[i] rows;
+    counts None means one row per line, whose values keep the line's own
+    shape `tail`.
 
     One NumPy call builds a column. Only when that call fails, gives a dtype
     that is not a number's (a string, a null, an integer past 64 bits) or
     hides a bool are its lines checked one by one; the column then stops
     before the first line that `_check_floats` rejects. The error is the one
-    on the earliest line, on one line the earlier column's, then the
-    reader's, and the kept lines are those before it.
+    on the earliest line, on one line the earlier column's, and the kept
+    lines are those before it.
     """
     arrays, errors = [], []
     for values, tail, field, counts in columns:
@@ -476,9 +475,7 @@ def _number_columns(lines: list[int], columns: list[tuple], error: Optional[Fram
             # a null reads as NaN, for the value checks
             column = np.array(values[:start], dtype=np.float64).reshape(start, *tail)
         arrays.append(column.astype(np.float64, copy=False))
-    error = min(
-        (e for e in errors + [error] if e is not None), key=lambda e: e.line_number, default=None
-    )
+    error = min(errors, key=lambda e: e.line_number, default=None)
     return arrays, len(lines) if error is None else bisect_left(lines, error.line_number), error
 
 
@@ -489,69 +486,64 @@ _NUMBER_CHUNK = 8192
 
 class _NumberChunks:
     """A file's number columns, built by `_number_columns` one chunk of
-    lines at a time and written straight into the file's record arrays.
+    lines at a time and appended to one growing buffer per table.
 
-    `tables` are those record arrays, empty to begin with. A column is
-    (table position, field name, error field, counts), and its rows have
-    the shape of the table's field. A reader appends each line's number to
-    `lines` and its raw values to `values`, one pending list per column. A
-    column with a list in `counts` takes a list of rows per line, the list
-    holding every line's row count; the others take one row per line. When
-    the pending lines hold `_NUMBER_CHUNK` numbers, and after the last line,
-    the reader calls `build`, which turns them into arrays and returns the
-    error that `_number_columns` picks; the reader stops at the first one.
-    Each build writes its kept rows into the tables after the rows before
-    them. A table whose rows do not fit grows in place by them, and by at
-    least an eighth of its length (as CPython's lists grow), so that the
-    copies of a growing table stay linear in its size. `finish` builds the
-    last lines and trims the tables to `rows`, the rows of `lines[:kept]`,
-    the lines before any error. So a load holds one copy of the table,
-    with at most an eighth of spare rows, beside one chunk.
+    `dtypes` are the record dtypes of the tables. A column is (table
+    position, field name, error field, counts), and its rows have the shape
+    of the table's field. A reader appends each line's number to `lines` and
+    its raw values to `values`, one pending list per column. A column with a
+    list in `counts` takes a list of rows per line, the list holding every
+    line's row count; the others take one row per line. When the pending
+    lines hold `_NUMBER_CHUNK` numbers, the reader calls `build`, which
+    writes the rows of the lines before the chunk's first bad number
+    (`_number_columns`) into one record array per table, appends its bytes
+    to the table's `bytearray` in `buffers`, and returns that error; the
+    reader stops at the first one. `finish` builds the last lines and reads
+    the tables, the rows of `lines[:kept]`, from the buffers without a copy.
+    So a load holds one copy of the table, with the spare capacity that a
+    growing bytearray keeps (at most an eighth), beside one chunk.
+
+    A bytearray refuses to grow while a view of it is alive (BufferError),
+    so a view held across a build raises instead of reading freed memory.
     """
 
-    def __init__(self, tables: list[np.ndarray], columns: list[tuple]):
-        self.tables, self.columns = tables, columns
+    def __init__(self, dtypes: list[np.dtype], columns: list[tuple]):
+        self.dtypes, self.columns = dtypes, columns
+        self.buffers = [bytearray() for _ in dtypes]
         self.lines: list[int] = []
         self.built = 0  # lines handed to `build`
         self.kept = 0
-        self.rows = [0] * len(tables)  # the rows written into each table
         self.values: list[list] = [[] for _ in columns]
 
-    def build(self, error: Optional[FrameParseError] = None) -> Optional[FrameParseError]:
-        """Build the pending lines into the tables and return the error of
-        the file so far; `error` is the reader's own."""
+    def build(self) -> Optional[FrameParseError]:
+        """Append the pending lines' rows to the tables; the error of their numbers."""
         lines = self.lines[self.built :]
         if not lines:
-            return error
+            return None
         counts = [None if c is None else c[self.built :] for *_, c in self.columns]
         specs = [
-            (values, self.tables[t].dtype[name].shape, field, c)
+            (values, self.dtypes[t][name].shape, field, c)
             for values, (t, name, field, _), c in zip(self.values, self.columns, counts)
         ]
-        arrays, kept, error = _number_columns(lines, specs, error)
+        arrays, kept, error = _number_columns(lines, specs)
         for values in self.values:  # the chunk's Python floats go before the tables grow
             values.clear()
-        starts: dict[int, int] = {}
+        chunks: dict[int, np.ndarray] = {}
         for (t, name, *_), array, column_counts in zip(self.columns, arrays, counts):
-            rows = kept if column_counts is None else sum(column_counts[:kept])
-            if t not in starts:  # the table's first column: every column has its rows
-                starts[t] = self.rows[t]
-                self.rows[t] += rows
-                if self.rows[t] > len(self.tables[t]):
-                    # `resize` checks references: a view held elsewhere raises, not goes stale.
-                    self.tables[t].resize(max(self.rows[t], len(self.tables[t]) * 9 // 8))
-            self.tables[t][name][starts[t] : starts[t] + rows] = array[:rows]
+            if t not in chunks:  # the table's first column: every column has its rows
+                rows = kept if column_counts is None else sum(column_counts[:kept])
+                chunks[t] = np.empty(rows, self.dtypes[t])
+            chunks[t][name] = array[: len(chunks[t])]
+        for t, chunk in chunks.items():
+            self.buffers[t] += chunk.data
         self.kept = self.built + kept
         self.built = len(self.lines)
         return error
 
-    def finish(self, error: Optional[FrameParseError] = None) -> Optional[FrameParseError]:
-        """`build` the last lines, trim each table to its rows and return
-        the error of the file."""
-        error = self.build(error)
-        for t, rows in enumerate(self.rows):
-            self.tables[t].resize(rows)
-        return error
+    def finish(self) -> tuple[list[np.ndarray], Optional[FrameParseError]]:
+        """The tables after a `build` of the last lines, and its error."""
+        error = self.build()
+        return [np.frombuffer(b, dtype) for b, dtype in zip(self.buffers, self.dtypes)], error
 
 
 def _objects(items, line_number: int, field: str) -> list[dict]:
@@ -583,10 +575,12 @@ def load_frames(path: Union[str, Path], features: bool = True) -> Frames:
 
     Types and structure are checked line by line as the file streams in.
     The numbers of the lines become arrays per chunk of lines
-    (`_NUMBER_CHUNK` numbers), written straight into the table, and their
-    values (boxes, confidences, features) are checked on the table;
-    README.md lists the checks. A rejected file raises FrameParseError at
-    its earliest bad line. An empty file gives a table of no frames.
+    (`_NUMBER_CHUNK` numbers), appended to the table, and their values
+    (boxes, confidences, features) are checked on the table; README.md
+    lists the checks. A rejected file raises FrameParseError at its
+    earliest bad line; on one line, the structure is checked first, then
+    the numbers, then their values. An empty file gives a table of no
+    frames.
 
     With `features` False the feature values are never decoded
     (`_json_lines`), and the table's features are zero-wide. Each
@@ -602,7 +596,7 @@ def load_frames(path: Union[str, Path], features: bool = True) -> Frames:
     if features:
         det_columns.append(("feature", "detections"))
     numbers = _NumberChunks(
-        [np.empty(0, detection_dtype(0)), np.empty(0, GT_DTYPE)],
+        [detection_dtype(0), GT_DTYPE],
         [(0, name, field, det_counts) for name, field in det_columns]
         + [(1, "box", "gt_boxes.box", gt_counts)],
     )
@@ -616,67 +610,53 @@ def load_frames(path: Union[str, Path], features: bool = True) -> Frames:
     error: Optional[FrameParseError] = None
     try:
         for line_number, doc in _json_lines(path, features):
-            floats: list[tuple] = []  # the line's number fields, in the order they are checked
-            try:
-                for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
-                    if key not in doc:
-                        raise FrameParseError(line_number, key, "missing")
-                dets = _objects(doc["detections"], line_number, "detections")
-                gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
-                n, m = len(dets), len(gts)
-                box = [d.get("box") for d in dets]
-                feature = [d.get("feature") for d in dets]
-                confidence = [d.get("confidence") for d in dets]
-                gt_id = [d.get("gt_id") for d in dets]
-                gt_box = [g.get("box") for g in gts]
-                if dets:
-                    if feature_dim is None and isinstance(feature[0], list):
-                        feature_dim = len(feature[0])
-                        numbers.tables[0] = np.empty(0, detection_dtype(feature_dim))
-                    floats.append((box, (n, 4), "detections.box"))
-                    bad = [
-                        f for f in feature
-                        if not isinstance(f, list) or features and len(f) != feature_dim
-                    ]
-                    if bad:
-                        rule = "a list as long as the file's first" if features else "a list"
-                        raise FrameParseError(
-                            line_number, "detections.feature", f"expected {rule}, got {bad[0]!r}"
-                        )
-                    for g in gt_id:
-                        if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
-                            raise FrameParseError(
-                                line_number, "detections", f"gt_id must be non-negative, got {g}"
-                            )
-                    floats.append((confidence, (n,), "detections"))
-                    if features:
-                        floats.append((feature, (n, feature_dim), "detections"))
-                if gts:
-                    floats.append((gt_box, (m, 4), "gt_boxes.box"))
-                line_ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
-                if len(set(line_ids)) < len(line_ids):
+            for key in ("frame_index", "camera_id", "detections", "gt_boxes"):
+                if key not in doc:
+                    raise FrameParseError(line_number, key, "missing")
+            dets = _objects(doc["detections"], line_number, "detections")
+            gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
+            n, m = len(dets), len(gts)
+            box = [d.get("box") for d in dets]
+            feature = [d.get("feature") for d in dets]
+            confidence = [d.get("confidence") for d in dets]
+            gt_id = [d.get("gt_id") for d in dets]
+            gt_box = [g.get("box") for g in gts]
+            if feature_dim is None and dets and isinstance(feature[0], list):
+                feature_dim = len(feature[0])
+                numbers.dtypes[0] = detection_dtype(feature_dim)
+            bad = [
+                f for f in feature if not isinstance(f, list) or features and len(f) != feature_dim
+            ]
+            if bad:
+                rule = "a list as long as the file's first" if features else "a list"
+                raise FrameParseError(
+                    line_number, "detections.feature", f"expected {rule}, got {bad[0]!r}"
+                )
+            for g in gt_id:
+                if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
                     raise FrameParseError(
-                        line_number, "gt_boxes.id", f"an identity repeats: {line_ids}"
+                        line_number, "detections", f"gt_id must be non-negative, got {g}"
                     )
-                frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
-                camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
-                if frame_index < 0 or min(line_ids, default=0) < 0:
-                    raise FrameParseError(
-                        line_number,
-                        "frame",
-                        f"negative frame_index {frame_index} or identity in {line_ids}",
-                    )
-                prev = last_index.get(camera_id)
-                if prev is not None and frame_index <= prev:
-                    raise FrameParseError(
-                        line_number,
-                        "frame_index",
-                        f"{frame_index} does not increase over {prev} for camera {camera_id}",
-                    )
-            except FrameParseError:
-                for field_values, shape, field in floats:  # a number field checked earlier wins
-                    _check_floats(field_values, shape, line_number, field)
-                raise
+            line_ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
+            if len(set(line_ids)) < len(line_ids):
+                raise FrameParseError(
+                    line_number, "gt_boxes.id", f"an identity repeats: {line_ids}"
+                )
+            frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
+            camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
+            if frame_index < 0 or min(line_ids, default=0) < 0:
+                raise FrameParseError(
+                    line_number,
+                    "frame",
+                    f"negative frame_index {frame_index} or identity in {line_ids}",
+                )
+            prev = last_index.get(camera_id)
+            if prev is not None and frame_index <= prev:
+                raise FrameParseError(
+                    line_number,
+                    "frame_index",
+                    f"{frame_index} does not increase over {prev} for camera {camera_id}",
+                )
             last_index[camera_id] = frame_index
             gt_ids += [-1 if g is None else g for g in gt_id]
             ids += line_ids
@@ -695,11 +675,11 @@ def load_frames(path: Union[str, Path], features: bool = True) -> Frames:
                 if error is not None:
                     break
     except FrameParseError as exc:
-        error = exc  # raised after any bad number or value on an earlier line
+        error = exc  # any bad number lies on an earlier line, which was appended
 
-    error = numbers.finish(error)
+    (det, gt), number_error = numbers.finish()
+    error = number_error or error
     kept = numbers.kept
-    det, gt = numbers.tables
     det_lines = np.repeat(lines[:kept], det_counts[:kept])
     gt_lines = np.repeat(lines[:kept], gt_counts[:kept])
     det["gt_id"], gt["id"] = gt_ids[: det.size], ids[: gt.size]
@@ -741,7 +721,7 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
     id may occur only once per frame."""
     keys: list[tuple[int, int]] = []
     numbers = _NumberChunks(
-        [np.empty(0, TRACK_DTYPE)], [(0, "box", "box", None), (0, "confidence", "record", None)]
+        [TRACK_DTYPE], [(0, "box", "box", None), (0, "confidence", "record", None)]
     )
     lines = numbers.lines
     boxes, confidences = numbers.values
@@ -749,34 +729,29 @@ def load_track_records(path: Union[str, Path]) -> np.ndarray:
     error: Optional[FrameParseError] = None
     try:
         for line_number, doc in _json_lines(path):
-            box = doc.get("box")
-            try:
-                key = (
-                    _parse_int(doc.get("frame_index"), line_number, "frame_index"),
-                    _parse_int(doc.get("track_id"), line_number, "track_id"),
+            key = (
+                _parse_int(doc.get("frame_index"), line_number, "frame_index"),
+                _parse_int(doc.get("track_id"), line_number, "track_id"),
+            )
+            if key in seen:
+                raise FrameParseError(
+                    line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
                 )
-                if key in seen:
-                    raise FrameParseError(
-                        line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
-                    )
-            except FrameParseError:
-                _check_floats(box, (4,), line_number, "box")  # the box is checked first
-                raise
             seen.add(key)
             keys.append(key)
             lines.append(line_number)
-            boxes.append(box)
+            boxes.append(doc.get("box"))
             confidences.append(doc.get("confidence"))
             if len(boxes) * 5 >= _NUMBER_CHUNK:  # five numbers a line
                 error = numbers.build()
                 if error is not None:
                     break
     except FrameParseError as exc:
-        error = exc  # raised after any bad number or value on an earlier line
+        error = exc  # any bad number lies on an earlier line, which was appended
 
-    error = numbers.finish(error)
+    (tracks,), number_error = numbers.finish()
+    error = number_error or error
     kept = numbers.kept
-    (tracks,) = numbers.tables
     tracks["frame_index"] = [k[0] for k in keys[:kept]]
     tracks["track_id"] = [k[1] for k in keys[:kept]]
     lines = np.array(lines[:kept], dtype=np.int64)

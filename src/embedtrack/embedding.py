@@ -35,23 +35,26 @@ PARAMS_FORMAT_VERSION = 1
 
 
 def _check_fields(cfg) -> None:
-    """Every int field of the config dataclass instance `cfg` must hold an
-    integer, not a float or a bool; every float field must be finite, and an
-    integer given for one must fit in a float."""
+    """The one rule for the values of the config dataclass instance `cfg`:
+    an int field takes an integer, a float field an integer or a float,
+    stored as a finite float; neither takes a bool. Anything else raises
+    ValueError naming the field."""
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if type(f.default) is int:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        value, kind = getattr(cfg, f.name), type(f.default)
+        if kind not in (int, float):
             continue
-        if type(f.default) is not float:
-            continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise ValueError(f"{f.name} is too large for a float") from None
-        if not finite:
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        numbers = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+        if isinstance(value, bool) or not isinstance(value, numbers):
+            article = "an integer" if kind is int else "a number"
+            raise ValueError(f"{f.name} must be {article}, got {value!r}")
+        if kind is float:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{f.name} is too large for a float") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(cfg, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -82,28 +85,12 @@ class LossConfig:
             raise ValueError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
 
 
-def _check_config_values(values: dict, classes: Sequence[type], source: str) -> dict:
+def _check_config_keys(values: dict, classes: Sequence[type], source: str) -> None:
     """Every key of `values` must name a field of one of the config
-    dataclasses `classes`, and every value must be a JSON integer for int
-    fields, an integer or float for float fields, never a bool.
-
-    Returns the values with each integer given for a float field made the
-    float its flag would parse to, so that a file value and the same flag
-    write the same bytes.
-    """
-    kinds = {f.name: type(f.default) for cls in classes for f in fields(cls)}
-    unknown = sorted(set(values) - set(kinds))
+    dataclasses `classes`; the dataclasses check the values."""
+    unknown = sorted(set(values) - {f.name for cls in classes for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown config keys in {source}: {unknown}")
-    coerced = {}
-    for name, value in values.items():
-        if type(value) not in ((int,) if kinds[name] is int else (int, float)):
-            raise ValueError(f"{source}: {name} must be {kinds[name].__name__}, got {value!r}")
-        try:
-            coerced[name] = kinds[name](value)
-        except OverflowError:
-            raise ValueError(f"{source}: {name} is too large for a float") from None
-    return coerced
 
 
 def _flat_views(vec: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
@@ -405,5 +392,9 @@ def load_params(
                     f"loss_config in {path}: {name} must be 1.0, as no detector loss is "
                     f"computed, got {value!r}"
                 )
-        loss_cfg = _check_config_values(loss_cfg, (LossConfig,), f"loss_config in {path}")
-    return params, seed, LossConfig(**loss_cfg) if loss_cfg is not None else None
+        _check_config_keys(loss_cfg, (LossConfig,), f"loss_config in {path}")
+        try:
+            loss_cfg = LossConfig(**loss_cfg)
+        except ValueError as exc:
+            raise ValueError(f"loss_config in {path}: {exc}") from None
+    return params, seed, loss_cfg

@@ -550,28 +550,34 @@ def _parse_floats(values, shape, line_number, field):
     return column
 
 
-def _parse_detections(dets, feature_dim, line_number):
-    n = len(dets)
-    box = _parse_floats([d.get("box") for d in dets], (n, 4), line_number, "detections.box")
-    features = [d.get("feature") for d in dets]
-    bad = [f for f in features if not (isinstance(f, list) and len(f) == feature_dim)]
+def _check_detections(dets, feature_dim, line_number):
+    """The structure of one line's detections: feature lists and gt ids."""
+    bad = [d.get("feature") for d in dets
+           if not (isinstance(d.get("feature"), list) and len(d["feature"]) == feature_dim)]
     if bad:
         raise FrameParseError(
             line_number,
             "detections.feature",
             f"expected a list as long as the file's first, got {bad[0]!r}",
         )
-    det = np.empty(n, dtype=detection_dtype(feature_dim))
-    det["box"] = box
-    gt_id = [d.get("gt_id") for d in dets]
-    for g in gt_id:
+    for g in (d.get("gt_id") for d in dets):
         if g is not None and _parse_int(g, line_number, "detections.gt_id") < 0:
             raise FrameParseError(line_number, "detections", f"gt_id must be non-negative, got {g}")
+
+
+def _parse_detections(dets, feature_dim, line_number):
+    """One line's detection records, their numbers parsed in column order:
+    boxes, confidences, features."""
+    n = len(dets)
+    det = np.empty(n, dtype=detection_dtype(feature_dim))
+    det["box"] = _parse_floats([d.get("box") for d in dets], (n, 4), line_number, "detections.box")
     det["confidence"] = _parse_floats(
         [d.get("confidence") for d in dets], (n,), line_number, "detections"
     )
-    det["feature"] = _parse_floats(features, (n, feature_dim), line_number, "detections")
-    det["gt_id"] = [-1 if g is None else g for g in gt_id]
+    det["feature"] = _parse_floats(
+        [d["feature"] for d in dets], (n, feature_dim), line_number, "detections"
+    )
+    det["gt_id"] = [-1 if d.get("gt_id") is None else d["gt_id"] for d in dets]
     return det
 
 
@@ -592,8 +598,8 @@ def loads_lines(path):
 
 
 def line_load_frames(path):
-    """`load_frames` one line at a time: each line becomes its own arrays as
-    it is read (types and structure), values are checked on the joined
+    """`load_frames` one line at a time: each line's structure is checked,
+    then its numbers become its own arrays, values are checked on the joined
     arrays, and the earliest bad line raises."""
     heads, lines, det_chunks, gt_chunks = [], [], [], []
     feature_dim = None
@@ -606,18 +612,12 @@ def line_load_frames(path):
                     raise FrameParseError(line_number, key, "missing")
             dets = _objects(doc["detections"], line_number, "detections")
             gts = _objects(doc["gt_boxes"], line_number, "gt_boxes")
-            if dets:
-                if feature_dim is None and isinstance(dets[0].get("feature"), list):
-                    feature_dim = len(dets[0]["feature"])
-                det = _parse_detections(dets, feature_dim, line_number)
-            gt = np.empty(len(gts), dtype=GT_DTYPE)
-            if gts:
-                boxes = [g.get("box") for g in gts]
-                gt["box"] = _parse_floats(boxes, (len(gts), 4), line_number, "gt_boxes.box")
+            if dets and feature_dim is None and isinstance(dets[0].get("feature"), list):
+                feature_dim = len(dets[0]["feature"])
+            _check_detections(dets, feature_dim, line_number)
             ids = [_parse_int(g.get("id"), line_number, "gt_boxes.id") for g in gts]
             if len(set(ids)) < len(ids):
                 raise FrameParseError(line_number, "gt_boxes.id", f"an identity repeats: {ids}")
-            gt["id"] = ids
             frame_index = _parse_int(doc["frame_index"], line_number, "frame_index")
             camera_id = _parse_int(doc["camera_id"], line_number, "camera_id")
             if frame_index < 0 or min(ids, default=0) < 0:
@@ -631,6 +631,13 @@ def line_load_frames(path):
                     "frame_index",
                     f"{frame_index} does not increase over {prev} for camera {camera_id}",
                 )
+            if dets:
+                det = _parse_detections(dets, feature_dim, line_number)
+            gt = np.empty(len(gts), dtype=GT_DTYPE)
+            if gts:
+                boxes = [g.get("box") for g in gts]
+                gt["box"] = _parse_floats(boxes, (len(gts), 4), line_number, "gt_boxes.box")
+            gt["id"] = ids
             last_index[camera_id] = frame_index
             if dets:
                 det_chunks.append(det)
@@ -661,13 +668,12 @@ def line_load_frames(path):
 
 def line_load_track_records(path):
     """`load_track_records` one line at a time, checked as `line_load_frames`
-    checks frames."""
+    checks frames: the frame and track ids, then the box and confidence."""
     rows, lines = [], []
     seen = set()
     error = None
     try:
         for line_number, doc in loads_lines(path):
-            box = _parse_floats(doc.get("box"), (4,), line_number, "box")
             key = (
                 _parse_int(doc.get("frame_index"), line_number, "frame_index"),
                 _parse_int(doc.get("track_id"), line_number, "track_id"),
@@ -677,6 +683,7 @@ def line_load_track_records(path):
                     line_number, "track_id", f"track {key[1]} occurs twice in frame {key[0]}"
                 )
             seen.add(key)
+            box = _parse_floats(doc.get("box"), (4,), line_number, "box")
             confidence = _parse_floats(doc.get("confidence"), (), line_number, "record")
             rows.append((*key, box, confidence))
             lines.append(line_number)

@@ -251,6 +251,12 @@ class TestDistanceHistogram:
         with pytest.raises(ValueError):
             distance_histogram(*_pairs([1.0], [2.0]), bin_count=0)
 
+    @pytest.mark.parametrize("bin_count", [True, False, 2.5, 2.0, np.float64(3.0), "3", None])
+    def test_rejects_bin_count_that_is_not_an_integer(self, bin_count):
+        # True would give one bin, 2.5 NumPy's TypeError.
+        with pytest.raises(ValueError, match="^bin_count must be a positive integer"):
+            distance_histogram(*_pairs([1.0], [2.0]), bin_count=bin_count)
+
 
 class TestPairCheck:
     """One validation rule shared by counts_at, sweep_threshold and

@@ -722,13 +722,21 @@ class TestOutsideValues:
              "--out", tmp_path / "out"],
             capsys,
             next(iter(values)),
+            f"config file {config}: ",
         )
+
+    def test_flag_error_does_not_name_the_config_file(self, tmp_path, sim_dir, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"margin": 4, "initial_lr": 1}))
+        _fails_cleanly(["train", "--frames", sim_dir / "frames.jsonl", "--config", config,
+                        "--initial-lr", "nan", "--out", tmp_path / "out"], capsys,
+                       "error: initial_lr must be finite")
 
     def test_simulate_config_value_of_wrong_type(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"frame_count": 3.0}))
         _fails_cleanly(["simulate", "--config", config, "--out", tmp_path / "out"], capsys,
-                       "frame_count")
+                       f"config file {config}: frame_count")
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -753,7 +761,8 @@ class TestOutsideValues:
         config.write_text(text)
         inputs = ["--frames", sim_dir / "frames.jsonl"] if stage == "train" else []
         out = tmp_path / "out"
-        _fails_cleanly([stage, *inputs, "--config", config, "--out", out], capsys, field, "finite")
+        _fails_cleanly([stage, *inputs, "--config", config, "--out", out], capsys,
+                       f"config file {config}: {field}", "finite")
         assert not out.exists()
 
     def test_simulate_features_overflow(self, tmp_path, capsys):

@@ -364,15 +364,42 @@ def test_config_int_fields_refuse_what_is_not_an_integer(cls, field, value):
         cls(**{field: value})
 
 
-@pytest.mark.parametrize(
-    "cls, field",
-    [
-        (cls, f.name)
-        for cls in (LossConfig, SimConfig, TrainConfig)
-        for f in fields(cls)
-        if type(f.default) is float
-    ],
-)
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (LossConfig, SimConfig, TrainConfig)
+    for f in fields(cls)
+    if type(f.default) is float
+]
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "5", None, [1.0]])
+@pytest.mark.parametrize("cls, field", FLOAT_FIELDS)
+def test_config_float_fields_refuse_what_is_not_a_number(cls, field, value):
+    """Every float field refuses bools, strings and None when the config
+    is built, naming the field, instead of taking True as 1 or failing in
+    `math.isfinite`."""
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", FLOAT_FIELDS)
+def test_config_float_fields_store_integers_as_floats(cls, field):
+    """An integer (or a NumPy number) given for a float field is stored as
+    the float its flag parses to, so both write the same bytes."""
+    default = getattr(cls(), field)
+    value = int(default) if default == int(default) else 1  # 1 is valid where 0.2, 0.5 are
+    for given in (value, np.int64(value), np.float64(value)):
+        stored = getattr(cls(**{field: given}), field)
+        assert type(stored) is float and stored == float(given)
+
+
+def test_saved_loss_config_writes_floats(tmp_path):
+    path = tmp_path / "params.json"
+    save_params(path, init_params(2, 3, 2, np.random.default_rng(0)), loss_config=LossConfig(margin=5))
+    assert '"margin": 5.0' in path.read_text()
+
+
+@pytest.mark.parametrize("cls, field", FLOAT_FIELDS)
 def test_config_float_fields_refuse_oversized_integers(cls, field):
     """An integer too large for a float is refused when the config is built,
     naming the field, instead of kept or raised as a bare OverflowError."""
