@@ -1059,26 +1059,38 @@ def _slots(rows, key):
             for i in range(len(row[key]))]
 
 
+def _spoil_number(draw, docs):
+    """Make one number of `docs` bad. It picks its field first (feature
+    value, confidence, detection box, gt or track box), then its slot in
+    any of `docs`, so that wide features or many boxes do not crowd out a
+    field; feature values come first, as Hypothesis leans to the first
+    choice and feature columns are the widest."""
+    dets, gts, rows = ([r for doc in docs for r in _rows(doc)[k]] for k in range(3))
+    fields = [_slots(dets, "feature"), [(row, "confidence") for row in rows if "confidence" in row],
+              _slots(dets, "box"), _slots(gts + docs, "box")]
+    fields = [slots for slots in fields if slots]
+    if fields:
+        target, key = draw(st.sampled_from(draw(st.sampled_from(fields))))
+        target[key] = draw(bad_numbers)
+
+
 def _corrupt(draw, docs):
     """Apply one corruption to `docs` (dicts, edited in place): a bad
-    number, a bad shape, x1 >= x2, a bad or repeated id, a decreasing
-    frame_index or a missing key. A bad number picks its field first
-    (feature value, confidence, detection box, gt or track box), then its
-    slot anywhere in the file, so that wide features or many boxes do not
-    crowd out a field; feature values come first, as Hypothesis leans to
-    the first choice and feature columns are the widest. The other
-    corruptions pick a line first."""
-    kind = draw(st.sampled_from(["number", "shape", "order", "integer", "repeat", "missing"]))
+    number anywhere in the file (`_spoil_number`), a bad shape, x1 >= x2, a
+    bad or repeated id, a decreasing frame_index, a missing key, or a bad
+    number with a bad integer, a repeated id or a missing key on the same
+    line, where the structure fault is the one reported. Every corruption
+    but a file-wide bad number picks a line first."""
+    kind = draw(st.sampled_from(
+        ["number", "shape", "order", "integer", "repeat", "missing", "number and structure"]
+    ))
     if kind == "number":
-        dets, gts, rows = ([r for doc in docs for r in _rows(doc)[k]] for k in range(3))
-        fields = [_slots(dets, "feature"), [(row, "confidence") for row in rows if "confidence" in row],
-                  _slots(dets, "box"), _slots(gts + docs, "box")]
-        fields = [slots for slots in fields if slots]
-        if fields:
-            target, key = draw(st.sampled_from(draw(st.sampled_from(fields))))
-            target[key] = draw(bad_numbers)
+        _spoil_number(draw, docs)
         return
     doc = docs[draw(st.integers(0, len(docs) - 1))]
+    if kind == "number and structure":
+        _spoil_number(draw, [doc])
+        kind = draw(st.sampled_from(["integer", "repeat", "missing"]))
     dets, gts, rows = _rows(doc)
     lists = [row[key] for row in rows for key in ("box", "feature")
              if isinstance(row.get(key), list) and row[key]]
@@ -1199,7 +1211,8 @@ class TestLineParserOracle:
 
     def test_well_formed_lines_never_reach_json_loads(self, tmp_path, monkeypatch):
         """Every line json.loads takes, padded with JSON whitespace or not,
-        is read by the one raw_decode; json.loads only names a bad line."""
+        is read by the one raw_decode; json.loads only names a bad line.
+        A line of whitespace, Python's or JSON's, is skipped."""
         frames = simulate(SimConfig(identity_count=3, frame_count=5, feature_dim=4, seed=2))
         records = tracks([((0, 0, 5, 5), 0.7, 4), ((1, 0, 6, 5), 0.8, 5)])
         frames_path, tracks_path = tmp_path / "frames.jsonl", tmp_path / "tracks.jsonl"
@@ -1208,7 +1221,8 @@ class TestLineParserOracle:
         for path in (frames_path, tracks_path):
             lines = path.read_text().splitlines()
             lines[0] = " \t" + lines[0] + "\t "
-            path.write_text("\n".join(["", *lines, " \f "]), encoding="utf-8")
+            path.write_text("\n".join(["", *lines, " \f ", "\x0c", "\x85", "\u2003"]),
+                            encoding="utf-8")
 
         def refuse(*args, **kwargs):
             raise AssertionError("json.loads called on a well-formed line")
@@ -1279,6 +1293,43 @@ def _spoilt_features(draw, docs_strategy):
     return docs
 
 
+# Pieces of ASCII text for the cut patterns: the characters the list body
+# refuses, every boundary of the ranges it takes, the characters of a
+# feature list, and the pattern's head.
+_CUT_PIECES = [
+    "[", "]", "{", "}", '"', "\n", "\r", " ", "\x00", "\x09", "\x0b", "\x21", "\x23", "\x5a",
+    "\x5c", "\x5e", "\x7a", "\x7c", "\x7e", "\x7f", *"0123456789", ",", "e", '"feature"', ":",
+    '"feature": [',
+]
+# A feature list's head, then a body of pieces that may end it early, then `]`.
+_cut_lists = st.lists(st.sampled_from(_CUT_PIECES), max_size=8).map(
+    lambda body: '"feature": [' + "".join(body) + "]"
+)
+
+
+class TestAsciiFeatureCut:
+    """On ASCII text the positive class of `_ASCII_FEATURE_LIST` cuts what
+    the negated class of `_FEATURE_LIST` does."""
+
+    @given(text=st.lists(st.sampled_from(_CUT_PIECES) | _cut_lists, max_size=12).map("".join)
+           | st.text(st.characters(max_codepoint=0x7F), max_size=40))
+    @example(text='{"feature": [1, 2e3, \x7f], "x": 1, "feature" :\t[\\u00e9]}')
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_same_cut_as_the_negated_class(self, text):
+        cut = '"feature":[]'
+        assert embedtrack.datasets._ASCII_FEATURE_LIST.sub(cut, text) == (
+            embedtrack.datasets._FEATURE_LIST.sub(cut, text)
+        )
+
+    def test_list_bodies_take_the_same_ascii_characters(self):
+        def takes(pattern):
+            return [bool(pattern.fullmatch(f'"feature":[{chr(c)}]')) for c in range(128)]
+
+        ascii_takes = takes(embedtrack.datasets._ASCII_FEATURE_LIST)
+        assert ascii_takes == takes(embedtrack.datasets._FEATURE_LIST)
+        assert sum(ascii_takes) == 128 - len('[]{}"\n')
+
+
 class TestFeaturelessLoad:
     """`load_frames(path, features=False)` against the per-line parser. On the
     same file with every feature list made good, the two agree on every
@@ -1319,13 +1370,14 @@ class TestFeaturelessLoad:
         for k, feature in enumerate(features):
             k += k >= 1  # skip line 2
             lines[k] = re.sub(r'"feature": \[[^\]]*\]', lambda _: feature, lines[k])
-        path.write_text("".join(lines))
+        path.write_text("".join(lines), encoding="utf-8")
         return path, frames
 
     @pytest.mark.parametrize("feature", [
         '"feature": [NaN, 1]', '"feature": [1e999, 1]', '"feature": [1, 2, 3]',
         '"feature": [1, x]', '"feature": [1,, 2]', '"feature": []', '"feature": [[1], 2]',
         '"feature": ["a", 1]', '"feature": [true, null]', '"feature" :\t[ 1 ,2 ]',
+        '"feature": [1, \u00e9]', '"feature": [\u2003 1, 2\x7f]',  # cut on a non-ASCII line
     ])
     def test_feature_values_are_not_read(self, tmp_path, feature):
         path, frames = self._lines(tmp_path, feature, '"feature": [0.5, 0.5]')
@@ -1374,6 +1426,30 @@ class TestFeaturelessLoad:
         path = tmp_path / "frames.jsonl"
         save_frames(path, frames)
         assert_same_frames(load_frames(path, features=False), _featureless(frames))
+
+    def test_cut_beside_a_non_ascii_string(self, tmp_path):
+        line = {"frame_index": 0, "camera_id": 0, "gt_boxes": [], "note": "caf\u00e9 \u8eca",
+                "detections": [{"box": [0, 0, 1, 1], "confidence": 0.5,
+                                "feature": [5, 6], "tag": "v\u00e9hicule"}]}
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
+        (_, doc), = embedtrack.datasets._json_lines(path, features=False)
+        assert doc == {**line, "detections": [{**line["detections"][0], "feature": []}]}
+
+    def test_file_of_ascii_and_non_ascii_lines(self, tmp_path):
+        frames = simulate(SimConfig(identity_count=4, frame_count=6, feature_dim=5, seed=2))
+        path = tmp_path / "frames.jsonl"
+        save_frames(path, frames)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for k in range(0, len(lines), 2):
+            doc = json.loads(lines[k])
+            doc["note"] = "\u00e9"
+            for det in doc["detections"]:
+                det["tag"] = "\u8eca"
+            lines[k] = json.dumps(doc, ensure_ascii=False)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert [line.isascii() for line in lines] == [k % 2 == 1 for k in range(len(lines))]
+        assert_same_frames(load_frames(path, features=False), _featureless(load_frames(path)))
 
 
 class TestFeaturelessLoadAcrossChunks(TestFeaturelessLoad):
